@@ -7,27 +7,15 @@ import hashlib
 import numpy as np
 
 __all__ = [
-    "as_bits",
     "random_bits",
     "bits_to_bytes",
     "bytes_to_bits",
     "bits_to_hex",
-    "parity",
     "xor_bits",
     "binary_entropy",
     "derive_rng",
     "derive_seed",
 ]
-
-
-def as_bits(values) -> np.ndarray:
-    """Coerce a sequence of 0/1 values to a uint8 bit array."""
-    arr = np.asarray(values, dtype=np.uint8)
-    if arr.ndim != 1:
-        raise ValueError("bit arrays are one-dimensional")
-    if arr.size and arr.max() > 1:
-        raise ValueError("bit arrays may only contain 0 and 1")
-    return arr
 
 
 def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -48,10 +36,6 @@ def bytes_to_bits(data: bytes, n_bits: int) -> np.ndarray:
 
 def bits_to_hex(bits: np.ndarray) -> str:
     return bits_to_bytes(bits).hex()
-
-
-def parity(bits: np.ndarray) -> int:
-    return int(np.bitwise_xor.reduce(bits)) if bits.size else 0
 
 
 def xor_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -144,7 +144,7 @@ class _Session:
     def connected(self, now_s: float) -> bool:
         if self.channel.via_switch is None:
             return True
-        switch = self.engine.topology.switches[self.channel.via_switch]
+        switch = self.engine.switches[self.channel.via_switch]
         return resolve_path(switch, self.channel.tx, now_s) == self.channel.rx
 
     def flush_pool(self):
@@ -166,6 +166,9 @@ class Engine:
         self.scenario = scenario
         self.topology: Topology = scenario.topology
         self.knobs = scenario.knobs
+        # The run's own switch state: toggles replace entries here and
+        # never in the topology, so rerunning the scenario starts afresh.
+        self.switches = dict(self.topology.switches)
         self.store = KeyStore()
         self.health = HealthMonitor()
         self.cut_links: set = set()
@@ -177,7 +180,6 @@ class Engine:
         self._heap: List[tuple] = []
         self._seq = 0
         self._accum: Dict[str, dict] = {}
-        self._health_sync = 0
         self.series: List[SeriesRow] = []
         self.blocks: List[BlockRecord] = []
         self.switch_events: List[SwitchEvent] = []
@@ -217,19 +219,6 @@ class Engine:
                 random_bits(rng, self.knobs.prepositioned_auth_bits),
                 KeyOrigin.PREPOSITIONED, 0.0)
 
-    def _sync_health_to_topology(self):
-        """Mirror newly detected transitions onto direct links' health field."""
-        transitions = self.health.transitions
-        while self._health_sync < len(transitions):
-            tr = transitions[self._health_sync]
-            self._health_sync += 1
-            try:
-                channel = self.topology.channel_by_id(tr.channel_id)
-            except Exception:
-                continue
-            if channel.via_switch is None:
-                self.topology.set_link_health(channel.link_ids[0], tr.new)
-
     # -- run -----------------------------------------------------------------
 
     def run(self) -> MetricsReport:
@@ -237,19 +226,23 @@ class Engine:
         self._preposition()
         for ev in self.scenario.events:
             self._push(ev.time_s, _P_SCENARIO, "scenario", (ev,))
-        for sid, sw in self.topology.switches.items():
+        for sid, sw in self.switches.items():
             nxt = sw.next_toggle_s
             if nxt is not None and nxt <= duration:
                 self._push(nxt, _P_TOGGLE, "toggle", (sid,))
         self._push(self.knobs.metrics_interval_s, _P_METRICS, "metrics", ())
 
+        now = 0.0
         while self._heap:
             time_s, _prio, _seq, kind, payload = heapq.heappop(self._heap)
+            if time_s < now:
+                raise InvariantViolation(
+                    f"{kind} event at {time_s} s popped after time reached {now} s")
             if time_s > duration:
                 break
+            now = time_s
             handler = getattr(self, f"_on_{kind}")
             handler(time_s, *payload)
-            self._sync_health_to_topology()
 
         return self._build_report()
 
@@ -281,10 +274,10 @@ class Engine:
             session.eve = None if eve.kind is EveKind.NONE else eve
         elif kind is EventKind.SWITCH_TOGGLE:
             sid = ev.args["switch"]
-            sw = self.topology.switches[sid]
+            sw = self.switches[sid]
             sw = replace(sw, position=sw.position.toggled(),
                          busy_until_s=now + SWITCHING_TIME_S)
-            self.topology.switches[sid] = sw
+            self.switches[sid] = sw
             self.switch_events.append(SwitchEvent(now, sid, sw.position.value))
             self._reconfigure(sid, now)
         elif kind is EventKind.SET_SIFTING:
@@ -293,9 +286,8 @@ class Engine:
             session.sifting = ev.args["protocol"]
 
     def _on_toggle(self, now: float, switch_id: str):
-        sw = self.topology.switches[switch_id]
-        sw, events = schedule_tick(sw, now)
-        self.topology.switches[switch_id] = sw
+        sw, events = schedule_tick(self.switches[switch_id], now)
+        self.switches[switch_id] = sw
         for tev in events:
             self.switch_events.append(
                 SwitchEvent(tev.time_s, switch_id, tev.position.value))

@@ -53,9 +53,5 @@ class NoPathError(QkdNetError):
     """No qualifying relay path between the requested endpoints."""
 
 
-class RelayFailure(QkdNetError):
-    """A relay session cannot be completed (auth failure, no alternate path)."""
-
-
 class InvariantViolation(QkdNetError):
     """A runtime invariant was broken; the run must abort with a diagnostic."""

@@ -70,9 +70,6 @@ class HealthMonitor:
     def status(self, channel_id: str) -> LinkHealth:
         return self._status.get(channel_id, LinkHealth.UP)
 
-    def view(self) -> Dict[str, LinkHealth]:
-        return dict(self._status)
-
     def watch(self, channel_id: str, time_s: float):
         """Start zero-click surveillance (a session is supposed to be running).
 
@@ -171,27 +168,18 @@ class RelaySession:
     delivered_secret: Optional[np.ndarray] = None
     delivered_at: Optional[float] = None
     hop_transcripts: List[HopTranscript] = field(default_factory=list)
-    abandoned_transcripts: List[HopTranscript] = field(default_factory=list)
     regenerations: int = 0
     failure_cause: str = ""
-    paths_tried: List[List[str]] = field(default_factory=list)
 
     @property
     def terminal(self) -> bool:
         return self.status in (RelayStatus.DELIVERED, RelayStatus.FAILED)
 
 
-def _pair_channels(topology: Topology) -> Dict[Tuple[str, str], List[str]]:
-    mapping: Dict[Tuple[str, str], List[str]] = {}
-    for ch in topology.qkd_channels():
-        mapping.setdefault(ch.pair, []).append(ch.channel_id)
-    return mapping
-
-
 def relay_edges(topology: Topology, health: HealthMonitor, store: KeyStore,
                 r_length: int) -> Dict[str, Set[str]]:
     """Adjacency over pairs that can fund an ``r_length``-bit hop right now."""
-    pairs_with_channels = _pair_channels(topology)
+    pairs_with_channels = topology.channel_ids_by_pair
     candidates = set(pairs_with_channels)
     candidates.update(pair_key(p.a, p.b) for p in topology.prepositioned)
     adjacency: Dict[str, Set[str]] = {n: set() for n in topology.nodes}
@@ -311,7 +299,6 @@ class RelayCoordinator:
             self.store.reservoir(*t.pair).write_off(
                 t.otp_offset_start, t.otp_offset_end, time_s,
                 reason=f"{session.session_id} cancelled")
-        session.abandoned_transcripts.extend(session.hop_transcripts)
         session.hop_transcripts = []
         session.status = RelayStatus.FAILED
         session.failure_cause = "cancelled"
@@ -324,7 +311,6 @@ class RelayCoordinator:
         except NoPathError:
             session.status = RelayStatus.PATH_PENDING
             return
-        session.paths_tried.append(list(session.path))
         session.status = RelayStatus.IN_FLIGHT
         session.next_hop = 0
         if session.secret is None:
@@ -332,7 +318,7 @@ class RelayCoordinator:
             self.node_plaintexts[session.src].append(bits_to_bytes(session.secret))
 
     def _pair_health_up(self, a: str, b: str) -> bool:
-        channels = _pair_channels(self.topology).get(pair_key(a, b))
+        channels = self.topology.channel_ids_by_pair.get(pair_key(a, b))
         if channels is None:
             return True  # prepositioned-only edge has no quantum link to fail
         return any(self.health.status(c) is LinkHealth.UP for c in channels)
@@ -375,7 +361,7 @@ class RelayCoordinator:
         if not verify_tag(auth_key, message, tag):
             session.status = RelayStatus.FAILED
             session.failure_cause = f"authentication failed at hop {tx}->{rx}"
-            for channel_id in _pair_channels(self.topology).get(pair_key(tx, rx), []):
+            for channel_id in self.topology.channel_ids_by_pair.get(pair_key(tx, rx), ()):
                 self.health.force(channel_id, LinkHealth.DEGRADED, time_s,
                                   "relay authentication failure")
             return "failed"
@@ -413,7 +399,6 @@ class RelayCoordinator:
             self.store.reservoir(*t.pair).write_off(
                 t.otp_offset_start, t.otp_offset_end, time_s,
                 reason=f"{session.session_id} reroute: {cause}")
-        session.abandoned_transcripts.extend(session.hop_transcripts)
         session.hop_transcripts = []
         if partially_transmitted:
             session.secret = random_bits(self.rng, session.r_length_bits)
@@ -426,7 +411,6 @@ class RelayCoordinator:
             session.status = RelayStatus.FAILED
             session.failure_cause = f"no alternate path ({cause})"
             return "failed"
-        session.paths_tried.append(list(session.path))
         session.next_hop = 0
         session.status = RelayStatus.IN_FLIGHT
         return "rerouted"
@@ -439,9 +423,3 @@ class RelayCoordinator:
             if outcome in ("pending", "starved", "delivered", "failed"):
                 break
         return outcome
-
-    def pump(self, time_s: float):
-        """Give every non-terminal session a chance to progress."""
-        for session in list(self.sessions.values()):
-            if not session.terminal:
-                self.drive(session, time_s)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -82,6 +82,7 @@ class KeyReservoir:
     def __init__(self, a: str, b: str, audit: Optional[List[AuditRecord]] = None):
         self.pair = pair_key(a, b)
         self.segments: List[_Segment] = []
+        self._segment_ids: Set[str] = set()
         self.audit: List[AuditRecord] = audit if audit is not None else []
         self._deposited = 0
         self._consumed = 0
@@ -102,18 +103,18 @@ class KeyReservoir:
     def deposit(self, segment_id: str, bits: np.ndarray, origin: KeyOrigin,
                 time_s: float = 0.0) -> None:
         """Append a fresh segment; duplicate segment ids are replayed deposits."""
-        if any(s.segment_id == segment_id for s in self.segments):
+        if segment_id in self._segment_ids:
             raise DuplicateSegmentError(
                 f"segment {segment_id!r} already deposited for pair {self.pair}")
         bits = np.asarray(bits, dtype=np.uint8)
         seg = _Segment(segment_id, bits, origin, global_start=self._deposited)
         self.segments.append(seg)
+        self._segment_ids.add(segment_id)
         self._deposited += bits.size
         self.audit.append(AuditRecord(
             time_s=time_s, pair=self.pair, kind="deposit",
             offset_start=seg.global_start, offset_end=seg.global_start + bits.size,
             origin=origin.value, segment_id=segment_id))
-        self._check_conservation()
 
     def consume(self, n_bits: int, purpose: ConsumePurpose, time_s: float = 0.0,
                 consumer: str = "") -> np.ndarray:
@@ -149,7 +150,6 @@ class KeyReservoir:
             time_s=time_s, pair=self.pair, kind="consume",
             offset_start=offset_start, offset_end=offset_start + n_bits,
             purpose=purpose.value, consumer=consumer))
-        self._check_conservation()
         return np.concatenate(parts)
 
     def write_off(self, offset_start: int, offset_end: int, time_s: float = 0.0,
@@ -181,11 +181,6 @@ class KeyReservoir:
         if filled != n_bits:
             raise ValueError("peek range not fully covered")
         return out
-
-    def _check_conservation(self):
-        if self._deposited != self._consumed + self.available:
-            raise InvariantViolation(
-                f"pair {self.pair}: deposited != consumed + available")
 
 
 class KeyStore:

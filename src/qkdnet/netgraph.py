@@ -10,8 +10,9 @@ round-trips to an identical topology.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import ValidationError
@@ -75,7 +76,6 @@ class Link:
     length_km: float = 0.0
     loss_db_override: Optional[float] = None
     params: Dict[str, float] = field(default_factory=dict)
-    health: LinkHealth = LinkHealth.UP
 
 
 @dataclass(frozen=True)
@@ -171,14 +171,11 @@ class Topology:
 
     # -- logical channels ----------------------------------------------------
 
-    def qkd_channels(self) -> List[QkdChannel]:
-        """Enumerate logical channels: direct strands plus switched combos.
+    # A run never modifies its topology, so these structural indexes are
+    # built on first use and kept for the topology's lifetime.
 
-        The enumeration is structural (health plays no part) and cached.
-        """
-        cached = getattr(self, "_channel_cache", None)
-        if cached is not None:
-            return cached
+    @cached_property
+    def _channels(self) -> List[QkdChannel]:
         channels = []
         for link in sorted(self.links.values(), key=lambda l: l.link_id):
             if link.a in self.nodes and link.b in self.nodes:
@@ -193,14 +190,32 @@ class Topology:
                     channels.append(QkdChannel(
                         channel_id=f"{tx}-{rx}", tx=tx, rx=rx,
                         link_ids=(legs[tx].link_id, legs[rx].link_id), via_switch=sid))
-        object.__setattr__(self, "_channel_cache", channels)
         return channels
 
+    @cached_property
+    def _channels_by_id(self) -> Dict[str, QkdChannel]:
+        return {ch.channel_id: ch for ch in self._channels}
+
+    @cached_property
+    def channel_ids_by_pair(self) -> Dict[Tuple[str, str], Tuple[str, ...]]:
+        """Ids of the channels joining each node pair, keyed by sorted pair."""
+        by_pair: Dict[Tuple[str, str], List[str]] = {}
+        for ch in self._channels:
+            by_pair.setdefault(ch.pair, []).append(ch.channel_id)
+        return {pair: tuple(ids) for pair, ids in by_pair.items()}
+
+    def qkd_channels(self) -> List[QkdChannel]:
+        """Enumerate logical channels: direct strands plus switched combos.
+
+        The enumeration is structural: health plays no part.
+        """
+        return self._channels
+
     def channel_by_id(self, channel_id: str) -> QkdChannel:
-        for ch in self.qkd_channels():
-            if ch.channel_id == channel_id:
-                return ch
-        raise ValidationError(f"unknown channel {channel_id!r}")
+        try:
+            return self._channels_by_id[channel_id]
+        except KeyError:
+            raise ValidationError(f"unknown channel {channel_id!r}") from None
 
     def _leg_link(self, node_id: str, switch_id: str) -> Link:
         legs = [l for l in self.links.values()
@@ -258,9 +273,6 @@ class Topology:
             if override.feedback_gain is not None:
                 gain = override.feedback_gain
         return drift, gain
-
-    def set_link_health(self, link_id: str, health: LinkHealth):
-        self.links[link_id] = replace(self._link(link_id), health=health)
 
 
 def required_links(n_enclaves: int, topology_kind: TopologyKind) -> int:
@@ -362,7 +374,7 @@ def load_topology(config: Union[str, dict]) -> Topology:
     for i, raw in enumerate(config["links"]):
         where = f"links[{i}]"
         _require_keys(raw, where, ("id", "a", "b"),
-                      ("length_km", "loss_db_override", "params", "health"))
+                      ("length_km", "loss_db_override", "params"))
         for end in (raw["a"], raw["b"]):
             if end not in endpoints:
                 raise ValidationError(f"{where}: endpoint references undefined node {end!r}")
@@ -381,7 +393,6 @@ def load_topology(config: Union[str, dict]) -> Topology:
             length_km=float(raw.get("length_km", 0.0)),
             loss_db_override=None if override is None else float(override),
             params=_parse_params(raw.get("params", {}), f"{where}.params"),
-            health=_parse_enum(LinkHealth, raw.get("health", "up"), f"{where}.health"),
         )
 
     channels = []
@@ -465,7 +476,6 @@ def serialize_topology(topology: Topology) -> dict:
             "length_km": link.length_km,
             "loss_db_override": link.loss_db_override,
             "params": dict(sorted(link.params.items())),
-            "health": link.health.value,
         })
     for sw in sorted(topology.switches.values(), key=lambda s: s.switch_id):
         doc["switches"].append({

@@ -44,7 +44,6 @@ __all__ = [
     "sample_link_window",
     "advance_phase",
     "apply_training_feedback",
-    "measure_training_qber",
     "DEFAULT_MAX_FRAME_SLOTS",
 ]
 
@@ -555,20 +554,3 @@ def apply_training_feedback(phase: PhaseState, training_qber: float,
         probe_correction=correction,
         probe_reference_qber=training_qber,
     )
-
-
-def measure_training_qber(frame: PulseFrame, record: DetectionRecord) -> Optional[float]:
-    """Observed error rate on matched-basis detections of a training frame.
-
-    Training-frame bits are public, so the receiver compares directly.
-    Returns None when no matched-basis detection exists.
-    """
-    if record.frame_id != frame.frame_id:
-        raise ValueError("record does not belong to this frame")
-    slots = record.slot_index
-    matched = record.rx_basis == frame.basis[slots]
-    kept = int(np.count_nonzero(matched))
-    if kept == 0:
-        return None
-    errors = int(np.count_nonzero(record.rx_value[matched] != frame.value[slots][matched]))
-    return errors / kept

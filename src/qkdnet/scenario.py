@@ -38,6 +38,22 @@ class ScenarioEvent:
     args: Dict[str, object] = field(default_factory=dict)
 
 
+# Each knob's admissible range. A zero cadence re-schedules an event at its
+# own time forever; a negative delay or budget schedules the past or
+# inverts a check.
+_KNOB_RANGES = (
+    ("> 0", lambda v: v > 0,
+     ("round_duration_s", "metrics_interval_s", "relay_retry_interval_s")),
+    (">= 0", lambda v: v >= 0,
+     ("relay_hop_latency_s", "training_interval_s", "feedback_deadband",
+      "security_margin_bits", "relay_reserve_bits", "prepositioned_auth_bits")),
+    (">= 1", lambda v: v >= 1,
+     ("block_target_bits", "min_sample_bits", "training_target_bits",
+      "training_max_slots")),
+    ("in (0, 1)", lambda v: 0.0 < v < 1.0, ("sample_fraction",)),
+)
+
+
 @dataclass(frozen=True)
 class EngineKnobs:
     """Tunable cadences and budgets of the deterministic event loop."""
@@ -58,10 +74,15 @@ class EngineKnobs:
     prepositioned_auth_bits: int = 1 << 20
 
     def __post_init__(self):
-        if self.round_duration_s <= 0 or self.metrics_interval_s <= 0:
-            raise ValidationError("engine cadences must be positive")
-        if not 0.0 < self.sample_fraction < 1.0:
-            raise ValidationError("sample_fraction must be in (0, 1)")
+        for bound, holds, names in _KNOB_RANGES:
+            for name in names:
+                value = getattr(self, name)
+                try:
+                    ok = holds(value)
+                except TypeError:  # not a number
+                    ok = False
+                if not ok:
+                    raise ValidationError(f"engine: {name} must be {bound}, got {value!r}")
 
 
 @dataclass

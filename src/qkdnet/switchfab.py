@@ -28,9 +28,6 @@ from .physlink import (
 from .qkdproto.sifting import sift_bb84_events
 
 SWITCHING_TIME_S = 0.008
-# Electrical actuation constant, recorded but not modeled beyond the
-# optical transition above.
-ACTUATION_PULSE_S = 0.020
 
 DEFAULT_SCHEDULE_PERIOD_S = 900.0
 DEFAULT_REALIGN_QBER_THRESHOLD = 0.05

@@ -115,6 +115,11 @@ def test_unknown_keys_rejected():
     doc["links"][0]["colour"] = "blue"
     with pytest.raises(ValidationError, match="colour"):
         ng.load_topology(doc)
+    # Link health is run state, owned by the engine, not configuration.
+    doc = _generic_switched()
+    doc["links"][0]["health"] = "up"
+    with pytest.raises(ValidationError, match="unknown key 'health'"):
+        ng.load_topology(doc)
 
 
 def test_link_direction_capability_enforced():

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from qkdnet.cli import main
-from qkdnet.engine import run_scenario
-from qkdnet.errors import ValidationError
+from qkdnet.engine import Engine, run_scenario
+from qkdnet.errors import InvariantViolation, ValidationError
 from qkdnet.physlink import sifted_error_floor
 from qkdnet.report import CSV_COLUMNS, MetricsReport, read_records, verify_report
 from qkdnet.scenario import EngineKnobs, default_preset_scenario, load_scenario
@@ -53,10 +53,37 @@ def test_scenario_validates_references():
 
 
 def test_engine_knob_validation():
-    with pytest.raises(ValidationError):
-        EngineKnobs(sample_fraction=1.5)
+    bad_knobs = [
+        {"sample_fraction": 1.5},
+        {"round_duration_s": 0.0}, {"metrics_interval_s": 0.0},
+        {"relay_retry_interval_s": 0.0},
+        {"relay_hop_latency_s": -0.05}, {"training_interval_s": -4.0},
+        {"feedback_deadband": -0.01},
+        {"block_target_bits": 0}, {"min_sample_bits": 0},
+        {"training_target_bits": 0}, {"training_max_slots": 0},
+        {"security_margin_bits": -1}, {"relay_reserve_bits": -1},
+        {"prepositioned_auth_bits": -1},
+        {"round_duration_s": "0.25"},
+    ]
+    for knobs in bad_knobs:
+        with pytest.raises(ValidationError):
+            EngineKnobs(**knobs)
     with pytest.raises(ValidationError, match="unknown keys"):
         load_scenario(_minimal(warp_speed=9))
+    # A zero retry interval re-polled this starved relay at one instant
+    # forever; it must be refused at load instead.
+    hang = _minimal(duration=5.0, relay_retry_interval_s=0, events=[
+        {"t": 0.0, "kind": "relay_request", "src": "Ali", "dst": "Boris",
+         "bits": 1 << 22}])
+    with pytest.raises(ValidationError, match="relay_retry_interval_s"):
+        load_scenario(hang)
+
+
+def test_event_loop_refuses_time_moving_backwards():
+    engine = Engine(load_scenario(_minimal(duration=1.0)))
+    engine._push(-1.0, 0, "metrics")
+    with pytest.raises(InvariantViolation, match="metrics event at -1.0 s"):
+        engine.run()
 
 
 def test_empty_scenario_produces_empty_report():
