@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import insort
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .errors import (
     InvariantViolation,
     ReconciliationFailure,
 )
-from .keyrelay import HealthMonitor, RelayCoordinator
+from .keyrelay import HealthMonitor, RelayCoordinator, RelayStatus
 from .keystore import ConsumePurpose, KeyOrigin, KeyStore, pair_key
 from .netgraph import QkdChannel, Topology
 from .physlink import (
@@ -177,6 +178,12 @@ class Engine:
             derive_rng(scenario.seed, "relay"),
             reserve_bits=scenario.knobs.relay_reserve_bits)
         self.sessions: Dict[str, _Session] = {}
+        # Blocked relay sessions as (request index, session id), kept in
+        # request order. No timer wakes them: a key deposit or a health
+        # transition does, through _resume_relays.
+        self._request_index: Dict[str, int] = {}
+        self._waiting: List[Tuple[int, str]] = []
+        self._deposits = 0
         self._heap: List[tuple] = []
         self._seq = 0
         self._accum: Dict[str, dict] = {}
@@ -242,7 +249,10 @@ class Engine:
                 break
             now = time_s
             handler = getattr(self, f"_on_{kind}")
+            supply = self._deposits, len(self.health.transitions)
             handler(time_s, *payload)
+            if self._waiting and supply != (self._deposits, len(self.health.transitions)):
+                self._resume_relays(now)
 
         return self._build_report()
 
@@ -262,8 +272,12 @@ class Engine:
         elif kind is EventKind.RELAY_REQUEST:
             session = self.coordinator.request(
                 ev.args["src"], ev.args["dst"], ev.args["bits"], now)
-            self._push(now + self.knobs.relay_hop_latency_s, _P_RELAY,
-                       "relay", (session.session_id,))
+            self._request_index[session.session_id] = len(self._request_index)
+            if session.status is RelayStatus.PATH_PENDING:
+                self._wait(session.session_id)
+            else:
+                self._push(now + self.knobs.relay_hop_latency_s, _P_RELAY,
+                           "relay", (session.session_id,))
         elif kind is EventKind.CUT_LINK:
             self.cut_links.add(ev.args["link"])
         elif kind is EventKind.RESTORE_LINK:
@@ -536,6 +550,7 @@ class Engine:
             block_b.advance(BlockStage.SECRET, secret_b)
             self.store.reservoir(*pair).deposit(block_id, secret_a,
                                                 KeyOrigin.DIRECT_QKD, now)
+            self._deposits += 1
             self._accum[cid]["secret"] += m
         record_block(leaked, m, False)
 
@@ -548,8 +563,24 @@ class Engine:
             self._push(now + self.knobs.relay_hop_latency_s, _P_RELAY,
                        "relay", (session_id,))
         elif outcome in ("starved", "pending"):
-            self._push(now + self.knobs.relay_retry_interval_s, _P_RELAY,
-                       "relay", (session_id,))
+            self._wait(session_id)
+        elif outcome == "delivered":
+            self._deposits += 1
+
+    def _wait(self, session_id: str):
+        insort(self._waiting, (self._request_index[session_id], session_id))
+
+    def _resume_relays(self, now: float):
+        """Step, at this instant and in request order, every blocked relay
+        session that the key deposit or health transition just seen lets move."""
+        sessions = self.coordinator.sessions
+        ready = self.coordinator.movable(sessions[sid] for _, sid in self._waiting)
+        if not ready:
+            return
+        woken = {s.session_id for s in ready}
+        self._waiting = [w for w in self._waiting if w[1] not in woken]
+        for session in ready:
+            self._push(now, _P_RELAY, "relay", (session.session_id,))
 
     def _on_metrics(self, now: float):
         for cid, session in self.sessions.items():

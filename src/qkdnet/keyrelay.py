@@ -16,7 +16,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -135,7 +135,6 @@ class RelayStatus(Enum):
     PATH_PENDING = "path_pending"
     IN_FLIGHT = "in_flight"
     DELIVERED = "delivered"
-    REROUTING = "rerouting"
     FAILED = "failed"
 
 
@@ -176,15 +175,23 @@ class RelaySession:
         return self.status in (RelayStatus.DELIVERED, RelayStatus.FAILED)
 
 
+def hop_need(r_length: int, reserve_bits: int = 0) -> int:
+    """Bits a pair must hold to carry one hop of an ``r_length``-bit relay:
+    the one-time pad and its authentication tag, plus the reserve the hop
+    must leave behind."""
+    return r_length + AUTH_KEY_BITS_PER_TAG + reserve_bits
+
+
 def relay_edges(topology: Topology, health: HealthMonitor, store: KeyStore,
-                r_length: int) -> Dict[str, Set[str]]:
-    """Adjacency over pairs that can fund an ``r_length``-bit hop right now."""
+                r_length: int, reserve_bits: int = 0) -> Dict[str, Set[str]]:
+    """Adjacency over up pairs that can fund an ``r_length``-bit hop right now."""
     pairs_with_channels = topology.channel_ids_by_pair
     candidates = set(pairs_with_channels)
     candidates.update(pair_key(p.a, p.b) for p in topology.prepositioned)
+    need = hop_need(r_length, reserve_bits)
     adjacency: Dict[str, Set[str]] = {n: set() for n in topology.nodes}
     for pair in candidates:
-        if store.available(*pair) < r_length:
+        if store.available(*pair) < need:
             continue
         channels = pairs_with_channels.get(pair)
         if channels is not None and not any(
@@ -196,23 +203,11 @@ def relay_edges(topology: Topology, health: HealthMonitor, store: KeyStore,
     return adjacency
 
 
-def find_path(topology: Topology, health: HealthMonitor, store: KeyStore,
-              src: str, dst: str, r_length: int) -> List[str]:
-    """Shortest usable relay path from src to dst.
-
-    Hop count first; ties broken by the larger minimum available key along
-    the path, then by lexicographic node sequence. Interior nodes must be
-    trusted. Raises :class:`NoPathError` when nothing qualifies.
-    """
-    if src == dst:
-        raise ValueError("relay source and destination must differ")
-    for node in (src, dst):
-        if node not in topology.nodes:
-            raise ValueError(f"unknown node {node!r}")
-    adjacency = relay_edges(topology, health, store, r_length)
-
-    # BFS layering from src, then enumerate all shortest paths (networks
-    # here are small) to apply the tie-break exactly.
+def _layers(topology: Topology, adjacency: Dict[str, Set[str]], src: str,
+            dst: Optional[str] = None) -> Dict[str, int]:
+    """Hop count from src to each node a relay can reach, stopping after the
+    layer that reaches dst. Untrusted nodes are reached but never passed
+    through: they cannot take interior positions."""
     dist = {src: 0}
     frontier = [src]
     while frontier and dst not in dist:
@@ -221,11 +216,32 @@ def find_path(topology: Topology, health: HealthMonitor, store: KeyStore,
             for peer in adjacency[node]:
                 if peer in dist:
                     continue
-                if peer != dst and not topology.nodes[peer].trusted:
-                    continue  # untrusted nodes cannot take interior positions
                 dist[peer] = dist[node] + 1
-                nxt.append(peer)
+                if topology.nodes[peer].trusted:
+                    nxt.append(peer)
         frontier = nxt
+    return dist
+
+
+def find_path(topology: Topology, health: HealthMonitor, store: KeyStore,
+              src: str, dst: str, r_length: int, reserve_bits: int = 0) -> List[str]:
+    """Shortest usable relay path from src to dst.
+
+    Every hop must hold :func:`hop_need` bits. Hop count first; ties broken
+    by the larger minimum available key along the path, then by
+    lexicographic node sequence. Interior nodes must be trusted. Raises
+    :class:`NoPathError` when nothing qualifies.
+    """
+    if src == dst:
+        raise ValueError("relay source and destination must differ")
+    for node in (src, dst):
+        if node not in topology.nodes:
+            raise ValueError(f"unknown node {node!r}")
+    adjacency = relay_edges(topology, health, store, r_length, reserve_bits)
+
+    # BFS layering from src, then enumerate all shortest paths (networks
+    # here are small) to apply the tie-break exactly.
+    dist = _layers(topology, adjacency, src, dst)
     if dst not in dist:
         raise NoPathError(f"no qualifying relay path {src} -> {dst} for {r_length} bits")
 
@@ -307,7 +323,8 @@ class RelayCoordinator:
     def _try_select_path(self, session: RelaySession, time_s: float):
         try:
             session.path = find_path(self.topology, self.health, self.store,
-                                     session.src, session.dst, session.r_length_bits)
+                                     session.src, session.dst, session.r_length_bits,
+                                     self.reserve_bits)
         except NoPathError:
             session.status = RelayStatus.PATH_PENDING
             return
@@ -322,6 +339,33 @@ class RelayCoordinator:
         if channels is None:
             return True  # prepositioned-only edge has no quantum link to fail
         return any(self.health.status(c) is LinkHealth.UP for c in channels)
+
+    def movable(self, sessions: Iterable[RelaySession]) -> List[RelaySession]:
+        """The blocked sessions among ``sessions`` that a step would move now.
+
+        A starved session can move once its next hop is funded or no longer
+        up (the step then reroutes it); a path-pending one once its
+        destination is reachable through trusted nodes. Every answer comes
+        from one relay graph per request size, built on first need.
+        """
+        graphs: Dict[int, Dict[str, Set[str]]] = {}
+        reach: Dict[Tuple[int, str], Dict[str, int]] = {}
+        ready = []
+        for session in sessions:
+            r = session.r_length_bits
+            if r not in graphs:
+                graphs[r] = relay_edges(self.topology, self.health, self.store,
+                                        r, self.reserve_bits)
+            if session.status is RelayStatus.PATH_PENDING:
+                if (r, session.src) not in reach:
+                    reach[r, session.src] = _layers(self.topology, graphs[r], session.src)
+                if session.dst in reach[r, session.src]:
+                    ready.append(session)
+                continue
+            tx, rx = session.path[session.next_hop], session.path[session.next_hop + 1]
+            if rx in graphs[r][tx] or not self._pair_health_up(tx, rx):
+                ready.append(session)
+        return ready
 
     def step(self, session: RelaySession, time_s: float) -> str:
         """Advance the session by at most one hop.
@@ -341,8 +385,7 @@ class RelayCoordinator:
             return self.reroute(session, time_s,
                                 cause=f"hop {tx}->{rx} unhealthy")
         reservoir = self.store.reservoir(tx, rx)
-        need = session.r_length_bits + AUTH_KEY_BITS_PER_TAG
-        if reservoir.available < need + self.reserve_bits:
+        if reservoir.available < hop_need(session.r_length_bits, self.reserve_bits):
             return "starved"
         otp_start = reservoir.consumed
         key = reservoir.consume(session.r_length_bits, ConsumePurpose.ONE_TIME_PAD,
@@ -393,7 +436,6 @@ class RelayCoordinator:
         reused); if any hop had been transmitted, R is discarded and a
         fresh secret is drawn.
         """
-        session.status = RelayStatus.REROUTING
         partially_transmitted = bool(session.hop_transcripts)
         for t in session.hop_transcripts:
             self.store.reservoir(*t.pair).write_off(
@@ -406,7 +448,8 @@ class RelayCoordinator:
             self.node_plaintexts[session.src].append(bits_to_bytes(session.secret))
         try:
             session.path = find_path(self.topology, self.health, self.store,
-                                     session.src, session.dst, session.r_length_bits)
+                                     session.src, session.dst, session.r_length_bits,
+                                     self.reserve_bits)
         except NoPathError:
             session.status = RelayStatus.FAILED
             session.failure_cause = f"no alternate path ({cause})"

@@ -13,7 +13,8 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import ValidationError
 from .physlink import LinkParams
@@ -116,19 +117,28 @@ class QkdChannel:
         return tuple(sorted((self.tx, self.rx)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Topology:
+    """A network's structure, read-only once built: its indexes below are
+    computed once and can never go stale."""
+
     name: str
-    nodes: Dict[str, Node]
-    links: Dict[str, Link]
-    switches: Dict[str, SwitchState]
-    channels: List[ChannelOverride] = field(default_factory=list)
-    prepositioned: List[Preposition] = field(default_factory=list)
+    nodes: Mapping[str, Node]
+    links: Mapping[str, Link]
+    switches: Mapping[str, SwitchState]
+    channels: Tuple[ChannelOverride, ...] = ()
+    prepositioned: Tuple[Preposition, ...] = ()
     fiber_loss_db_per_km: float = DEFAULT_FIBER_LOSS_DB_PER_KM
     default_params: Dict[str, float] = field(default_factory=dict)
     drift_rate_rad_per_s: float = DEFAULT_DRIFT_RATE_RAD_PER_S
     feedback_gain: float = DEFAULT_FEEDBACK_GAIN
     description: str = ""
+
+    def __post_init__(self):
+        for name in ("nodes", "links", "switches"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        for name in ("channels", "prepositioned"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
     # -- loss accounting ---------------------------------------------------
 
@@ -171,8 +181,8 @@ class Topology:
 
     # -- logical channels ----------------------------------------------------
 
-    # A run never modifies its topology, so these structural indexes are
-    # built on first use and kept for the topology's lifetime.
+    # Structural indexes, built on first use and kept for the topology's
+    # lifetime.
 
     @cached_property
     def _channels(self) -> List[QkdChannel]:
@@ -501,10 +511,6 @@ def serialize_topology(topology: Topology) -> dict:
     for pre in sorted(topology.prepositioned, key=lambda p: (p.a, p.b)):
         doc["prepositioned"].append({"a": pre.a, "b": pre.b, "bits": pre.bits})
     return doc
-
-
-def topology_to_json(topology: Topology) -> str:
-    return json.dumps(serialize_topology(topology), indent=2, sort_keys=True)
 
 
 # --------------------------------------------------------------------------

@@ -43,7 +43,7 @@ class ScenarioEvent:
 # inverts a check.
 _KNOB_RANGES = (
     ("> 0", lambda v: v > 0,
-     ("round_duration_s", "metrics_interval_s", "relay_retry_interval_s")),
+     ("round_duration_s", "metrics_interval_s")),
     (">= 0", lambda v: v >= 0,
      ("relay_hop_latency_s", "training_interval_s", "feedback_deadband",
       "security_margin_bits", "relay_reserve_bits", "prepositioned_auth_bits")),
@@ -69,7 +69,6 @@ class EngineKnobs:
     feedback_deadband: float = 0.012
     metrics_interval_s: float = 1.0
     relay_hop_latency_s: float = 0.05
-    relay_retry_interval_s: float = 0.5
     relay_reserve_bits: int = 1024
     prepositioned_auth_bits: int = 1 << 20
 

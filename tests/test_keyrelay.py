@@ -267,6 +267,44 @@ def test_relay_starvation_pauses_until_replenished():
     assert coord.drive(session, 2.0) == "delivered"
 
 
+def test_path_search_skips_hops_that_cannot_pay_for_the_tag():
+    # S-D holds the pad but not its authentication tag (nor, in the second
+    # case, the reserve a hop must leave): a path over it would starve on
+    # every step, although S-R-D can deliver.
+    topo = _relay_mesh([("S", "tx"), ("R", "relay"), ("D", "rx")],
+                       [("S", "R"), ("R", "D"), ("S", "D")])
+    for direct_bits, reserve in ((1100, 0), (2000, 1024)):
+        store = KeyStore()
+        _seed(store, [("S", "D")], bits=direct_bits)
+        _seed(store, [("S", "R"), ("R", "D")], bits=100_000)
+        coord = RelayCoordinator(topo, HealthMonitor(), store,
+                                 np.random.default_rng(15), reserve_bits=reserve)
+        session = coord.request("S", "D", 1024, time_s=0.0)
+        assert session.path == ["S", "R", "D"]
+        assert coord.drive(session, 1.0) == "delivered"
+
+
+def test_movable_reports_sessions_a_step_would_move():
+    topo, pairs = _chain(3)
+    store = KeyStore()
+    _seed(store, pairs, bits=6000)
+    health = HealthMonitor()
+    coord = RelayCoordinator(topo, health, store, np.random.default_rng(17))
+    starved = coord.request("N0", "N2", 2048, time_s=0.0)
+    assert coord.step(starved, 0.1) == "advanced"
+    store.reservoir("N1", "N2").consume(5000, ConsumePurpose.DELIVERY)
+    assert coord.step(starved, 0.2) == "starved"
+    pending = coord.request("N1", "N2", 2048, time_s=0.3)
+    assert pending.status is RelayStatus.PATH_PENDING
+    assert coord.movable([starved, pending]) == []
+    store.reservoir("N1", "N2").deposit(
+        "more", np.random.default_rng(1).integers(0, 2, 4000, dtype=np.uint8),
+        KeyOrigin.DIRECT_QKD)
+    assert coord.movable([starved, pending]) == [starved, pending]
+    health.force("N1-N2", LinkHealth.CUT, 1.0, "test")
+    assert coord.movable([starved, pending]) == [starved]  # its step reroutes
+
+
 def test_relay_auth_failure_fails_session_and_degrades_link():
     topo, pairs = _chain(3)
     store = KeyStore()

@@ -1,5 +1,6 @@
 """Topology model, config validation, budgets, presets."""
 
+import dataclasses
 import json
 
 import pytest
@@ -92,6 +93,25 @@ def test_round_trip_is_identity():
         reparsed = ng.load_topology(json.loads(json.dumps(canon)))
         assert reparsed == topo
         assert ng.serialize_topology(reparsed) == canon
+
+
+def test_loaded_topology_is_read_only():
+    # Its indexes are built once, so no edit may slip in after first use.
+    topo = ng.load_preset("cambridge")
+    assert "Ali-Baba" in [c.channel_id for c in topo.qkd_channels()]
+    with pytest.raises(TypeError):
+        del topo.links["ali-baba"]
+    with pytest.raises(TypeError):
+        topo.nodes["Eve"] = topo.nodes["Ali"]
+    with pytest.raises(TypeError):
+        topo.switches["sw"] = None
+    with pytest.raises(AttributeError):
+        topo.prepositioned.append(topo.prepositioned[0])
+    with pytest.raises(AttributeError):
+        topo.channels.clear()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        topo.links = {}
+    assert "Ali-Baba" in [c.channel_id for c in topo.qkd_channels()]
 
 
 def test_empty_node_list_rejected():

@@ -8,6 +8,7 @@ import pytest
 from qkdnet.cli import main
 from qkdnet.engine import Engine, run_scenario
 from qkdnet.errors import InvariantViolation, ValidationError
+from qkdnet.keyrelay import hop_need
 from qkdnet.physlink import sifted_error_floor
 from qkdnet.report import CSV_COLUMNS, MetricsReport, read_records, verify_report
 from qkdnet.scenario import EngineKnobs, default_preset_scenario, load_scenario
@@ -56,7 +57,6 @@ def test_engine_knob_validation():
     bad_knobs = [
         {"sample_fraction": 1.5},
         {"round_duration_s": 0.0}, {"metrics_interval_s": 0.0},
-        {"relay_retry_interval_s": 0.0},
         {"relay_hop_latency_s": -0.05}, {"training_interval_s": -4.0},
         {"feedback_deadband": -0.01},
         {"block_target_bits": 0}, {"min_sample_bits": 0},
@@ -70,13 +70,45 @@ def test_engine_knob_validation():
             EngineKnobs(**knobs)
     with pytest.raises(ValidationError, match="unknown keys"):
         load_scenario(_minimal(warp_speed=9))
-    # A zero retry interval re-polled this starved relay at one instant
-    # forever; it must be refused at load instead.
-    hang = _minimal(duration=5.0, relay_retry_interval_s=0, events=[
+    # Blocked relays wait for key or health events; no retry knob exists.
+    with pytest.raises(ValidationError, match="unknown keys"):
+        load_scenario(_minimal(relay_retry_interval_s=0.5))
+
+
+def test_unfundable_relay_waits_without_hanging():
+    # With a zero retry interval this request once re-polled at one instant
+    # forever. Nothing ever funds it, so it ends the run still pending.
+    report = run_scenario(load_scenario(_minimal(duration=5.0, events=[
         {"t": 0.0, "kind": "relay_request", "src": "Ali", "dst": "Boris",
-         "bits": 1 << 22}])
-    with pytest.raises(ValidationError, match="relay_retry_interval_s"):
-        load_scenario(hang)
+         "bits": 1 << 22}])))
+    assert [s.status for s in report.relay_sessions] == ["path_pending"]
+
+
+def test_pending_relay_moves_at_the_deposit_that_funds_it():
+    # Anna-Bob starts with too little key for the request; its QKD blocks
+    # top the pair up, and the relay must go out the instant one does.
+    bits = 4500
+    engine = Engine(load_scenario(_minimal(
+        duration=20.0, prepositioned_auth_bits=4096, events=[
+            {"t": 0.0, "kind": "start_qkd", "tx": "Anna", "rx": "Bob"},
+            {"t": 0.0, "kind": "relay_request", "src": "Anna", "dst": "Bob",
+             "bits": bits}])))
+    report = engine.run()
+    need = hop_need(bits, engine.knobs.relay_reserve_bits)
+    available, funded_at = 0, None
+    for rec in engine.store.audit:
+        if rec.pair != ("Anna", "Bob"):
+            continue
+        size = rec.offset_end - rec.offset_start
+        available += size if rec.kind == "deposit" else -size
+        if rec.kind == "deposit" and rec.origin == "direct_qkd" and available >= need:
+            funded_at = rec.time_s
+            break
+    assert funded_at is not None
+    assert funded_at in [b.t_end for b in report.blocks]
+    [session] = report.relay_sessions
+    assert session.status == "delivered"
+    assert session.delivered_at == funded_at
 
 
 def test_event_loop_refuses_time_moving_backwards():
