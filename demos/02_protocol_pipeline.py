@@ -3,7 +3,7 @@
 One simulated transmission is taken from raw detections to shared secret
 key: sifting (both disciplines), error-rate sampling, Cascade
 reconciliation, entropy estimation, privacy amplification, and finally an
-authentication tag over the round's public transcript.
+authentication tag over the public amplification seed.
 
 Run:  python demos/02_protocol_pipeline.py
 """
@@ -11,15 +11,12 @@ Run:  python demos/02_protocol_pipeline.py
 import numpy as np
 
 from qkdnet import physlink as pl
-from qkdnet.bits import binary_entropy, random_bits
+from qkdnet.bits import binary_entropy, bits_to_bytes, random_bits
 from qkdnet.qkdproto import (
     AUTH_KEY_BITS_PER_TAG,
     EntropyEstimator,
     EstimatorKind,
-    Record,
-    RecordType,
     auth_tag,
-    encode_record,
     estimate_qber,
     estimate_secret_length,
     privacy_amplify,
@@ -68,10 +65,10 @@ secret_b = privacy_amplify(corrected, m, pa_seed)
 print(f"[amplify]     Toeplitz-compressed to {m:,} bits; "
       f"both parties identical: {np.array_equal(secret_a, secret_b)}")
 
-transcript = encode_record(Record(RecordType.PA_SEED, 7, bytes(pa_seed[:32])))
+transcript = bits_to_bytes(pa_seed)
 auth_key = random_bits(np.random.default_rng(5), AUTH_KEY_BITS_PER_TAG)
 tag = auth_tag(auth_key, transcript)
-print(f"[auth]        64-bit tag over the round transcript verifies: "
+print(f"[auth]        64-bit tag over the public PA seed verifies: "
       f"{verify_tag(auth_key, transcript, tag)} "
       f"(consumes {AUTH_KEY_BITS_PER_TAG} one-time key bits)")
 

@@ -59,11 +59,13 @@ from .qkdproto import (
     sift_sarg_events,
 )
 from .qkdproto.cascade import MAX_QBER_HINT
+from .qkdproto.qber import DEFAULT_MIN_SAMPLE
 from .qkdproto.secrecy import EntropyEstimator
 from .qkdproto.sifting import SiftingProtocol
 from .report import BlockRecord, MetricsReport, RelayOutcome, SeriesRow, SwitchEvent
 from .scenario import EventKind, Scenario
-from .switchfab import SWITCHING_TIME_S, realign_receiver, resolve_path, schedule_tick
+from .switchfab import (REALIGN_FRAME_BUDGET, SWITCHING_TIME_S, realign_receiver,
+                        resolve_path, schedule_tick)
 
 # Heap priorities at equal timestamps.
 _P_SCENARIO = 0
@@ -72,6 +74,16 @@ _P_REALIGN = 2
 _P_RELAY = 3
 _P_ROUND = 4
 _P_METRICS = 5
+
+# Cadences and budgets of the event loop.
+_ROUND_DURATION_S = 0.25
+_METRICS_INTERVAL_S = 1.0
+_SAMPLE_FRACTION = 0.10  # of a block's sifted bits, sacrificed to estimate QBER
+_TRAINING_INTERVAL_S = 4.0
+_TRAINING_TARGET_BITS = 256
+_TRAINING_MAX_SLOTS = 1 << 21
+_FEEDBACK_DEADBAND = 0.012
+RELAY_RESERVE_BITS = 1024  # a relay hop leaves this much beyond pad and tag
 
 _MIN_QBER_HINT = 0.01
 _TAGS_PER_BLOCK_ROUND = 2  # one batched tag per direction per protocol round
@@ -104,13 +116,12 @@ class _Session:
         # number of matched-basis bits on this particular channel, but
         # never longer than one round's slot budget.
         p_click = click_probability(self.params)
-        knobs = engine.knobs
         if p_click > 0:
-            want = int(math.ceil(2.0 * knobs.training_target_bits / p_click))
+            want = int(math.ceil(2.0 * _TRAINING_TARGET_BITS / p_click))
         else:
-            want = knobs.training_max_slots
-        round_slots = int(knobs.round_duration_s * self.params.pulse_rate_hz)
-        cap = min(knobs.training_max_slots, round_slots)
+            want = _TRAINING_MAX_SLOTS
+        round_slots = int(_ROUND_DURATION_S * self.params.pulse_rate_hz)
+        cap = min(_TRAINING_MAX_SLOTS, round_slots)
         self.training_slots = min(max(want, min(1 << 16, cap)), cap)
         self.started = False
         self.active = False
@@ -176,7 +187,7 @@ class Engine:
         self.coordinator = RelayCoordinator(
             self.topology, self.health, self.store,
             derive_rng(scenario.seed, "relay"),
-            reserve_bits=scenario.knobs.relay_reserve_bits)
+            reserve_bits=RELAY_RESERVE_BITS)
         self.sessions: Dict[str, _Session] = {}
         # Blocked relay sessions as (request index, session id), kept in
         # request order. No timer wakes them: a key deposit or a health
@@ -237,7 +248,7 @@ class Engine:
             nxt = sw.next_toggle_s
             if nxt is not None and nxt <= duration:
                 self._push(nxt, _P_TOGGLE, "toggle", (sid,))
-        self._push(self.knobs.metrics_interval_s, _P_METRICS, "metrics", ())
+        self._push(_METRICS_INTERVAL_S, _P_METRICS, "metrics", ())
 
         now = 0.0
         while self._heap:
@@ -336,14 +347,14 @@ class Engine:
         if session.is_cut():
             # No light: the realignment burns its whole frame budget.
             outcome_converged = False
-            frames = 200
+            frames = REALIGN_FRAME_BUDGET
         else:
             outcome = realign_receiver(
                 params, session.phase,
                 seed=(self.scenario.seed, channel_id, session.realign_count),
                 qber_threshold=max(0.05, session.error_floor + 0.03),
                 training_slots=session.training_slots,
-                deadband=self.knobs.feedback_deadband,
+                deadband=_FEEDBACK_DEADBAND,
                 error_floor=session.error_floor)
             session.phase = outcome.phase
             outcome_converged = outcome.converged
@@ -367,8 +378,7 @@ class Engine:
         session.tuning = True
         session.tuning_rounds = 0
         self.health.watch(channel_id, resume_at)
-        self._push(resume_at + self.knobs.round_duration_s, _P_ROUND,
-                   "round", (channel_id, session.token))
+        self._push(resume_at + _ROUND_DURATION_S, _P_ROUND, "round", (channel_id, session.token))
 
     def _on_round(self, now: float, channel_id: str, token: int):
         session = self.sessions[channel_id]
@@ -382,20 +392,18 @@ class Engine:
                 return
             # Idle but under cut surveillance.
             self.health.report_clicks(channel_id, 0, now)
-            self._push(now + self.knobs.round_duration_s, _P_ROUND,
-                       "round", (channel_id, token))
+            self._push(now + _ROUND_DURATION_S, _P_ROUND, "round", (channel_id, token))
             return
-        knobs = self.knobs
         params = session.params
         session.drift_to(now)
 
-        round_slots = int(knobs.round_duration_s * params.pulse_rate_hz)
+        round_slots = int(_ROUND_DURATION_S * params.pulse_rate_hz)
         training_cost = 0
         # A pending probe correction is evaluated on the very next round;
         # leaving it to the regular cadence would hold a possibly wrong
         # correction through many blocks. Fresh sessions also train every
         # round until the feedback settles into its deadband.
-        if (now - session.last_training_t >= knobs.training_interval_s
+        if (now - session.last_training_t >= _TRAINING_INTERVAL_S
                 or session.phase.probe_correction is not None
                 or session.tuning):
             training_cost = self._run_training(session, now)
@@ -419,17 +427,15 @@ class Engine:
                 session.pool_b.append(bob)
                 session.pool_bits += alice.size
                 self._accum[channel_id]["sifted"] += int(alice.size)
-            if (session.pool_bits >= knobs.block_target_bits
-                    and session.pool_bits * knobs.sample_fraction
-                    >= knobs.min_sample_bits):
+            if (session.pool_bits >= self.knobs.block_target_bits
+                    and session.pool_bits * _SAMPLE_FRACTION >= DEFAULT_MIN_SAMPLE):
                 self._process_block(session, now)
 
         session.last_t = now
-        self._push(now + knobs.round_duration_s, _P_ROUND, "round", (channel_id, token))
+        self._push(now + _ROUND_DURATION_S, _P_ROUND, "round", (channel_id, token))
 
     def _run_training(self, session: _Session, now: float) -> int:
         """One training frame: publicly known bits drive a feedback step."""
-        knobs = self.knobs
         session.last_training_t = now
         params = session.params
         if session.is_cut() or not session.connected(now):
@@ -449,7 +455,7 @@ class Engine:
                 new_phase = apply_training_feedback(
                     session.phase, min(q, 0.5),
                     intrinsic_error=session.error_floor,
-                    deadband=knobs.feedback_deadband)
+                    deadband=_FEEDBACK_DEADBAND)
                 if session.tuning:
                     session.tuning_rounds += 1
                     settled = (new_phase is session.phase
@@ -479,7 +485,6 @@ class Engine:
                                   frame_id=f"{session.cid}:{session.block_count}")
 
     def _process_block(self, session: _Session, now: float):
-        knobs = self.knobs
         cid = session.cid
         alice = np.concatenate(session.pool_a)
         bob = np.concatenate(session.pool_b)
@@ -500,8 +505,7 @@ class Engine:
             self.health.unwatch(cid)
             return
 
-        estimate = estimate_qber(alice, bob, knobs.sample_fraction,
-                                 session.rng_qber, min_sample=knobs.min_sample_bits)
+        estimate = estimate_qber(alice, bob, _SAMPLE_FRACTION, session.rng_qber)
         qber = estimate.qber
         self.health.report_block(cid, qber, now)
         # A disagreement fraction beyond 1/2 (anti-correlated outcomes) is
@@ -534,9 +538,7 @@ class Engine:
                         qber=qber, leaked_delta=leaked)
         block_b.advance(BlockStage.RECONCILED, corrected)
 
-        estimator = EntropyEstimator(kind=session.estimator_kind,
-                                     security_margin_bits=knobs.security_margin_bits,
-                                     sifting=session.sifting)
+        estimator = EntropyEstimator(kind=session.estimator_kind, sifting=session.sifting)
         m = estimate_secret_length(estimator, int(corrected.size), qber, leaked,
                                    link=session.params)
         if m > 0:
@@ -590,12 +592,12 @@ class Engine:
             qber = (sum(acc["qbers"]) / len(acc["qbers"])) if acc["qbers"] else None
             self.series.append(SeriesRow(
                 time_s=now, link_id=cid,
-                sifted_bps=acc["sifted"] / self.knobs.metrics_interval_s,
+                sifted_bps=acc["sifted"] / _METRICS_INTERVAL_S,
                 qber=qber,
-                secret_bps=acc["secret"] / self.knobs.metrics_interval_s,
+                secret_bps=acc["secret"] / _METRICS_INTERVAL_S,
                 reservoir_bits=self.store.available(*session.pair)))
             self._accum[cid] = {"sifted": 0, "secret": 0, "qbers": []}
-        nxt = now + self.knobs.metrics_interval_s
+        nxt = now + _METRICS_INTERVAL_S
         if nxt <= self.scenario.duration_s:
             self._push(nxt, _P_METRICS, "metrics", ())
 

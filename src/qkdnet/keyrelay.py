@@ -27,9 +27,9 @@ from .netgraph import LinkHealth, Topology
 from .qkdproto.auth import AUTH_KEY_BITS_PER_TAG, auth_tag, verify_tag
 from .qkdproto.wire import Record, RecordType, encode_record
 
-DEFAULT_QBER_THRESHOLD = 0.12
-DEFAULT_CONSECUTIVE_BLOCKS = 3
-DEFAULT_ZERO_CLICK_WINDOW_S = 5.0
+QBER_THRESHOLD = 0.12
+CONSECUTIVE_BLOCKS = 3
+ZERO_CLICK_WINDOW_S = 5.0
 
 
 @dataclass(frozen=True)
@@ -54,12 +54,7 @@ class HealthMonitor:
     recovers to Up after three consecutive clean blocks.
     """
 
-    def __init__(self, qber_threshold: float = DEFAULT_QBER_THRESHOLD,
-                 consecutive_blocks: int = DEFAULT_CONSECUTIVE_BLOCKS,
-                 zero_click_window_s: float = DEFAULT_ZERO_CLICK_WINDOW_S):
-        self.qber_threshold = qber_threshold
-        self.consecutive_blocks = consecutive_blocks
-        self.zero_click_window_s = zero_click_window_s
+    def __init__(self):
         self._status: Dict[str, LinkHealth] = {}
         self._bad: Dict[str, int] = {}
         self._clean: Dict[str, int] = {}
@@ -94,17 +89,17 @@ class HealthMonitor:
 
     def report_block(self, channel_id: str, qber: float, time_s: float):
         """Feed one completed block's error rate into the health state."""
-        if qber > self.qber_threshold:
+        if qber > QBER_THRESHOLD:
             self._bad[channel_id] = self._bad.get(channel_id, 0) + 1
             self._clean[channel_id] = 0
-            if self._bad[channel_id] >= self.consecutive_blocks:
+            if self._bad[channel_id] >= CONSECUTIVE_BLOCKS:
                 self._set(channel_id, LinkHealth.DEGRADED, time_s,
-                          f"qber {qber:.3f} above {self.qber_threshold} for "
+                          f"qber {qber:.3f} above {QBER_THRESHOLD} for "
                           f"{self._bad[channel_id]} blocks")
         else:
             self._clean[channel_id] = self._clean.get(channel_id, 0) + 1
             self._bad[channel_id] = 0
-            if (self._clean[channel_id] >= self.consecutive_blocks
+            if (self._clean[channel_id] >= CONSECUTIVE_BLOCKS
                     and self.status(channel_id) is not LinkHealth.UP):
                 self._set(channel_id, LinkHealth.UP, time_s,
                           f"{self._clean[channel_id]} clean blocks")
@@ -117,7 +112,7 @@ class HealthMonitor:
         if channel_id not in self._watched:
             return
         last = self._last_click.get(channel_id, time_s)
-        if time_s - last >= self.zero_click_window_s and \
+        if time_s - last >= ZERO_CLICK_WINDOW_S and \
                 self.status(channel_id) is not LinkHealth.CUT:
             self._set(channel_id, LinkHealth.CUT, time_s,
                       f"no clicks for {time_s - last:.1f} s")

@@ -20,7 +20,8 @@ from .errors import ValidationError
 from .physlink import LinkParams
 from .qkdproto.secrecy import EstimatorKind
 from .qkdproto.sifting import SiftingProtocol
-from .switchfab import SwitchPosition, SwitchState
+from .switchfab import (DEFAULT_INSERTION_LOSS_DB, DEFAULT_SCHEDULE_PERIOD_S,
+                        SwitchPosition, SwitchState)
 
 CONFIG_VERSION = 1
 DEFAULT_FIBER_LOSS_DB_PER_KM = 0.2
@@ -31,7 +32,6 @@ DEFAULT_PREPOSITIONED_BITS = 1 << 20
 _LINK_PARAM_FIELDS = (
     "pulse_rate_hz", "mean_photon_number", "channel_loss_db", "insertion_loss_db",
     "detector_efficiency", "dark_count_prob", "dead_time_s", "intrinsic_error",
-    "data_wavelength_nm", "sync_wavelength_nm", "sync_offset_ns",
 )
 
 
@@ -76,7 +76,10 @@ class Link:
     b: str
     length_km: float = 0.0
     loss_db_override: Optional[float] = None
-    params: Dict[str, float] = field(default_factory=dict)
+    params: Mapping[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
 
 @dataclass(frozen=True)
@@ -85,11 +88,14 @@ class ChannelOverride:
 
     tx: str
     rx: str
-    params: Dict[str, float] = field(default_factory=dict)
+    params: Mapping[str, float] = field(default_factory=dict)
     estimator: Optional[EstimatorKind] = None
     sifting: Optional[SiftingProtocol] = None
     drift_rate_rad_per_s: Optional[float] = None
     feedback_gain: Optional[float] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
 
 @dataclass(frozen=True)
@@ -129,13 +135,13 @@ class Topology:
     channels: Tuple[ChannelOverride, ...] = ()
     prepositioned: Tuple[Preposition, ...] = ()
     fiber_loss_db_per_km: float = DEFAULT_FIBER_LOSS_DB_PER_KM
-    default_params: Dict[str, float] = field(default_factory=dict)
+    default_params: Mapping[str, float] = field(default_factory=dict)
     drift_rate_rad_per_s: float = DEFAULT_DRIFT_RATE_RAD_PER_S
     feedback_gain: float = DEFAULT_FEEDBACK_GAIN
     description: str = ""
 
     def __post_init__(self):
-        for name in ("nodes", "links", "switches"):
+        for name in ("nodes", "links", "switches", "default_params"):
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
         for name in ("channels", "prepositioned"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
@@ -374,8 +380,8 @@ def load_topology(config: Union[str, dict]) -> Topology:
             rx_ports=tuple(raw["rx_ports"]),
             position=_parse_enum(SwitchPosition, raw.get("initial_position", "bar"),
                                  f"{where}.initial_position"),
-            schedule_period_s=float(raw.get("schedule_period_s", 900.0)),
-            insertion_loss_db=float(raw.get("insertion_loss_db", 0.8)),
+            schedule_period_s=float(raw.get("schedule_period_s", DEFAULT_SCHEDULE_PERIOD_S)),
+            insertion_loss_db=float(raw.get("insertion_loss_db", DEFAULT_INSERTION_LOSS_DB)),
             toggle_times_s=tuple(float(t) for t in raw.get("toggle_times_s", ())),
         )
 

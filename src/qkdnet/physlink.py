@@ -67,9 +67,6 @@ class LinkParams:
     dark_count_prob: float = 1e-5
     dead_time_s: float = 1e-5
     intrinsic_error: float = 0.02
-    data_wavelength_nm: float = 1550.12   # informational
-    sync_wavelength_nm: float = 1550.92   # informational
-    sync_offset_ns: float = 20.0          # informational
 
     def __post_init__(self):
         if self.pulse_rate_hz <= 0:
@@ -106,15 +103,11 @@ class LinkParams:
 
 @dataclass(frozen=True)
 class PulseFrame:
-    """Transmitter-side frame: per-slot basis and value choices.
-
-    Training frames carry publicly known bits used for phase feedback.
-    """
+    """Transmitter-side frame: per-slot basis and value choices."""
 
     frame_id: str
     basis: np.ndarray
     value: np.ndarray
-    is_training: bool = False
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=np.uint8)
@@ -133,10 +126,8 @@ class PulseFrame:
         return int(self.basis.size)
 
     @classmethod
-    def random(cls, frame_id: str, n_slots: int, rng: np.random.Generator,
-               is_training: bool = False) -> "PulseFrame":
-        return cls(frame_id, random_bits(rng, n_slots), random_bits(rng, n_slots),
-                   is_training=is_training)
+    def random(cls, frame_id: str, n_slots: int, rng: np.random.Generator) -> "PulseFrame":
+        return cls(frame_id, random_bits(rng, n_slots), random_bits(rng, n_slots))
 
 
 @dataclass(frozen=True)
@@ -308,28 +299,29 @@ def _pns_channel(photons: np.ndarray, transmittance: float,
                  rng: np.random.Generator, tally: EveTally) -> np.ndarray:
     """Photon-number-splitting attacker standing in for the lossy channel.
 
-    She splits one photon off every multi-photon pulse (learning its bit
-    after basis announcement, without inducing errors) and suppresses
-    single-photon pulses, both paid for from a loss budget that accrues at
-    the honest channel's expected absorption rate so she never creates
-    anomalous loss.
+    She replaces the fiber with a lossless one and removes photons herself,
+    from a loss budget that accrues at the honest channel's expected
+    absorption rate, so she never creates anomalous loss. Each pulse loses
+    as many whole photons as the budget holds, at most all of them. From a
+    multi-photon pulse that loses any she keeps one and learns its bit after
+    basis announcement, without inducing errors; a single photon she takes
+    is suppressed.
     """
-    delivered = rng.binomial(photons, transmittance)
+    delivered = photons.copy()
     budget = 0.0
     accrual = 1.0 - transmittance
     for i in np.flatnonzero(photons):
         n = int(photons[i])
         budget += n * accrual
+        taken = min(n, int(budget))
+        budget -= taken
+        delivered[i] = n - taken
         if n >= 2:
             tally.multi_photon_emissions += 1
-            if budget >= 1.0:
+            if taken:
                 tally.learned_bits += 1
-                budget -= 1.0
-                delivered[i] = n - 1  # remainder forwarded losslessly
-        elif budget >= 1.0:
+        elif taken:
             tally.suppressed_singles += 1
-            budget -= 1.0
-            delivered[i] = 0
     return delivered
 
 

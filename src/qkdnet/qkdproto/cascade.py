@@ -26,7 +26,7 @@ from ..errors import ReconciliationFailure, UnsupportedRegimeError
 
 MIN_BLOCK_LENGTH = 64
 MAX_QBER_HINT = 0.15
-DEFAULT_PASSES = 4
+N_PASSES = 4
 BLOCK_SIZE_FACTOR = 0.73
 
 
@@ -55,7 +55,7 @@ class _Pass:
 
 
 def reconcile_cascade(alice: np.ndarray, bob: np.ndarray, qber_hint: float,
-                      rng_seed=0, n_passes: int = DEFAULT_PASSES) -> Tuple[np.ndarray, int]:
+                      rng_seed=0) -> Tuple[np.ndarray, int]:
     """Correct ``bob`` toward ``alice``; returns (corrected, bits_leaked).
 
     ``bits_leaked`` is the number of parity bits the reference side
@@ -104,7 +104,7 @@ def reconcile_cascade(alice: np.ndarray, bob: np.ndarray, qber_hint: float,
                 queue.append((q_idx, b))
         return cost
 
-    for pass_idx in range(n_passes):
+    for pass_idx in range(N_PASSES):
         block_size = min(base_size << pass_idx, n)
         perm = np.arange(n, dtype=np.int64) if pass_idx == 0 else \
             rng.permutation(n).astype(np.int64)

@@ -1,7 +1,8 @@
 """Public-channel record format.
 
-Every protocol control message rides in a versioned, length-prefixed binary
-record so transcripts replay byte for byte:
+A relay hop's ciphertext rides in a versioned, length-prefixed binary
+record, which its authentication tag covers, so transcripts replay byte
+for byte:
 
     offset  size  field
     0       1     version (currently 1)
@@ -10,7 +11,8 @@ record so transcripts replay byte for byte:
     10      4     payload length, unsigned little-endian
     14      n     payload bytes
 
-The payload layout per type is documented in docs/formats.md.
+The payload layout is documented in docs/formats.md. The other protocol
+messages (sifting, parities, seeds) are modelled, not framed.
 """
 
 from __future__ import annotations
@@ -27,17 +29,7 @@ _HEADER = struct.Struct("<BBQI")
 
 
 class RecordType(IntEnum):
-    SIFT_DETECTIONS = 1    # receiver -> transmitter: detected slot indices
-    SIFT_BASES = 2         # receiver -> transmitter: measurement bases
-    SIFT_KEPT = 3          # transmitter -> receiver: kept slot indices
-    SARG_ANNOUNCE = 4      # transmitter -> receiver: state-pair announcements
-    QBER_SAMPLE = 5        # both: sacrificial sample positions and bits
-    CASCADE_PARITY = 6     # reference side: parity bits for one pass
-    PA_SEED = 7            # either: privacy-amplification Toeplitz seed
-    AUTH_TAG = 8           # either: batched authentication tag for a round
     RELAY_HOP = 9          # relay: one-time-pad ciphertext of the relayed secret
-    HEALTH = 10            # telemetry: link health transition
-    SESSION_CTRL = 11      # framing: transmitter identity, block boundaries
 
 
 @dataclass(frozen=True)

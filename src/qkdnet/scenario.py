@@ -38,38 +38,21 @@ class ScenarioEvent:
     args: Dict[str, object] = field(default_factory=dict)
 
 
-# Each knob's admissible range. A zero cadence re-schedules an event at its
-# own time forever; a negative delay or budget schedules the past or
-# inverts a check.
+# Each knob's admissible range: a negative delay would schedule the past,
+# and a negative budget would invert a check.
 _KNOB_RANGES = (
-    ("> 0", lambda v: v > 0,
-     ("round_duration_s", "metrics_interval_s")),
-    (">= 0", lambda v: v >= 0,
-     ("relay_hop_latency_s", "training_interval_s", "feedback_deadband",
-      "security_margin_bits", "relay_reserve_bits", "prepositioned_auth_bits")),
-    (">= 1", lambda v: v >= 1,
-     ("block_target_bits", "min_sample_bits", "training_target_bits",
-      "training_max_slots")),
-    ("in (0, 1)", lambda v: 0.0 < v < 1.0, ("sample_fraction",)),
+    (">= 0", lambda v: v >= 0, ("relay_hop_latency_s", "prepositioned_auth_bits")),
+    (">= 1", lambda v: v >= 1, ("block_target_bits",)),
 )
 
 
 @dataclass(frozen=True)
 class EngineKnobs:
-    """Tunable cadences and budgets of the deterministic event loop."""
+    """The event loop's settable sizes and delay; its other cadences and
+    budgets are constants of the engine."""
 
-    round_duration_s: float = 0.25
     block_target_bits: int = 4096
-    sample_fraction: float = 0.10
-    min_sample_bits: int = 200
-    security_margin_bits: int = 128
-    training_interval_s: float = 4.0
-    training_target_bits: int = 256
-    training_max_slots: int = 1 << 21
-    feedback_deadband: float = 0.012
-    metrics_interval_s: float = 1.0
     relay_hop_latency_s: float = 0.05
-    relay_reserve_bits: int = 1024
     prepositioned_auth_bits: int = 1 << 20
 
     def __post_init__(self):

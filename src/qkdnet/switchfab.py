@@ -30,8 +30,9 @@ from .qkdproto.sifting import sift_bb84_events
 SWITCHING_TIME_S = 0.008
 
 DEFAULT_SCHEDULE_PERIOD_S = 900.0
+DEFAULT_INSERTION_LOSS_DB = 0.8
 DEFAULT_REALIGN_QBER_THRESHOLD = 0.05
-DEFAULT_REALIGN_FRAME_BUDGET = 200
+REALIGN_FRAME_BUDGET = 200
 DEFAULT_TRAINING_SLOTS = 1 << 17
 
 
@@ -62,7 +63,7 @@ class SwitchState:
     position: SwitchPosition = SwitchPosition.BAR
     busy_until_s: float = 0.0
     schedule_period_s: float = DEFAULT_SCHEDULE_PERIOD_S
-    insertion_loss_db: float = 0.8
+    insertion_loss_db: float = DEFAULT_INSERTION_LOSS_DB
     toggle_times_s: Tuple[float, ...] = ()
     toggles_done: int = 0
 
@@ -142,7 +143,6 @@ class RealignmentOutcome:
 
 def realign_receiver(params: LinkParams, phase: PhaseState, seed,
                      qber_threshold: float = DEFAULT_REALIGN_QBER_THRESHOLD,
-                     frame_budget: int = DEFAULT_REALIGN_FRAME_BUDGET,
                      training_slots: int = DEFAULT_TRAINING_SLOTS,
                      deadband: float = 0.0,
                      error_floor: Optional[float] = None) -> RealignmentOutcome:
@@ -158,7 +158,7 @@ def realign_receiver(params: LinkParams, phase: PhaseState, seed,
     """
     floor = params.intrinsic_error if error_floor is None else error_floor
     last_q: Optional[float] = None
-    for frame_idx in range(frame_budget):
+    for frame_idx in range(REALIGN_FRAME_BUDGET):
         frame_seed = derive_seed(0, "realign", seed, frame_idx)
         tx_basis, tx_value, record = sample_link_window(
             params, phase, training_slots, frame_seed, frame_id=f"train-{frame_idx}")
@@ -171,4 +171,4 @@ def realign_receiver(params: LinkParams, phase: PhaseState, seed,
         phase = apply_training_feedback(phase, min(last_q, 0.5),
                                         intrinsic_error=floor,
                                         deadband=deadband)
-    return RealignmentOutcome(False, frame_budget, phase, last_q)
+    return RealignmentOutcome(False, REALIGN_FRAME_BUDGET, phase, last_q)

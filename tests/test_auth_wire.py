@@ -76,22 +76,24 @@ def test_record_round_trip():
 
 
 def test_record_stream_round_trip():
-    records = [Record(RecordType.SIFT_DETECTIONS, 1, b"a"),
-               Record(RecordType.QBER_SAMPLE, 2, b""),
-               Record(RecordType.PA_SEED, 3, bytes(range(32)))]
+    records = [Record(RecordType.RELAY_HOP, 1, b"a"),
+               Record(RecordType.RELAY_HOP, 2, b""),
+               Record(RecordType.RELAY_HOP, 3, bytes(range(32)))]
     assert decode_records(encode_records(records)) == records
 
 
 def test_record_truncation_and_bad_version():
-    record = encode_record(Record(RecordType.AUTH_TAG, 9, b"xyz"))
+    record = encode_record(Record(RecordType.RELAY_HOP, 9, b"xyz"))
     with pytest.raises(ProtocolError):
         decode_record(record[:10])
     with pytest.raises(ProtocolError):
         decode_record(record[:-1])
     with pytest.raises(ProtocolError):
         decode_record(b"\x02" + record[1:])
-    with pytest.raises(ProtocolError):
-        decode_record(b"\x01\xee" + record[2:])
+    # Every type but RELAY_HOP is unknown and refused.
+    for rtype in (b"\xee", b"\x07"):
+        with pytest.raises(ProtocolError, match="unknown record type"):
+            decode_record(b"\x01" + rtype + record[2:])
 
 
 # ---------------------------------------------------------------------------

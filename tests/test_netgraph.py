@@ -105,6 +105,13 @@ def test_loaded_topology_is_read_only():
         topo.nodes["Eve"] = topo.nodes["Ali"]
     with pytest.raises(TypeError):
         topo.switches["sw"] = None
+    # Nor may the physics that channel_params merges from them.
+    with pytest.raises(TypeError):
+        topo.default_params["mean_photon_number"] = 0.9
+    with pytest.raises(TypeError):
+        topo.links["ali-baba"].params["detector_efficiency"] = 0.5
+    with pytest.raises(TypeError):
+        topo.channels[0].params["mean_photon_number"] = 0.9
     with pytest.raises(AttributeError):
         topo.prepositioned.append(topo.prepositioned[0])
     with pytest.raises(AttributeError):
@@ -112,6 +119,7 @@ def test_loaded_topology_is_read_only():
     with pytest.raises(dataclasses.FrozenInstanceError):
         topo.links = {}
     assert "Ali-Baba" in [c.channel_id for c in topo.qkd_channels()]
+    assert topo.channel_params(topo.channel_by_id("Anna-Bob")).mean_photon_number == 0.5
 
 
 def test_empty_node_list_rejected():
@@ -140,6 +148,12 @@ def test_unknown_keys_rejected():
     doc["links"][0]["health"] = "up"
     with pytest.raises(ValidationError, match="unknown key 'health'"):
         ng.load_topology(doc)
+    # Informational wavelengths and offsets are not link physics.
+    for name in ("data_wavelength_nm", "sync_wavelength_nm", "sync_offset_ns"):
+        doc = _generic_switched()
+        doc["links"][0]["params"] = {name: 1550.92}
+        with pytest.raises(ValidationError, match=f"unknown key '{name}'"):
+            ng.load_topology(doc)
 
 
 def test_link_direction_capability_enforced():

@@ -159,6 +159,18 @@ def test_pns_invariants():
     assert np.array_equal(alice, bob)  # zero induced error
 
 
+@pytest.mark.parametrize("loss_db", [1.0, 3.0, 10.0])
+def test_pns_creates_no_anomalous_loss(loss_db):
+    # The splitter replaces the fiber and spends only its expected loss:
+    # the receiver sees as many clicks as on the honest channel.
+    params = _params(channel_loss_db=loss_db, detector_efficiency=0.1)
+    frame = pl.PulseFrame.random("f", 400_000, np.random.default_rng(1))
+    honest = pl.transmit_frame(params, PHASE0, None, frame, rng_seed=2)
+    attacked = pl.transmit_frame(params, PHASE0, pl.EveModel.photon_number_split(),
+                                 frame, rng_seed=2)
+    assert attacked.n_events == pytest.approx(honest.n_events, rel=0.03)
+
+
 def test_pns_cannot_act_without_loss_budget():
     eve = pl.EveModel.photon_number_split()
     frame = pl.PulseFrame.random("f", 50_000, np.random.default_rng(14))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qkdnet.cli import main
-from qkdnet.engine import Engine, run_scenario
+from qkdnet.engine import RELAY_RESERVE_BITS, Engine, run_scenario
 from qkdnet.errors import InvariantViolation, ValidationError
 from qkdnet.keyrelay import hop_need
 from qkdnet.physlink import sifted_error_floor
@@ -55,24 +55,22 @@ def test_scenario_validates_references():
 
 def test_engine_knob_validation():
     bad_knobs = [
-        {"sample_fraction": 1.5},
-        {"round_duration_s": 0.0}, {"metrics_interval_s": 0.0},
-        {"relay_hop_latency_s": -0.05}, {"training_interval_s": -4.0},
-        {"feedback_deadband": -0.01},
-        {"block_target_bits": 0}, {"min_sample_bits": 0},
-        {"training_target_bits": 0}, {"training_max_slots": 0},
-        {"security_margin_bits": -1}, {"relay_reserve_bits": -1},
-        {"prepositioned_auth_bits": -1},
-        {"round_duration_s": "0.25"},
+        {"relay_hop_latency_s": -0.05}, {"block_target_bits": 0},
+        {"prepositioned_auth_bits": -1}, {"relay_hop_latency_s": "0.05"},
     ]
     for knobs in bad_knobs:
         with pytest.raises(ValidationError):
             EngineKnobs(**knobs)
-    with pytest.raises(ValidationError, match="unknown keys"):
-        load_scenario(_minimal(warp_speed=9))
-    # Blocked relays wait for key or health events; no retry knob exists.
-    with pytest.raises(ValidationError, match="unknown keys"):
-        load_scenario(_minimal(relay_retry_interval_s=0.5))
+    # Cadences and the other budgets are engine constants, not knobs, and
+    # blocked relays wait for key or health events, with no retry timer.
+    unknown = ["warp_speed", "relay_retry_interval_s",
+               "round_duration_s", "sample_fraction", "training_interval_s",
+               "training_target_bits", "training_max_slots", "feedback_deadband",
+               "metrics_interval_s", "relay_reserve_bits", "min_sample_bits",
+               "security_margin_bits"]
+    for name in unknown:
+        with pytest.raises(ValidationError, match=f"unknown keys \\['{name}'\\]"):
+            load_scenario(_minimal(**{name: 1}))
 
 
 def test_unfundable_relay_waits_without_hanging():
@@ -94,7 +92,7 @@ def test_pending_relay_moves_at_the_deposit_that_funds_it():
             {"t": 0.0, "kind": "relay_request", "src": "Anna", "dst": "Bob",
              "bits": bits}])))
     report = engine.run()
-    need = hop_need(bits, engine.knobs.relay_reserve_bits)
+    need = hop_need(bits, RELAY_RESERVE_BITS)
     available, funded_at = 0, None
     for rec in engine.store.audit:
         if rec.pair != ("Anna", "Bob"):

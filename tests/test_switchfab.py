@@ -8,6 +8,7 @@ import pytest
 from qkdnet import physlink as pl
 from qkdnet.errors import ConfigurationError
 from qkdnet.switchfab import (
+    REALIGN_FRAME_BUDGET,
     SWITCHING_TIME_S,
     SwitchPosition,
     SwitchState,
@@ -131,6 +132,6 @@ def test_realign_converges_from_random_phase():
 def test_realign_fails_on_dead_link():
     params = _fast_link(channel_loss_db=math.inf)
     outcome = realign_receiver(params, pl.PhaseState(phase_error_rad=1.0), seed=3,
-                               training_slots=2048, frame_budget=200)
+                               training_slots=2048)
     assert not outcome.converged
-    assert outcome.frames_spent == 200
+    assert outcome.frames_spent == REALIGN_FRAME_BUDGET
