@@ -9,6 +9,12 @@ Two pluggable secret-length estimators:
   emissions, keeping only the single-photon-attributable fraction. Under
   SARG sifting two-photon pulses do not hand the attacker the bit, so only
   three-photon-and-up emissions are written off.
+
+Privacy amplification hashes the reconciled key with a seed-defined binary
+Toeplitz matrix. Every output bit is one entry of the integer convolution
+of seed and key taken mod 2, so the whole product is computed at once as
+a float64 FFT convolution and rounded, with a guard that raises if the
+rounding is not exact.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from ..bits import binary_entropy
-from ..errors import InvalidRequestError
+from ..errors import InvalidRequestError, InvariantViolation
 from ..physlink import LinkParams, click_probability
 from .sifting import SiftingProtocol
 
@@ -83,14 +89,6 @@ def estimate_secret_length(est: EntropyEstimator, n: int, qber: float,
     return max(0, math.floor(usable - bits_leaked - est.security_margin_bits))
 
 
-def _bits_to_int(bits: np.ndarray) -> int:
-    """Little-endian packing: bit i of the result is bits[i]."""
-    if bits.size == 0:
-        return 0
-    packed = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
 def privacy_amplify(key: np.ndarray, target_len: int, seed: np.ndarray) -> np.ndarray:
     """Compress ``key`` through the seed-defined binary Toeplitz matrix.
 
@@ -112,14 +110,18 @@ def privacy_amplify(key: np.ndarray, target_len: int, seed: np.ndarray) -> np.nd
         raise InvalidRequestError(
             f"seed must hold {n + target_len - 1} bits, got {seed.size}")
 
-    # Row i's inner product equals popcount(seed[i : i+n] & reversed(key)).
-    seed_int = _bits_to_int(seed)
-    key_rev_int = _bits_to_int(key[::-1])
-    mask = (1 << n) - 1
-    out = np.empty(target_len, dtype=np.uint8)
-    for i in range(target_len):
-        out[i] = (((seed_int >> i) & mask) & key_rev_int).bit_count() & 1
-    return out
+    # Row i's inner product is entry n-1+i of the integer convolution
+    # seed * key. A circular transform of L >= len(seed) points does not
+    # alias those entries; a power of two keeps numpy's FFT on its fast path.
+    length = 1 << (seed.size - 1).bit_length()
+    product = np.fft.rfft(seed, length) * np.fft.rfft(key, length)
+    counts = np.fft.irfft(product, length)[n - 1:n - 1 + target_len]
+    rounded = np.rint(counts)
+    error = float(np.max(np.abs(counts - rounded)))
+    if error >= 0.25:
+        raise InvariantViolation(
+            f"privacy amplification lost float64 exactness (error {error:.3g})")
+    return (rounded.astype(np.int64) & 1).astype(np.uint8)
 
 
 def toeplitz_matrix(seed: np.ndarray, n_key: int, n_out: int) -> np.ndarray:
@@ -127,8 +129,6 @@ def toeplitz_matrix(seed: np.ndarray, n_key: int, n_out: int) -> np.ndarray:
     seed = np.asarray(seed, dtype=np.uint8)
     if seed.size != n_key + n_out - 1:
         raise InvalidRequestError("seed length must be n_key + n_out - 1")
-    rows = np.empty((n_out, n_key), dtype=np.uint8)
-    for i in range(n_out):
-        for j in range(n_key):
-            rows[i, j] = seed[i + n_key - 1 - j]
-    return rows
+    i = np.arange(n_out)
+    j = np.arange(n_key)
+    return seed[n_key - 1 + i[:, None] - j[None, :]]

@@ -38,12 +38,14 @@ class ScenarioEvent:
     args: Dict[str, object] = field(default_factory=dict)
 
 
-# Each knob's admissible range: a negative delay would schedule the past,
-# and a negative budget would invert a check.
-_KNOB_RANGES = (
-    (">= 0", lambda v: v >= 0, ("relay_hop_latency_s", "prepositioned_auth_bits")),
-    (">= 1", lambda v: v >= 1, ("block_target_bits",)),
-)
+# Each knob's admissible type and minimum: a negative delay would schedule
+# the past, a negative budget would invert a check, and a bit count is a
+# whole number. A bool is never a number here (JSON true is not 1).
+_KNOB_RANGES = {
+    "block_target_bits": (int, 1),
+    "relay_hop_latency_s": ((int, float), 0),
+    "prepositioned_auth_bits": (int, 0),
+}
 
 
 @dataclass(frozen=True)
@@ -56,15 +58,13 @@ class EngineKnobs:
     prepositioned_auth_bits: int = 1 << 20
 
     def __post_init__(self):
-        for bound, holds, names in _KNOB_RANGES:
-            for name in names:
-                value = getattr(self, name)
-                try:
-                    ok = holds(value)
-                except TypeError:  # not a number
-                    ok = False
-                if not ok:
-                    raise ValidationError(f"engine: {name} must be {bound}, got {value!r}")
+        for name, (types, minimum) in _KNOB_RANGES.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, types) \
+                    or not value >= minimum:
+                kind = "an integer" if types is int else "a number"
+                raise ValidationError(
+                    f"engine: {name} must be {kind} >= {minimum}, got {value!r}")
 
 
 @dataclass

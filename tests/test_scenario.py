@@ -57,6 +57,10 @@ def test_engine_knob_validation():
     bad_knobs = [
         {"relay_hop_latency_s": -0.05}, {"block_target_bits": 0},
         {"prepositioned_auth_bits": -1}, {"relay_hop_latency_s": "0.05"},
+        # Bit counts are whole numbers, and a JSON boolean is not a number.
+        {"prepositioned_auth_bits": 1000.5}, {"block_target_bits": 4096.0},
+        {"block_target_bits": True}, {"prepositioned_auth_bits": False},
+        {"relay_hop_latency_s": True},
     ]
     for knobs in bad_knobs:
         with pytest.raises(ValidationError):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qkdnet.errors import InvalidRequestError
+from qkdnet.errors import InvalidRequestError, InvariantViolation
 from qkdnet.physlink import LinkParams
 from qkdnet.qkdproto import (
     EntropyEstimator,
@@ -127,6 +127,59 @@ def test_sarg_yield_dominates_bb84_under_pns_attack():
 # ---------------------------------------------------------------------------
 # privacy amplification
 # ---------------------------------------------------------------------------
+
+def _pa_row_loop_oracle(key, target_len, seed):
+    """Declared test oracle: the Toeplitz product one output row at a time.
+
+    Row i's GF(2) inner product with the key is the parity of
+    ``seed[i : i+n] & reversed(key)``, computed on Python integers.
+    """
+    def to_int(bits):
+        packed = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little")
+        return int.from_bytes(packed.tobytes(), "little")
+
+    n = key.size
+    seed_int = to_int(seed)
+    key_rev_int = to_int(key[::-1])
+    mask = (1 << n) - 1
+    out = np.empty(target_len, dtype=np.uint8)
+    for i in range(target_len):
+        out[i] = (((seed_int >> i) & mask) & key_rev_int).bit_count() & 1
+    return out
+
+
+@pytest.mark.parametrize("n, target_len", [
+    (1, 1), (64, 1), (65, 1), (63, 2), (64, 64),      # seed 1, 64, 65, 64, 127 bits
+    (3000, 1096), (3000, 1097), (3000, 1098),          # seed 2^12 - 1, 2^12, 2^12 + 1
+    (4096, 4096), (5000, 1), (100_000, 20_000),
+])
+def test_pa_matches_row_loop_oracle(n, target_len):
+    rng = np.random.default_rng(n + target_len)
+    key = rng.integers(0, 2, n, dtype=np.uint8)
+    seed = rng.integers(0, 2, n + target_len - 1, dtype=np.uint8)
+    out = privacy_amplify(key, target_len, seed)
+    assert out.dtype == np.uint8
+    assert np.array_equal(out, _pa_row_loop_oracle(key, target_len, seed))
+
+
+def test_pa_matches_toeplitz_matrix_at_thousands_of_bits():
+    rng = np.random.default_rng(4)
+    n, m = 3000, 1200
+    key = rng.integers(0, 2, n, dtype=np.uint8)
+    seed = rng.integers(0, 2, n + m - 1, dtype=np.uint8)
+    matrix = toeplitz_matrix(seed, n, m).astype(np.int64)
+    assert np.array_equal(privacy_amplify(key, m, seed), (matrix @ key) % 2)
+
+
+def test_pa_inexact_fft_trips_guard(monkeypatch):
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.5)
+    rng = np.random.default_rng(5)
+    key = rng.integers(0, 2, 256, dtype=np.uint8)
+    seed = rng.integers(0, 2, 256 + 100 - 1, dtype=np.uint8)
+    with pytest.raises(InvariantViolation):
+        privacy_amplify(key, 100, seed)
+
 
 def test_pa_empty_output():
     key = np.ones(16, dtype=np.uint8)
