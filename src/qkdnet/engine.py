@@ -542,15 +542,16 @@ class Engine:
         m = estimate_secret_length(estimator, int(corrected.size), qber, leaked,
                                    link=session.params)
         if m > 0:
-            pa_seed = random_bits(session.rng_pa, corrected.size + m - 1)
-            secret_a = privacy_amplify(estimate.remaining_alice, m, pa_seed)
-            secret_b = privacy_amplify(corrected, m, pa_seed)
-            if not np.array_equal(secret_a, secret_b):
+            # Equal reconciled keys amplify to equal secrets under one seed,
+            # so both sides share a single amplification.
+            if not np.array_equal(estimate.remaining_alice, corrected):
                 raise InvariantViolation(
-                    f"block {block_id}: secret keys diverge after amplification")
-            block_a.advance(BlockStage.SECRET, secret_a)
-            block_b.advance(BlockStage.SECRET, secret_b)
-            self.store.reservoir(*pair).deposit(block_id, secret_a,
+                    f"block {block_id}: keys diverge after reconciliation")
+            pa_seed = random_bits(session.rng_pa, corrected.size + m - 1)
+            secret = privacy_amplify(estimate.remaining_alice, m, pa_seed)
+            block_a.advance(BlockStage.SECRET, secret)
+            block_b.advance(BlockStage.SECRET, secret)
+            self.store.reservoir(*pair).deposit(block_id, secret,
                                                 KeyOrigin.DIRECT_QKD, now)
             self._deposits += 1
             self._accum[cid]["secret"] += m

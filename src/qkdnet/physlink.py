@@ -149,7 +149,8 @@ class DetectionRecord:
         object.__setattr__(self, "rx_basis", np.asarray(self.rx_basis, dtype=np.uint8))
         object.__setattr__(self, "rx_value", np.asarray(self.rx_value, dtype=np.uint8))
         object.__setattr__(self, "is_dark", np.asarray(self.is_dark, dtype=bool))
-        if self.slot_index.size and np.any(np.diff(self.slot_index) <= 0):
+        s = self.slot_index
+        if s.size > 1 and not (s[1:] > s[:-1]).all():
             raise ValueError("slot_index must be strictly increasing")
 
     @property
@@ -405,6 +406,11 @@ def transmit_frame(params: LinkParams, phase: PhaseState, eve: Optional[EveModel
     )
 
 
+def _empty_window(frame_id: str) -> tuple[np.ndarray, np.ndarray, DetectionRecord]:
+    z = np.zeros(0, dtype=np.uint8)
+    return z, z, DetectionRecord.empty(frame_id)
+
+
 def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_seed,
                        eve: Optional[EveModel] = None,
                        frame_id: str = "window") -> tuple[np.ndarray, np.ndarray, DetectionRecord]:
@@ -418,80 +424,94 @@ def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_
     uniformly random slots; cost scales with clicks, not slots. The
     photon-number-splitting attacker needs per-slot bookkeeping and is not
     supported here.
+
+    The generator calls, their sizes and their order are part of the
+    byte-identical-records contract: geometric batches, click class, tx
+    basis, tx value, the intercept-resend draws (hit, basis, guess) when
+    that attacker is present, rx basis, flip, mismatch value, dark value.
+    Reordering them changes every record.
     """
-    eve = eve if eve is not None else EveModel.none()
-    if eve.kind is EveKind.PHOTON_NUMBER_SPLIT:
+    if eve is not None and eve.kind is EveKind.PHOTON_NUMBER_SPLIT:
         raise ValueError("PNS attacker requires the per-slot transmit_frame path")
     rng = np.random.default_rng(rng_seed)
 
     p_sig = signal_click_probability(params)
     d = params.dark_count_prob
     q = 1.0 - (1.0 - p_sig) * (1.0 - d) ** 2
-    empty = (np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.uint8),
-             DetectionRecord.empty(frame_id))
     if q <= 0.0 or n_slots <= 0:
-        return empty
+        return _empty_window(frame_id)
 
     dead = params.dead_slots
     # Click slots form a renewal process: geometric wait on live slots,
     # then a dead window. Draw in batches until the window is covered.
+    # Slots strictly increase, so the ones inside the window are a prefix.
     slots = []
+    count = 0
     start = 0
     expect = int(n_slots / (dead + 1.0 / q)) + 1
     while True:
-        batch = max(64, expect - sum(len(s) for s in slots) + 16)
-        gaps = rng.geometric(q, size=batch)
-        offsets = np.cumsum(gaps + dead) - dead - 1
-        s = start + offsets
-        inside = s < n_slots
-        slots.append(s[inside])
-        if not inside.all():
+        batch = max(64, expect - count + 16)
+        s = rng.geometric(q, size=batch)
+        s += dead
+        s.cumsum(out=s)
+        s += start - dead - 1
+        inside = int(np.searchsorted(s, n_slots))
+        slots.append(s[:inside])
+        count += inside
+        if inside < batch:
             break
         start = int(s[-1]) + dead + 1
-    click_slots = np.concatenate(slots)
+    click_slots = slots[0] if len(slots) == 1 else np.concatenate(slots)
     m = click_slots.size
     if m == 0:
-        return empty
+        return _empty_window(frame_id)
 
     # Classify each click: signal event, dark event, or double (discarded).
+    # The classes are consecutive ranges of u, so a kept click that is not
+    # a signal event is a dark one.
     p_signal_event = p_sig * (1.0 - d)
     p_dark_event = (1.0 - p_sig) * 2.0 * d * (1.0 - d)
     u = rng.random(m) * q
     is_signal = u < p_signal_event
-    is_dark_ev = (u >= p_signal_event) & (u < p_signal_event + p_dark_event)
+    keep = u < p_signal_event + p_dark_event
 
     tx_basis = random_bits(rng, m)
     tx_value = random_bits(rng, m)
-    pulse_basis = tx_basis.copy()
-    pulse_value = tx_value.copy()
-    if eve.kind is EveKind.INTERCEPT_RESEND:
+    pulse_basis = tx_basis
+    pulse_value = tx_value
+    if eve is not None and eve.kind is EveKind.INTERCEPT_RESEND:
         # Interception leaves the click law unchanged in this model, so it
         # conditions independently on each signal event.
         hit = rng.random(m) < eve.intercept_fraction
         eve_basis = random_bits(rng, m)
         eve_guess = random_bits(rng, m)
         eve_value = np.where(eve_basis == pulse_basis, pulse_value, eve_guess)
-        pulse_basis = np.where(hit, eve_basis, pulse_basis).astype(np.uint8)
-        pulse_value = np.where(hit, eve_value, pulse_value).astype(np.uint8)
+        pulse_basis = np.where(hit, eve_basis, pulse_basis)
+        pulse_value = np.where(hit, eve_value, pulse_value)
 
     rx_basis = random_bits(rng, m)
     perr = min(max(params.intrinsic_error + phase_error_rate(phase.phase_error_rad), 0.0), 1.0)
     flips = rng.random(m) < perr
     mismatch_value = random_bits(rng, m)
+    # Bits are 0 or 1, so selecting by basis match is an xor mask, which
+    # is cheaper than np.where on a condition that is a coin toss per click.
     matched = rx_basis == pulse_basis
-    sig_value = np.where(matched, pulse_value ^ flips, mismatch_value).astype(np.uint8)
+    sig_value = mismatch_value ^ (matched & (pulse_value ^ flips ^ mismatch_value))
     dark_value = random_bits(rng, m)
-    rx_value = np.where(is_signal, sig_value, dark_value).astype(np.uint8)
+    rx_value = np.where(is_signal, sig_value, dark_value)
 
-    keep = is_signal | is_dark_ev
+    is_dark = ~is_signal
+    if not keep.all():
+        click_slots, rx_basis, rx_value, is_dark, tx_basis, tx_value = (
+            a[keep] for a in (click_slots, rx_basis, rx_value, is_dark, tx_basis, tx_value))
     record = DetectionRecord(
         frame_id=frame_id,
-        slot_index=click_slots[keep],
-        rx_basis=rx_basis[keep],
-        rx_value=rx_value[keep],
-        is_dark=is_dark_ev[keep],
+        slot_index=click_slots,
+        rx_basis=rx_basis,
+        rx_value=rx_value,
+        is_dark=is_dark,
     )
-    return tx_basis[keep], tx_value[keep], record
+    return tx_basis, tx_value, record
 
 
 def advance_phase(phase: PhaseState, dt_s: float, rng_seed) -> PhaseState:

@@ -9,6 +9,8 @@ events. Identical (scenario, seed) always reproduces a bit-identical run.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Union
@@ -77,10 +79,11 @@ class Scenario:
     name: str = ""
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise ValidationError("duration_s must be positive")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise ValidationError(
+                f"duration_s must be finite and positive, got {self.duration_s!r}")
         times = [e.time_s for e in self.events]
-        if any(t < 0 or t > self.duration_s for t in times):
+        if any(not 0 <= t <= self.duration_s for t in times):
             raise ValidationError("event times must lie within [0, duration]")
         if times != sorted(times):
             raise ValidationError("events must be time-ordered")
@@ -95,6 +98,18 @@ _EVENT_FIELDS = {
     EventKind.SWITCH_TOGGLE: ({"switch"}, set()),
     EventKind.SET_SIFTING: ({"channel", "protocol"}, set()),
 }
+
+
+# A relay request's size travels as a u32 in the hop payload.
+_MAX_RELAY_BITS = 2 ** 32 - 1
+
+
+def _finite_number(value, where: str, name: str) -> float:
+    """A JSON time: an int or float, neither NaN nor infinite. ``type()``
+    and not ``isinstance()``, since a bool is an int but not a number here."""
+    if type(value) in (int, float) and -sys.float_info.max <= value <= sys.float_info.max:
+        return float(value)
+    raise ValidationError(f"{where}: {name} must be a finite number, got {value!r}")
 
 
 def _parse_eve(raw: dict, where: str) -> EveModel:
@@ -167,12 +182,16 @@ def load_scenario(config: Union[str, dict]) -> Scenario:
             except ValueError as exc:
                 raise ValidationError(f"{where}: unknown protocol {args['protocol']!r}") from exc
         if kind is EventKind.RELAY_REQUEST:
-            args["bits"] = int(args["bits"])
-        events.append(ScenarioEvent(float(raw["t"]), kind, args))
+            bits = args["bits"]
+            if type(bits) is not int or not 1 <= bits <= _MAX_RELAY_BITS:
+                raise ValidationError(
+                    f"{where}: bits must be an integer in [1, {_MAX_RELAY_BITS}], "
+                    f"got {bits!r}")
+        events.append(ScenarioEvent(_finite_number(raw["t"], where, "t"), kind, args))
 
     scenario = Scenario(
         topology=topology,
-        duration_s=float(config["duration_s"]),
+        duration_s=_finite_number(config["duration_s"], "scenario", "duration_s"),
         seed=int(config["seed"]),
         events=events,
         knobs=knobs,

@@ -1,12 +1,16 @@
 """Link-level physics: click statistics, attackers, dead time, phase loop."""
 
 import math
+from typing import Optional
 
 import numpy as np
 import pytest
 
 from qkdnet import physlink as pl
+from qkdnet.bits import random_bits
 from qkdnet.errors import FrameTooLargeError
+from qkdnet.physlink import (DetectionRecord, EveKind, EveModel, LinkParams, PhaseState,
+                             phase_error_rate, signal_click_probability)
 from qkdnet.qkdproto import sift_bb84, sift_bb84_events
 
 PHASE0 = pl.PhaseState()
@@ -222,6 +226,178 @@ def test_window_sampler_rejects_pns():
     with pytest.raises(ValueError):
         pl.sample_link_window(_params(), PHASE0, 1000, 0,
                               eve=pl.EveModel.photon_number_split())
+
+
+# Declared oracle: the window sampler as it was before its per-window
+# overhead was removed. The sampler must keep its generator calls and its
+# outputs identical to this, value by value and dtype by dtype.
+def _window_oracle(params: LinkParams, phase: PhaseState, n_slots: int, rng_seed,
+                   eve: Optional[EveModel] = None,
+                   frame_id: str = "window") -> tuple[np.ndarray, np.ndarray, DetectionRecord]:
+    """Sample a transmission window by drawing click slots directly.
+
+    Returns ``(tx_basis, tx_value, record)`` where the tx arrays give the
+    transmitter's random choices at the event slots only (non-click slots
+    never reach any protocol layer, so their bits are irrelevant).
+
+    Statistically identical to :func:`transmit_frame` over a frame of
+    uniformly random slots; cost scales with clicks, not slots. The
+    photon-number-splitting attacker needs per-slot bookkeeping and is not
+    supported here.
+    """
+    eve = eve if eve is not None else EveModel.none()
+    if eve.kind is EveKind.PHOTON_NUMBER_SPLIT:
+        raise ValueError("PNS attacker requires the per-slot transmit_frame path")
+    rng = np.random.default_rng(rng_seed)
+
+    p_sig = signal_click_probability(params)
+    d = params.dark_count_prob
+    q = 1.0 - (1.0 - p_sig) * (1.0 - d) ** 2
+    empty = (np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.uint8),
+             DetectionRecord.empty(frame_id))
+    if q <= 0.0 or n_slots <= 0:
+        return empty
+
+    dead = params.dead_slots
+    # Click slots form a renewal process: geometric wait on live slots,
+    # then a dead window. Draw in batches until the window is covered.
+    slots = []
+    start = 0
+    expect = int(n_slots / (dead + 1.0 / q)) + 1
+    while True:
+        batch = max(64, expect - sum(len(s) for s in slots) + 16)
+        gaps = rng.geometric(q, size=batch)
+        offsets = np.cumsum(gaps + dead) - dead - 1
+        s = start + offsets
+        inside = s < n_slots
+        slots.append(s[inside])
+        if not inside.all():
+            break
+        start = int(s[-1]) + dead + 1
+    click_slots = np.concatenate(slots)
+    m = click_slots.size
+    if m == 0:
+        return empty
+
+    # Classify each click: signal event, dark event, or double (discarded).
+    p_signal_event = p_sig * (1.0 - d)
+    p_dark_event = (1.0 - p_sig) * 2.0 * d * (1.0 - d)
+    u = rng.random(m) * q
+    is_signal = u < p_signal_event
+    is_dark_ev = (u >= p_signal_event) & (u < p_signal_event + p_dark_event)
+
+    tx_basis = random_bits(rng, m)
+    tx_value = random_bits(rng, m)
+    pulse_basis = tx_basis.copy()
+    pulse_value = tx_value.copy()
+    if eve.kind is EveKind.INTERCEPT_RESEND:
+        # Interception leaves the click law unchanged in this model, so it
+        # conditions independently on each signal event.
+        hit = rng.random(m) < eve.intercept_fraction
+        eve_basis = random_bits(rng, m)
+        eve_guess = random_bits(rng, m)
+        eve_value = np.where(eve_basis == pulse_basis, pulse_value, eve_guess)
+        pulse_basis = np.where(hit, eve_basis, pulse_basis).astype(np.uint8)
+        pulse_value = np.where(hit, eve_value, pulse_value).astype(np.uint8)
+
+    rx_basis = random_bits(rng, m)
+    perr = min(max(params.intrinsic_error + phase_error_rate(phase.phase_error_rad), 0.0), 1.0)
+    flips = rng.random(m) < perr
+    mismatch_value = random_bits(rng, m)
+    matched = rx_basis == pulse_basis
+    sig_value = np.where(matched, pulse_value ^ flips, mismatch_value).astype(np.uint8)
+    dark_value = random_bits(rng, m)
+    rx_value = np.where(is_signal, sig_value, dark_value).astype(np.uint8)
+
+    keep = is_signal | is_dark_ev
+    record = DetectionRecord(
+        frame_id=frame_id,
+        slot_index=click_slots[keep],
+        rx_basis=rx_basis[keep],
+        rx_value=rx_value[keep],
+        is_dark=is_dark_ev[keep],
+    )
+    return tx_basis[keep], tx_value[keep], record
+
+
+class _RecordingGenerator(np.random.Generator):
+    """A generator that logs each draw's method and size."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.calls = []
+
+    def geometric(self, *args, **kwargs):
+        self.calls.append(("geometric", kwargs.get("size")))
+        return super().geometric(*args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        self.calls.append(("random", kwargs.get("size", args[0] if args else None)))
+        return super().random(*args, **kwargs)
+
+    def integers(self, *args, **kwargs):
+        self.calls.append(("integers", kwargs.get("size")))
+        return super().integers(*args, **kwargs)
+
+
+def test_window_sampler_matches_oracle_bit_for_bit():
+    grid = [
+        # Metro-like link: dead time, darks, double clicks now and then.
+        dict(mean_photon_number=0.5, channel_loss_db=3.0, detector_efficiency=0.1,
+             dark_count_prob=1e-5, dead_time_s=1e-5, intrinsic_error=0.02),
+        # q == 0: no photons, no darks.
+        dict(mean_photon_number=0.0, dark_count_prob=0.0),
+        # No dead time at a high click rate.
+        dict(mean_photon_number=0.5, dark_count_prob=1e-3, intrinsic_error=0.03),
+        # No darks, so every click is kept.
+        dict(mean_photon_number=0.5, detector_efficiency=0.3, dead_time_s=2e-6),
+        # Heavy darks: many double clicks discarded.
+        dict(mean_photon_number=0.1, detector_efficiency=0.1, dark_count_prob=0.02),
+        # Darks only.
+        dict(mean_photon_number=0.0, dark_count_prob=0.01, dead_time_s=1e-6),
+    ]
+    eves = [None, pl.EveModel.none(), pl.EveModel.intercept_resend(0.5)]
+    phases = [PHASE0, pl.PhaseState(phase_error_rad=0.4)]
+    multi_batch = 0
+    for gi, kw in enumerate(grid):
+        params = _params(**kw)
+        for n_slots in (0, 1, 1000, 1_250_000):
+            for ei, eve in enumerate(eves):
+                for seed in (1, 2):
+                    case = (gi, n_slots, ei, seed)
+                    phase = phases[seed % 2]
+                    rng_new = _RecordingGenerator(np.random.SeedSequence(case))
+                    rng_old = _RecordingGenerator(np.random.SeedSequence(case))
+                    got = pl.sample_link_window(params, phase, n_slots, rng_new,
+                                                eve=eve, frame_id=f"w{case}")
+                    want = _window_oracle(params, phase, n_slots, rng_old,
+                                          eve=eve, frame_id=f"w{case}")
+                    assert rng_new.calls == rng_old.calls, case
+                    multi_batch += [c[0] for c in rng_new.calls].count("geometric") > 1
+                    assert got[2].frame_id == want[2].frame_id
+                    for g, w in zip(
+                            (got[0], got[1], got[2].slot_index, got[2].rx_basis,
+                             got[2].rx_value, got[2].is_dark),
+                            (want[0], want[1], want[2].slot_index, want[2].rx_basis,
+                             want[2].rx_value, want[2].is_dark)):
+                        assert g.dtype == w.dtype, case
+                        assert np.array_equal(g, w), case
+    assert multi_batch > 0
+
+
+def test_detection_record_requires_strictly_increasing_slots():
+    def record(slots):
+        n = len(slots)
+        return pl.DetectionRecord("r", np.asarray(slots, dtype=np.int64),
+                                  np.zeros(n, np.uint8), np.zeros(n, np.uint8),
+                                  np.zeros(n, bool))
+
+    for slots in ([3, 5, 5, 9], [3, 7, 6]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            record(slots)
+    assert record([]).n_events == 0
+    assert record([7]).n_events == 1
+    assert pl.DetectionRecord.empty("e").n_events == 0
 
 
 # ---------------------------------------------------------------------------

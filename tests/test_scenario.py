@@ -1,10 +1,12 @@
 """Scenario schema, engine behavior, reports, and the CLI surface."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from qkdnet import engine as engine_module
 from qkdnet.cli import main
 from qkdnet.engine import RELAY_RESERVE_BITS, Engine, run_scenario
 from qkdnet.errors import InvariantViolation, ValidationError
@@ -36,6 +38,16 @@ def test_scenario_rejects_unknown_keys_and_events():
         load_scenario(_minimal(events=[{"t": 0.0, "kind": "explode"}]))
     with pytest.raises(ValidationError, match="exactly"):
         load_scenario(_minimal(events=[{"t": 0.0, "kind": "cut_link"}]))
+    # A relay size is a whole number that fits the hop payload's u32.
+    for bits in (-8, 0, 1.5, True, "12", 2 ** 32):
+        with pytest.raises(ValidationError, match="bits must be an integer"):
+            load_scenario(_minimal(events=[
+                {"t": 0.0, "kind": "relay_request", "src": "Anna", "dst": "Bob",
+                 "bits": bits}]))
+    for bits in (1, 2 ** 32 - 1):
+        load_scenario(_minimal(events=[
+            {"t": 0.0, "kind": "relay_request", "src": "Anna", "dst": "Bob",
+             "bits": bits}]))
 
 
 def test_scenario_event_ordering_enforced():
@@ -43,6 +55,17 @@ def test_scenario_event_ordering_enforced():
               {"t": 1.0, "kind": "restore_link", "link": "anna-sw"}]
     with pytest.raises(ValidationError, match="time-ordered"):
         load_scenario(_minimal(duration=10.0, events=events))
+    # Times are finite real numbers: a NaN or infinite one once loaded and
+    # then hung the event loop.
+    for duration in (math.nan, math.inf, -math.inf, True, "5", 10 ** 400):
+        with pytest.raises(ValidationError, match="duration_s"):
+            load_scenario(_minimal(duration=duration))
+    for t in (math.nan, math.inf, True, "1.0"):
+        with pytest.raises(ValidationError, match="events\\[0\\]: t"):
+            load_scenario(_minimal(duration=10.0, events=[
+                {"t": t, "kind": "cut_link", "link": "anna-sw"}]))
+    with pytest.raises(ValidationError, match="duration_s"):
+        load_scenario(json.dumps(_minimal(duration=math.nan)))
 
 
 def test_scenario_validates_references():
@@ -117,6 +140,24 @@ def test_event_loop_refuses_time_moving_backwards():
     engine = Engine(load_scenario(_minimal(duration=1.0)))
     engine._push(-1.0, 0, "metrics")
     with pytest.raises(InvariantViolation, match="metrics event at -1.0 s"):
+        engine.run()
+
+
+def test_engine_refuses_to_amplify_diverged_keys(monkeypatch):
+    # Both sides share one amplification, which is sound only while the
+    # reconciled keys are equal; Bob's key here differs in one bit.
+    real = engine_module.reconcile_cascade
+
+    def one_bit_off(*args, **kwargs):
+        corrected, parities = real(*args, **kwargs)
+        corrected = corrected.copy()
+        corrected[0] ^= 1
+        return corrected, parities
+
+    monkeypatch.setattr(engine_module, "reconcile_cascade", one_bit_off)
+    engine = Engine(load_scenario(_minimal(duration=6.0, events=[
+        {"t": 0.0, "kind": "start_qkd", "tx": "Anna", "rx": "Bob"}])))
+    with pytest.raises(InvariantViolation, match="keys diverge"):
         engine.run()
 
 
