@@ -62,7 +62,10 @@ def _cmd_run(args) -> int:
         print("run: provide exactly one of --scenario or --preset", file=sys.stderr)
         return EXIT_VALIDATION
     if args.scenario is not None:
-        doc = json.loads(args.scenario.read_text())
+        try:
+            doc = json.loads(args.scenario.read_text())
+        except (OSError, ValueError) as exc:
+            raise ValidationError(f"cannot read scenario {args.scenario}: {exc}") from exc
         if args.seed is not None:
             doc["seed"] = args.seed
         if args.duration is not None:
@@ -98,7 +101,7 @@ def _cmd_verify(args) -> int:
             print(f"FAIL {p}")
         return EXIT_INVARIANT
     print("ok: one-time-pad uniqueness, reservoir conservation, "
-          "purpose separation, switch key isolation")
+          "purpose separation, switch key isolation, block secret lengths")
     return EXIT_OK
 
 

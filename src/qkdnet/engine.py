@@ -37,6 +37,7 @@ from .physlink import (
     DetectionRecord,
     EveKind,
     EveModel,
+    EveTally,
     LinkParams,
     PhaseState,
     PulseFrame,
@@ -49,18 +50,17 @@ from .physlink import (
 )
 from .qkdproto import (
     AUTH_KEY_BITS_PER_TAG,
-    BlockStage,
-    KeyBlock,
+    EntropyEstimator,
     estimate_qber,
-    estimate_secret_length,
     privacy_amplify,
     reconcile_cascade,
+    secret_length,
     sift_bb84_events,
     sift_sarg_events,
+    usable_fraction,
 )
 from .qkdproto.cascade import MAX_QBER_HINT
 from .qkdproto.qber import DEFAULT_MIN_SAMPLE
-from .qkdproto.secrecy import EntropyEstimator
 from .qkdproto.sifting import SiftingProtocol
 from .report import BlockRecord, MetricsReport, RelayOutcome, SeriesRow, SwitchEvent
 from .scenario import EventKind, Scenario
@@ -296,7 +296,10 @@ class Engine:
         elif kind is EventKind.ENABLE_EVE:
             session = self._session(ev.args["channel"])
             eve = ev.args["eve"]
-            session.eve = None if eve.kind is EveKind.NONE else eve
+            # The attacker's tally is run state: count it on the engine's
+            # own copy, never on the scenario's model.
+            session.eve = (None if eve.kind is EveKind.NONE
+                           else replace(eve, tally=EveTally()))
         elif kind is EventKind.SWITCH_TOGGLE:
             sid = ev.args["switch"]
             sw = self.switches[sid]
@@ -512,13 +515,15 @@ class Engine:
         # the same evidence of compromise; the series caps at 0.5.
         self._accum[cid]["qbers"].append(min(qber, 0.5))
 
-        block_a = KeyBlock(block_id, pair, BlockStage.SIFTED, alice)
-        block_b = KeyBlock(block_id, pair, BlockStage.SIFTED, bob)
+        beta = usable_fraction(
+            EntropyEstimator(kind=session.estimator_kind, sifting=session.sifting),
+            session.params)
 
         def record_block(leaked: int, secret_bits: int, discarded: bool):
             self.blocks.append(BlockRecord(
                 block_id=block_id, channel_id=cid, t_start=t0, t_end=now,
-                sifted_bits=int(alice.size), qber=qber, bits_leaked=leaked,
+                sifted_bits=int(alice.size), disclosed_bits=estimate.disclosed,
+                qber=qber, usable_fraction=beta, bits_leaked=leaked,
                 secret_bits=secret_bits, discarded=discarded,
                 via_switch=session.channel.via_switch))
 
@@ -534,13 +539,7 @@ class Engine:
             record_block(estimate.disclosed, 0, True)
             return
         leaked = estimate.disclosed + parities
-        block_a.advance(BlockStage.RECONCILED, estimate.remaining_alice,
-                        qber=qber, leaked_delta=leaked)
-        block_b.advance(BlockStage.RECONCILED, corrected)
-
-        estimator = EntropyEstimator(kind=session.estimator_kind, sifting=session.sifting)
-        m = estimate_secret_length(estimator, int(corrected.size), qber, leaked,
-                                   link=session.params)
+        m = secret_length(int(corrected.size), qber, leaked, beta)
         if m > 0:
             # Equal reconciled keys amplify to equal secrets under one seed,
             # so both sides share a single amplification.
@@ -549,8 +548,6 @@ class Engine:
                     f"block {block_id}: keys diverge after reconciliation")
             pa_seed = random_bits(session.rng_pa, corrected.size + m - 1)
             secret = privacy_amplify(estimate.remaining_alice, m, pa_seed)
-            block_a.advance(BlockStage.SECRET, secret)
-            block_b.advance(BlockStage.SECRET, secret)
             self.store.reservoir(*pair).deposit(block_id, secret,
                                                 KeyOrigin.DIRECT_QKD, now)
             self._deposits += 1

@@ -4,17 +4,14 @@ Stages follow the usual order: sifting, error-rate sampling, Cascade
 reconciliation, entropy estimation, privacy amplification, authentication.
 """
 
-from .blocks import BlockStage, KeyBlock
 from .sifting import SiftingProtocol, sift_bb84, sift_bb84_events, sift_sarg, sift_sarg_events
 from .qber import QberEstimate, estimate_qber
 from .cascade import reconcile_cascade
-from .secrecy import EntropyEstimator, EstimatorKind, estimate_secret_length, multi_photon_fraction, privacy_amplify, toeplitz_matrix
+from .secrecy import EntropyEstimator, EstimatorKind, estimate_secret_length, multi_photon_fraction, privacy_amplify, secret_length, toeplitz_matrix, usable_fraction
 from .auth import AUTH_KEY_BITS_PER_TAG, TAG_BITS, auth_tag, verify_tag
 from .wire import Record, RecordType, WIRE_VERSION, decode_record, decode_records, encode_record, encode_records
 
 __all__ = [
-    "BlockStage",
-    "KeyBlock",
     "SiftingProtocol",
     "sift_bb84",
     "sift_bb84_events",
@@ -28,7 +25,9 @@ __all__ = [
     "estimate_secret_length",
     "multi_photon_fraction",
     "privacy_amplify",
+    "secret_length",
     "toeplitz_matrix",
+    "usable_fraction",
     "AUTH_KEY_BITS_PER_TAG",
     "TAG_BITS",
     "auth_tag",

@@ -63,30 +63,44 @@ def multi_photon_fraction(mean_photon_number: float, threshold: int = 2) -> floa
     return float(-np.expm1(-mu + math.log(tail))) if tail > 0 else 1.0
 
 
-def estimate_secret_length(est: EntropyEstimator, n: int, qber: float,
-                           bits_leaked: int, link: LinkParams | None = None) -> int:
-    """Length of secret key distillable from ``n`` reconciled bits.
+def usable_fraction(est: EntropyEstimator, link: LinkParams | None = None) -> float:
+    """Share beta of the Shannon secret fraction the estimator credits.
 
-    Clamps at zero; the multiphoton-aware estimator returns zero whenever
-    multi-photon emissions alone could explain every detection.
+    1.0 for ``SIMPLE_SHANNON``. For ``MULTIPHOTON_AWARE`` it is the share of
+    detections not explainable by multi-photon emissions (three or more
+    photons under SARG, two or more otherwise), clamped at zero.
+    """
+    if est.kind is EstimatorKind.SIMPLE_SHANNON:
+        return 1.0
+    if link is None:
+        raise ValueError("multiphoton-aware estimation needs the link parameters")
+    threshold = 3 if est.sifting is SiftingProtocol.SARG else 2
+    p_multi = multi_photon_fraction(link.mean_photon_number, threshold)
+    p_click = click_probability(link)
+    return 0.0 if p_click <= 0.0 else max(0.0, (p_click - p_multi) / p_click)
+
+
+def secret_length(n: int, qber: float, bits_leaked: int, usable_fraction: float,
+                  margin: int = DEFAULT_SECURITY_MARGIN_BITS) -> int:
+    """Secret bits distillable from ``n`` reconciled bits:
+    ``floor(usable_fraction * n * (1 - h2(qber)) - bits_leaked - margin)``,
+    clamped at zero, with ``qber`` clamped to [0, 0.5].
+
+    The one secret-length rule: the engine sizes privacy amplification with
+    it and ``verify_report`` re-derives every block's ``secret_bits`` with it.
     """
     if n <= 0:
         raise ValueError("n must be positive")
     qber = min(max(qber, 0.0), 0.5)
-    shannon = n * (1.0 - binary_entropy(qber))
+    usable = usable_fraction * (n * (1.0 - binary_entropy(qber)))
+    return max(0, math.floor(usable - bits_leaked - margin))
 
-    if est.kind is EstimatorKind.SIMPLE_SHANNON:
-        usable = shannon
-    else:
-        if link is None:
-            raise ValueError("multiphoton-aware estimation needs the link parameters")
-        threshold = 3 if est.sifting is SiftingProtocol.SARG else 2
-        p_multi = multi_photon_fraction(link.mean_photon_number, threshold)
-        p_click = click_probability(link)
-        beta = 0.0 if p_click <= 0.0 else max(0.0, (p_click - p_multi) / p_click)
-        usable = beta * shannon
 
-    return max(0, math.floor(usable - bits_leaked - est.security_margin_bits))
+def estimate_secret_length(est: EntropyEstimator, n: int, qber: float,
+                           bits_leaked: int, link: LinkParams | None = None) -> int:
+    """:func:`secret_length` with the estimator's usable fraction and margin."""
+    return secret_length(n, qber, bits_leaked, usable_fraction(est, link),
+                         est.security_margin_bits)
 
 
 def privacy_amplify(key: np.ndarray, target_len: int, seed: np.ndarray) -> np.ndarray:

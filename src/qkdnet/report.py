@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import InvariantViolation, ValidationError
 from .keystore import AuditRecord, scan_one_time_use
+from .qkdproto.secrecy import secret_length
 
 CSV_COLUMNS = ("time_s", "link_id", "sifted_bps", "qber", "secret_bps", "reservoir_bits")
 
@@ -36,12 +37,19 @@ class SeriesRow:
 
 @dataclass(frozen=True)
 class BlockRecord:
+    """One key block. ``disclosed_bits`` of its ``sifted_bits`` were
+    sacrificed to estimate ``qber``; ``usable_fraction`` is its estimator's
+    beta. With ``bits_leaked`` they fix ``secret_bits`` through
+    :func:`~qkdnet.qkdproto.secrecy.secret_length`."""
+
     block_id: str
     channel_id: str
     t_start: float
     t_end: float
     sifted_bits: int
+    disclosed_bits: int
     qber: float
+    usable_fraction: float
     bits_leaked: int
     secret_bits: int
     discarded: bool = False
@@ -134,32 +142,41 @@ class MetricsReport:
 
     @classmethod
     def from_records(cls, records: List[dict]) -> "MetricsReport":
-        meta = next((r for r in records if r["type"] == "meta"), None)
+        """Rebuild a report. A record that is not an object, or lacks a
+        field its type needs, raises ValidationError naming its 1-based
+        position in ``records``."""
+        i, meta = next(((i, r) for i, r in enumerate(records, 1)
+                        if isinstance(r, dict) and r.get("type") == "meta"), (0, None))
         if meta is None:
             raise ValidationError("records stream has no meta record")
-        report = cls(scenario_name=meta["scenario_name"], seed=meta["seed"],
-                     duration_s=meta["duration_s"])
-        for r in records:
-            kind = r["type"]
-            body = {k: v for k, v in r.items() if k != "type"}
-            if kind == "series":
-                report.series.append(SeriesRow(**body))
-            elif kind == "block":
-                report.blocks.append(BlockRecord(**body))
-            elif kind == "relay":
-                body["path"] = tuple(body["path"])
-                report.relay_sessions.append(RelayOutcome(**body))
-            elif kind == "health":
-                report.health_log.append(body)
-            elif kind == "switch":
-                report.switch_events.append(SwitchEvent(**body))
-            elif kind == "audit":
-                report.audit.append(AuditRecord.from_dict(body))
-            elif kind == "reservoir":
-                pair = body.pop("pair")
-                report.final_reservoirs[pair] = body
-            elif kind != "meta":
-                raise ValidationError(f"unknown record type {kind!r}")
+        try:
+            report = cls(scenario_name=meta["scenario_name"], seed=meta["seed"],
+                         duration_s=meta["duration_s"])
+            for i, r in enumerate(records, 1):
+                kind = r["type"]
+                body = {k: v for k, v in r.items() if k != "type"}
+                if kind == "series":
+                    report.series.append(SeriesRow(**body))
+                elif kind == "block":
+                    report.blocks.append(BlockRecord(**body))
+                elif kind == "relay":
+                    body["path"] = tuple(body["path"])
+                    report.relay_sessions.append(RelayOutcome(**body))
+                elif kind == "health":
+                    report.health_log.append(body)
+                elif kind == "switch":
+                    report.switch_events.append(SwitchEvent(**body))
+                elif kind == "audit":
+                    report.audit.append(AuditRecord.from_dict(body))
+                elif kind == "reservoir":
+                    pair = body.pop("pair")
+                    report.final_reservoirs[pair] = body
+                elif kind != "meta":
+                    raise ValidationError(f"record {i}: unknown record type {kind!r}")
+        except KeyError as exc:
+            raise ValidationError(f"record {i}: missing field {exc}") from exc
+        except TypeError as exc:
+            raise ValidationError(f"record {i}: {exc}") from exc
         return report
 
     def __eq__(self, other) -> bool:
@@ -196,15 +213,27 @@ class MetricsReport:
 
 
 def read_records(path: Union[str, Path]) -> MetricsReport:
-    lines = Path(path).read_text().splitlines()
-    return MetricsReport.from_records([json.loads(line) for line in lines if line])
+    """Parse a records file; unreadable input raises ValidationError."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read records: {exc}") from exc
+    records = []
+    for n, line in enumerate(lines, 1):
+        if line:
+            try:
+                records.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"{path}: line {n} is not JSON: {exc}") from exc
+    return MetricsReport.from_records(records)
 
 
 def verify_report(report: MetricsReport) -> List[str]:
     """Re-check audited invariants from the emitted records.
 
     Covers one-time-pad uniqueness, purpose separation, per-pair reservoir
-    conservation, and key-block isolation across switch events.
+    conservation, key-block isolation across switch events, and each
+    block's secret length.
     """
     problems = list(scan_one_time_use(report.audit))
 
@@ -252,4 +281,22 @@ def verify_report(report: MetricsReport) -> List[str]:
             if sid == block.via_switch and block.t_start < t < block.t_end:
                 problems.append(
                     f"block {block.block_id}: spans switch event at t={t}")
+
+    # Leakage budget: a kept block's secret length is the one rule's value
+    # for its reconciled size, error rate, leakage and usable fraction.
+    for block in report.blocks:
+        n = block.sifted_bits - block.disclosed_bits
+        if n <= 0 or block.bits_leaked < block.disclosed_bits \
+                or not 0.0 <= block.qber <= 1.0 or not 0.0 <= block.usable_fraction <= 1.0:
+            problems.append(
+                f"block {block.block_id}: inconsistent accounting (sifted "
+                f"{block.sifted_bits}, disclosed {block.disclosed_bits}, leaked "
+                f"{block.bits_leaked}, qber {block.qber}, usable fraction "
+                f"{block.usable_fraction})")
+            continue
+        expected = 0 if block.discarded else secret_length(
+            n, block.qber, block.bits_leaked, block.usable_fraction)
+        if block.secret_bits != expected:
+            problems.append(f"block {block.block_id}: secret_bits {block.secret_bits}, "
+                            f"but the leakage budget allows {expected}")
     return problems

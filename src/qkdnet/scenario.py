@@ -122,7 +122,11 @@ def _parse_eve(raw: dict, where: str) -> EveModel:
         kind = EveKind(raw["kind"])
     except ValueError as exc:
         raise ValidationError(f"{where}: unknown eve kind {raw['kind']!r}") from exc
-    return EveModel(kind=kind, intercept_fraction=float(raw.get("fraction", 1.0)))
+    fraction = raw.get("fraction", 1.0)
+    if type(fraction) not in (int, float) or not 0 <= fraction <= 1:
+        raise ValidationError(f"{where}: eve fraction must be a number in [0, 1], "
+                              f"got {fraction!r}")
+    return EveModel(kind=kind, intercept_fraction=float(fraction))
 
 
 def load_scenario(config: Union[str, dict]) -> Scenario:
@@ -189,10 +193,13 @@ def load_scenario(config: Union[str, dict]) -> Scenario:
                     f"got {bits!r}")
         events.append(ScenarioEvent(_finite_number(raw["t"], where, "t"), kind, args))
 
+    seed = config["seed"]
+    if type(seed) is not int:
+        raise ValidationError(f"scenario: seed must be an integer, got {seed!r}")
     scenario = Scenario(
         topology=topology,
         duration_s=_finite_number(config["duration_s"], "scenario", "duration_s"),
-        seed=int(config["seed"]),
+        seed=seed,
         events=events,
         knobs=knobs,
         name=config.get("name", ""),

@@ -1,13 +1,11 @@
-"""Authentication tags, the wire record format, and block lifecycle."""
+"""Authentication tags and the wire record format."""
 
 import numpy as np
 import pytest
 
-from qkdnet.errors import InvariantViolation, ProtocolError
+from qkdnet.errors import ProtocolError
 from qkdnet.qkdproto import (
     AUTH_KEY_BITS_PER_TAG,
-    BlockStage,
-    KeyBlock,
     Record,
     RecordType,
     auth_tag,
@@ -94,33 +92,3 @@ def test_record_truncation_and_bad_version():
     for rtype in (b"\xee", b"\x07"):
         with pytest.raises(ProtocolError, match="unknown record type"):
             decode_record(b"\x01" + rtype + record[2:])
-
-
-# ---------------------------------------------------------------------------
-# key blocks
-# ---------------------------------------------------------------------------
-
-def test_block_stage_forward_only():
-    block = KeyBlock("b1", ("A", "B"), BlockStage.SIFTED, np.ones(100, dtype=np.uint8))
-    block.advance(BlockStage.RECONCILED, np.ones(90, dtype=np.uint8), qber=0.02,
-                  leaked_delta=30)
-    with pytest.raises(InvariantViolation):
-        block.advance(BlockStage.SIFTED, np.ones(90, dtype=np.uint8))
-
-
-def test_block_secret_budget_enforced():
-    block = KeyBlock("b2", ("A", "B"), BlockStage.SIFTED, np.ones(100, dtype=np.uint8))
-    block.advance(BlockStage.RECONCILED, np.ones(90, dtype=np.uint8), leaked_delta=30)
-    with pytest.raises(InvariantViolation):
-        block.advance(BlockStage.SECRET, np.ones(61, dtype=np.uint8))
-    block2 = KeyBlock("b3", ("A", "B"), BlockStage.SIFTED, np.ones(100, dtype=np.uint8))
-    block2.advance(BlockStage.RECONCILED, np.ones(90, dtype=np.uint8), leaked_delta=30)
-    block2.advance(BlockStage.SECRET, np.ones(60, dtype=np.uint8))
-    assert block2.stage is BlockStage.SECRET
-
-
-def test_block_leakage_never_decreases():
-    block = KeyBlock("b4", ("A", "B"), BlockStage.SIFTED, np.ones(100, dtype=np.uint8))
-    with pytest.raises(InvariantViolation):
-        block.advance(BlockStage.RECONCILED, np.ones(90, dtype=np.uint8),
-                      leaked_delta=-1)

@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 from qkdnet.netgraph import _LINK_PARAM_FIELDS
+from qkdnet.report import BlockRecord
 from qkdnet.scenario import EngineKnobs
 
 FORMATS = Path(__file__).resolve().parent.parent / "docs" / "formats.md"
@@ -26,3 +27,8 @@ def test_documented_engine_knobs_are_the_knob_fields():
 def test_documented_link_params_are_the_parsed_fields():
     listed = _bullet("`params` objects").split(":", 1)[1].split(".", 1)[0]
     assert re.findall(r"`(\w+)`", listed) == list(_LINK_PARAM_FIELDS)
+
+
+def test_documented_block_fields_are_the_record_fields():
+    listed = _bullet("`block`").split(":", 1)[1].split(".", 1)[0]
+    assert re.findall(r"`(\w+)`", listed) == [f.name for f in dataclasses.fields(BlockRecord)]

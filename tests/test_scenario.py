@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -48,6 +49,21 @@ def test_scenario_rejects_unknown_keys_and_events():
         load_scenario(_minimal(events=[
             {"t": 0.0, "kind": "relay_request", "src": "Anna", "dst": "Bob",
              "bits": bits}]))
+    # A seed is a whole number of any sign and size; nothing is coerced.
+    for seed in (1.5, True, "12", "abc", None):
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            load_scenario({**_minimal(), "seed": seed})
+    for seed in (-7, 2 ** 40):
+        assert load_scenario({**_minimal(), "seed": seed}).seed == seed
+    for fraction in ("0.5", True, "x", math.nan, 2.0, -0.1):
+        with pytest.raises(ValidationError, match="eve fraction"):
+            load_scenario(_minimal(events=[
+                {"t": 0.0, "kind": "enable_eve", "channel": "Anna-Bob",
+                 "eve": {"kind": "intercept_resend", "fraction": fraction}}]))
+    for fraction in (0, 0.5, 1):
+        load_scenario(_minimal(events=[
+            {"t": 0.0, "kind": "enable_eve", "channel": "Anna-Bob",
+             "eve": {"kind": "intercept_resend", "fraction": fraction}}]))
 
 
 def test_scenario_event_ordering_enforced():
@@ -159,6 +175,23 @@ def test_engine_refuses_to_amplify_diverged_keys(monkeypatch):
         {"t": 0.0, "kind": "start_qkd", "tx": "Anna", "rx": "Bob"}])))
     with pytest.raises(InvariantViolation, match="keys diverge"):
         engine.run()
+
+
+def test_run_leaves_attacker_models_untouched():
+    # The attackers' tallies are run state; the scenario's models must come
+    # out of a run as they went in.
+    sc = load_scenario(_minimal(duration=3.0, events=[
+        {"t": 0.0, "kind": "start_qkd", "tx": "Anna", "rx": "Bob"},
+        {"t": 0.0, "kind": "start_qkd", "tx": "Alice", "rx": "Boris"},
+        {"t": 0.0, "kind": "enable_eve", "channel": "Anna-Bob",
+         "eve": {"kind": "intercept_resend", "fraction": 0.5}},
+        {"t": 0.0, "kind": "enable_eve", "channel": "Alice-Boris",
+         "eve": {"kind": "photon_number_split"}}]))
+    before = pickle.dumps(sc.events)
+    report = run_scenario(sc)
+    assert {r.link_id for r in report.series if r.sifted_bps > 0} == \
+        {"Anna-Bob", "Alice-Boris"}  # both attackers saw traffic
+    assert pickle.dumps(sc.events) == before
 
 
 def test_empty_scenario_produces_empty_report():
@@ -277,11 +310,57 @@ def test_cli_run_csv_format(tmp_path):
     assert csv.splitlines()[0] == ",".join(CSV_COLUMNS)
 
 
-def test_cli_validation_failure_exit_code(tmp_path):
+def test_cli_validation_failure_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"version": 1, "topology": {"preset": "nope"},
                                "duration_s": 1, "seed": 1}))
-    assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 1
+    not_json = tmp_path / "not.json"
+    not_json.write_text('{"version": 1,')
+    out = tmp_path / "o"
+    for path in (bad, tmp_path / "missing.json", not_json):
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 1
+    # Unreadable records: a missing file, a truncated line, and a block
+    # record without a field, as every block record written before the
+    # usable fraction was recorded is.
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(_minimal(duration=15.0, events=[
+        {"t": 0.0, "kind": "start_qkd", "tx": "Anna", "rx": "Bob"}])))
+    assert main(["run", "--scenario", str(good), "--out", str(out),
+                 "--format", "records"]) == 0
+    lines = (out / "metrics.records.jsonl").read_text().splitlines()
+    block = next(i for i, line in enumerate(lines) if '"type": "block"' in line)
+    truncated = tmp_path / "truncated.jsonl"
+    truncated.write_text("\n".join(lines[:-1] + [lines[-1][:-5]]) + "\n")
+    old = json.loads(lines[block])
+    del old["usable_fraction"]
+    missing_field = tmp_path / "missing_field.jsonl"
+    missing_field.write_text("\n".join(
+        lines[:block] + [json.dumps(old)] + lines[block + 1:]) + "\n")
+    capsys.readouterr()
+    for path in (tmp_path / "missing.jsonl", truncated, missing_field):
+        assert main(["verify", "--records", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"line {len(lines)}" in err and f"record {block + 1}" in err
+    assert "usable_fraction" in err and "Traceback" not in err
+
+
+def test_cli_verify_rederives_block_secret_lengths(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["run", "--preset", "cambridge", "--duration", "20", "--out", str(out),
+                 "--format", "records"]) == 0
+    lines = (out / "metrics.records.jsonl").read_text().splitlines()
+    kept = next(i for i, line in enumerate(lines) if '"type": "block"' in line
+                and json.loads(line)["secret_bits"] > 0)
+    for field, edit in (("secret_bits", lambda v: v + 1),
+                        ("usable_fraction", lambda v: v / 2)):
+        record = json.loads(lines[kept])
+        record[field] = edit(record[field])
+        edited = tmp_path / f"{field}.jsonl"
+        edited.write_text("\n".join(
+            lines[:kept] + [json.dumps(record)] + lines[kept + 1:]) + "\n")
+        capsys.readouterr()
+        assert main(["verify", "--records", str(edited)]) == 2
+        assert "leakage budget allows" in capsys.readouterr().out
 
 
 def test_cli_seed_and_duration_overrides(tmp_path):

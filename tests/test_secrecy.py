@@ -14,8 +14,11 @@ from qkdnet.qkdproto import (
     estimate_secret_length,
     multi_photon_fraction,
     privacy_amplify,
+    secret_length,
     toeplitz_matrix,
+    usable_fraction,
 )
+from qkdnet.qkdproto.secrecy import DEFAULT_SECURITY_MARGIN_BITS
 
 
 def _poisson_tail_oracle(mu, threshold):
@@ -87,6 +90,29 @@ def test_estimator_clamps_at_zero():
     est = EntropyEstimator(EstimatorKind.SIMPLE_SHANNON, security_margin_bits=0)
     assert estimate_secret_length(est, 100, 0.5, 0) == 0
     assert estimate_secret_length(est, 100, 0.0, 1000) == 0
+
+
+def test_secret_length_never_exceeds_reconciled_minus_leaked_and_margin():
+    # Whatever the usable fraction, the rule keeps at most the reconciled
+    # bits not leaked, less the margin. Boris's mu = 1 link credits 0.
+    from qkdnet.netgraph import load_preset
+
+    topo = load_preset("cambridge")
+    boris = topo.channel_params(topo.channel_by_id("Alice-Boris"))
+    betas = [1.0, 0.5, 0.0] + [
+        usable_fraction(EntropyEstimator(EstimatorKind.MULTIPHOTON_AWARE, sifting=s), boris)
+        for s in SiftingProtocol]
+    assert all(0.0 <= beta <= 1.0 for beta in betas)
+    margin = DEFAULT_SECURITY_MARGIN_BITS
+    kept = 0
+    for beta in betas:
+        for n in (1, 200, 3686, 29491, 1 << 20):
+            for q in (0.0, 0.001, 0.03, 0.11, 0.5, 0.7):
+                for leaked in (0, 1, n // 10, n // 2, n, 2 * n):
+                    m = secret_length(n, q, leaked, beta)
+                    assert 0 <= m and m <= max(0, n - leaked - margin)
+                    kept += m > 0
+    assert kept > 0  # non-vacuous: some grid points yield key
 
 
 def test_sarg_yield_dominates_bb84_under_pns_attack():
