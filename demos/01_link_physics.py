@@ -52,10 +52,11 @@ lossy = pl.LinkParams(mean_photon_number=0.5, channel_loss_db=10.0,
 eve = pl.EveModel.photon_number_split()
 record = pl.transmit_frame(lossy, phase, eve, frame, rng_seed=5)
 alice, bob, _ = sift_bb84(frame, record)
-print(f"  multi-photon pulses: {eve.tally.multi_photon_emissions:,}, "
-      f"bits learned by the attacker: {eve.tally.learned_bits:,}")
+tally = record.eve_tally
+print(f"  multi-photon pulses: {tally.multi_photon_emissions:,}, "
+      f"bits learned by the attacker: {tally.learned_bits:,}")
 print(f"  singles she suppressed inside her loss budget: "
-      f"{eve.tally.suppressed_singles:,}")
+      f"{tally.suppressed_singles:,}")
 print(f"  induced QBER: {float(np.mean(alice != bob)) if alice.size else 0.0:.4f} "
       f"(she hides in the channel loss)")
 

@@ -100,8 +100,8 @@ def _cmd_verify(args) -> int:
         for p in problems:
             print(f"FAIL {p}")
         return EXIT_INVARIANT
-    print("ok: one-time-pad uniqueness, reservoir conservation, "
-          "purpose separation, switch key isolation, block secret lengths")
+    print("ok: one-time-pad uniqueness (disjoint draws, so purpose separation), "
+          "reservoir conservation, switch key isolation, block secret lengths")
     return EXIT_OK
 
 

@@ -37,7 +37,6 @@ from .physlink import (
     DetectionRecord,
     EveKind,
     EveModel,
-    EveTally,
     LinkParams,
     PhaseState,
     PulseFrame,
@@ -296,10 +295,7 @@ class Engine:
         elif kind is EventKind.ENABLE_EVE:
             session = self._session(ev.args["channel"])
             eve = ev.args["eve"]
-            # The attacker's tally is run state: count it on the engine's
-            # own copy, never on the scenario's model.
-            session.eve = (None if eve.kind is EveKind.NONE
-                           else replace(eve, tally=EveTally()))
+            session.eve = None if eve.kind is EveKind.NONE else eve
         elif kind is EventKind.SWITCH_TOGGLE:
             sid = ev.args["switch"]
             sw = self.switches[sid]
@@ -401,7 +397,7 @@ class Engine:
         session.drift_to(now)
 
         round_slots = int(_ROUND_DURATION_S * params.pulse_rate_hz)
-        training_cost = 0
+        training_cost = training_clicks = 0
         # A pending probe correction is evaluated on the very next round;
         # leaving it to the regular cadence would hold a possibly wrong
         # correction through many blocks. Fresh sessions also train every
@@ -409,7 +405,8 @@ class Engine:
         if (now - session.last_training_t >= _TRAINING_INTERVAL_S
                 or session.phase.probe_correction is not None
                 or session.tuning):
-            training_cost = self._run_training(session, now)
+            training_cost = session.training_slots
+            training_clicks = self._run_training(session, now)
 
         data_slots = max(0, round_slots - training_cost)
         if session.is_cut() or not session.connected(now):
@@ -417,7 +414,7 @@ class Engine:
             self.health.report_clicks(channel_id, 0, now)
         else:
             tx_basis, tx_value, record = self._sample_data(session, data_slots)
-            self.health.report_clicks(channel_id, record.n_events, now)
+            self.health.report_clicks(channel_id, training_clicks + record.n_events, now)
             if session.sifting is SiftingProtocol.SARG:
                 alice, bob, _ = sift_sarg_events(
                     tx_basis, tx_value, record, announce_seed=session.rng_announce)
@@ -438,11 +435,11 @@ class Engine:
         self._push(now + _ROUND_DURATION_S, _P_ROUND, "round", (channel_id, token))
 
     def _run_training(self, session: _Session, now: float) -> int:
-        """One training frame: publicly known bits drive a feedback step."""
+        """One training frame, whose public bits drive a feedback step; returns its clicks."""
         session.last_training_t = now
         params = session.params
         if session.is_cut() or not session.connected(now):
-            return session.training_slots
+            return 0
         # The PNS attacker neither disturbs training statistics nor is
         # supported by the window sampler; training skips her.
         eve = session.eve
@@ -459,14 +456,17 @@ class Engine:
                     session.phase, min(q, 0.5),
                     intrinsic_error=session.error_floor,
                     deadband=_FEEDBACK_DEADBAND)
-                if session.tuning:
-                    session.tuning_rounds += 1
-                    settled = (new_phase is session.phase
-                               and new_phase.probe_correction is None)
-                    if settled or session.tuning_rounds > 40:
-                        session.tuning = False
-                session.phase = new_phase
-        return session.training_slots
+            else:
+                # No phase verdict at this QBER: keep a pending probe's correction.
+                new_phase = replace(session.phase, probe_correction=None)
+            if session.tuning:
+                session.tuning_rounds += 1
+                settled = (new_phase is session.phase
+                           and new_phase.probe_correction is None)
+                if settled or session.tuning_rounds > 40:
+                    session.tuning = False
+            session.phase = new_phase
+        return record.n_events
 
     def _sample_data(self, session: _Session, n_slots: int):
         params = session.params

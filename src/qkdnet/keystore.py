@@ -39,7 +39,7 @@ def pair_key(a: str, b: str) -> Tuple[str, str]:
     return (a, b) if a < b else (b, a)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AuditRecord:
     time_s: float
     pair: Tuple[str, str]
@@ -50,21 +50,6 @@ class AuditRecord:
     origin: Optional[str] = None
     segment_id: Optional[str] = None
     consumer: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "time_s": self.time_s, "pair": list(self.pair), "kind": self.kind,
-            "offset_start": self.offset_start, "offset_end": self.offset_end,
-            "purpose": self.purpose, "origin": self.origin,
-            "segment_id": self.segment_id, "consumer": self.consumer,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AuditRecord":
-        return cls(time_s=d["time_s"], pair=tuple(d["pair"]), kind=d["kind"],
-                   offset_start=d["offset_start"], offset_end=d["offset_end"],
-                   purpose=d.get("purpose"), origin=d.get("origin"),
-                   segment_id=d.get("segment_id"), consumer=d.get("consumer", ""))
 
 
 @dataclass
@@ -209,9 +194,9 @@ class KeyStore:
 def scan_one_time_use(audit: List[AuditRecord]) -> List[str]:
     """Audit-scan for double-spend: consume ranges must be disjoint per pair.
 
-    Returns a list of human-readable violations (empty when clean). Also
-    checks that authentication and one-time-pad draws never share offsets,
-    which FIFO consumption guarantees structurally.
+    Returns a list of human-readable violations (empty when clean). Draws
+    of every purpose are checked together, so disjoint consume ranges also
+    mean that authentication and one-time-pad draws never share a bit.
     """
     problems = []
     by_pair: Dict[Tuple[str, str], List[AuditRecord]] = {}

@@ -17,7 +17,7 @@ Two sampling paths produce detection events under the same per-slot law:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -134,8 +134,9 @@ class PulseFrame:
 class DetectionRecord:
     """Receiver-side click record for one frame.
 
-    ``is_dark`` is simulator-internal ground truth and must never be read by
-    protocol layers (sifting sees only slot, basis, value).
+    ``is_dark`` and ``eve_tally`` (set by :func:`transmit_frame` only) are
+    simulator-internal ground truth and must never be read by protocol
+    layers (sifting sees only slot, basis, value).
     """
 
     frame_id: str
@@ -143,6 +144,7 @@ class DetectionRecord:
     rx_basis: np.ndarray
     rx_value: np.ndarray
     is_dark: np.ndarray
+    eve_tally: Optional["EveTally"] = None
 
     def __post_init__(self):
         object.__setattr__(self, "slot_index", np.asarray(self.slot_index, dtype=np.int64))
@@ -174,32 +176,26 @@ class EveKind(Enum):
     PHOTON_NUMBER_SPLIT = "photon_number_split"
 
 
-@dataclass
+@dataclass(frozen=True)
 class EveTally:
-    """Per-transmission attacker accounting, reset on every frame."""
+    """What the attacker achieved on one :func:`transmit_frame` call."""
 
     learned_bits: int = 0
     multi_photon_emissions: int = 0
     suppressed_singles: int = 0
 
-    def reset(self):
-        self.learned_bits = 0
-        self.multi_photon_emissions = 0
-        self.suppressed_singles = 0
 
-
-@dataclass
+@dataclass(frozen=True)
 class EveModel:
     """Eavesdropper configuration attached to a link.
 
     ``intercept_fraction`` applies to the intercept-resend attacker only.
-    The tally is refreshed by each :func:`transmit_frame` call so tests can
-    read what the attacker achieved on that frame.
+    What the attacker achieved on a frame is ``record.eve_tally`` of that
+    frame's :func:`transmit_frame` record.
     """
 
     kind: EveKind = EveKind.NONE
     intercept_fraction: float = 1.0
-    tally: EveTally = field(default_factory=EveTally)
 
     def __post_init__(self):
         if not 0.0 <= self.intercept_fraction <= 1.0:
@@ -296,8 +292,7 @@ def sifted_error_floor(params: LinkParams) -> float:
     return (params.intrinsic_error * p_signal_event + 0.5 * p_dark_event) / total
 
 
-def _pns_channel(photons: np.ndarray, transmittance: float,
-                 rng: np.random.Generator, tally: EveTally) -> np.ndarray:
+def _pns_channel(photons: np.ndarray, transmittance: float) -> np.ndarray:
     """Photon-number-splitting attacker standing in for the lossy channel.
 
     She replaces the fiber with a lossless one and removes photons herself,
@@ -317,12 +312,6 @@ def _pns_channel(photons: np.ndarray, transmittance: float,
         taken = min(n, int(budget))
         budget -= taken
         delivered[i] = n - taken
-        if n >= 2:
-            tally.multi_photon_emissions += 1
-            if taken:
-                tally.learned_bits += 1
-        elif taken:
-            tally.suppressed_singles += 1
     return delivered
 
 
@@ -341,28 +330,30 @@ def transmit_frame(params: LinkParams, phase: PhaseState, eve: Optional[EveModel
         raise FrameTooLargeError(
             f"frame has {n} slots, exceeding the per-frame maximum of {max_slots}")
     rng = np.random.default_rng(rng_seed)
-    eve = eve if eve is not None else EveModel.none()
-    eve.tally.reset()
+    kind = eve.kind if eve is not None else EveKind.NONE
     transmittance = params.total_transmittance
 
     photons = rng.poisson(params.mean_photon_number, size=n)
-    pulse_basis = frame.basis.copy()
-    pulse_value = frame.value.copy()
+    multi = photons >= 2
+    pulse_basis = frame.basis
+    pulse_value = frame.value
 
-    if eve.kind is EveKind.INTERCEPT_RESEND:
+    if kind is EveKind.INTERCEPT_RESEND:
         hit = (rng.random(n) < eve.intercept_fraction) & (photons > 0)
         eve_basis = random_bits(rng, n)
         eve_guess = random_bits(rng, n)
         eve_value = np.where(eve_basis == pulse_basis, pulse_value, eve_guess)
         pulse_basis = np.where(hit, eve_basis, pulse_basis).astype(np.uint8)
         pulse_value = np.where(hit, eve_value, pulse_value).astype(np.uint8)
-        eve.tally.multi_photon_emissions = int(np.count_nonzero(photons >= 2))
-        arriving = rng.binomial(photons, transmittance)
-    elif eve.kind is EveKind.PHOTON_NUMBER_SPLIT:
-        arriving = _pns_channel(photons, transmittance, rng, eve.tally)
+    if kind is EveKind.PHOTON_NUMBER_SPLIT:
+        arriving = _pns_channel(photons, transmittance)
+        taken = arriving < photons
+        tally = EveTally(learned_bits=int(np.count_nonzero(taken & multi)),
+                         multi_photon_emissions=int(np.count_nonzero(multi)),
+                         suppressed_singles=int(np.count_nonzero(taken & ~multi)))
     else:
-        eve.tally.multi_photon_emissions = int(np.count_nonzero(photons >= 2))
         arriving = rng.binomial(photons, transmittance)
+        tally = EveTally(multi_photon_emissions=int(np.count_nonzero(multi)))
 
     eta = params.detector_efficiency
     sig_click = rng.random(n) < -np.expm1(np.log1p(-eta) * arriving) if eta < 1.0 \
@@ -403,6 +394,7 @@ def transmit_frame(params: LinkParams, phase: PhaseState, eve: Optional[EveModel
         rx_basis=rx_basis[events],
         rx_value=np.where(fired1[events], 1, 0).astype(np.uint8),
         is_dark=~sig_click[events],
+        eve_tally=tally,
     )
 
 

@@ -14,9 +14,9 @@ re-checks the cross-module invariants from the records alone.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 from .errors import InvariantViolation, ValidationError
 from .keystore import AuditRecord, scan_one_time_use
@@ -77,6 +77,57 @@ class SwitchEvent:
     position: str
 
 
+def _json_types(hint) -> tuple:
+    """The JSON value types a field annotated ``hint`` accepts; a bool is no number."""
+    if type(None) in get_args(hint):
+        return _json_types(get_args(hint)[0]) + (type(None),)
+    if get_origin(hint) is tuple:
+        return (list,)
+    return (int, float) if hint is float else (hint,)
+
+
+class _Codec:
+    """One record type's fields and their JSON types: a row class's
+    annotations, or the given ones for a row kept as a dict."""
+
+    def __init__(self, row_type=None, **hints):
+        hints = hints or get_type_hints(row_type)
+        self.row_type = row_type
+        self.names = tuple(hints)
+        self.keys = {"type", *hints}
+        self.types = tuple(map(_json_types, hints.values()))
+
+    def decode(self, i: int, record: dict):
+        """The ``i``-th record's row; a missing, unknown or wrong-typed field raises."""
+        if record.keys() != self.keys:
+            raise ValidationError(f"record {i}: missing or unknown fields "
+                                  f"{sorted(record.keys() ^ self.keys)}")
+        values = [record[name] for name in self.names]
+        for j, value in enumerate(values):
+            ok = type(value) in self.types[j]
+            if ok and type(value) is list:
+                ok = all(type(item) is str for item in value)
+                values[j] = tuple(value)
+            if not ok:
+                wanted = " or ".join(t.__name__ for t in self.types[j])
+                raise ValidationError(f"record {i}: {self.names[j]} must be {wanted}, got {value!r}")
+        return self.row_type(*values) if self.row_type else dict(zip(self.names, values))
+
+
+_META = _Codec(scenario_name=str, seed=int, duration_s=float)
+# Each record tag after ``meta``, in stream order, with the report field its
+# rows fill. ``health`` and ``reservoir`` rows stay dicts.
+_ROWS = {
+    "series": ("series", _Codec(SeriesRow)),
+    "block": ("blocks", _Codec(BlockRecord)),
+    "relay": ("relay_sessions", _Codec(RelayOutcome)),
+    "health": ("health_log", _Codec(time_s=float, channel_id=str, old=str, new=str, cause=str)),
+    "switch": ("switch_events", _Codec(SwitchEvent)),
+    "audit": ("audit", _Codec(AuditRecord)),
+}
+_RESERVOIR = _Codec(pair=str, deposited=int, consumed=int, available=int)
+
+
 @dataclass
 class MetricsReport:
     scenario_name: str
@@ -123,60 +174,36 @@ class MetricsReport:
     # -- structured records ----------------------------------------------------
 
     def to_records(self) -> List[dict]:
-        records: List[dict] = [{
-            "type": "meta", "scenario_name": self.scenario_name,
-            "seed": self.seed, "duration_s": self.duration_s,
-        }]
-        records += [{"type": "series", **asdict(r)} for r in self.series]
-        records += [{"type": "block", **asdict(b)} for b in self.blocks]
-        for r in self.relay_sessions:
-            d = asdict(r)
-            d["path"] = list(r.path)
-            records.append({"type": "relay", **d})
-        records += [{"type": "health", **h} for h in self.health_log]
-        records += [{"type": "switch", **asdict(s)} for s in self.switch_events]
-        records += [{"type": "audit", **a.to_dict()} for a in self.audit]
+        records = [{"type": "meta", **{name: getattr(self, name) for name in _META.names}}]
+        for tag, (attr, codec) in _ROWS.items():
+            records += [{"type": tag, **(vars(row) if codec.row_type else row)}
+                        for row in getattr(self, attr)]
         for pair, snap in sorted(self.final_reservoirs.items()):
             records.append({"type": "reservoir", "pair": pair, **snap})
         return records
 
     @classmethod
     def from_records(cls, records: List[dict]) -> "MetricsReport":
-        """Rebuild a report. A record that is not an object, or lacks a
-        field its type needs, raises ValidationError naming its 1-based
-        position in ``records``."""
+        """Rebuild a report. A record that is not an object, or whose fields
+        are not exactly its type's with values of their JSON types, raises
+        ValidationError naming its 1-based position in ``records``."""
         i, meta = next(((i, r) for i, r in enumerate(records, 1)
                         if isinstance(r, dict) and r.get("type") == "meta"), (0, None))
         if meta is None:
             raise ValidationError("records stream has no meta record")
-        try:
-            report = cls(scenario_name=meta["scenario_name"], seed=meta["seed"],
-                         duration_s=meta["duration_s"])
-            for i, r in enumerate(records, 1):
-                kind = r["type"]
-                body = {k: v for k, v in r.items() if k != "type"}
-                if kind == "series":
-                    report.series.append(SeriesRow(**body))
-                elif kind == "block":
-                    report.blocks.append(BlockRecord(**body))
-                elif kind == "relay":
-                    body["path"] = tuple(body["path"])
-                    report.relay_sessions.append(RelayOutcome(**body))
-                elif kind == "health":
-                    report.health_log.append(body)
-                elif kind == "switch":
-                    report.switch_events.append(SwitchEvent(**body))
-                elif kind == "audit":
-                    report.audit.append(AuditRecord.from_dict(body))
-                elif kind == "reservoir":
-                    pair = body.pop("pair")
-                    report.final_reservoirs[pair] = body
-                elif kind != "meta":
-                    raise ValidationError(f"record {i}: unknown record type {kind!r}")
-        except KeyError as exc:
-            raise ValidationError(f"record {i}: missing field {exc}") from exc
-        except TypeError as exc:
-            raise ValidationError(f"record {i}: {exc}") from exc
+        report = cls(**_META.decode(i, meta))
+        for i, r in enumerate(records, 1):
+            if not isinstance(r, dict):
+                raise ValidationError(f"record {i}: not an object")
+            kind = r.get("type")
+            if kind in _ROWS:
+                attr, codec = _ROWS[kind]
+                getattr(report, attr).append(codec.decode(i, r))
+            elif kind == "reservoir":
+                snap = _RESERVOIR.decode(i, r)
+                report.final_reservoirs[snap.pop("pair")] = snap
+            elif kind != "meta":
+                raise ValidationError(f"record {i}: unknown record type {kind!r}")
         return report
 
     def __eq__(self, other) -> bool:
@@ -231,9 +258,9 @@ def read_records(path: Union[str, Path]) -> MetricsReport:
 def verify_report(report: MetricsReport) -> List[str]:
     """Re-check audited invariants from the emitted records.
 
-    Covers one-time-pad uniqueness, purpose separation, per-pair reservoir
-    conservation, key-block isolation across switch events, and each
-    block's secret length.
+    Covers one-time-pad uniqueness (which implies purpose separation),
+    per-pair reservoir conservation, key-block isolation across switch
+    events, and each block's secret length.
     """
     problems = list(scan_one_time_use(report.audit))
 
@@ -259,18 +286,6 @@ def verify_report(report: MetricsReport) -> List[str]:
     for pair in set(deposited) | set(consumed):
         if pair not in report.final_reservoirs:
             problems.append(f"pair {pair}: audit records but no final snapshot")
-
-    # Purpose separation: authentication and one-time-pad draws disjoint.
-    draws: Dict[str, List[Tuple[int, int, str]]] = {}
-    for rec in report.audit:
-        if rec.kind == "consume" and rec.purpose:
-            draws.setdefault("|".join(rec.pair), []).append(
-                (rec.offset_start, rec.offset_end, rec.purpose))
-    for pair, ranges in draws.items():
-        ranges.sort()
-        for (s1, e1, p1), (s2, e2, p2) in zip(ranges, ranges[1:]):
-            if s2 < e1 and p1 != p2:
-                problems.append(f"pair {pair}: {p1} and {p2} draws overlap at {s2}")
 
     # Key isolation: no block spans a reconfiguration of its own switch.
     toggles = [(s.time_s, s.switch_id) for s in report.switch_events]

@@ -13,7 +13,8 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Union
+from types import MappingProxyType
+from typing import Mapping, Tuple, Union
 
 from .errors import ValidationError
 from .netgraph import Topology, load_preset, load_topology
@@ -37,7 +38,7 @@ class EventKind(Enum):
 class ScenarioEvent:
     time_s: float
     kind: EventKind
-    args: Dict[str, object] = field(default_factory=dict)
+    args: Mapping[str, object]  # read-only: load_scenario wraps a fresh dict
 
 
 # Each knob's admissible type and minimum: a negative delay would schedule
@@ -69,12 +70,12 @@ class EngineKnobs:
                     f"engine: {name} must be {kind} >= {minimum}, got {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     topology: Topology
     duration_s: float
     seed: int
-    events: List[ScenarioEvent] = field(default_factory=list)
+    events: Tuple[ScenarioEvent, ...] = ()
     knobs: EngineKnobs = field(default_factory=EngineKnobs)
     name: str = ""
 
@@ -90,13 +91,13 @@ class Scenario:
 
 
 _EVENT_FIELDS = {
-    EventKind.START_QKD: ({"tx", "rx"}, set()),
-    EventKind.RELAY_REQUEST: ({"src", "dst", "bits"}, set()),
-    EventKind.CUT_LINK: ({"link"}, set()),
-    EventKind.RESTORE_LINK: ({"link"}, set()),
-    EventKind.ENABLE_EVE: ({"channel", "eve"}, set()),
-    EventKind.SWITCH_TOGGLE: ({"switch"}, set()),
-    EventKind.SET_SIFTING: ({"channel", "protocol"}, set()),
+    EventKind.START_QKD: {"tx", "rx"},
+    EventKind.RELAY_REQUEST: {"src", "dst", "bits"},
+    EventKind.CUT_LINK: {"link"},
+    EventKind.RESTORE_LINK: {"link"},
+    EventKind.ENABLE_EVE: {"channel", "eve"},
+    EventKind.SWITCH_TOGGLE: {"switch"},
+    EventKind.SET_SIFTING: {"channel", "protocol"},
 }
 
 
@@ -172,7 +173,7 @@ def load_scenario(config: Union[str, dict]) -> Scenario:
             kind = EventKind(raw["kind"])
         except ValueError as exc:
             raise ValidationError(f"{where}: unknown event kind {raw['kind']!r}") from exc
-        required, _ = _EVENT_FIELDS[kind]
+        required = _EVENT_FIELDS[kind]
         present = set(raw) - {"t", "kind"}
         if present != required:
             raise ValidationError(
@@ -191,7 +192,8 @@ def load_scenario(config: Union[str, dict]) -> Scenario:
                 raise ValidationError(
                     f"{where}: bits must be an integer in [1, {_MAX_RELAY_BITS}], "
                     f"got {bits!r}")
-        events.append(ScenarioEvent(_finite_number(raw["t"], where, "t"), kind, args))
+        events.append(ScenarioEvent(_finite_number(raw["t"], where, "t"), kind,
+                                    MappingProxyType(args)))
 
     seed = config["seed"]
     if type(seed) is not int:
@@ -200,7 +202,7 @@ def load_scenario(config: Union[str, dict]) -> Scenario:
         topology=topology,
         duration_s=_finite_number(config["duration_s"], "scenario", "duration_s"),
         seed=seed,
-        events=events,
+        events=tuple(events),
         knobs=knobs,
         name=config.get("name", ""),
     )

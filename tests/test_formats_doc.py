@@ -1,11 +1,13 @@
-"""docs/formats.md names exactly the settable fields the parsers accept."""
+"""docs/formats.md names exactly the settable fields the parsers accept and
+the fields of every record row type."""
 
 import dataclasses
 import re
 from pathlib import Path
 
 from qkdnet.netgraph import _LINK_PARAM_FIELDS
-from qkdnet.report import BlockRecord
+from qkdnet.keystore import AuditRecord
+from qkdnet.report import BlockRecord, RelayOutcome, SeriesRow, SwitchEvent
 from qkdnet.scenario import EngineKnobs
 
 FORMATS = Path(__file__).resolve().parent.parent / "docs" / "formats.md"
@@ -30,5 +32,7 @@ def test_documented_link_params_are_the_parsed_fields():
 
 
 def test_documented_block_fields_are_the_record_fields():
-    listed = _bullet("`block`").split(":", 1)[1].split(".", 1)[0]
-    assert re.findall(r"`(\w+)`", listed) == [f.name for f in dataclasses.fields(BlockRecord)]
+    for tag, row in (("series", SeriesRow), ("block", BlockRecord), ("relay", RelayOutcome),
+                     ("switch", SwitchEvent), ("audit", AuditRecord)):
+        listed = _bullet(f"`{tag}`").split(":", 1)[1].split(".", 1)[0]
+        assert re.findall(r"`(\w+)`", listed) == [f.name for f in dataclasses.fields(row)], tag

@@ -157,7 +157,7 @@ def test_pns_invariants():
     eve = pl.EveModel.photon_number_split()
     frame = pl.PulseFrame.random("f", 200_000, np.random.default_rng(12))
     record = pl.transmit_frame(params, PHASE0, eve, frame, rng_seed=13)
-    assert 0 < eve.tally.learned_bits <= eve.tally.multi_photon_emissions
+    assert 0 < record.eve_tally.learned_bits <= record.eve_tally.multi_photon_emissions
     alice, bob, _ = sift_bb84(frame, record)
     assert alice.size > 0
     assert np.array_equal(alice, bob)  # zero induced error
@@ -178,9 +178,42 @@ def test_pns_creates_no_anomalous_loss(loss_db):
 def test_pns_cannot_act_without_loss_budget():
     eve = pl.EveModel.photon_number_split()
     frame = pl.PulseFrame.random("f", 50_000, np.random.default_rng(14))
-    pl.transmit_frame(_params(), PHASE0, eve, frame, rng_seed=15)
-    assert eve.tally.learned_bits == 0
-    assert eve.tally.suppressed_singles == 0
+    record = pl.transmit_frame(_params(), PHASE0, eve, frame, rng_seed=15)
+    assert record.eve_tally.learned_bits == 0
+    assert record.eve_tally.suppressed_singles == 0
+
+
+def _pns_tally_oracle(photons: np.ndarray, transmittance: float) -> pl.EveTally:
+    """The PNS attacker's accounting counted pulse by pulse inside her loss
+    loop, as the vectorized tally replaced it (a declared test oracle)."""
+    learned = multi = suppressed = 0
+    budget = 0.0
+    for n in photons[photons > 0]:
+        n = int(n)
+        budget += n * (1.0 - transmittance)
+        taken = min(n, int(budget))
+        budget -= taken
+        if n >= 2:
+            multi += 1
+            if taken:
+                learned += 1
+        elif taken:
+            suppressed += 1
+    return pl.EveTally(learned, multi, suppressed)
+
+
+@pytest.mark.parametrize("loss_db", [0.0, 0.5, 3.0, 10.0, 30.0])
+def test_pns_tally_matches_loop_oracle(loss_db):
+    params = _params(mean_photon_number=0.8, channel_loss_db=loss_db)
+    eve = pl.EveModel.photon_number_split()
+    for seed in range(4):
+        frame = pl.PulseFrame.random("f", 20_000, np.random.default_rng(100 + seed))
+        record = pl.transmit_frame(params, PHASE0, eve, frame, rng_seed=seed)
+        # The photon numbers are the frame's first draw from its seed.
+        photons = np.random.default_rng(seed).poisson(0.8, size=frame.n_slots)
+        assert record.eve_tally == _pns_tally_oracle(photons, params.total_transmittance)
+    again = pl.transmit_frame(params, PHASE0, eve, frame, rng_seed=seed)
+    assert again.eve_tally == record.eve_tally
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import math
 import pickle
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ from qkdnet import engine as engine_module
 from qkdnet.cli import main
 from qkdnet.engine import RELAY_RESERVE_BITS, Engine, run_scenario
 from qkdnet.errors import InvariantViolation, ValidationError
-from qkdnet.keyrelay import hop_need
-from qkdnet.physlink import sifted_error_floor
+from qkdnet.keyrelay import QBER_THRESHOLD, hop_need
+from qkdnet.keystore import AuditRecord
+from qkdnet.physlink import EveModel, sifted_error_floor
 from qkdnet.report import CSV_COLUMNS, MetricsReport, read_records, verify_report
-from qkdnet.scenario import EngineKnobs, default_preset_scenario, load_scenario
+from qkdnet.scenario import EngineKnobs, EventKind, default_preset_scenario, load_scenario
 
 
 def _minimal(duration=1.0, events=(), **engine):
@@ -178,20 +180,47 @@ def test_engine_refuses_to_amplify_diverged_keys(monkeypatch):
 
 
 def test_run_leaves_attacker_models_untouched():
-    # The attackers' tallies are run state; the scenario's models must come
-    # out of a run as they went in.
+    # One event of each kind; their arguments, attacker models included,
+    # must come out of a run as they went in.
     sc = load_scenario(_minimal(duration=3.0, events=[
         {"t": 0.0, "kind": "start_qkd", "tx": "Anna", "rx": "Bob"},
         {"t": 0.0, "kind": "start_qkd", "tx": "Alice", "rx": "Boris"},
         {"t": 0.0, "kind": "enable_eve", "channel": "Anna-Bob",
          "eve": {"kind": "intercept_resend", "fraction": 0.5}},
         {"t": 0.0, "kind": "enable_eve", "channel": "Alice-Boris",
-         "eve": {"kind": "photon_number_split"}}]))
-    before = pickle.dumps(sc.events)
+         "eve": {"kind": "photon_number_split"}},
+        {"t": 1.0, "kind": "relay_request", "src": "Anna", "dst": "Bob", "bits": 256},
+        {"t": 1.5, "kind": "set_sifting", "channel": "Anna-Bob", "protocol": "sarg"},
+        {"t": 2.0, "kind": "cut_link", "link": "anna-sw"},
+        {"t": 2.5, "kind": "restore_link", "link": "anna-sw"},
+        {"t": 2.5, "kind": "switch_toggle", "switch": "sw"}]))
+    assert {e.kind for e in sc.events} == set(EventKind)
+
+    def snapshot():
+        return pickle.dumps([(e.time_s, e.kind, dict(e.args)) for e in sc.events])
+
+    before = snapshot()
     report = run_scenario(sc)
     assert {r.link_id for r in report.series if r.sifted_bps > 0} == \
         {"Anna-Bob", "Alice-Boris"}  # both attackers saw traffic
-    assert pickle.dumps(sc.events) == before
+    assert snapshot() == before
+
+
+def test_scenario_and_recorded_rows_are_frozen():
+    sc = load_scenario(_minimal(duration=3.0, events=[
+        {"t": 0.0, "kind": "start_qkd", "tx": "Anna", "rx": "Bob"}]))
+    eve = EveModel.intercept_resend(0.5)
+    record = AuditRecord(time_s=0.0, pair=("Anna", "Bob"), kind="deposit",
+                         offset_start=0, offset_end=8)
+    with pytest.raises(FrozenInstanceError):
+        sc.duration_s = 4.0
+    with pytest.raises(TypeError):
+        sc.events[0].args["tx"] = "Alice"
+    with pytest.raises(FrozenInstanceError):
+        eve.intercept_fraction = 1.0
+    with pytest.raises(FrozenInstanceError):
+        record.offset_end = 16
+    assert isinstance(sc.events, tuple)
 
 
 def test_empty_scenario_produces_empty_report():
@@ -324,7 +353,8 @@ def test_cli_validation_failure_exit_code(tmp_path, capsys):
     # usable fraction was recorded is.
     good = tmp_path / "good.json"
     good.write_text(json.dumps(_minimal(duration=15.0, events=[
-        {"t": 0.0, "kind": "start_qkd", "tx": "Anna", "rx": "Bob"}])))
+        {"t": 0.0, "kind": "start_qkd", "tx": "Anna", "rx": "Bob"},
+        {"t": 1.0, "kind": "relay_request", "src": "Anna", "dst": "Bob", "bits": 256}])))
     assert main(["run", "--scenario", str(good), "--out", str(out),
                  "--format", "records"]) == 0
     lines = (out / "metrics.records.jsonl").read_text().splitlines()
@@ -342,6 +372,19 @@ def test_cli_validation_failure_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"line {len(lines)}" in err and f"record {block + 1}" in err
     assert "usable_fraction" in err and "Traceback" not in err
+    # Wrong-typed values are unreadable records too, not a crash in verify.
+    for kind, field, value in (("block", "qber", "0.03"), ("audit", "offset_start", "5"),
+                               ("relay", "path", 7), ("block", "discarded", "no"),
+                               ("audit", "pair", ["Anna", 5]), ("block", "sifted_bits", True)):
+        at = next(i for i, line in enumerate(lines) if f'"type": "{kind}"' in line)
+        record = json.loads(lines[at])
+        record[field] = value
+        edited = tmp_path / f"{kind}_{field}.jsonl"
+        edited.write_text("\n".join(
+            lines[:at] + [json.dumps(record)] + lines[at + 1:]) + "\n")
+        assert main(["verify", "--records", str(edited)]) == 1
+        err = capsys.readouterr().err
+        assert f"record {at + 1}: {field} must be" in err and "Traceback" not in err
 
 
 def test_cli_verify_rederives_block_secret_lengths(tmp_path, capsys):
@@ -361,6 +404,38 @@ def test_cli_verify_rederives_block_secret_lengths(tmp_path, capsys):
         capsys.readouterr()
         assert main(["verify", "--records", str(edited)]) == 2
         assert "leakage budget allows" in capsys.readouterr().out
+
+
+def test_cli_verify_flags_authentication_draw_over_one_time_pad(tmp_path, capsys):
+    # Disjoint consume ranges are the whole purpose-separation check: an
+    # authentication draw over one-time-pad bits is a reused range.
+    pair = ("Anna", "Bob")
+    report = MetricsReport(scenario_name="t", seed=1, duration_s=1.0, audit=[
+        AuditRecord(0.0, pair, "deposit", 0, 328, origin="prepositioned",
+                    segment_id="s"),
+        AuditRecord(0.5, pair, "consume", 0, 200, purpose="one_time_pad"),
+        AuditRecord(0.5, pair, "consume", 100, 228, purpose="authentication")],
+        final_reservoirs={"Anna|Bob": {"deposited": 328, "consumed": 328, "available": 0}})
+    report.write(tmp_path, fmt="records")
+    assert main(["verify", "--records", str(tmp_path / "metrics.records.jsonl")]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL pair ('Anna', 'Bob'): consume ranges overlap at offset 100"]
+
+
+def test_attack_from_start_reads_as_attack_not_cut():
+    # Intercept-resend from t = 0: every training reading is above the
+    # panic level, yet training must end and key blocks flow, so health
+    # sees the attack's QBER instead of a silent channel.
+    report = run_scenario(load_scenario(_minimal(duration=60.0, events=[
+        {"t": 0.0, "kind": "start_qkd", "tx": "Anna", "rx": "Bob"},
+        {"t": 0.0, "kind": "start_qkd", "tx": "Alice", "rx": "Boris"},
+        {"t": 0.0, "kind": "enable_eve", "channel": "Alice-Boris",
+         "eve": {"kind": "intercept_resend", "fraction": 1.0}}])))
+    blocks = [b for b in report.blocks if b.channel_id == "Alice-Boris"]
+    assert len(blocks) >= 3
+    assert report.mean_qber("Alice-Boris") > QBER_THRESHOLD
+    states = [h["new"] for h in report.health_log if h["channel_id"] == "Alice-Boris"]
+    assert "degraded" in states and "cut" not in states
 
 
 def test_cli_seed_and_duration_overrides(tmp_path):
