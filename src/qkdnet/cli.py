@@ -6,6 +6,9 @@
     qkdnet presets
     qkdnet budget --preset cambridge --path anna-sw,sw-boris
 
+``budget --path`` takes one strand's link id, or the two leg link ids of a
+switched channel in either order.
+
 Exit codes: 0 success, 1 validation failure, 2 runtime invariant violation.
 """
 
@@ -53,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--preset", help="built-in preset name")
     group.add_argument("--topology", type=Path, help="topology JSON file")
     budget_p.add_argument("--path", required=True,
-                          help="link id, or two comma-separated link ids meeting at a switch")
+                          help="link id, or a switched channel's two leg link ids, comma-separated")
     return parser
 
 

@@ -34,11 +34,9 @@ from .keyrelay import HealthMonitor, RelayCoordinator, RelayStatus
 from .keystore import ConsumePurpose, KeyOrigin, KeyStore, pair_key
 from .netgraph import QkdChannel, Topology
 from .physlink import (
-    DetectionRecord,
     EveKind,
     EveModel,
     LinkParams,
-    PhaseState,
     PulseFrame,
     advance_phase,
     apply_training_feedback,
@@ -99,28 +97,25 @@ class _Session:
         self.engine = engine
         self.channel = channel
         self.pair = channel.pair
-        topo = engine.topology
-        self.params: LinkParams = topo.channel_params(channel)
-        self.sifting: SiftingProtocol = topo.channel_sifting(channel)
-        self.estimator_kind = topo.channel_estimator_kind(channel)
-        drift, gain = topo.channel_phase_dynamics(channel)
+        self.params: LinkParams = channel.params
+        self.sifting: SiftingProtocol = channel.sifting
         seed = engine.scenario.seed
         cid = channel.channel_id
         init_phase = float(derive_rng(seed, "phase0", cid).uniform(-math.pi, math.pi))
-        self.phase = PhaseState(phase_error_rad=init_phase,
-                                drift_rate_rad_per_s=drift, feedback_gain=gain)
+        self.phase = replace(channel.phase, phase_error_rad=init_phase)
         self.eve: Optional[EveModel] = None
         self.error_floor = sifted_error_floor(self.params)
         # Training frames sized so each one yields roughly the target
         # number of matched-basis bits on this particular channel, but
-        # never longer than one round's slot budget.
+        # never longer than one round's slot budget, nor shorter than one
+        # slot: an empty frame would realign in no time, for ever.
         p_click = click_probability(self.params)
         if p_click > 0:
             want = int(math.ceil(2.0 * _TRAINING_TARGET_BITS / p_click))
         else:
             want = _TRAINING_MAX_SLOTS
         round_slots = int(_ROUND_DURATION_S * self.params.pulse_rate_hz)
-        cap = min(_TRAINING_MAX_SLOTS, round_slots)
+        cap = max(1, min(_TRAINING_MAX_SLOTS, round_slots))
         self.training_slots = min(max(want, min(1 << 16, cap)), cap)
         self.started = False
         self.active = False
@@ -215,25 +210,15 @@ class Engine:
         return self.sessions[channel_id]
 
     def _preposition(self):
-        """Out-of-band initial segments: every QKD-linked pair gets an
-        authentication bootstrap; explicitly configured pairs get theirs."""
-        seeded = set()
-        for pre in self.topology.prepositioned:
-            pair = pair_key(pre.a, pre.b)
-            rng = derive_rng(self.scenario.seed, "preposition", pair)
-            self.store.reservoir(*pair).deposit(
-                f"preposition:{pair[0]}|{pair[1]}", random_bits(rng, pre.bits),
-                KeyOrigin.PREPOSITIONED, 0.0)
-            seeded.add(pair)
+        """Out-of-band initial segments: explicitly configured pairs get
+        theirs, then every other QKD-linked pair an authentication bootstrap."""
+        bits = {pair_key(pre.a, pre.b): pre.bits for pre in self.topology.prepositioned}
         for channel in self.topology.qkd_channels():
-            pair = channel.pair
-            if pair in seeded:
-                continue
-            seeded.add(pair)
+            bits.setdefault(channel.pair, self.knobs.prepositioned_auth_bits)
+        for pair, n in bits.items():
             rng = derive_rng(self.scenario.seed, "preposition", pair)
             self.store.reservoir(*pair).deposit(
-                f"preposition:{pair[0]}|{pair[1]}",
-                random_bits(rng, self.knobs.prepositioned_auth_bits),
+                f"preposition:{pair[0]}|{pair[1]}", random_bits(rng, n),
                 KeyOrigin.PREPOSITIONED, 0.0)
 
     # -- run -----------------------------------------------------------------
@@ -278,7 +263,7 @@ class Engine:
             # A disconnected switched pairing waits for its toggle; a cut
             # link still realigns (and fails) so the zero-click watch runs.
             if session.connected(now):
-                self._begin_realign(session, now)
+                self._push(now, _P_REALIGN, "realign", (session.cid, session.token))
         elif kind is EventKind.RELAY_REQUEST:
             session = self.coordinator.request(
                 ev.args["src"], ev.args["dst"], ev.args["bits"], now)
@@ -333,9 +318,6 @@ class Engine:
             if session.connected(now + SWITCHING_TIME_S):
                 self._push(now + SWITCHING_TIME_S, _P_REALIGN, "realign",
                            (session.cid, session.token))
-
-    def _begin_realign(self, session: _Session, now: float):
-        self._push(now, _P_REALIGN, "realign", (session.cid, session.token))
 
     def _on_realign(self, now: float, channel_id: str, token: int):
         session = self.sessions[channel_id]
@@ -471,16 +453,12 @@ class Engine:
     def _sample_data(self, session: _Session, n_slots: int):
         params = session.params
         eve = session.eve
-        if n_slots <= 0:
-            empty = DetectionRecord.empty(f"{session.cid}:empty")
-            z = np.zeros(0, dtype=np.uint8)
-            return z, z, empty
-        if eve is not None and eve.kind is EveKind.PHOTON_NUMBER_SPLIT:
+        if n_slots > 0 and eve is not None and eve.kind is EveKind.PHOTON_NUMBER_SPLIT:
             # The PNS attacker needs per-slot budget bookkeeping.
             frame = PulseFrame.random(f"{session.cid}:{session.block_count}",
                                       n_slots, session.rng_window)
             record = transmit_frame(params, session.phase, eve, frame,
-                                    session.rng_window, max_slots=max(n_slots, 1))
+                                    session.rng_window, max_slots=n_slots)
             slots = record.slot_index
             return frame.basis[slots], frame.value[slots], record
         return sample_link_window(params, session.phase, n_slots,
@@ -516,7 +494,7 @@ class Engine:
         self._accum[cid]["qbers"].append(min(qber, 0.5))
 
         beta = usable_fraction(
-            EntropyEstimator(kind=session.estimator_kind, sifting=session.sifting),
+            EntropyEstimator(kind=session.channel.estimator, sifting=session.sifting),
             session.params)
 
         def record_block(leaked: int, secret_bits: int, discarded: bool):

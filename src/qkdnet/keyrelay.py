@@ -177,20 +177,22 @@ def hop_need(r_length: int, reserve_bits: int = 0) -> int:
     return r_length + AUTH_KEY_BITS_PER_TAG + reserve_bits
 
 
+def pair_up(topology: Topology, health: HealthMonitor, pair: Tuple[str, str]) -> bool:
+    """Whether a sorted node pair can relay: one of its quantum channels is
+    up, or it has none (a prepositioned-only pair has no link to fail)."""
+    channels = topology.channel_ids_by_pair.get(pair)
+    return channels is None or any(health.status(c) is LinkHealth.UP for c in channels)
+
+
 def relay_edges(topology: Topology, health: HealthMonitor, store: KeyStore,
                 r_length: int, reserve_bits: int = 0) -> Dict[str, Set[str]]:
     """Adjacency over up pairs that can fund an ``r_length``-bit hop right now."""
-    pairs_with_channels = topology.channel_ids_by_pair
-    candidates = set(pairs_with_channels)
+    candidates = set(topology.channel_ids_by_pair)
     candidates.update(pair_key(p.a, p.b) for p in topology.prepositioned)
     need = hop_need(r_length, reserve_bits)
     adjacency: Dict[str, Set[str]] = {n: set() for n in topology.nodes}
     for pair in candidates:
-        if store.available(*pair) < need:
-            continue
-        channels = pairs_with_channels.get(pair)
-        if channels is not None and not any(
-                health.status(c) is LinkHealth.UP for c in channels):
+        if store.available(*pair) < need or not pair_up(topology, health, pair):
             continue
         a, b = pair
         adjacency[a].add(b)
@@ -295,7 +297,7 @@ class RelayCoordinator:
             session_id=f"relay-{self._counter}", src=src, dst=dst,
             r_length_bits=r_length_bits, requested_at=time_s)
         self.sessions[session.session_id] = session
-        self._try_select_path(session, time_s)
+        self._select_path(session)
         return session
 
     def status(self, session_id: str) -> RelayStatus:
@@ -315,25 +317,21 @@ class RelayCoordinator:
         session.failure_cause = "cancelled"
         return session
 
-    def _try_select_path(self, session: RelaySession, time_s: float):
+    def _select_path(self, session: RelaySession) -> bool:
+        """Put the session in flight from the first hop of a fresh path, if
+        one qualifies; a session's first path draws its secret."""
         try:
             session.path = find_path(self.topology, self.health, self.store,
                                      session.src, session.dst, session.r_length_bits,
                                      self.reserve_bits)
         except NoPathError:
-            session.status = RelayStatus.PATH_PENDING
-            return
-        session.status = RelayStatus.IN_FLIGHT
+            return False
         session.next_hop = 0
+        session.status = RelayStatus.IN_FLIGHT
         if session.secret is None:
             session.secret = random_bits(self.rng, session.r_length_bits)
             self.node_plaintexts[session.src].append(bits_to_bytes(session.secret))
-
-    def _pair_health_up(self, a: str, b: str) -> bool:
-        channels = self.topology.channel_ids_by_pair.get(pair_key(a, b))
-        if channels is None:
-            return True  # prepositioned-only edge has no quantum link to fail
-        return any(self.health.status(c) is LinkHealth.UP for c in channels)
+        return True
 
     def movable(self, sessions: Iterable[RelaySession]) -> List[RelaySession]:
         """The blocked sessions among ``sessions`` that a step would move now.
@@ -358,7 +356,7 @@ class RelayCoordinator:
                     ready.append(session)
                 continue
             tx, rx = session.path[session.next_hop], session.path[session.next_hop + 1]
-            if rx in graphs[r][tx] or not self._pair_health_up(tx, rx):
+            if rx in graphs[r][tx] or not pair_up(self.topology, self.health, pair_key(tx, rx)):
                 ready.append(session)
         return ready
 
@@ -370,13 +368,11 @@ class RelayCoordinator:
         """
         if session.terminal:
             return session.status.value
-        if session.status is RelayStatus.PATH_PENDING:
-            self._try_select_path(session, time_s)
-            if session.status is RelayStatus.PATH_PENDING:
-                return "pending"
+        if session.status is RelayStatus.PATH_PENDING and not self._select_path(session):
+            return "pending"
         hop = session.next_hop
         tx, rx = session.path[hop], session.path[hop + 1]
-        if not self._pair_health_up(tx, rx):
+        if not pair_up(self.topology, self.health, pair_key(tx, rx)):
             return self.reroute(session, time_s,
                                 cause=f"hop {tx}->{rx} unhealthy")
         reservoir = self.store.reservoir(tx, rx)
@@ -441,16 +437,10 @@ class RelayCoordinator:
             session.secret = random_bits(self.rng, session.r_length_bits)
             session.regenerations += 1
             self.node_plaintexts[session.src].append(bits_to_bytes(session.secret))
-        try:
-            session.path = find_path(self.topology, self.health, self.store,
-                                     session.src, session.dst, session.r_length_bits,
-                                     self.reserve_bits)
-        except NoPathError:
+        if not self._select_path(session):
             session.status = RelayStatus.FAILED
             session.failure_cause = f"no alternate path ({cause})"
             return "failed"
-        session.next_hop = 0
-        session.status = RelayStatus.IN_FLIGHT
         return "rerouted"
 
     def drive(self, session: RelaySession, time_s: float, max_steps: int = 1000) -> str:

@@ -10,14 +10,15 @@ round-trips to an identical topology.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import ValidationError
-from .physlink import LinkParams
+from .errors import ConfigurationError, ValidationError
+from .physlink import LinkParams, PhaseState
 from .qkdproto.secrecy import EstimatorKind
 from .qkdproto.sifting import SiftingProtocol
 from .switchfab import (DEFAULT_INSERTION_LOSS_DB, DEFAULT_SCHEDULE_PERIOD_S,
@@ -28,6 +29,7 @@ DEFAULT_FIBER_LOSS_DB_PER_KM = 0.2
 DEFAULT_DRIFT_RATE_RAD_PER_S = 0.02
 DEFAULT_FEEDBACK_GAIN = 0.5
 DEFAULT_PREPOSITIONED_BITS = 1 << 20
+_FLOAT_MAX = sys.float_info.max
 
 _LINK_PARAM_FIELDS = (
     "pulse_rate_hz", "mean_photon_number", "channel_loss_db", "insertion_loss_db",
@@ -98,6 +100,9 @@ class ChannelOverride:
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
 
+_NO_OVERRIDE = ChannelOverride(tx="", rx="")
+
+
 @dataclass(frozen=True)
 class Preposition:
     """Out-of-band initial key segment shared by a pair (e.g. for relay
@@ -110,13 +115,19 @@ class Preposition:
 
 @dataclass(frozen=True)
 class QkdChannel:
-    """A logical quantum channel: direct strand or a switched leg pair."""
+    """A logical quantum channel: direct strand or a switched leg pair,
+    with the physics, protocols and phase dynamics resolved for it when
+    its topology loaded."""
 
     channel_id: str
     tx: str
     rx: str
     link_ids: Tuple[str, ...]
     via_switch: Optional[str]
+    params: LinkParams
+    sifting: SiftingProtocol
+    estimator: EstimatorKind
+    phase: PhaseState  # drift rate and feedback gain, at phase offset 0
 
     @property
     def pair(self) -> Tuple[str, str]:
@@ -155,10 +166,10 @@ class Topology:
         return link.length_km * self.fiber_loss_db_per_km
 
     def link_budget(self, path: Union[str, Sequence[str]]) -> float:
-        """Total loss of a single strand or a switched pair of strands.
-
-        A switched pair contributes both strand losses plus the switch's
-        insertion loss; strand overrides win over length-derived loss.
+        """Total loss of a single strand, or of the switched channel whose
+        two legs the pair of strands is (in either order): both strand
+        losses plus the switch's insertion loss. Strand overrides win over
+        length-derived loss.
         """
         if isinstance(path, str):
             return self.link_loss_db(path)
@@ -166,19 +177,12 @@ class Topology:
             return self.link_loss_db(path[0])
         if len(path) != 2:
             raise ValidationError("a path is one link id or a switched pair of link ids")
-        first, second = (self._link(p) for p in path)
-        switch = self._common_switch(first, second)
-        return (self.link_loss_db(first.link_id) + self.link_loss_db(second.link_id)
-                + switch.insertion_loss_db)
-
-    def _common_switch(self, first: Link, second: Link) -> SwitchState:
-        ends_a = {first.a, first.b}
-        ends_b = {second.a, second.b}
-        shared = ends_a & ends_b & set(self.switches)
-        if not shared:
-            raise ValidationError(
-                f"links {first.link_id!r} and {second.link_id!r} do not meet at a switch")
-        return self.switches[sorted(shared)[0]]
+        legs = tuple(self._link(p).link_id for p in path)
+        for ch in self._channels:
+            if ch.via_switch is not None and ch.link_ids in (legs, legs[::-1]):
+                return ch.params.total_loss_db
+        raise ValidationError(
+            f"links {legs[0]!r} and {legs[1]!r} are not the two legs of a switched channel")
 
     def _link(self, link_id: str) -> Link:
         if link_id not in self.links:
@@ -187,25 +191,52 @@ class Topology:
 
     # -- logical channels ----------------------------------------------------
 
-    # Structural indexes, built on first use and kept for the topology's
-    # lifetime.
+    # Indexes and resolved channels, built once (load_topology builds
+    # them) and kept for the topology's lifetime.
 
     @cached_property
     def _channels(self) -> List[QkdChannel]:
-        channels = []
-        for link in sorted(self.links.values(), key=lambda l: l.link_id):
-            if link.a in self.nodes and link.b in self.nodes:
-                channels.append(QkdChannel(
-                    channel_id=f"{link.a}-{link.b}", tx=link.a, rx=link.b,
-                    link_ids=(link.link_id,), via_switch=None))
+        """Every logical channel, resolved. Merge order: link-parameter
+        defaults, then each strand's overrides in path order, then the
+        channel's override. Loss fields are computed from the path, not
+        merged."""
+        paths = [(l.a, l.b, (l.link_id,), None)
+                 for l in sorted(self.links.values(), key=lambda l: l.link_id)
+                 if l.a in self.nodes and l.b in self.nodes]
         for sid in sorted(self.switches):
             sw = self.switches[sid]
-            legs = {n: self._leg_link(n, sid) for n in (*sw.tx_ports, *sw.rx_ports)}
-            for tx in sw.tx_ports:
-                for rx in sw.rx_ports:
-                    channels.append(QkdChannel(
-                        channel_id=f"{tx}-{rx}", tx=tx, rx=rx,
-                        link_ids=(legs[tx].link_id, legs[rx].link_id), via_switch=sid))
+            legs = {n: self._leg_link(n, sid).link_id for n in (*sw.tx_ports, *sw.rx_ports)}
+            paths += [(tx, rx, (legs[tx], legs[rx]), sid)
+                      for tx in sw.tx_ports for rx in sw.rx_ports]
+        overrides = {(ov.tx, ov.rx): ov for ov in self.channels}
+        # Channels that set neither drift nor gain share one phase state.
+        try:
+            default_phase = PhaseState(drift_rate_rad_per_s=self.drift_rate_rad_per_s,
+                                       feedback_gain=self.feedback_gain)
+        except ValueError as exc:
+            raise ValidationError(f"defaults: {exc}") from exc
+        channels = []
+        for tx, rx, link_ids, sid in paths:
+            ov = overrides.get((tx, rx), _NO_OVERRIDE)
+            merged = dict(self.default_params)
+            for link_id in link_ids:
+                merged.update(self.links[link_id].params)
+            merged.update(ov.params)
+            merged["channel_loss_db"] = sum(self.link_loss_db(l) for l in link_ids)
+            merged["insertion_loss_db"] = (self.switches[sid].insertion_loss_db if sid
+                                           else merged.get("insertion_loss_db", 0.0))
+            drift, gain = ov.drift_rate_rad_per_s, ov.feedback_gain
+            try:
+                params = LinkParams(**merged)
+                phase = default_phase if drift is None and gain is None else PhaseState(
+                    drift_rate_rad_per_s=self.drift_rate_rad_per_s if drift is None else drift,
+                    feedback_gain=self.feedback_gain if gain is None else gain)
+            except (ValueError, TypeError) as exc:
+                raise ValidationError(f"channel {tx}-{rx}: invalid parameters: {exc}") from exc
+            channels.append(QkdChannel(
+                f"{tx}-{rx}", tx, rx, link_ids, sid, params,
+                ov.sifting or SiftingProtocol.BB84,
+                ov.estimator or EstimatorKind.SIMPLE_SHANNON, phase))
         return channels
 
     @cached_property
@@ -242,53 +273,9 @@ class Topology:
                 f"found {len(legs)}")
         return legs[0]
 
-    def channel_override(self, channel: QkdChannel) -> Optional[ChannelOverride]:
-        for ov in self.channels:
-            if ov.tx == channel.tx and ov.rx == channel.rx:
-                return ov
-        return None
-
     def channel_params(self, channel: QkdChannel) -> LinkParams:
-        """Effective physical parameters of a logical channel.
-
-        Merge order: link-parameter defaults, then each strand's overrides
-        in path order, then the per-channel override. Loss fields are
-        computed from the path, not merged.
-        """
-        merged = dict(self.default_params)
-        for link_id in channel.link_ids:
-            merged.update(self.links[link_id].params)
-        override = self.channel_override(channel)
-        if override:
-            merged.update(override.params)
-        merged["channel_loss_db"] = sum(self.link_loss_db(l) for l in channel.link_ids)
-        merged["insertion_loss_db"] = (
-            self.switches[channel.via_switch].insertion_loss_db
-            if channel.via_switch else merged.get("insertion_loss_db", 0.0))
-        return LinkParams(**merged)
-
-    def channel_estimator_kind(self, channel: QkdChannel) -> EstimatorKind:
-        override = self.channel_override(channel)
-        if override and override.estimator:
-            return override.estimator
-        return EstimatorKind.SIMPLE_SHANNON
-
-    def channel_sifting(self, channel: QkdChannel) -> SiftingProtocol:
-        override = self.channel_override(channel)
-        if override and override.sifting:
-            return override.sifting
-        return SiftingProtocol.BB84
-
-    def channel_phase_dynamics(self, channel: QkdChannel) -> Tuple[float, float]:
-        override = self.channel_override(channel)
-        drift = self.drift_rate_rad_per_s
-        gain = self.feedback_gain
-        if override:
-            if override.drift_rate_rad_per_s is not None:
-                drift = override.drift_rate_rad_per_s
-            if override.feedback_gain is not None:
-                gain = override.feedback_gain
-        return drift, gain
+        """Effective physical parameters of a logical channel."""
+        return channel.params
 
 
 def required_links(n_enclaves: int, topology_kind: TopologyKind) -> int:
@@ -316,9 +303,23 @@ def _require_keys(obj: dict, where: str, required: tuple, optional: tuple):
             raise ValidationError(f"{where}: unknown key {key!r}")
 
 
+def _finite_number(value, where: str, name: str) -> float:
+    """A JSON number: an int or float, neither NaN nor infinite. ``type()``
+    and not ``isinstance()``, since a bool is an int but not a number here."""
+    if type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        return float(value)
+    raise ValidationError(f"{where}: {name} must be a finite number, got {value!r}")
+
+
+def _optional_number(raw: dict, key: str, where: str) -> Optional[float]:
+    """An optional override: absent or null is None, else a finite number."""
+    value = raw.get(key)
+    return None if value is None else _finite_number(value, where, key)
+
+
 def _parse_params(obj: dict, where: str) -> Dict[str, float]:
     _require_keys(obj, where, (), _LINK_PARAM_FIELDS)
-    return {k: float(v) for k, v in obj.items()}
+    return {k: _finite_number(v, where, k) for k, v in obj.items()}
 
 
 def _parse_enum(enum_cls, value, where: str):
@@ -355,7 +356,10 @@ def load_topology(config: Union[str, dict]) -> Topology:
         where = f"nodes[{i}]"
         _require_keys(raw, where, ("id", "role"), ("trusted",))
         role = _parse_enum(NodeRole, raw["role"], f"{where}.role")
-        node = Node(raw["id"], role, bool(raw.get("trusted", True)))
+        trusted = raw.get("trusted", True)
+        if type(trusted) is not bool:
+            raise ValidationError(f"{where}: trusted must be true or false, got {trusted!r}")
+        node = Node(raw["id"], role, trusted)
         if node.node_id in nodes:
             raise ValidationError(f"{where}: duplicate node id {node.node_id!r}")
         if node.role is NodeRole.RELAY and not node.trusted:
@@ -374,16 +378,22 @@ def load_topology(config: Union[str, dict]) -> Topology:
                 raise ValidationError(f"{where}: port references undefined node {port!r}")
         if raw["id"] in nodes or raw["id"] in switches:
             raise ValidationError(f"{where}: duplicate id {raw['id']!r}")
-        switches[raw["id"]] = SwitchState(
-            switch_id=raw["id"],
-            tx_ports=tuple(raw["tx_ports"]),
-            rx_ports=tuple(raw["rx_ports"]),
-            position=_parse_enum(SwitchPosition, raw.get("initial_position", "bar"),
-                                 f"{where}.initial_position"),
-            schedule_period_s=float(raw.get("schedule_period_s", DEFAULT_SCHEDULE_PERIOD_S)),
-            insertion_loss_db=float(raw.get("insertion_loss_db", DEFAULT_INSERTION_LOSS_DB)),
-            toggle_times_s=tuple(float(t) for t in raw.get("toggle_times_s", ())),
-        )
+        position = _parse_enum(SwitchPosition, raw.get("initial_position", "bar"),
+                               f"{where}.initial_position")
+        period = _finite_number(raw.get("schedule_period_s", DEFAULT_SCHEDULE_PERIOD_S),
+                                where, "schedule_period_s")
+        insertion = _finite_number(raw.get("insertion_loss_db", DEFAULT_INSERTION_LOSS_DB),
+                                   where, "insertion_loss_db")
+        toggles = tuple(_finite_number(t, where, "toggle_times_s entry")
+                        for t in raw.get("toggle_times_s", ()))
+        try:
+            switches[raw["id"]] = SwitchState(
+                switch_id=raw["id"], tx_ports=tuple(raw["tx_ports"]),
+                rx_ports=tuple(raw["rx_ports"]), position=position,
+                schedule_period_s=period, insertion_loss_db=insertion,
+                toggle_times_s=toggles)
+        except (ValueError, ConfigurationError) as exc:
+            raise ValidationError(f"{where}: {exc}") from exc
 
     links: Dict[str, Link] = {}
     endpoints = set(nodes) | set(switches)
@@ -403,11 +413,10 @@ def load_topology(config: Union[str, dict]) -> Topology:
                     f"{where}: a QKD link needs a transmit-capable 'a' endpoint and a "
                     f"receive-capable 'b' endpoint ({a!r} is {nodes[a].role.value}, "
                     f"{b!r} is {nodes[b].role.value})")
-        override = raw.get("loss_db_override")
         links[raw["id"]] = Link(
             link_id=raw["id"], a=a, b=b,
-            length_km=float(raw.get("length_km", 0.0)),
-            loss_db_override=None if override is None else float(override),
+            length_km=_finite_number(raw.get("length_km", 0.0), where, "length_km"),
+            loss_db_override=_optional_number(raw, "loss_db_override", where),
             params=_parse_params(raw.get("params", {}), f"{where}.params"),
         )
 
@@ -420,6 +429,8 @@ def load_topology(config: Union[str, dict]) -> Topology:
         for end in (raw["tx"], raw["rx"]):
             if end not in nodes:
                 raise ValidationError(f"{where}: references undefined node {end!r}")
+        if any((ov.tx, ov.rx) == (raw["tx"], raw["rx"]) for ov in channels):
+            raise ValidationError(f"{where}: channel {raw['tx']}-{raw['rx']} is already listed")
         channels.append(ChannelOverride(
             tx=raw["tx"], rx=raw["rx"],
             params=_parse_params(raw.get("params", {}), f"{where}.params"),
@@ -427,19 +438,27 @@ def load_topology(config: Union[str, dict]) -> Topology:
             if "estimator" in raw else None,
             sifting=_parse_enum(SiftingProtocol, raw["sifting"], f"{where}.sifting")
             if "sifting" in raw else None,
-            drift_rate_rad_per_s=raw.get("drift_rate_rad_per_s"),
-            feedback_gain=raw.get("feedback_gain"),
+            drift_rate_rad_per_s=_optional_number(raw, "drift_rate_rad_per_s", where),
+            feedback_gain=_optional_number(raw, "feedback_gain", where),
         ))
 
     prepositioned = []
+    seeded = set()
     for i, raw in enumerate(config.get("prepositioned", [])):
         where = f"prepositioned[{i}]"
         _require_keys(raw, where, ("a", "b"), ("bits",))
         for end in (raw["a"], raw["b"]):
             if end not in nodes:
                 raise ValidationError(f"{where}: references undefined node {end!r}")
-        prepositioned.append(Preposition(raw["a"], raw["b"],
-                                         int(raw.get("bits", DEFAULT_PREPOSITIONED_BITS))))
+        pair = tuple(sorted((raw["a"], raw["b"])))
+        if pair in seeded or pair[0] == pair[1]:
+            raise ValidationError(f"{where}: pair {pair[0]}|{pair[1]} must join two "
+                                  f"distinct nodes and be listed once")
+        seeded.add(pair)
+        bits = raw.get("bits", DEFAULT_PREPOSITIONED_BITS)
+        if type(bits) is not int or bits < 0:
+            raise ValidationError(f"{where}: bits must be an integer >= 0, got {bits!r}")
+        prepositioned.append(Preposition(raw["a"], raw["b"], bits))
 
     topology = Topology(
         name=config.get("name", ""),
@@ -448,20 +467,20 @@ def load_topology(config: Union[str, dict]) -> Topology:
         switches=switches,
         channels=channels,
         prepositioned=prepositioned,
-        fiber_loss_db_per_km=float(defaults.get("fiber_loss_db_per_km",
-                                                DEFAULT_FIBER_LOSS_DB_PER_KM)),
+        fiber_loss_db_per_km=_finite_number(
+            defaults.get("fiber_loss_db_per_km", DEFAULT_FIBER_LOSS_DB_PER_KM),
+            "defaults", "fiber_loss_db_per_km"),
         default_params=_parse_params(defaults.get("params", {}), "defaults.params"),
-        drift_rate_rad_per_s=float(defaults.get("drift_rate_rad_per_s",
-                                                DEFAULT_DRIFT_RATE_RAD_PER_S)),
-        feedback_gain=float(defaults.get("feedback_gain", DEFAULT_FEEDBACK_GAIN)),
+        drift_rate_rad_per_s=_finite_number(
+            defaults.get("drift_rate_rad_per_s", DEFAULT_DRIFT_RATE_RAD_PER_S),
+            "defaults", "drift_rate_rad_per_s"),
+        feedback_gain=_finite_number(defaults.get("feedback_gain", DEFAULT_FEEDBACK_GAIN),
+                                     "defaults", "feedback_gain"),
         description=config.get("description", ""),
     )
-    # Every logical channel must instantiate valid physical parameters.
-    for ch in topology.qkd_channels():
-        try:
-            topology.channel_params(ch)
-        except (ValueError, TypeError) as exc:
-            raise ValidationError(f"channel {ch.channel_id}: invalid parameters: {exc}") from exc
+    # Resolve every logical channel now: each must have valid physics and
+    # phase dynamics, and the run reads them from here.
+    topology.qkd_channels()
     return topology
 
 

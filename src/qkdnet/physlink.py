@@ -415,7 +415,7 @@ def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_
     Statistically identical to :func:`transmit_frame` over a frame of
     uniformly random slots; cost scales with clicks, not slots. The
     photon-number-splitting attacker needs per-slot bookkeeping and is not
-    supported here.
+    supported here, except over an empty window.
 
     The generator calls, their sizes and their order are part of the
     byte-identical-records contract: geometric batches, click class, tx
@@ -423,6 +423,8 @@ def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_
     that attacker is present, rx basis, flip, mismatch value, dark value.
     Reordering them changes every record.
     """
+    if n_slots <= 0:
+        return _empty_window(frame_id)
     if eve is not None and eve.kind is EveKind.PHOTON_NUMBER_SPLIT:
         raise ValueError("PNS attacker requires the per-slot transmit_frame path")
     rng = np.random.default_rng(rng_seed)
@@ -430,7 +432,7 @@ def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_
     p_sig = signal_click_probability(params)
     d = params.dark_count_prob
     q = 1.0 - (1.0 - p_sig) * (1.0 - d) ** 2
-    if q <= 0.0 or n_slots <= 0:
+    if q <= 0.0:
         return _empty_window(frame_id)
 
     dead = params.dead_slots

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
 from typing import Mapping, Tuple, Union
 
 from .errors import ValidationError
-from .netgraph import Topology, load_preset, load_topology
+from .netgraph import Topology, _finite_number, load_preset, load_topology
 from .physlink import EveKind, EveModel
 from .qkdproto.sifting import SiftingProtocol
 
@@ -103,14 +102,6 @@ _EVENT_FIELDS = {
 
 # A relay request's size travels as a u32 in the hop payload.
 _MAX_RELAY_BITS = 2 ** 32 - 1
-
-
-def _finite_number(value, where: str, name: str) -> float:
-    """A JSON time: an int or float, neither NaN nor infinite. ``type()``
-    and not ``isinstance()``, since a bool is an int but not a number here."""
-    if type(value) in (int, float) and -sys.float_info.max <= value <= sys.float_info.max:
-        return float(value)
-    raise ValidationError(f"{where}: {name} must be a finite number, got {value!r}")
 
 
 def _parse_eve(raw: dict, where: str) -> EveModel:

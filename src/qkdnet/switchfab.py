@@ -68,8 +68,14 @@ class SwitchState:
     toggles_done: int = 0
 
     def __post_init__(self):
-        if self.schedule_period_s <= 0:
-            raise ValueError("schedule_period_s must be positive")
+        # A period inside the reconfiguration blackout keeps the switch busy
+        # for ever, and toggles out of order would move time backwards.
+        if not self.schedule_period_s > SWITCHING_TIME_S:
+            raise ValueError(f"schedule_period_s must exceed the {SWITCHING_TIME_S} s "
+                             f"switching time, got {self.schedule_period_s!r}")
+        times = self.toggle_times_s
+        if any(t < 0 for t in times) or any(b < a for a, b in zip(times, times[1:])):
+            raise ValueError(f"toggle_times_s must be >= 0 and non-decreasing, got {times!r}")
         if len(set(self.tx_ports)) != 2 or len(set(self.rx_ports)) != 2:
             raise ConfigurationError("switch needs two distinct ports per side")
 

@@ -2,12 +2,15 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
 from qkdnet import netgraph as ng
+from qkdnet.cli import main
 from qkdnet.errors import ValidationError
 from qkdnet.qkdproto import EstimatorKind
+from qkdnet.qkdproto.sifting import SiftingProtocol
 
 
 def _generic_switched():
@@ -46,7 +49,7 @@ def test_cambridge_boris_channels_run_hot_with_pns_pricing():
     params = topo.channel_params(boris)
     assert params.mean_photon_number == 1.0
     assert params.channel_loss_db == pytest.approx(11.5006)
-    assert topo.channel_estimator_kind(boris) is EstimatorKind.MULTIPHOTON_AWARE
+    assert boris.estimator is EstimatorKind.MULTIPHOTON_AWARE
     annabob = topo.channel_by_id("Anna-Bob")
     p = topo.channel_params(annabob)
     assert p.mean_photon_number == 0.5
@@ -183,3 +186,129 @@ def test_json_string_input():
     assert "t-s" in topo.links
     with pytest.raises(ValidationError, match="JSON"):
         ng.load_topology("{not json")
+
+
+def test_cambridge_channels_resolved_at_load():
+    topo = ng.load_preset("cambridge")
+    resolved = {c.channel_id: c for c in topo.qkd_channels()}
+    assert set(resolved) == {"Ali-Baba", "Alice-Bob", "Alice-Boris", "Anna-Bob", "Anna-Boris"}
+    for cid, ch in resolved.items():
+        hot = cid.endswith("-Boris")
+        assert ch.params.mean_photon_number == (1.0 if hot else 0.5), cid
+        assert ch.estimator is (EstimatorKind.MULTIPHOTON_AWARE if hot
+                                else EstimatorKind.SIMPLE_SHANNON), cid
+        assert ch.sifting is SiftingProtocol.BB84, cid
+        assert (ch.phase.drift_rate_rad_per_s, ch.phase.feedback_gain) == (0.002, 0.5), cid
+        assert ch.phase.phase_error_rad == 0.0
+        assert ch.params.channel_loss_db == sum(topo.link_loss_db(l) for l in ch.link_ids)
+        assert ch.params.insertion_loss_db == (0.8 if ch.via_switch else 0.0), cid
+        assert topo.channel_params(ch) is ch.params
+    assert resolved["Ali-Baba"].params.pulse_rate_hz == 1e6
+    assert resolved["Ali-Baba"].params.detector_efficiency == 0.01
+    assert resolved["Anna-Bob"].params.detector_efficiency == 0.004
+
+
+def test_channel_override_sets_phase_dynamics_and_protocols():
+    doc = _generic_switched()
+    doc["defaults"] = {"drift_rate_rad_per_s": 0.03, "feedback_gain": 0.4}
+    doc["channels"] = [{"tx": "T", "rx": "V", "drift_rate_rad_per_s": 0.01,
+                        "feedback_gain": 0.25, "sifting": "sarg",
+                        "params": {"mean_photon_number": 0.2}}]
+    resolved = {c.channel_id: c for c in ng.load_topology(doc).qkd_channels()}
+    tv = resolved["T-V"]
+    assert (tv.phase.drift_rate_rad_per_s, tv.phase.feedback_gain) == (0.01, 0.25)
+    assert tv.sifting is SiftingProtocol.SARG
+    assert tv.estimator is EstimatorKind.SIMPLE_SHANNON
+    assert tv.params.mean_photon_number == 0.2
+    for cid in ("T-R", "U-R", "U-V"):
+        ch = resolved[cid]
+        assert (ch.phase.drift_rate_rad_per_s, ch.phase.feedback_gain) == (0.03, 0.4)
+        assert ch.sifting is SiftingProtocol.BB84
+        assert ch.params.mean_photon_number == 0.5
+
+
+@pytest.mark.parametrize("field, value", [
+    ("feedback_gain", 0), ("feedback_gain", 2), ("feedback_gain", math.nan),
+    ("feedback_gain", "x"), ("drift_rate_rad_per_s", -1),
+])
+def test_bad_channel_phase_dynamics_rejected_at_load(field, value):
+    doc = ng.cambridge_config()
+    doc["channels"][0][field] = value
+    with pytest.raises(ValidationError, match=r"channels\[0\]|channel Alice-Boris"):
+        ng.load_topology(doc)
+
+
+def test_link_budget_takes_a_switched_channels_legs_in_either_order(capsys):
+    topo = ng.load_topology(_generic_switched())
+    assert topo.link_budget(("s-v", "t-s")) == topo.link_budget(("t-s", "s-v"))
+    for legs in (("s-r", "s-v"), ("t-s", "u-s")):
+        with pytest.raises(ValidationError, match="legs of a switched channel"):
+            topo.link_budget(legs)
+    assert main(["budget", "--preset", "cambridge", "--path", "anna-sw,sw-boris"]) == 0
+    assert main(["budget", "--preset", "cambridge", "--path", "sw-boris,anna-sw"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "anna-sw,sw-boris: 14.300 dB", "sw-boris,anna-sw: 14.300 dB"]
+
+
+def _set(doc, path, value):
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+def _extra_tx_port(doc):
+    doc["switches"][0]["tx_ports"].append("Ali")
+    return doc
+
+
+def _prepositioned_twice(doc):
+    doc["prepositioned"].append({"a": "Alice", "b": "Ali", "bits": 1024})
+    return doc
+
+
+def _override_twice(doc):
+    doc["channels"].append({"tx": "Alice", "rx": "Boris", "params": {"mean_photon_number": 0.1}})
+    return doc
+
+
+# Each edit loaded (or crashed the run, or raised something other than a
+# ValidationError) before topology values were checked instead of coerced.
+_BAD_TOPOLOGIES = {
+    "trusted-string": lambda d: _set(d, ("nodes", 0, "trusted"), "no"),
+    "efficiency-bool": lambda d: _set(d, ("links", 4, "params", "detector_efficiency"), True),
+    "length-bool": lambda d: _set(d, ("links", 1, "length_km"), True),
+    "length-nan": lambda d: _set(d, ("links", 1, "length_km"), math.nan),
+    "pulse-rate-string": lambda d: _set(d, ("defaults", "params", "pulse_rate_hz"), "abc"),
+    "pulse-rate-nan": lambda d: _set(d, ("defaults", "params", "pulse_rate_hz"), math.nan),
+    "mu-nan": lambda d: _set(d, ("channels", 0, "params", "mean_photon_number"), math.nan),
+    "fiber-loss-string": lambda d: _set(d, ("defaults", "fiber_loss_db_per_km"), "x"),
+    "period-zero": lambda d: _set(d, ("switches", 0, "schedule_period_s"), 0),
+    "period-below-blackout": lambda d: _set(d, ("switches", 0, "schedule_period_s"), 1e-300),
+    "toggle-negative": lambda d: _set(d, ("switches", 0, "toggle_times_s"), [-1.0]),
+    "toggles-out-of-order": lambda d: _set(d, ("switches", 0, "toggle_times_s"), [2.0, 1.0]),
+    "three-tx-ports": _extra_tx_port,
+    "bits-float": lambda d: _set(d, ("prepositioned", 0, "bits"), 1.9),
+    "bits-negative": lambda d: _set(d, ("prepositioned", 0, "bits"), -5),
+    "bits-bool": lambda d: _set(d, ("prepositioned", 0, "bits"), True),
+    "pair-listed-twice": _prepositioned_twice,
+    "pair-of-one-node": lambda d: _set(d, ("prepositioned", 0, "b"), "Ali"),
+    "override-listed-twice": _override_twice,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_TOPOLOGIES))
+def test_bad_topology_values_rejected_at_load(case):
+    doc = _BAD_TOPOLOGIES[case](ng.cambridge_config())
+    with pytest.raises(ValidationError):
+        ng.load_topology(doc)
+
+
+def test_cli_run_on_untrusted_string_exits_1(tmp_path, capsys):
+    topology = _BAD_TOPOLOGIES["trusted-string"](ng.cambridge_config())
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"version": 1, "topology": topology, "duration_s": 5.0,
+                                "seed": 1, "events": []}))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "trusted must be true or false" in capsys.readouterr().err

@@ -2,13 +2,18 @@
 
 import json
 import math
+import os
 import pickle
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qkdnet import engine as engine_module
+from qkdnet import netgraph as ng
 from qkdnet.cli import main
 from qkdnet.engine import RELAY_RESERVE_BITS, Engine, run_scenario
 from qkdnet.errors import InvariantViolation, ValidationError
@@ -446,3 +451,56 @@ def test_cli_seed_and_duration_overrides(tmp_path):
                  "--format", "records"]) == 0
     report = read_records(tmp_path / "o" / "metrics.records.jsonl")
     assert report.seed == 9 and report.duration_s == 2.0
+
+
+def test_pns_attack_from_start_samples_empty_data_windows(monkeypatch, tmp_path):
+    # Alice-Boris trains for whole rounds at first, so its data windows are
+    # empty while the PNS attacker is on: the window sampler returns them
+    # without drawing, and the per-slot path only ever sees real windows.
+    windows = []
+    frames = []
+    sample = engine_module.sample_link_window
+    transmit = engine_module.transmit_frame
+
+    def spy_sample(params, phase, n_slots, rng, eve=None, frame_id="window"):
+        before = rng.bit_generator.state
+        result = sample(params, phase, n_slots, rng, eve=eve, frame_id=frame_id)
+        windows.append((n_slots, eve, rng.bit_generator.state == before))
+        return result
+
+    def spy_transmit(params, phase, eve, frame, rng, **kw):
+        frames.append(frame.n_slots)
+        return transmit(params, phase, eve, frame, rng, **kw)
+
+    monkeypatch.setattr(engine_module, "sample_link_window", spy_sample)
+    monkeypatch.setattr(engine_module, "transmit_frame", spy_transmit)
+    # 1.8 s holds the two training rounds and one full per-slot window.
+    report = run_scenario(load_scenario(_minimal(duration=1.8, events=[
+        {"t": 0.0, "kind": "start_qkd", "tx": "Alice", "rx": "Boris"},
+        {"t": 0.0, "kind": "enable_eve", "channel": "Alice-Boris",
+         "eve": {"kind": "photon_number_split"}}])))
+    assert any(n == 0 and eve is not None and eve.kind.value == "photon_number_split"
+               for n, eve, _ in windows)
+    assert all(undrawn for n, _, undrawn in windows if n == 0)
+    assert frames and min(frames) > 0
+    path = tmp_path / "records.jsonl"
+    path.write_text(report.emit_records())
+    assert main(["verify", "--records", str(path)]) == 0
+
+
+def test_slow_pulse_rate_does_not_hang_the_event_loop(tmp_path):
+    # Below 4 Hz a round holds no slot; a training frame still holds one, so
+    # realignment takes time instead of rescheduling itself at one instant.
+    topology = ng.cambridge_config()
+    topology["defaults"]["params"]["pulse_rate_hz"] = 2.0
+    path = tmp_path / "slow.json"
+    path.write_text(json.dumps({
+        "version": 1, "topology": topology, "duration_s": 10.0, "seed": 1,
+        "events": [{"t": 0.0, "kind": "start_qkd", "tx": "Anna", "rx": "Bob"}]}))
+    src = Path(engine_module.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "qkdnet.cli", "run", "--scenario", str(path),
+         "--out", str(tmp_path / "o")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        timeout=60)
+    assert done.returncode == 0, done.stderr
