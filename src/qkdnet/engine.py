@@ -34,16 +34,13 @@ from .keyrelay import HealthMonitor, RelayCoordinator, RelayStatus
 from .keystore import ConsumePurpose, KeyOrigin, KeyStore, pair_key
 from .netgraph import QkdChannel, Topology
 from .physlink import (
-    EveKind,
     EveModel,
     LinkParams,
-    PulseFrame,
     advance_phase,
     apply_training_feedback,
     click_probability,
     sample_link_window,
     sifted_error_floor,
-    transmit_frame,
 )
 from .qkdproto import (
     AUTH_KEY_BITS_PER_TAG,
@@ -278,9 +275,7 @@ class Engine:
         elif kind is EventKind.RESTORE_LINK:
             self.cut_links.discard(ev.args["link"])
         elif kind is EventKind.ENABLE_EVE:
-            session = self._session(ev.args["channel"])
-            eve = ev.args["eve"]
-            session.eve = None if eve.kind is EveKind.NONE else eve
+            self._session(ev.args["channel"]).eve = ev.args["eve"]
         elif kind is EventKind.SWITCH_TOGGLE:
             sid = ev.args["switch"]
             sw = self.switches[sid]
@@ -395,7 +390,9 @@ class Engine:
             # Cut fiber kills the sync channel too: gates never open.
             self.health.report_clicks(channel_id, 0, now)
         else:
-            tx_basis, tx_value, record = self._sample_data(session, data_slots)
+            tx_basis, tx_value, record = sample_link_window(
+                params, session.phase, data_slots, session.rng_window, eve=session.eve,
+                frame_id=f"{channel_id}:{session.block_count}")
             self.health.report_clicks(channel_id, training_clicks + record.n_events, now)
             if session.sifting is SiftingProtocol.SARG:
                 alice, bob, _ = sift_sarg_events(
@@ -422,48 +419,31 @@ class Engine:
         params = session.params
         if session.is_cut() or not session.connected(now):
             return 0
-        # The PNS attacker neither disturbs training statistics nor is
-        # supported by the window sampler; training skips her.
-        eve = session.eve
-        if eve is not None and eve.kind is EveKind.PHOTON_NUMBER_SPLIT:
-            eve = None
         tx_basis, tx_value, record = sample_link_window(
             params, session.phase, session.training_slots, session.rng_train,
-            eve=eve, frame_id=f"{session.cid}:train")
+            eve=session.eve, frame_id=f"{session.cid}:train")
         alice, bob, _ = sift_bb84_events(tx_basis, tx_value, record)
         if alice.size:
             q = float(np.count_nonzero(alice != bob)) / alice.size
-            if q <= _TRAINING_PANIC_QBER:
+            # A reading above the panic level blocks a fresh estimate, but a
+            # pending probe still gets its verdict: keeping its correction
+            # unjudged could lock the phase at a wrong offset.
+            if q <= _TRAINING_PANIC_QBER or session.phase.probe_correction is not None:
                 new_phase = apply_training_feedback(
                     session.phase, min(q, 0.5),
                     intrinsic_error=session.error_floor,
                     deadband=_FEEDBACK_DEADBAND)
+                # The feedback returns its input unchanged only when no
+                # probe was pending and the reading needs no correction.
+                settled = new_phase is session.phase
             else:
-                # No phase verdict at this QBER: keep a pending probe's correction.
-                new_phase = replace(session.phase, probe_correction=None)
+                new_phase, settled = session.phase, False
             if session.tuning:
                 session.tuning_rounds += 1
-                settled = (new_phase is session.phase
-                           and new_phase.probe_correction is None)
                 if settled or session.tuning_rounds > 40:
                     session.tuning = False
             session.phase = new_phase
         return record.n_events
-
-    def _sample_data(self, session: _Session, n_slots: int):
-        params = session.params
-        eve = session.eve
-        if n_slots > 0 and eve is not None and eve.kind is EveKind.PHOTON_NUMBER_SPLIT:
-            # The PNS attacker needs per-slot budget bookkeeping.
-            frame = PulseFrame.random(f"{session.cid}:{session.block_count}",
-                                      n_slots, session.rng_window)
-            record = transmit_frame(params, session.phase, eve, frame,
-                                    session.rng_window, max_slots=n_slots)
-            slots = record.slot_index
-            return frame.basis[slots], frame.value[slots], record
-        return sample_link_window(params, session.phase, n_slots,
-                                  session.rng_window, eve=eve,
-                                  frame_id=f"{session.cid}:{session.block_count}")
 
     def _process_block(self, session: _Session, now: float):
         cid = session.cid

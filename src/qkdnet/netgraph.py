@@ -209,6 +209,11 @@ class Topology:
             paths += [(tx, rx, (legs[tx], legs[rx]), sid)
                       for tx in sw.tx_ports for rx in sw.rx_ports]
         overrides = {(ov.tx, ov.rx): ov for ov in self.channels}
+        unmatched = set(overrides) - {(tx, rx) for tx, rx, _, _ in paths}
+        if unmatched:
+            tx, rx = min(unmatched)
+            raise ValidationError(f"channel override {tx}-{rx} names no logical channel "
+                                  f"of the topology")
         # Channels that set neither drift nor gain share one phase state.
         try:
             default_phase = PhaseState(drift_rate_rad_per_s=self.drift_rate_rad_per_s,
@@ -272,10 +277,6 @@ class Topology:
                 f"switch {switch_id!r} port {node_id!r} needs exactly one leg link, "
                 f"found {len(legs)}")
         return legs[0]
-
-    def channel_params(self, channel: QkdChannel) -> LinkParams:
-        """Effective physical parameters of a logical channel."""
-        return channel.params
 
 
 def required_links(n_enclaves: int, topology_kind: TopologyKind) -> int:

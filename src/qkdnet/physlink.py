@@ -4,14 +4,19 @@ Models one fiber link end to end: Poisson photon source, channel and
 insertion loss, an optional eavesdropper, gated detectors with dark counts
 and dead time, and interferometer phase drift with training-frame feedback.
 
-Two sampling paths produce detection events under the same per-slot law:
+Two sampling paths produce detection events under the same per-slot law,
+for every attacker:
 
-* :func:`transmit_frame` walks every slot of an explicit frame (the
-  Monte-Carlo reference path, also the only path that supports the
-  photon-number-splitting attacker).
-* :func:`sample_link_window` samples click slots directly via the renewal
-  structure of the gated-detector process, so cost scales with the number
-  of clicks instead of the number of slots. Long scenario runs use this.
+* :func:`sample_link_window` is the simulator's one link sampler. It draws
+  click slots directly, via the renewal structure of the gated-detector
+  process, so cost scales with the number of clicks instead of the number
+  of slots. Behind the photon-number-splitting attacker it draws a photon
+  number per slot (her loss budget needs every pulse) and detector draws
+  only where photons arrive. Its generator calls and their order are part
+  of the byte-identical-records contract (see its docstring).
+* :func:`transmit_frame` walks every slot of an explicit frame. It is the
+  declared statistical oracle of the window sampler, and the only path
+  that reports what the attacker achieved (``eve_tally``).
 """
 
 from __future__ import annotations
@@ -315,6 +320,23 @@ def _pns_channel(photons: np.ndarray, transmittance: float) -> np.ndarray:
     return delivered
 
 
+def _live_clicks(slots: np.ndarray, dead: int) -> np.ndarray:
+    """Indices of the clicks that non-paralyzable dead time lets through.
+
+    Every click that registers, kept or later discarded as a double,
+    disables both detectors for the next ``dead`` gates.
+    """
+    if dead <= 0 or slots.size < 2:
+        return np.arange(slots.size)
+    live = []
+    next_ok = 0
+    for i, s in enumerate(slots.tolist()):
+        if s >= next_ok:
+            live.append(i)
+            next_ok = s + dead + 1
+    return np.asarray(live, dtype=np.intp)
+
+
 def transmit_frame(params: LinkParams, phase: PhaseState, eve: Optional[EveModel],
                    frame: PulseFrame, rng_seed,
                    max_slots: int = DEFAULT_MAX_FRAME_SLOTS) -> DetectionRecord:
@@ -373,18 +395,8 @@ def transmit_frame(params: LinkParams, phase: PhaseState, eve: Optional[EveModel
     fired1 = dark1 | (sig_click & (sig_value == 1))
     any_click = fired0 | fired1
 
-    # Non-paralyzable dead time: every click (kept or double-discarded)
-    # disables both detectors for the next dead_slots gates.
-    dead = params.dead_slots
     candidates = np.flatnonzero(any_click)
-    if dead > 0 and candidates.size:
-        kept = []
-        next_ok = 0
-        for s in candidates:
-            if s >= next_ok:
-                kept.append(s)
-                next_ok = s + dead + 1
-        candidates = np.asarray(kept, dtype=np.int64)
+    candidates = candidates[_live_clicks(candidates, params.dead_slots)]
 
     double = fired0[candidates] & fired1[candidates]
     events = candidates[~double]
@@ -403,42 +415,13 @@ def _empty_window(frame_id: str) -> tuple[np.ndarray, np.ndarray, DetectionRecor
     return z, z, DetectionRecord.empty(frame_id)
 
 
-def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_seed,
-                       eve: Optional[EveModel] = None,
-                       frame_id: str = "window") -> tuple[np.ndarray, np.ndarray, DetectionRecord]:
-    """Sample a transmission window by drawing click slots directly.
+def _renewal_slots(rng: np.random.Generator, q: float, dead: int, n_slots: int) -> np.ndarray:
+    """Click slots of a window whose live gates each click with probability q.
 
-    Returns ``(tx_basis, tx_value, record)`` where the tx arrays give the
-    transmitter's random choices at the event slots only (non-click slots
-    never reach any protocol layer, so their bits are irrelevant).
-
-    Statistically identical to :func:`transmit_frame` over a frame of
-    uniformly random slots; cost scales with clicks, not slots. The
-    photon-number-splitting attacker needs per-slot bookkeeping and is not
-    supported here, except over an empty window.
-
-    The generator calls, their sizes and their order are part of the
-    byte-identical-records contract: geometric batches, click class, tx
-    basis, tx value, the intercept-resend draws (hit, basis, guess) when
-    that attacker is present, rx basis, flip, mismatch value, dark value.
-    Reordering them changes every record.
+    Clicks form a renewal process: geometric wait on live slots, then a
+    dead window. Draw in batches until the window is covered. Slots
+    strictly increase, so the ones inside the window are a prefix.
     """
-    if n_slots <= 0:
-        return _empty_window(frame_id)
-    if eve is not None and eve.kind is EveKind.PHOTON_NUMBER_SPLIT:
-        raise ValueError("PNS attacker requires the per-slot transmit_frame path")
-    rng = np.random.default_rng(rng_seed)
-
-    p_sig = signal_click_probability(params)
-    d = params.dark_count_prob
-    q = 1.0 - (1.0 - p_sig) * (1.0 - d) ** 2
-    if q <= 0.0:
-        return _empty_window(frame_id)
-
-    dead = params.dead_slots
-    # Click slots form a renewal process: geometric wait on live slots,
-    # then a dead window. Draw in batches until the window is covered.
-    # Slots strictly increase, so the ones inside the window are a prefix.
     slots = []
     count = 0
     start = 0
@@ -455,7 +438,89 @@ def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_
         if inside < batch:
             break
         start = int(s[-1]) + dead + 1
-    click_slots = slots[0] if len(slots) == 1 else np.concatenate(slots)
+    return slots[0] if len(slots) == 1 else np.concatenate(slots)
+
+
+def _pns_clicks(params: LinkParams, n_slots: int, rng: np.random.Generator):
+    """Click slots behind the photon-number-splitting attacker, with each
+    click's class uniform on [0, q) and its slot's signal-click probability."""
+    photons = rng.poisson(params.mean_photon_number, size=n_slots)
+    # _pns_channel's budget loop as a prefix sum: she has taken the floor of
+    # (photons sent so far) * (1 - t). The cap of n binds only by rounding.
+    sent = np.flatnonzero(photons)
+    n = photons[sent]
+    taken = np.diff((np.cumsum(n) * (1.0 - params.total_transmittance)).astype(n.dtype),
+                    prepend=0)
+    arriving = n - np.minimum(taken, n)
+    lit = arriving > 0
+    lit_slots = sent[lit]
+    k = arriving[lit]
+
+    # A lit slot clicks unless every arriving photon is missed and neither
+    # detector darks; its uniform then also picks the click's class.
+    d = params.dark_count_prob
+    p_sig = 1.0 - (1.0 - params.detector_efficiency) ** k
+    u = rng.random(lit_slots.size)
+    clicked = u < 1.0 - (1.0 - p_sig) * (1.0 - d) ** 2
+    slots, u, p_sig = lit_slots[clicked], u[clicked], p_sig[clicked]
+    p_dark = 1.0 - (1.0 - d) ** 2
+    if p_dark > 0.0:
+        # Dark clicks on unlit slots only: a lit slot's uniform holds its darks.
+        dark = _renewal_slots(rng, p_dark, 0, n_slots)
+        dark = dark[np.append(lit_slots, n_slots)[np.searchsorted(lit_slots, dark)] != dark]
+        slots = np.concatenate((slots, dark))
+        order = np.argsort(slots, kind="stable")
+        slots = slots[order]
+        u = np.concatenate((u, rng.random(dark.size) * p_dark))[order]
+        p_sig = np.concatenate((p_sig, np.zeros(dark.size)))[order]
+
+    live = _live_clicks(slots, params.dead_slots)
+    return slots[live], u[live], p_sig[live]
+
+
+def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_seed,
+                       eve: Optional[EveModel] = None,
+                       frame_id: str = "window") -> tuple[np.ndarray, np.ndarray, DetectionRecord]:
+    """Sample a transmission window by drawing click slots directly.
+
+    Returns ``(tx_basis, tx_value, record)`` where the tx arrays give the
+    transmitter's random choices at the event slots only (non-click slots
+    never reach any protocol layer, so their bits are irrelevant).
+
+    Statistically identical to :func:`transmit_frame` over a frame of
+    uniformly random slots, for every attacker. Without the
+    photon-number-splitting attacker, cost scales with clicks, not slots.
+    With her, every slot gets a photon number (her loss budget needs every
+    pulse) but only the slots photons reach get detector draws. The
+    record carries no ``eve_tally``.
+
+    The generator calls, their sizes and their order are part of the
+    byte-identical-records contract. Click slots and classes come first:
+    without PNS, geometric batches and then click class; with PNS, photon
+    numbers, the lit slots' click uniforms, geometric batches of dark
+    clicks (when darks can occur) and their class uniforms. Then, for
+    every attacker: tx basis, tx value, the intercept-resend draws (hit,
+    basis, guess) when that attacker is present, rx basis, flip, mismatch
+    value, dark value. Reordering them changes every record. An empty
+    window draws nothing.
+    """
+    if n_slots <= 0:
+        return _empty_window(frame_id)
+    rng = np.random.default_rng(rng_seed)
+    kind = eve.kind if eve is not None else EveKind.NONE
+    d = params.dark_count_prob
+    if kind is EveKind.PHOTON_NUMBER_SPLIT:
+        click_slots, u, p_sig = _pns_clicks(params, n_slots, rng)
+    else:
+        # Every slot has the same click law.
+        p_sig = signal_click_probability(params)
+        q = 1.0 - (1.0 - p_sig) * (1.0 - d) ** 2
+        if q <= 0.0:
+            return _empty_window(frame_id)
+        click_slots = _renewal_slots(rng, q, params.dead_slots, n_slots)
+        if click_slots.size == 0:
+            return _empty_window(frame_id)
+        u = rng.random(click_slots.size) * q
     m = click_slots.size
     if m == 0:
         return _empty_window(frame_id)
@@ -465,7 +530,6 @@ def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_
     # a signal event is a dark one.
     p_signal_event = p_sig * (1.0 - d)
     p_dark_event = (1.0 - p_sig) * 2.0 * d * (1.0 - d)
-    u = rng.random(m) * q
     is_signal = u < p_signal_event
     keep = u < p_signal_event + p_dark_event
 
@@ -473,7 +537,7 @@ def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_
     tx_value = random_bits(rng, m)
     pulse_basis = tx_basis
     pulse_value = tx_value
-    if eve is not None and eve.kind is EveKind.INTERCEPT_RESEND:
+    if kind is EveKind.INTERCEPT_RESEND:
         # Interception leaves the click law unchanged in this model, so it
         # conditions independently on each signal event.
         hit = rng.random(m) < eve.intercept_fraction

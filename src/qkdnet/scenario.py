@@ -224,6 +224,9 @@ def _validate_references(scenario: Scenario) -> None:
             for node in (a["src"], a["dst"]):
                 if node not in topo.nodes:
                     raise ValidationError(f"{where}: unknown node {node!r}")
+            if a["src"] == a["dst"]:
+                raise ValidationError(f"{where}: relay source and destination must differ, "
+                                      f"both are {a['src']!r}")
 
 
 def default_preset_scenario(preset: str = "cambridge", duration_s: float = 600.0,

@@ -75,8 +75,7 @@ def test_criterion_2_bu_zero_yield(calibration_run):
     report, _ = calibration_run
     sifted = report.sifted_bits("Alice-Boris")
     secret = report.secret_bits("Alice-Boris")
-    link = ng.load_preset("cambridge").channel_params(
-        ng.load_preset("cambridge").channel_by_id("Alice-Boris"))
+    link = ng.load_preset("cambridge").channel_by_id("Alice-Boris").params
     est = EntropyEstimator(EstimatorKind.MULTIPHOTON_AWARE)
     analytic = estimate_secret_length(est, 100_000, 0.03, 0, link)
     ok = sifted > 0 and secret == 0 and analytic == 0

@@ -46,12 +46,12 @@ def test_cambridge_preset_contents():
 def test_cambridge_boris_channels_run_hot_with_pns_pricing():
     topo = ng.load_preset("cambridge")
     boris = topo.channel_by_id("Alice-Boris")
-    params = topo.channel_params(boris)
+    params = boris.params
     assert params.mean_photon_number == 1.0
     assert params.channel_loss_db == pytest.approx(11.5006)
     assert boris.estimator is EstimatorKind.MULTIPHOTON_AWARE
     annabob = topo.channel_by_id("Anna-Bob")
-    p = topo.channel_params(annabob)
+    p = annabob.params
     assert p.mean_photon_number == 0.5
     assert p.insertion_loss_db == 0.8
 
@@ -108,7 +108,7 @@ def test_loaded_topology_is_read_only():
         topo.nodes["Eve"] = topo.nodes["Ali"]
     with pytest.raises(TypeError):
         topo.switches["sw"] = None
-    # Nor may the physics that channel_params merges from them.
+    # Nor may the physics that channel resolution merges from them.
     with pytest.raises(TypeError):
         topo.default_params["mean_photon_number"] = 0.9
     with pytest.raises(TypeError):
@@ -122,7 +122,7 @@ def test_loaded_topology_is_read_only():
     with pytest.raises(dataclasses.FrozenInstanceError):
         topo.links = {}
     assert "Ali-Baba" in [c.channel_id for c in topo.qkd_channels()]
-    assert topo.channel_params(topo.channel_by_id("Anna-Bob")).mean_photon_number == 0.5
+    assert topo.channel_by_id("Anna-Bob").params.mean_photon_number == 0.5
 
 
 def test_empty_node_list_rejected():
@@ -202,7 +202,6 @@ def test_cambridge_channels_resolved_at_load():
         assert ch.phase.phase_error_rad == 0.0
         assert ch.params.channel_loss_db == sum(topo.link_loss_db(l) for l in ch.link_ids)
         assert ch.params.insertion_loss_db == (0.8 if ch.via_switch else 0.0), cid
-        assert topo.channel_params(ch) is ch.params
     assert resolved["Ali-Baba"].params.pulse_rate_hz == 1e6
     assert resolved["Ali-Baba"].params.detector_efficiency == 0.01
     assert resolved["Anna-Bob"].params.detector_efficiency == 0.004
@@ -312,3 +311,19 @@ def test_cli_run_on_untrusted_string_exits_1(tmp_path, capsys):
                                 "seed": 1, "events": []}))
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
     assert "trusted must be true or false" in capsys.readouterr().err
+
+
+def test_channel_override_naming_no_logical_channel_exits_1(tmp_path, capsys):
+    # Bob-Alice is the reversed Alice-Bob: no logical channel runs that way,
+    # so the override could never be applied.
+    topology = ng.cambridge_config()
+    topology["channels"] = topology.get("channels", []) + [
+        {"tx": "Bob", "rx": "Alice", "params": {"mean_photon_number": 0.2}}]
+    with pytest.raises(ValidationError, match="Bob-Alice names no logical channel"):
+        ng.load_topology(topology)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"version": 1, "topology": topology, "duration_s": 5.0,
+                                "seed": 1, "events": []}))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "Bob-Alice names no logical channel" in err and "Traceback" not in err

@@ -99,6 +99,19 @@ def test_scenario_validates_references():
         load_scenario(_minimal(events=[{"t": 0.0, "kind": "cut_link", "link": "zap"}]))
 
 
+def test_relay_request_to_itself_exits_1(tmp_path, capsys):
+    doc = _minimal(duration=2.0, events=[
+        {"t": 0.0, "kind": "start_qkd", "tx": "Anna", "rx": "Bob"},
+        {"t": 0.5, "kind": "relay_request", "src": "Alice", "dst": "Alice", "bits": 64}])
+    with pytest.raises(ValidationError, match="source and destination must differ"):
+        load_scenario(doc)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "source and destination must differ" in err and "Traceback" not in err
+
+
 def test_engine_knob_validation():
     bad_knobs = [
         {"relay_hop_latency_s": -0.05}, {"block_target_bits": 0},
@@ -186,8 +199,11 @@ def test_engine_refuses_to_amplify_diverged_keys(monkeypatch):
 
 def test_run_leaves_attacker_models_untouched():
     # One event of each kind; their arguments, attacker models included,
-    # must come out of a run as they went in.
-    sc = load_scenario(_minimal(duration=3.0, events=[
+    # must come out of a run as they went in. Alice-Boris trains for whole
+    # rounds until its start-up tuning settles (1 to 8 rounds over seeds
+    # 1-30, with or without an attacker), so the switch that ends the
+    # channel toggles late enough for it to sift after 8 such rounds.
+    sc = load_scenario(_minimal(duration=6.0, events=[
         {"t": 0.0, "kind": "start_qkd", "tx": "Anna", "rx": "Bob"},
         {"t": 0.0, "kind": "start_qkd", "tx": "Alice", "rx": "Boris"},
         {"t": 0.0, "kind": "enable_eve", "channel": "Anna-Bob",
@@ -198,7 +214,7 @@ def test_run_leaves_attacker_models_untouched():
         {"t": 1.5, "kind": "set_sifting", "channel": "Anna-Bob", "protocol": "sarg"},
         {"t": 2.0, "kind": "cut_link", "link": "anna-sw"},
         {"t": 2.5, "kind": "restore_link", "link": "anna-sw"},
-        {"t": 2.5, "kind": "switch_toggle", "switch": "sw"}]))
+        {"t": 5.5, "kind": "switch_toggle", "switch": "sw"}]))
     assert {e.kind for e in sc.events} == set(EventKind)
 
     def snapshot():
@@ -246,7 +262,7 @@ def test_short_run_emits_series_and_csv_rows():
     assert any(r.secret_bps > 0 for r in rows)
     # Mean block error rate sits near the link's error floor.
     topo = sc.topology
-    floor = sifted_error_floor(topo.channel_params(topo.channel_by_id("Anna-Bob")))
+    floor = sifted_error_floor(topo.channel_by_id("Anna-Bob").params)
     assert abs(report.mean_qber("Anna-Bob") - floor) < 0.015
     lines = report.emit_csv().splitlines()
     assert len(lines) == 1 + len(report.series)
@@ -443,6 +459,52 @@ def test_attack_from_start_reads_as_attack_not_cut():
     assert "degraded" in states and "cut" not in states
 
 
+def _long_haul_chain_ratio(seed: int) -> float:
+    """Acceptance criterion 7's 5-hop 100 km relay chain at ``seed``: bits
+    delivered in its steady-state window over the bottleneck hop's budget."""
+    params = {"detector_efficiency": 0.1, "dark_count_prob": 1e-5, "intrinsic_error": 0.01,
+              "mean_photon_number": 0.5, "pulse_rate_hz": 5e6, "dead_time_s": 1e-5}
+    nodes = [{"id": "N0", "role": "tx"}] + \
+            [{"id": f"N{i}", "role": "relay"} for i in range(1, 5)] + \
+            [{"id": "N5", "role": "rx"}]
+    links = [{"id": f"hop{i}", "a": f"N{i}", "b": f"N{i+1}", "length_km": 100.0}
+             for i in range(5)]
+    chain = {"version": 1, "name": "longhaul", "nodes": nodes, "links": links,
+             "defaults": {"fiber_loss_db_per_km": 0.2, "params": params,
+                          "drift_rate_rad_per_s": 0.002, "feedback_gain": 0.5}}
+    events = [{"t": 0.0, "kind": "start_qkd", "tx": f"N{i}", "rx": f"N{i+1}"}
+              for i in range(5)]
+    events += [{"t": 0.0, "kind": "relay_request", "src": "N0", "dst": "N5",
+                "bits": 2048} for _ in range(150)]
+    report = run_scenario(load_scenario({
+        "version": 1, "name": "chain", "topology": chain, "duration_s": 360.0,
+        "seed": seed, "engine": {"prepositioned_auth_bits": 65536}, "events": events}))
+    t0, t1 = 120.0, 360.0
+
+    def bits(pair, kind, **match):
+        return sum(a.offset_end - a.offset_start for a in report.audit
+                   if a.kind == kind and a.pair == pair and t0 < a.time_s <= t1
+                   and all(getattr(a, k) == v for k, v in match.items()))
+
+    pairs = [tuple(sorted((f"N{i}", f"N{i+1}"))) for i in range(5)]
+    deposited, spent = min(((bits(pair, "deposit", origin="direct_qkd"),
+                             bits(pair, "consume", purpose="authentication"))
+                            for pair in pairs), key=lambda w: w[0])
+    budget = deposited - spent
+    delivered = sum(r.bits for r in report.relay_sessions
+                    if r.status == "delivered" and t0 < (r.delivered_at or 0) <= t1)
+    return delivered / budget if budget else math.inf
+
+
+@pytest.mark.parametrize("seed", [5, 14])
+def test_pending_phase_probe_always_gets_its_verdict(seed):
+    # A training reading above the panic level must still judge a pending
+    # probe. Left unjudged, the probe's correction can lock a hop at a wrong
+    # phase offset: at seed 14 hop N3-N4 then runs at QBER near 0.3 and no
+    # relay is delivered; at seed 5 the bottleneck hop starves (1.26x).
+    assert _long_haul_chain_ratio(seed) == pytest.approx(1.0, abs=0.10)
+
+
 def test_cli_seed_and_duration_overrides(tmp_path):
     scenario_path = tmp_path / "s.json"
     scenario_path.write_text(json.dumps(_minimal(duration=300.0)))
@@ -456,33 +518,28 @@ def test_cli_seed_and_duration_overrides(tmp_path):
 def test_pns_attack_from_start_samples_empty_data_windows(monkeypatch, tmp_path):
     # Alice-Boris trains for whole rounds at first, so its data windows are
     # empty while the PNS attacker is on: the window sampler returns them
-    # without drawing, and the per-slot path only ever sees real windows.
+    # without drawing, and samples her on every non-empty window.
     windows = []
-    frames = []
     sample = engine_module.sample_link_window
-    transmit = engine_module.transmit_frame
 
     def spy_sample(params, phase, n_slots, rng, eve=None, frame_id="window"):
         before = rng.bit_generator.state
         result = sample(params, phase, n_slots, rng, eve=eve, frame_id=frame_id)
-        windows.append((n_slots, eve, rng.bit_generator.state == before))
+        windows.append((n_slots, eve, rng.bit_generator.state == before,
+                        frame_id.endswith(":train")))
         return result
 
-    def spy_transmit(params, phase, eve, frame, rng, **kw):
-        frames.append(frame.n_slots)
-        return transmit(params, phase, eve, frame, rng, **kw)
-
     monkeypatch.setattr(engine_module, "sample_link_window", spy_sample)
-    monkeypatch.setattr(engine_module, "transmit_frame", spy_transmit)
-    # 1.8 s holds the two training rounds and one full per-slot window.
-    report = run_scenario(load_scenario(_minimal(duration=1.8, events=[
+    # 3 s holds the start-up training rounds and full data windows after them.
+    report = run_scenario(load_scenario(_minimal(duration=3.0, events=[
         {"t": 0.0, "kind": "start_qkd", "tx": "Alice", "rx": "Boris"},
         {"t": 0.0, "kind": "enable_eve", "channel": "Alice-Boris",
          "eve": {"kind": "photon_number_split"}}])))
-    assert any(n == 0 and eve is not None and eve.kind.value == "photon_number_split"
-               for n, eve, _ in windows)
-    assert all(undrawn for n, _, undrawn in windows if n == 0)
-    assert frames and min(frames) > 0
+    assert all(eve is not None and eve.kind.value == "photon_number_split"
+               for _, eve, _, _ in windows)
+    data = [n for n, _, _, train in windows if not train]
+    assert 0 in data and max(data) > 0
+    assert all(undrawn == (n == 0) for n, _, undrawn, _ in windows)
     path = tmp_path / "records.jsonl"
     path.write_text(report.emit_records())
     assert main(["verify", "--records", str(path)]) == 0

@@ -98,7 +98,7 @@ def test_secret_length_never_exceeds_reconciled_minus_leaked_and_margin():
     from qkdnet.netgraph import load_preset
 
     topo = load_preset("cambridge")
-    boris = topo.channel_params(topo.channel_by_id("Alice-Boris"))
+    boris = topo.channel_by_id("Alice-Boris").params
     betas = [1.0, 0.5, 0.0] + [
         usable_fraction(EntropyEstimator(EstimatorKind.MULTIPHOTON_AWARE, sifting=s), boris)
         for s in SiftingProtocol]
