@@ -20,7 +20,7 @@ import heapq
 import math
 from bisect import insort
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,10 +56,11 @@ from .qkdproto import (
 from .qkdproto.cascade import MAX_QBER_HINT
 from .qkdproto.qber import DEFAULT_MIN_SAMPLE
 from .qkdproto.sifting import SiftingProtocol
-from .report import BlockRecord, MetricsReport, RelayOutcome, SeriesRow, SwitchEvent
+from .report import BlockRecord, MetricsReport, RelayOutcome, SeriesRow
 from .scenario import EventKind, Scenario
-from .switchfab import (REALIGN_FRAME_BUDGET, SWITCHING_TIME_S, realign_receiver,
-                        resolve_path, schedule_tick)
+from .switchfab import (FEEDBACK_DEADBAND, REALIGN_FRAME_BUDGET, SWITCHING_TIME_S,
+                        SwitchEvent, SwitchState, realign_receiver, resolve_path,
+                        schedule_tick, toggle)
 
 # Heap priorities at equal timestamps.
 _P_SCENARIO = 0
@@ -76,7 +77,6 @@ _SAMPLE_FRACTION = 0.10  # of a block's sifted bits, sacrificed to estimate QBER
 _TRAINING_INTERVAL_S = 4.0
 _TRAINING_TARGET_BITS = 256
 _TRAINING_MAX_SLOTS = 1 << 21
-_FEEDBACK_DEADBAND = 0.012
 RELAY_RESERVE_BITS = 1024  # a relay hop leaves this much beyond pad and tag
 
 _MIN_QBER_HINT = 0.01
@@ -129,6 +129,10 @@ class _Session:
         self.last_training_t = -math.inf
         self.block_count = 0
         self.realign_count = 0
+        # What the next metrics row reports, gathered since the last one.
+        self.interval_sifted = 0
+        self.interval_secret = 0
+        self.interval_qbers: List[float] = []
         self.rng_window = derive_rng(seed, "win", cid)
         self.rng_train = derive_rng(seed, "train", cid)
         self.rng_qber = derive_rng(seed, "qber", cid)
@@ -188,7 +192,6 @@ class Engine:
         self._deposits = 0
         self._heap: List[tuple] = []
         self._seq = 0
-        self._accum: Dict[str, dict] = {}
         self.series: List[SeriesRow] = []
         self.blocks: List[BlockRecord] = []
         self.switch_events: List[SwitchEvent] = []
@@ -203,7 +206,6 @@ class Engine:
         if channel_id not in self.sessions:
             self.sessions[channel_id] = _Session(
                 self, self.topology.channel_by_id(channel_id))
-            self._accum[channel_id] = {"sifted": 0, "secret": 0, "qbers": []}
         return self.sessions[channel_id]
 
     def _preposition(self):
@@ -277,13 +279,8 @@ class Engine:
         elif kind is EventKind.ENABLE_EVE:
             self._session(ev.args["channel"]).eve = ev.args["eve"]
         elif kind is EventKind.SWITCH_TOGGLE:
-            sid = ev.args["switch"]
-            sw = self.switches[sid]
-            sw = replace(sw, position=sw.position.toggled(),
-                         busy_until_s=now + SWITCHING_TIME_S)
-            self.switches[sid] = sw
-            self.switch_events.append(SwitchEvent(now, sid, sw.position.value))
-            self._reconfigure(sid, now)
+            sw, event = toggle(self.switches[ev.args["switch"]], now)
+            self._install(sw, [event], now)
         elif kind is EventKind.SET_SIFTING:
             session = self._session(ev.args["channel"])
             session.flush_pool()
@@ -291,20 +288,18 @@ class Engine:
 
     def _on_toggle(self, now: float, switch_id: str):
         sw, events = schedule_tick(self.switches[switch_id], now)
-        self.switches[switch_id] = sw
-        for tev in events:
-            self.switch_events.append(
-                SwitchEvent(tev.time_s, switch_id, tev.position.value))
         nxt = sw.next_toggle_s
         if nxt is not None and nxt <= self.scenario.duration_s:
             self._push(nxt, _P_TOGGLE, "toggle", (switch_id,))
-        if events:
-            self._reconfigure(switch_id, now)
+        self._install(sw, events, now)
 
-    def _reconfigure(self, switch_id: str, now: float):
-        """Pause every session behind the switch; realign the new pairings."""
+    def _install(self, sw: SwitchState, events: Sequence[SwitchEvent], now: float):
+        """Take on a switch's new state and the toggles that led to it;
+        pause every session behind it and realign the new pairings."""
+        self.switches[sw.switch_id] = sw
+        self.switch_events.extend(events)
         for session in self.sessions.values():
-            if session.channel.via_switch != switch_id or not session.started:
+            if session.channel.via_switch != sw.switch_id or not session.started:
                 continue
             session.flush_pool()
             session.active = False
@@ -328,10 +323,7 @@ class Engine:
             outcome = realign_receiver(
                 params, session.phase,
                 seed=(self.scenario.seed, channel_id, session.realign_count),
-                qber_threshold=max(0.05, session.error_floor + 0.03),
-                training_slots=session.training_slots,
-                deadband=_FEEDBACK_DEADBAND,
-                error_floor=session.error_floor)
+                training_slots=session.training_slots)
             session.phase = outcome.phase
             outcome_converged = outcome.converged
             frames = outcome.frames_spent
@@ -405,7 +397,7 @@ class Engine:
                 session.pool_a.append(alice)
                 session.pool_b.append(bob)
                 session.pool_bits += alice.size
-                self._accum[channel_id]["sifted"] += int(alice.size)
+                session.interval_sifted += int(alice.size)
             if (session.pool_bits >= self.knobs.block_target_bits
                     and session.pool_bits * _SAMPLE_FRACTION >= DEFAULT_MIN_SAMPLE):
                 self._process_block(session, now)
@@ -432,7 +424,7 @@ class Engine:
                 new_phase = apply_training_feedback(
                     session.phase, min(q, 0.5),
                     intrinsic_error=session.error_floor,
-                    deadband=_FEEDBACK_DEADBAND)
+                    deadband=FEEDBACK_DEADBAND)
                 # The feedback returns its input unchanged only when no
                 # probe was pending and the reading needs no correction.
                 settled = new_phase is session.phase
@@ -471,7 +463,7 @@ class Engine:
         self.health.report_block(cid, qber, now)
         # A disagreement fraction beyond 1/2 (anti-correlated outcomes) is
         # the same evidence of compromise; the series caps at 0.5.
-        self._accum[cid]["qbers"].append(min(qber, 0.5))
+        session.interval_qbers.append(min(qber, 0.5))
 
         beta = usable_fraction(
             EntropyEstimator(kind=session.channel.estimator, sifting=session.sifting),
@@ -509,7 +501,7 @@ class Engine:
             self.store.reservoir(*pair).deposit(block_id, secret,
                                                 KeyOrigin.DIRECT_QKD, now)
             self._deposits += 1
-            self._accum[cid]["secret"] += m
+            session.interval_secret += m
         record_block(leaked, m, False)
 
     def _on_relay(self, now: float, session_id: str):
@@ -544,15 +536,15 @@ class Engine:
         for cid, session in self.sessions.items():
             if not session.started:
                 continue
-            acc = self._accum[cid]
-            qber = (sum(acc["qbers"]) / len(acc["qbers"])) if acc["qbers"] else None
+            qbers = session.interval_qbers
             self.series.append(SeriesRow(
                 time_s=now, link_id=cid,
-                sifted_bps=acc["sifted"] / _METRICS_INTERVAL_S,
-                qber=qber,
-                secret_bps=acc["secret"] / _METRICS_INTERVAL_S,
+                sifted_bps=session.interval_sifted / _METRICS_INTERVAL_S,
+                qber=(sum(qbers) / len(qbers)) if qbers else None,
+                secret_bps=session.interval_secret / _METRICS_INTERVAL_S,
                 reservoir_bits=self.store.available(*session.pair)))
-            self._accum[cid] = {"sifted": 0, "secret": 0, "qbers": []}
+            session.interval_sifted = session.interval_secret = 0
+            session.interval_qbers = []
         nxt = now + _METRICS_INTERVAL_S
         if nxt <= self.scenario.duration_s:
             self._push(nxt, _P_METRICS, "metrics", ())

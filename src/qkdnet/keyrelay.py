@@ -235,34 +235,36 @@ def find_path(topology: Topology, health: HealthMonitor, store: KeyStore,
         if node not in topology.nodes:
             raise ValueError(f"unknown node {node!r}")
     adjacency = relay_edges(topology, health, store, r_length, reserve_bits)
-
-    # BFS layering from src, then enumerate all shortest paths (networks
-    # here are small) to apply the tie-break exactly.
     dist = _layers(topology, adjacency, src, dst)
     if dst not in dist:
         raise NoPathError(f"no qualifying relay path {src} -> {dst} for {r_length} bits")
 
-    paths: List[List[str]] = []
-
-    def extend(path: List[str]):
-        node = path[-1]
-        if node == dst:
-            paths.append(list(path))
-            return
-        for peer in sorted(adjacency[node]):
-            if dist.get(peer) == dist[node] + 1 and \
-                    (peer == dst or topology.nodes[peer].trusted):
-                path.append(peer)
-                extend(path)
-                path.pop()
-
-    extend([src])
-
-    def score(path: List[str]) -> Tuple[int, List[str]]:
-        min_avail = min(store.available(a, b) for a, b in zip(path, path[1:]))
-        return (-min_avail, path)
-
-    return min(paths, key=score)
+    # Walking back from dst over the shortest-path layers, each node's
+    # widest bottleneck to dst, and its next hops with the width each gives.
+    width = {dst: float("inf")}
+    hops: Dict[str, List[Tuple[str, float]]] = {}
+    layer = [dst]
+    while src not in width:
+        prev = []
+        for node in layer:
+            for peer in adjacency[node]:
+                if dist.get(peer) != dist[node] - 1 or \
+                        (peer != src and not topology.nodes[peer].trusted):
+                    continue
+                w = min(store.available(peer, node), width[node])
+                if peer not in hops:
+                    hops[peer] = []
+                    width[peer] = w
+                    prev.append(peer)
+                elif w > width[peer]:
+                    width[peer] = w
+                hops[peer].append((node, w))
+        layer = prev
+    # Walking forward, the smallest next node that keeps src's width.
+    path = [src]
+    while path[-1] != dst:
+        path.append(min(node for node, w in hops[path[-1]] if w >= width[src]))
+    return path
 
 
 class RelayCoordinator:
@@ -308,14 +310,21 @@ class RelayCoordinator:
         session = self.sessions[session_id]
         if session.terminal:
             return session
-        for t in session.hop_transcripts:
-            self.store.reservoir(*t.pair).write_off(
-                t.otp_offset_start, t.otp_offset_end, time_s,
-                reason=f"{session.session_id} cancelled")
-        session.hop_transcripts = []
+        self._write_off(session, time_s, "cancelled")
         session.status = RelayStatus.FAILED
         session.failure_cause = "cancelled"
         return session
+
+    def _write_off(self, session: RelaySession, time_s: float, reason: str) -> bool:
+        """Write off every one-time pad the session consumed, so none is
+        ever reused; whether any hop had been transmitted."""
+        for t in session.hop_transcripts:
+            self.store.reservoir(*t.pair).write_off(
+                t.otp_offset_start, t.otp_offset_end, time_s,
+                reason=f"{session.session_id} {reason}")
+        sent = bool(session.hop_transcripts)
+        session.hop_transcripts = []
+        return sent
 
     def _select_path(self, session: RelaySession) -> bool:
         """Put the session in flight from the first hop of a fresh path, if
@@ -427,13 +436,7 @@ class RelayCoordinator:
         reused); if any hop had been transmitted, R is discarded and a
         fresh secret is drawn.
         """
-        partially_transmitted = bool(session.hop_transcripts)
-        for t in session.hop_transcripts:
-            self.store.reservoir(*t.pair).write_off(
-                t.otp_offset_start, t.otp_offset_end, time_s,
-                reason=f"{session.session_id} reroute: {cause}")
-        session.hop_transcripts = []
-        if partially_transmitted:
+        if self._write_off(session, time_s, f"reroute: {cause}"):
             session.secret = random_bits(self.rng, session.r_length_bits)
             session.regenerations += 1
             self.node_plaintexts[session.src].append(bits_to_bytes(session.secret))

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Tuple, Union, get_args, get_origin, get
 from .errors import InvariantViolation, ValidationError
 from .keystore import AuditRecord, scan_one_time_use
 from .qkdproto.secrecy import secret_length
+from .switchfab import SwitchEvent
 
 CSV_COLUMNS = ("time_s", "link_id", "sifted_bps", "qber", "secret_bps", "reservoir_bits")
 
@@ -68,13 +69,6 @@ class RelayOutcome:
     delivered_at: Optional[float]
     regenerations: int
     failure_cause: str
-
-
-@dataclass(frozen=True)
-class SwitchEvent:
-    time_s: float
-    switch_id: str
-    position: str
 
 
 def _json_types(hint) -> tuple:

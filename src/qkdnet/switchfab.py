@@ -3,17 +3,29 @@
 The switch couples two transmitter ports to two receiver ports. BAR maps
 first to first and second to second; CROSS swaps them. A reconfiguration
 takes 8 ms, during which no photons pass, and happens on a periodic
-schedule (default every 15 minutes) or at explicitly listed times. After
-each change the receiver must rediscover its new transmitter and realign
-its interferometer by running training frames through the phase feedback
-loop before key generation can resume.
+schedule (default every 15 minutes), at explicitly listed times, or on
+command. After each change the receiver must rediscover its new
+transmitter and realign its interferometer by running training frames
+through the phase feedback loop before key generation can resume.
+
+Every switch decision is made here: :func:`toggle` is the one place a
+switch flips, and :func:`schedule_tick` the one place its schedule
+advances, so a toggle on command never moves the periodic schedule.
+
+Realignment rule: each training frame's sifted error rate is read
+against the link's phase-independent floor ``f``, its
+:func:`~qkdnet.physlink.sifted_error_floor`. A reading below
+``max(0.05, f + 0.03)`` ends realignment; any other reading drives one
+feedback step with ``f`` subtracted and a deadband of
+:data:`FEEDBACK_DEADBAND`, for at most :data:`REALIGN_FRAME_BUDGET`
+frames. The engine's periodic training frames use the same deadband.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -24,6 +36,7 @@ from .physlink import (
     PhaseState,
     apply_training_feedback,
     sample_link_window,
+    sifted_error_floor,
 )
 from .qkdproto.sifting import sift_bb84_events
 
@@ -31,9 +44,9 @@ SWITCHING_TIME_S = 0.008
 
 DEFAULT_SCHEDULE_PERIOD_S = 900.0
 DEFAULT_INSERTION_LOSS_DB = 0.8
-DEFAULT_REALIGN_QBER_THRESHOLD = 0.05
 REALIGN_FRAME_BUDGET = 200
-DEFAULT_TRAINING_SLOTS = 1 << 17
+# Training error above the floor that the phase feedback leaves uncorrected.
+FEEDBACK_DEADBAND = 0.012
 
 
 class SwitchPosition(Enum):
@@ -44,10 +57,13 @@ class SwitchPosition(Enum):
         return SwitchPosition.CROSS if self is SwitchPosition.BAR else SwitchPosition.BAR
 
 
-class ToggleEvent(NamedTuple):
+@dataclass(frozen=True)
+class SwitchEvent:
+    """One reconfiguration: the switch's new position from ``time_s`` on."""
+
     time_s: float
     switch_id: str
-    position: SwitchPosition
+    position: str
 
 
 @dataclass(frozen=True)
@@ -57,9 +73,9 @@ class SwitchState:
     ``toggle_times_s`` overrides the periodic schedule when non-empty.
     """
 
-    switch_id: str = "switch"
-    tx_ports: Tuple[str, str] = ("Alice", "Anna")
-    rx_ports: Tuple[str, str] = ("Bob", "Boris")
+    switch_id: str
+    tx_ports: Tuple[str, str]
+    rx_ports: Tuple[str, str]
     position: SwitchPosition = SwitchPosition.BAR
     busy_until_s: float = 0.0
     schedule_period_s: float = DEFAULT_SCHEDULE_PERIOD_S
@@ -106,36 +122,26 @@ def resolve_path(state: SwitchState, tx: str, now_s: float = 0.0) -> Optional[st
     return state.rx_ports[idx]
 
 
-def resolve_transmitter(state: SwitchState, rx: str, now_s: float = 0.0) -> Optional[str]:
-    """Inverse mapping: which transmitter feeds receiver ``rx`` right now."""
-    if rx not in state.rx_ports:
-        raise ConfigurationError(f"unknown receiver port {rx!r} on switch {state.switch_id!r}")
-    if state.is_busy(now_s):
-        return None
-    idx = state.rx_ports.index(rx)
-    if state.position is SwitchPosition.CROSS:
-        idx = 1 - idx
-    return state.tx_ports[idx]
+def toggle(state: SwitchState, at_s: float) -> Tuple[SwitchState, SwitchEvent]:
+    """Flip the switch at ``at_s``, opening the 8 ms blackout; the schedule
+    is left alone."""
+    state = replace(state, position=state.position.toggled(),
+                    busy_until_s=at_s + SWITCHING_TIME_S)
+    return state, SwitchEvent(at_s, state.switch_id, state.position.value)
 
 
-def schedule_tick(state: SwitchState, now_s: float) -> Tuple[SwitchState, List[ToggleEvent]]:
-    """Apply every reconfiguration due at or before ``now_s``.
+def schedule_tick(state: SwitchState, now_s: float) -> Tuple[SwitchState, List[SwitchEvent]]:
+    """Apply every scheduled reconfiguration due at or before ``now_s``.
 
-    Each toggle flips the position and opens an 8 ms blackout window.
     Returned events feed the sessions that must re-key and realign.
     """
-    events: List[ToggleEvent] = []
+    events: List[SwitchEvent] = []
     while True:
         due = state.next_toggle_s
         if due is None or due > now_s:
             break
-        state = replace(
-            state,
-            position=state.position.toggled(),
-            busy_until_s=due + SWITCHING_TIME_S,
-            toggles_done=state.toggles_done + 1,
-        )
-        events.append(ToggleEvent(due, state.switch_id, state.position))
+        state, event = toggle(replace(state, toggles_done=state.toggles_done + 1), due)
+        events.append(event)
     return state, events
 
 
@@ -148,21 +154,17 @@ class RealignmentOutcome:
 
 
 def realign_receiver(params: LinkParams, phase: PhaseState, seed,
-                     qber_threshold: float = DEFAULT_REALIGN_QBER_THRESHOLD,
-                     training_slots: int = DEFAULT_TRAINING_SLOTS,
-                     deadband: float = 0.0,
-                     error_floor: Optional[float] = None) -> RealignmentOutcome:
-    """Run training frames until the training QBER drops below threshold.
+                     training_slots: int) -> RealignmentOutcome:
+    """Run ``training_slots``-slot training frames under the module's
+    realignment rule until a reading passes.
 
     Models the receiver-side discovery sequence after a connectivity
-    change: each frame's publicly known bits yield an error reading that
-    drives one feedback step. ``error_floor`` is the link's known
-    phase-independent error rate (defaults to the intrinsic floor),
-    subtracted before inverting the error model. A frame with no usable
-    detection still spends budget. Non-convergence within the budget marks
-    the link degraded upstream.
+    change: each frame's publicly known bits yield an error reading. A
+    frame with no usable detection still spends budget. Non-convergence
+    within the budget marks the link degraded upstream.
     """
-    floor = params.intrinsic_error if error_floor is None else error_floor
+    floor = sifted_error_floor(params)
+    threshold = max(0.05, floor + 0.03)
     last_q: Optional[float] = None
     for frame_idx in range(REALIGN_FRAME_BUDGET):
         frame_seed = derive_seed(0, "realign", seed, frame_idx)
@@ -172,9 +174,9 @@ def realign_receiver(params: LinkParams, phase: PhaseState, seed,
         if alice.size == 0:
             continue
         last_q = float(np.count_nonzero(alice != bob)) / alice.size
-        if last_q < qber_threshold:
+        if last_q < threshold:
             return RealignmentOutcome(True, frame_idx + 1, phase, last_q)
         phase = apply_training_feedback(phase, min(last_q, 0.5),
                                         intrinsic_error=floor,
-                                        deadband=deadband)
+                                        deadband=FEEDBACK_DEADBAND)
     return RealignmentOutcome(False, REALIGN_FRAME_BUDGET, phase, last_q)

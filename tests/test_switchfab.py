@@ -6,16 +6,20 @@ import numpy as np
 import pytest
 
 from qkdnet import physlink as pl
+from qkdnet.engine import run_scenario
 from qkdnet.errors import ConfigurationError
+from qkdnet.report import verify_report
+from qkdnet.scenario import load_scenario
 from qkdnet.switchfab import (
     REALIGN_FRAME_BUDGET,
     SWITCHING_TIME_S,
+    SwitchEvent,
     SwitchPosition,
     SwitchState,
     realign_receiver,
     resolve_path,
-    resolve_transmitter,
     schedule_tick,
+    toggle,
 )
 
 
@@ -40,9 +44,6 @@ def test_connectivity_is_perfect_matching():
         sw = _switch(position=position)
         receivers = {resolve_path(sw, tx) for tx in sw.tx_ports}
         assert receivers == set(sw.rx_ports)
-        for rx in sw.rx_ports:
-            tx = resolve_transmitter(sw, rx)
-            assert resolve_path(sw, tx) == rx
 
 
 def test_blocked_during_busy_window():
@@ -55,8 +56,6 @@ def test_blocked_during_busy_window():
 def test_unknown_port_rejected():
     with pytest.raises(ConfigurationError):
         resolve_path(_switch(), "Mallory")
-    with pytest.raises(ConfigurationError):
-        resolve_transmitter(_switch(), "Mallory")
 
 
 def test_schedule_tick_before_first_boundary():
@@ -70,7 +69,7 @@ def test_schedule_tick_toggles_with_busy_window():
     after, events = schedule_tick(sw, 900.0)
     assert after.position is SwitchPosition.CROSS
     assert after.busy_until_s == pytest.approx(900.0 + SWITCHING_TIME_S)
-    assert events == [(900.0, "sw", SwitchPosition.CROSS)]
+    assert events == [SwitchEvent(900.0, "sw", "cross")]
 
 
 def test_two_ticks_return_to_original():
@@ -96,6 +95,45 @@ def test_explicit_toggle_list():
     after, events = schedule_tick(after, 100.0)
     assert after.position is SwitchPosition.BAR
     assert after.next_toggle_s is None
+
+
+def test_toggle_on_command_leaves_the_schedule_alone():
+    sw = _switch(schedule_period_s=900.0)
+    after, event = toggle(sw, 50.0)
+    assert event == SwitchEvent(50.0, "sw", "cross")
+    assert after.busy_until_s == pytest.approx(50.0 + SWITCHING_TIME_S)
+    assert (after.toggles_done, after.next_toggle_s) == (0, 900.0)
+
+
+def test_scenario_toggles_leave_the_periodic_schedule_alone():
+    # Cambridge starts in CROSS (Anna-Bob); the commands at 50 and 100 s
+    # flip it to BAR (Alice-Bob) and back, and the schedule still flips it
+    # at 900 s, not 50 or 100 s later.
+    starts = [{"t": 0.0, "kind": "start_qkd", "tx": tx, "rx": rx}
+              for tx, rx in (("Anna", "Bob"), ("Alice", "Boris"),
+                             ("Alice", "Bob"), ("Anna", "Boris"))]
+    report = run_scenario(load_scenario({
+        "version": 1, "name": "toggle-on-command", "topology": {"preset": "cambridge"},
+        "duration_s": 960.0, "seed": 1,
+        "events": starts + [
+            {"t": 50.0, "kind": "switch_toggle", "switch": "sw"},
+            {"t": 100.0, "kind": "switch_toggle", "switch": "sw"},
+            {"t": 150.0, "kind": "cut_link", "link": "anna-sw"},
+            {"t": 170.0, "kind": "restore_link", "link": "anna-sw"}]}))
+    assert report.switch_events == [SwitchEvent(50.0, "sw", "bar"),
+                                    SwitchEvent(100.0, "sw", "cross"),
+                                    SwitchEvent(900.0, "sw", "bar")]
+
+    def secret(cid, lo, hi):
+        return sum(b.secret_bits for b in report.blocks
+                   if b.channel_id == cid and lo <= b.t_start and b.t_end <= hi)
+
+    for lo, hi, on, off in ((0, 50, "Anna-Bob", "Alice-Bob"),
+                            (50, 100, "Alice-Bob", "Anna-Bob"),
+                            (100, 900, "Anna-Bob", "Alice-Bob"),
+                            (900, 960, "Alice-Bob", "Anna-Bob")):
+        assert secret(on, lo, hi) > 0 and secret(off, lo, hi) == 0, (lo, hi)
+    assert verify_report(report) == []
 
 
 # ---------------------------------------------------------------------------
