@@ -11,16 +11,18 @@ block target runs the full post-processing pipeline: QBER sampling,
 Cascade, entropy estimation, privacy amplification, authentication charge,
 and a reservoir deposit. Switch toggles force block boundaries, pause the
 affected sessions, and trigger receiver realignment against the new
-transmitter before key generation resumes.
+transmitter before key generation resumes. A relay session moves one hop
+per event; a blocked one has no timer: the relay coordinator holds it and,
+after each event, hands back the ones a key deposit or a health transition
+let move.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from bisect import insort
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -184,12 +186,6 @@ class Engine:
             derive_rng(scenario.seed, "relay"),
             reserve_bits=RELAY_RESERVE_BITS)
         self.sessions: Dict[str, _Session] = {}
-        # Blocked relay sessions as (request index, session id), kept in
-        # request order. No timer wakes them: a key deposit or a health
-        # transition does, through _resume_relays.
-        self._request_index: Dict[str, int] = {}
-        self._waiting: List[Tuple[int, str]] = []
-        self._deposits = 0
         self._heap: List[tuple] = []
         self._seq = 0
         self.series: List[SeriesRow] = []
@@ -242,11 +238,12 @@ class Engine:
             if time_s > duration:
                 break
             now = time_s
-            handler = getattr(self, f"_on_{kind}")
-            supply = self._deposits, len(self.health.transitions)
-            handler(time_s, *payload)
-            if self._waiting and supply != (self._deposits, len(self.health.transitions)):
-                self._resume_relays(now)
+            getattr(self, f"_on_{kind}")(time_s, *payload)
+            # Step, at this instant and in request order, the blocked relay
+            # sessions this event let move.
+            if self.coordinator.waiting:
+                for session in self.coordinator.wake():
+                    self._push(now, _P_RELAY, "relay", (session.session_id,))
 
         return self._build_report()
 
@@ -266,9 +263,8 @@ class Engine:
         elif kind is EventKind.RELAY_REQUEST:
             session = self.coordinator.request(
                 ev.args["src"], ev.args["dst"], ev.args["bits"], now)
-            self._request_index[session.session_id] = len(self._request_index)
             if session.status is RelayStatus.PATH_PENDING:
-                self._wait(session.session_id)
+                self.coordinator.wait(session)
             else:
                 self._push(now + self.knobs.relay_hop_latency_s, _P_RELAY,
                            "relay", (session.session_id,))
@@ -500,7 +496,6 @@ class Engine:
             secret = privacy_amplify(estimate.remaining_alice, m, pa_seed)
             self.store.reservoir(*pair).deposit(block_id, secret,
                                                 KeyOrigin.DIRECT_QKD, now)
-            self._deposits += 1
             session.interval_secret += m
         record_block(leaked, m, False)
 
@@ -513,24 +508,7 @@ class Engine:
             self._push(now + self.knobs.relay_hop_latency_s, _P_RELAY,
                        "relay", (session_id,))
         elif outcome in ("starved", "pending"):
-            self._wait(session_id)
-        elif outcome == "delivered":
-            self._deposits += 1
-
-    def _wait(self, session_id: str):
-        insort(self._waiting, (self._request_index[session_id], session_id))
-
-    def _resume_relays(self, now: float):
-        """Step, at this instant and in request order, every blocked relay
-        session that the key deposit or health transition just seen lets move."""
-        sessions = self.coordinator.sessions
-        ready = self.coordinator.movable(sessions[sid] for _, sid in self._waiting)
-        if not ready:
-            return
-        woken = {s.session_id for s in ready}
-        self._waiting = [w for w in self._waiting if w[1] not in woken]
-        for session in ready:
-            self._push(now, _P_RELAY, "relay", (session.session_id,))
+            self.coordinator.wait(session)
 
     def _on_metrics(self, now: float):
         for cid, session in self.sessions.items():

@@ -8,7 +8,9 @@ pair's one-time-pad key at every hop; R sits in plaintext only inside the
 path's trusted nodes. Failures discovered from QKD telemetry (sustained
 high error rate, zero-click windows, realignment failures) take links out
 of the graph; sessions in flight write off what they consumed, regenerate
-R, and reroute around the failure.
+R, and reroute around the failure. A session that starves or finds no path
+waits with no timer, filed by what can free it (see
+:class:`RelayCoordinator`).
 """
 
 from __future__ import annotations
@@ -164,6 +166,7 @@ class RelaySession:
     hop_transcripts: List[HopTranscript] = field(default_factory=list)
     regenerations: int = 0
     failure_cause: str = ""
+    seq: int = 0  # place in request order, from 1
 
     @property
     def terminal(self) -> bool:
@@ -184,14 +187,20 @@ def pair_up(topology: Topology, health: HealthMonitor, pair: Tuple[str, str]) ->
     return channels is None or any(health.status(c) is LinkHealth.UP for c in channels)
 
 
+def relay_pairs(topology: Topology) -> Set[Tuple[str, str]]:
+    """The node pairs that can ever carry a hop: those joined by a quantum
+    channel or given prepositioned key."""
+    pairs = set(topology.channel_ids_by_pair)
+    pairs.update(pair_key(p.a, p.b) for p in topology.prepositioned)
+    return pairs
+
+
 def relay_edges(topology: Topology, health: HealthMonitor, store: KeyStore,
                 r_length: int, reserve_bits: int = 0) -> Dict[str, Set[str]]:
     """Adjacency over up pairs that can fund an ``r_length``-bit hop right now."""
-    candidates = set(topology.channel_ids_by_pair)
-    candidates.update(pair_key(p.a, p.b) for p in topology.prepositioned)
     need = hop_need(r_length, reserve_bits)
     adjacency: Dict[str, Set[str]] = {n: set() for n in topology.nodes}
-    for pair in candidates:
+    for pair in relay_pairs(topology):
         if store.available(*pair) < need or not pair_up(topology, health, pair):
             continue
         a, b = pair
@@ -221,20 +230,24 @@ def _layers(topology: Topology, adjacency: Dict[str, Set[str]], src: str,
 
 
 def find_path(topology: Topology, health: HealthMonitor, store: KeyStore,
-              src: str, dst: str, r_length: int, reserve_bits: int = 0) -> List[str]:
+              src: str, dst: str, r_length: int, reserve_bits: int = 0,
+              adjacency: Optional[Dict[str, Set[str]]] = None) -> List[str]:
     """Shortest usable relay path from src to dst.
 
     Every hop must hold :func:`hop_need` bits. Hop count first; ties broken
     by the larger minimum available key along the path, then by
     lexicographic node sequence. Interior nodes must be trusted. Raises
-    :class:`NoPathError` when nothing qualifies.
+    :class:`NoPathError` when nothing qualifies. ``adjacency`` is the
+    current :func:`relay_edges` graph for ``r_length``, if the caller
+    keeps one; otherwise it is built here.
     """
     if src == dst:
         raise ValueError("relay source and destination must differ")
     for node in (src, dst):
         if node not in topology.nodes:
             raise ValueError(f"unknown node {node!r}")
-    adjacency = relay_edges(topology, health, store, r_length, reserve_bits)
+    if adjacency is None:
+        adjacency = relay_edges(topology, health, store, r_length, reserve_bits)
     dist = _layers(topology, adjacency, src, dst)
     if dst not in dist:
         raise NoPathError(f"no qualifying relay path {src} -> {dst} for {r_length} bits")
@@ -273,6 +286,15 @@ class RelayCoordinator:
     Owns session state and the per-node plaintext ledger used by the
     trusted-node exposure check: R must only ever appear at nodes on the
     delivering path.
+
+    It also owns the blocked sessions. :meth:`wait` files one under what
+    can free it: a starved session under its next-hop pair, a path-pending
+    one under its request size, source and destination. :meth:`wake` reads what changed
+    since its last call from one change feed, the store's audit log and the
+    health transitions, each read by cursor, and examines only the sessions
+    filed under a change. The same feed keeps one relay graph per request
+    size current, which path search and the wake-up both read.
+    :meth:`movable` is the test oracle the wake-up must agree with.
     """
 
     def __init__(self, topology: Topology, health: HealthMonitor, store: KeyStore,
@@ -288,6 +310,26 @@ class RelayCoordinator:
         self.node_plaintexts: Dict[str, List[bytes]] = {n: [] for n in topology.nodes}
         self.corrupt_hops: Set[Tuple[str, int]] = set()  # fault injection for tests
         self._counter = 0
+        # Blocked sessions by request number, each filed in one queue: a
+        # starved one under its next-hop pair, a path-pending one under its
+        # size, source and destination. _filed_in names a session's queue
+        # by the dict that holds it and its key there.
+        self.waiting: Dict[int, RelaySession] = {}
+        self._filed_in: Dict[int, Tuple[dict, object]] = {}
+        self._starved: Dict[Tuple[str, str], Dict[int, RelaySession]] = {}
+        self._pending: Dict[int, Dict[str, Dict[str, Dict[int, RelaySession]]]] = {}
+        # The change feed (the store's audit log and the health
+        # transitions) is read by cursor. What it showed since the last
+        # wake-up: pairs with a deposit or a health transition, and the
+        # request sizes whose kept relay graph gained an edge.
+        self._audit_seen = 0
+        self._transitions_seen = 0
+        self._touched: Set[Tuple[str, str]] = set()
+        self._grown: Set[int] = set()
+        self._graphs: Dict[int, Dict[str, Set[str]]] = {}  # by request size
+        self._pairs = relay_pairs(topology)
+        self._pair_of_channel = {cid: pair for pair, ids in topology.channel_ids_by_pair.items()
+                                 for cid in ids}
 
     # -- session lifecycle --------------------------------------------------
 
@@ -297,7 +339,7 @@ class RelayCoordinator:
         self._counter += 1
         session = RelaySession(
             session_id=f"relay-{self._counter}", src=src, dst=dst,
-            r_length_bits=r_length_bits, requested_at=time_s)
+            r_length_bits=r_length_bits, requested_at=time_s, seq=self._counter)
         self.sessions[session.session_id] = session
         self._select_path(session)
         return session
@@ -310,6 +352,8 @@ class RelayCoordinator:
         session = self.sessions[session_id]
         if session.terminal:
             return session
+        if session.seq in self.waiting:
+            self._unfile(session)
         self._write_off(session, time_s, "cancelled")
         session.status = RelayStatus.FAILED
         session.failure_cause = "cancelled"
@@ -332,7 +376,8 @@ class RelayCoordinator:
         try:
             session.path = find_path(self.topology, self.health, self.store,
                                      session.src, session.dst, session.r_length_bits,
-                                     self.reserve_bits)
+                                     self.reserve_bits,
+                                     adjacency=self._graph(session.r_length_bits))
         except NoPathError:
             return False
         session.next_hop = 0
@@ -342,13 +387,123 @@ class RelayCoordinator:
             self.node_plaintexts[session.src].append(bits_to_bytes(session.secret))
         return True
 
+    # -- blocked sessions ---------------------------------------------------
+
+    def _drain(self):
+        """Read the change feed since the last look and bring every kept
+        relay graph up to date at the pairs it touched."""
+        audit, transitions = self.store.audit, self.health.transitions
+        if self._audit_seen == len(audit) and self._transitions_seen == len(transitions):
+            return
+        changed = set()
+        for rec in audit[self._audit_seen:]:
+            if rec.kind == "deposit":
+                self._touched.add(rec.pair)
+                changed.add(rec.pair)
+            elif rec.kind == "consume":
+                changed.add(rec.pair)
+        for t in transitions[self._transitions_seen:]:
+            pair = self._pair_of_channel.get(t.channel_id)
+            if pair is not None:
+                self._touched.add(pair)
+                changed.add(pair)
+        self._audit_seen, self._transitions_seen = len(audit), len(transitions)
+        if not self._graphs:
+            return
+        for pair in changed & self._pairs:
+            a, b = pair
+            level = self.store.available(a, b)
+            up = pair_up(self.topology, self.health, pair)
+            for r, adjacency in self._graphs.items():
+                if up and level >= hop_need(r, self.reserve_bits):
+                    if b not in adjacency[a]:
+                        adjacency[a].add(b)
+                        adjacency[b].add(a)
+                        self._grown.add(r)
+                else:
+                    adjacency[a].discard(b)
+                    adjacency[b].discard(a)
+
+    def _graph(self, r_length: int) -> Dict[str, Set[str]]:
+        """The current relay graph for ``r_length``-bit requests, kept from
+        its first use on."""
+        self._drain()
+        if r_length not in self._graphs:
+            self._graphs[r_length] = relay_edges(self.topology, self.health, self.store,
+                                                 r_length, self.reserve_bits)
+        return self._graphs[r_length]
+
+    def wait(self, session: RelaySession):
+        """File a session whose step just starved or found no path."""
+        if session.status is RelayStatus.PATH_PENDING:
+            holder = self._pending.setdefault(session.r_length_bits, {}) \
+                .setdefault(session.src, {})
+            key = session.dst
+        else:
+            holder = self._starved
+            key = pair_key(session.path[session.next_hop], session.path[session.next_hop + 1])
+        holder.setdefault(key, {})[session.seq] = session
+        self._filed_in[session.seq] = holder, key
+        self.waiting[session.seq] = session
+
+    def _unfile(self, session: RelaySession):
+        holder, key = self._filed_in.pop(session.seq)
+        queue = holder[key]
+        del queue[session.seq]
+        if not queue:
+            del holder[key]
+        del self.waiting[session.seq]
+
+    def wake(self) -> List[RelaySession]:
+        """Unfile and return, in request order, every filed session that a
+        step would move now.
+
+        Only a deposit or a health transition can free a session (a
+        consume only lowers a level). So only two kinds of session are
+        examined: those starved on a pair with one since the last call, and
+        the path-pending ones of a size whose graph gained an edge, after
+        one walk per source, and only where the walk reaches their
+        destination.
+        """
+        self._drain()
+        if not self._touched and not self._grown:
+            return []
+        candidates = [s for pair in self._touched
+                      for s in self._starved.get(pair, {}).values()]
+        reach: Dict[Tuple[int, str], Dict[str, int]] = {}
+        for r in self._grown:
+            for src, by_dst in self._pending.get(r, {}).items():
+                if not by_dst:
+                    continue
+                reach[r, src] = seen = _layers(self.topology, self._graphs[r], src)
+                candidates.extend(s for dst, queue in by_dst.items() if dst in seen
+                                  for s in queue.values())
+        self._touched, self._grown = set(), set()
+        ready = sorted((s for s in candidates if self._can_move(s, reach)),
+                       key=lambda s: s.seq)
+        for session in ready:
+            self._unfile(session)
+        return ready
+
+    def _can_move(self, session: RelaySession,
+                  reach: Dict[Tuple[int, str], Dict[str, int]]) -> bool:
+        """:meth:`movable`'s rule for one session, on the kept graphs;
+        ``reach`` holds the walk from each path-pending session's source."""
+        if session.status is RelayStatus.PATH_PENDING:
+            return session.dst in reach[session.r_length_bits, session.src]
+        pair = pair_key(session.path[session.next_hop], session.path[session.next_hop + 1])
+        return (self.store.available(*pair) >= hop_need(session.r_length_bits,
+                                                        self.reserve_bits)
+                or not pair_up(self.topology, self.health, pair))
+
     def movable(self, sessions: Iterable[RelaySession]) -> List[RelaySession]:
         """The blocked sessions among ``sessions`` that a step would move now.
 
         A starved session can move once its next hop is funded or no longer
         up (the step then reroutes it); a path-pending one once its
         destination is reachable through trusted nodes. Every answer comes
-        from one relay graph per request size, built on first need.
+        from one relay graph per request size, built on first need. This
+        full scan is the test oracle of :meth:`wake`.
         """
         graphs: Dict[int, Dict[str, Set[str]]] = {}
         reach: Dict[Tuple[int, str], Dict[str, int]] = {}
@@ -402,6 +557,10 @@ class RelayCoordinator:
         if (session.session_id, hop) in self.corrupt_hops:
             message = message[:-1] + bytes([message[-1] ^ 0x01])
         if not verify_tag(auth_key, message, tag):
+            cause = "authentication failure"
+            self._write_off(session, time_s, cause)
+            reservoir.write_off(otp_start, otp_start + session.r_length_bits, time_s,
+                                reason=f"{session.session_id} {cause}")
             session.status = RelayStatus.FAILED
             session.failure_cause = f"authentication failed at hop {tx}->{rx}"
             for channel_id in self.topology.channel_ids_by_pair.get(pair_key(tx, rx), ()):

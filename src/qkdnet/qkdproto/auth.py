@@ -10,6 +10,7 @@ Key consumption accounting lives in the keystore; these functions are pure.
 from __future__ import annotations
 
 import hmac
+import struct
 
 import numpy as np
 
@@ -24,11 +25,14 @@ def _poly_hash(selector: int, message: bytes) -> int:
     """Evaluate the message as a polynomial at the selector key, mod p.
 
     The message length is folded in as the leading coefficient so padding
-    cannot create collisions between different-length messages.
+    cannot create collisions between different-length messages. The
+    coefficients are the message's 8-byte little-endian blocks, the last
+    one zero-padded.
     """
+    n_blocks = -(-len(message) // 8)
+    padded = message + bytes(8 * n_blocks - len(message))
     h = len(message) % _PRIME
-    for i in range(0, len(message), 8):
-        block = int.from_bytes(message[i:i + 8], "little")
+    for block in struct.unpack(f"<{n_blocks}Q", padded):
         h = (h * selector + block) % _PRIME
     return h
 

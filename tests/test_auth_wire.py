@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qkdnet.errors import ProtocolError
+from qkdnet.qkdproto.auth import _PRIME, _poly_hash
 from qkdnet.qkdproto import (
     AUTH_KEY_BITS_PER_TAG,
     Record,
@@ -51,6 +52,25 @@ def test_auth_tags_separate_close_messages():
         if not np.array_equal(auth_tag(key, m1), auth_tag(key, m2)):
             differ += 1
     assert differ / 10_000 >= 0.99
+
+
+def _poly_hash_oracle(selector, message):
+    """Test oracle: one slice and one int.from_bytes per 8-byte block."""
+    h = len(message) % _PRIME
+    for i in range(0, len(message), 8):
+        block = int.from_bytes(message[i:i + 8], "little")
+        h = (h * selector + block) % _PRIME
+    return h
+
+
+def test_poly_hash_matches_the_per_block_oracle():
+    rng = np.random.default_rng(41)
+    for length in range(301):
+        message = rng.integers(0, 256, length, dtype=np.uint8).tobytes()
+        for selector in (0, 1, _PRIME - 1, (1 << 64) - 1,
+                         int(rng.integers(0, 1 << 63)) * 2 + 1):
+            assert _poly_hash(selector, message) == _poly_hash_oracle(selector, message), \
+                (length, selector)
 
 
 def test_auth_tag_mask_hides_hash():

@@ -316,6 +316,13 @@ def test_relay_auth_failure_fails_session_and_degrades_link():
     assert coord.drive(session, 1.0) == "failed"
     assert session.status is RelayStatus.FAILED
     assert health.status("N1-N2") is LinkHealth.DEGRADED
+    # Every pad it consumed is written off, the failed hop's own included.
+    pads = {(a.pair, a.offset_start, a.offset_end) for a in store.audit
+            if a.kind == "consume" and a.purpose == ConsumePurpose.ONE_TIME_PAD.value}
+    writeoffs = [(a.pair, a.offset_start, a.offset_end) for a in store.audit
+                 if a.kind == "write_off"]
+    assert len(pads) == 2
+    assert sorted(writeoffs) == sorted(pads)
 
 
 def test_reroute_mid_session_writes_off_and_regenerates():

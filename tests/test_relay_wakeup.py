@@ -1,0 +1,156 @@
+"""Relay wake-ups: the coordinator's index of blocked sessions against its
+declared oracle, ``RelayCoordinator.movable``, and its cost as demand grows."""
+
+import random
+
+import numpy as np
+
+from qkdnet import netgraph as ng
+from qkdnet.engine import run_scenario
+from qkdnet.keyrelay import HealthMonitor, RelayCoordinator, RelayStatus
+from qkdnet.keystore import ConsumePurpose, KeyOrigin, KeyStore
+from qkdnet.netgraph import LinkHealth
+from qkdnet.scenario import load_scenario
+
+SIZES = (256, 1024, 3000)
+
+
+def _mesh():
+    """Four trusted relays, an untrusted transmitter U that may only be an
+    endpoint, and S-D joined by prepositioned key alone."""
+    nodes = ([{"id": n, "role": "relay"} for n in ("S", "A", "B", "D")]
+             + [{"id": "U", "role": "tx", "trusted": False}])
+    links = [{"id": f"{a}-{b}".lower(), "a": a, "b": b, "length_km": 1.0}
+             for a, b in (("S", "A"), ("A", "B"), ("B", "D"), ("S", "B"),
+                          ("U", "A"), ("U", "D"))]
+    return ng.load_topology({"version": 1, "nodes": nodes, "links": links,
+                             "prepositioned": [{"a": "S", "b": "D", "bits": 0}]})
+
+
+def test_wake_matches_the_movable_oracle_under_random_changes():
+    topo = _mesh()
+    channels = [ch.channel_id for ch in topo.qkd_channels()]
+    pairs = sorted(topo.channel_ids_by_pair) + [("D", "S"), ("S", "U")]
+    nodes = sorted(topo.nodes)
+    woken_by_status = {RelayStatus.PATH_PENDING: 0, RelayStatus.IN_FLIGHT: 0}
+    for seed in range(20):
+        rng = random.Random(seed)
+        bits = np.random.default_rng(seed)
+        store = KeyStore()
+        health = HealthMonitor()
+        coord = RelayCoordinator(topo, health, store, np.random.default_rng(seed),
+                                 reserve_bits=64)
+        active = []
+        for step in range(200):
+            t = float(step)
+            op = rng.choices(("deposit", "consume", "health", "request", "step", "cancel"),
+                             (8, 8, 4, 4, 8, 1))[0]
+            if op == "deposit":
+                a, b = rng.choice(pairs)
+                store.reservoir(a, b).deposit(
+                    f"d{step}", bits.integers(0, 2, rng.randint(100, 4000), dtype=np.uint8),
+                    KeyOrigin.DIRECT_QKD, t)
+            elif op == "consume":
+                # Half the time, drain the next hop of a session in flight.
+                in_flight = [s for s in active if s.status is RelayStatus.IN_FLIGHT]
+                if in_flight and rng.random() < 0.5:
+                    session = rng.choice(in_flight)
+                    a, b = session.path[session.next_hop:session.next_hop + 2]
+                else:
+                    a, b = rng.choice(pairs)
+                n = max(0, store.available(a, b) - rng.randint(0, 3000))
+                store.reservoir(a, b).consume(n, ConsumePurpose.DELIVERY, t)
+            elif op == "health":
+                health.force(rng.choice(channels), rng.choice(list(LinkHealth)), t, "test")
+            elif op == "request":
+                src, dst = rng.sample(nodes, 2)
+                session = coord.request(src, dst, rng.choice(SIZES), t)
+                if session.status is RelayStatus.PATH_PENDING:
+                    coord.wait(session)
+                else:
+                    active.append(session)
+            elif op == "cancel":
+                if coord.waiting:
+                    coord.cancel(rng.choice(list(coord.waiting.values())).session_id, t)
+            elif active:
+                session = active.pop(rng.randrange(len(active)))
+                outcome = coord.step(session, t)
+                if outcome in ("advanced", "rerouted"):
+                    active.append(session)
+                elif outcome in ("starved", "pending"):
+                    coord.wait(session)
+            waiting = [coord.waiting[n] for n in sorted(coord.waiting)]
+            expected = coord.movable(waiting)
+            for session in expected:
+                woken_by_status[session.status] += 1
+            assert coord.wake() == expected, (seed, step, op)
+            active.extend(expected)
+    # Both kinds of blocked session were woken, many times over.
+    assert min(woken_by_status.values()) >= 20, woken_by_status
+
+
+def _chain_scenario(requests: int) -> dict:
+    names = [f"N{i}" for i in range(8)]
+    params = {"detector_efficiency": 0.1, "dark_count_prob": 1e-5,
+              "intrinsic_error": 0.01, "mean_photon_number": 0.5,
+              "pulse_rate_hz": 5e6, "dead_time_s": 1e-5}
+    topology = {
+        "version": 1, "name": "chain8",
+        "nodes": ([{"id": names[0], "role": "tx"}]
+                  + [{"id": n, "role": "relay"} for n in names[1:-1]]
+                  + [{"id": names[-1], "role": "rx"}]),
+        "links": [{"id": f"hop{i}", "a": names[i], "b": names[i + 1], "length_km": 100.0}
+                  for i in range(len(names) - 1)],
+        "defaults": {"fiber_loss_db_per_km": 0.2, "params": params,
+                     "drift_rate_rad_per_s": 0.002, "feedback_gain": 0.5}}
+    events = [{"t": 0.0, "kind": "start_qkd", "tx": a, "rx": b}
+              for a, b in zip(names, names[1:])]
+    rng = random.Random(7)
+    for i in range(requests):
+        src, dst = rng.sample(names, 2)
+        events.append({"t": round(10.0 * i / requests, 6), "kind": "relay_request",
+                       "src": src, "dst": dst, "bits": 2048})
+    return {"version": 1, "name": "chain8-demand", "topology": topology,
+            "duration_s": 20.0, "seed": 3,
+            "engine": {"prepositioned_auth_bits": 1 << 15}, "events": events}
+
+
+def _full_scan_wake(self):
+    """The wake-up as a full scan: every waiting session through the oracle."""
+    ready = self.movable([self.waiting[n] for n in sorted(self.waiting)])
+    for session in ready:
+        self._unfile(session)
+    return ready
+
+
+def test_wakeups_examine_linearly_many_sessions_and_match_a_full_scan(monkeypatch):
+    counts = {}
+    can_move, wake = RelayCoordinator._can_move, RelayCoordinator.wake
+
+    def counted_can_move(self, session, reach):
+        counts["examined"] += 1
+        return can_move(self, session, reach)
+
+    def counted_wake(self):
+        ready = wake(self)
+        counts["woken"] += len(ready)
+        return ready
+
+    for scale in (1, 2, 4):
+        requests = 150 * scale
+        doc = _chain_scenario(requests)
+        counts.update(examined=0, woken=0)
+        with monkeypatch.context() as m:
+            m.setattr(RelayCoordinator, "_can_move", counted_can_move)
+            m.setattr(RelayCoordinator, "wake", counted_wake)
+            indexed = run_scenario(load_scenario(doc)).emit_records()
+        examined, woken = counts["examined"], counts["woken"]
+        with monkeypatch.context() as m:
+            m.setattr(RelayCoordinator, "wake", _full_scan_wake)
+            full_scan = run_scenario(load_scenario(doc)).emit_records()
+        assert indexed == full_scan, scale
+        # Every session woken is examined once; the examinations that wake
+        # nobody stay under one per request, so they grow linearly with
+        # demand (a full scan after each deposit makes dozens per request).
+        assert woken > 0
+        assert examined - woken <= requests, (scale, examined, woken)
