@@ -12,7 +12,7 @@ import numpy as np
 
 from qkdnet import netgraph as ng
 from qkdnet.bits import bits_to_hex, xor_bits
-from qkdnet.keyrelay import HealthMonitor, RelayCoordinator, find_path
+from qkdnet.keyrelay import HealthMonitor, RelayCoordinator, find_path, hop_need, relay_graph
 from qkdnet.keystore import KeyOrigin, KeyStore, scan_one_time_use
 from qkdnet.netgraph import LinkHealth
 
@@ -76,5 +76,6 @@ for pair, bits in ((("S", "R1"), 9000), (("R1", "D"), 9000),
                    (("S", "R2"), 3000), (("R2", "D"), 3000)):
     store2.reservoir(*pair).deposit(
         "qkd", rng.integers(0, 2, bits, dtype=np.uint8), KeyOrigin.DIRECT_QKD)
-path = find_path(diamond, HealthMonitor(), store2, "S", "D", 2048)
+path = find_path(diamond, relay_graph(diamond, HealthMonitor(), store2), "S", "D",
+                 hop_need(2048))
 print(f"  2048-bit request routes via the richer relay: {' -> '.join(path)}")

@@ -119,7 +119,11 @@ def _cmd_budget(args) -> int:
     if args.preset:
         topology = load_preset(args.preset)
     else:
-        topology = load_topology(args.topology.read_text())
+        try:
+            text = args.topology.read_text()
+        except (OSError, ValueError) as exc:
+            raise ValidationError(f"cannot read topology {args.topology}: {exc}") from exc
+        topology = load_topology(text)
     parts = [p.strip() for p in args.path.split(",") if p.strip()]
     path = parts[0] if len(parts) == 1 else tuple(parts)
     loss = topology.link_budget(path)

@@ -2,15 +2,17 @@
 transport of a fresh secret, failure discovery, and rerouting.
 
 The relay graph's edges are node pairs that share key material (QKD-backed
-pairs gated by link health, plus prepositioned pairs). A session carries a
-fresh random secret R from source to destination, re-encrypted with each
-pair's one-time-pad key at every hop; R sits in plaintext only inside the
-path's trusted nodes. Failures discovered from QKD telemetry (sustained
-high error rate, zero-click windows, realignment failures) take links out
-of the graph; sessions in flight write off what they consumed, regenerate
-R, and reroute around the failure. A session that starves or finds no path
-waits with no timer, filed by what can free it (see
-:class:`RelayCoordinator`).
+pairs gated by link health, plus prepositioned pairs), each weighted by the
+key it holds: one graph serves every request size, a hop taking an edge
+whose level covers its need. A session carries a fresh random secret R
+from source to destination, re-encrypted with each pair's one-time-pad key
+at every hop; R sits in plaintext only inside the path's trusted nodes.
+Failures discovered from QKD telemetry (sustained high error rate,
+zero-click windows, realignment failures) take links out of the graph;
+sessions in flight write off what they consumed, regenerate R, and reroute
+around the failure. A session that starves or finds no path waits with no
+timer, filed by what can free it, and one readiness rule says when it can
+move (see :class:`RelayCoordinator`).
 """
 
 from __future__ import annotations
@@ -195,32 +197,31 @@ def relay_pairs(topology: Topology) -> Set[Tuple[str, str]]:
     return pairs
 
 
-def relay_edges(topology: Topology, health: HealthMonitor, store: KeyStore,
-                r_length: int, reserve_bits: int = 0) -> Dict[str, Set[str]]:
-    """Adjacency over up pairs that can fund an ``r_length``-bit hop right now."""
-    need = hop_need(r_length, reserve_bits)
-    adjacency: Dict[str, Set[str]] = {n: set() for n in topology.nodes}
+def relay_graph(topology: Topology, health: HealthMonitor,
+                store: KeyStore) -> Dict[str, Dict[str, int]]:
+    """Key levels over the up pairs: ``graph[a][b]`` is the bits pair
+    (a, b) holds now. A hop needing ``need`` bits may use an edge whose
+    level is at least ``need``."""
+    graph: Dict[str, Dict[str, int]] = {n: {} for n in topology.nodes}
     for pair in relay_pairs(topology):
-        if store.available(*pair) < need or not pair_up(topology, health, pair):
-            continue
-        a, b = pair
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    return adjacency
+        if pair_up(topology, health, pair):
+            a, b = pair
+            graph[a][b] = graph[b][a] = store.available(a, b)
+    return graph
 
 
-def _layers(topology: Topology, adjacency: Dict[str, Set[str]], src: str,
+def _layers(topology: Topology, graph: Dict[str, Dict[str, int]], src: str, need: int,
             dst: Optional[str] = None) -> Dict[str, int]:
-    """Hop count from src to each node a relay can reach, stopping after the
-    layer that reaches dst. Untrusted nodes are reached but never passed
-    through: they cannot take interior positions."""
+    """Hop count from src to each node a relay of ``need``-bit hops can
+    reach, stopping after the layer that reaches dst. Untrusted nodes are
+    reached but never passed through: they cannot take interior positions."""
     dist = {src: 0}
     frontier = [src]
     while frontier and dst not in dist:
         nxt = []
         for node in frontier:
-            for peer in adjacency[node]:
-                if peer in dist:
+            for peer, level in graph[node].items():
+                if level < need or peer in dist:
                     continue
                 dist[peer] = dist[node] + 1
                 if topology.nodes[peer].trusted:
@@ -229,28 +230,23 @@ def _layers(topology: Topology, adjacency: Dict[str, Set[str]], src: str,
     return dist
 
 
-def find_path(topology: Topology, health: HealthMonitor, store: KeyStore,
-              src: str, dst: str, r_length: int, reserve_bits: int = 0,
-              adjacency: Optional[Dict[str, Set[str]]] = None) -> List[str]:
-    """Shortest usable relay path from src to dst.
+def find_path(topology: Topology, graph: Dict[str, Dict[str, int]],
+              src: str, dst: str, need: int) -> List[str]:
+    """Shortest usable relay path from src to dst over a :func:`relay_graph`.
 
-    Every hop must hold :func:`hop_need` bits. Hop count first; ties broken
-    by the larger minimum available key along the path, then by
-    lexicographic node sequence. Interior nodes must be trusted. Raises
-    :class:`NoPathError` when nothing qualifies. ``adjacency`` is the
-    current :func:`relay_edges` graph for ``r_length``, if the caller
-    keeps one; otherwise it is built here.
+    Every hop must hold ``need`` bits (see :func:`hop_need`). Hop count
+    first; ties broken by the larger minimum key level along the path, then
+    by lexicographic node sequence. Interior nodes must be trusted. Raises
+    :class:`NoPathError` when nothing qualifies.
     """
     if src == dst:
         raise ValueError("relay source and destination must differ")
     for node in (src, dst):
         if node not in topology.nodes:
             raise ValueError(f"unknown node {node!r}")
-    if adjacency is None:
-        adjacency = relay_edges(topology, health, store, r_length, reserve_bits)
-    dist = _layers(topology, adjacency, src, dst)
+    dist = _layers(topology, graph, src, need, dst)
     if dst not in dist:
-        raise NoPathError(f"no qualifying relay path {src} -> {dst} for {r_length} bits")
+        raise NoPathError(f"no qualifying relay path {src} -> {dst} for {need}-bit hops")
 
     # Walking back from dst over the shortest-path layers, each node's
     # widest bottleneck to dst, and its next hops with the width each gives.
@@ -260,11 +256,11 @@ def find_path(topology: Topology, health: HealthMonitor, store: KeyStore,
     while src not in width:
         prev = []
         for node in layer:
-            for peer in adjacency[node]:
-                if dist.get(peer) != dist[node] - 1 or \
+            for peer, level in graph[node].items():
+                if level < need or dist.get(peer) != dist[node] - 1 or \
                         (peer != src and not topology.nodes[peer].trusted):
                     continue
-                w = min(store.available(peer, node), width[node])
+                w = min(level, width[node])
                 if peer not in hops:
                     hops[peer] = []
                     width[peer] = w
@@ -289,12 +285,14 @@ class RelayCoordinator:
 
     It also owns the blocked sessions. :meth:`wait` files one under what
     can free it: a starved session under its next-hop pair, a path-pending
-    one under its request size, source and destination. :meth:`wake` reads what changed
-    since its last call from one change feed, the store's audit log and the
-    health transitions, each read by cursor, and examines only the sessions
-    filed under a change. The same feed keeps one relay graph per request
-    size current, which path search and the wake-up both read.
-    :meth:`movable` is the test oracle the wake-up must agree with.
+    one under its request size, source and destination. :meth:`wake` reads
+    what changed since its last call from one change feed, the store's
+    audit log and the health transitions, each read by cursor, and examines
+    only the sessions filed under a change. The same feed keeps one
+    :func:`relay_graph` of pair levels current, which path search and the
+    wake-up both read for every request size. One readiness rule,
+    :meth:`_ready`, decides for the wake-up and for :meth:`movable`, the
+    test oracle that applies it on a graph built fresh.
     """
 
     def __init__(self, topology: Topology, health: HealthMonitor, store: KeyStore,
@@ -311,22 +309,23 @@ class RelayCoordinator:
         self.corrupt_hops: Set[Tuple[str, int]] = set()  # fault injection for tests
         self._counter = 0
         # Blocked sessions by request number, each filed in one queue: a
-        # starved one under its next-hop pair, a path-pending one under its
-        # size, source and destination. _filed_in names a session's queue
+        # starved one under its next-hop pair, a path-pending one under
+        # (size, source, destination). _filed_in names a session's queue
         # by the dict that holds it and its key there.
         self.waiting: Dict[int, RelaySession] = {}
         self._filed_in: Dict[int, Tuple[dict, object]] = {}
         self._starved: Dict[Tuple[str, str], Dict[int, RelaySession]] = {}
-        self._pending: Dict[int, Dict[str, Dict[str, Dict[int, RelaySession]]]] = {}
+        self._pending: Dict[Tuple[int, str, str], Dict[int, RelaySession]] = {}
         # The change feed (the store's audit log and the health
-        # transitions) is read by cursor. What it showed since the last
-        # wake-up: pairs with a deposit or a health transition, and the
-        # request sizes whose kept relay graph gained an edge.
-        self._audit_seen = 0
-        self._transitions_seen = 0
+        # transitions) is read by cursor into the kept relay graph. What it
+        # showed since the last wake-up: pairs with a deposit or a health
+        # transition, and each rise of a pair's level as the interval
+        # (old, new], a pair that is down counting as -1.
+        self._graph = relay_graph(topology, health, store)
+        self._audit_seen = len(store.audit)
+        self._transitions_seen = len(health.transitions)
         self._touched: Set[Tuple[str, str]] = set()
-        self._grown: Set[int] = set()
-        self._graphs: Dict[int, Dict[str, Set[str]]] = {}  # by request size
+        self._rises: List[Tuple[int, int]] = []
         self._pairs = relay_pairs(topology)
         self._pair_of_channel = {cid: pair for pair, ids in topology.channel_ids_by_pair.items()
                                  for cid in ids}
@@ -373,11 +372,10 @@ class RelayCoordinator:
     def _select_path(self, session: RelaySession) -> bool:
         """Put the session in flight from the first hop of a fresh path, if
         one qualifies; a session's first path draws its secret."""
+        self._drain()
         try:
-            session.path = find_path(self.topology, self.health, self.store,
-                                     session.src, session.dst, session.r_length_bits,
-                                     self.reserve_bits,
-                                     adjacency=self._graph(session.r_length_bits))
+            session.path = find_path(self.topology, self._graph, session.src, session.dst,
+                                     hop_need(session.r_length_bits, self.reserve_bits))
         except NoPathError:
             return False
         session.next_hop = 0
@@ -390,8 +388,8 @@ class RelayCoordinator:
     # -- blocked sessions ---------------------------------------------------
 
     def _drain(self):
-        """Read the change feed since the last look and bring every kept
-        relay graph up to date at the pairs it touched."""
+        """Read the change feed since the last look and bring the kept relay
+        graph up to date at the pairs it touched."""
         audit, transitions = self.store.audit, self.health.transitions
         if self._audit_seen == len(audit) and self._transitions_seen == len(transitions):
             return
@@ -408,37 +406,23 @@ class RelayCoordinator:
                 self._touched.add(pair)
                 changed.add(pair)
         self._audit_seen, self._transitions_seen = len(audit), len(transitions)
-        if not self._graphs:
-            return
         for pair in changed & self._pairs:
             a, b = pair
-            level = self.store.available(a, b)
-            up = pair_up(self.topology, self.health, pair)
-            for r, adjacency in self._graphs.items():
-                if up and level >= hop_need(r, self.reserve_bits):
-                    if b not in adjacency[a]:
-                        adjacency[a].add(b)
-                        adjacency[b].add(a)
-                        self._grown.add(r)
-                else:
-                    adjacency[a].discard(b)
-                    adjacency[b].discard(a)
-
-    def _graph(self, r_length: int) -> Dict[str, Set[str]]:
-        """The current relay graph for ``r_length``-bit requests, kept from
-        its first use on."""
-        self._drain()
-        if r_length not in self._graphs:
-            self._graphs[r_length] = relay_edges(self.topology, self.health, self.store,
-                                                 r_length, self.reserve_bits)
-        return self._graphs[r_length]
+            old = self._graph[a].get(b, -1)
+            if pair_up(self.topology, self.health, pair):
+                new = self._graph[a][b] = self._graph[b][a] = self.store.available(a, b)
+            else:
+                new = -1
+                self._graph[a].pop(b, None)
+                self._graph[b].pop(a, None)
+            if new > old:
+                self._rises.append((old, new))
 
     def wait(self, session: RelaySession):
         """File a session whose step just starved or found no path."""
         if session.status is RelayStatus.PATH_PENDING:
-            holder = self._pending.setdefault(session.r_length_bits, {}) \
-                .setdefault(session.src, {})
-            key = session.dst
+            holder = self._pending
+            key = session.r_length_bits, session.src, session.dst
         else:
             holder = self._starved
             key = pair_key(session.path[session.next_hop], session.path[session.next_hop + 1])
@@ -461,68 +445,64 @@ class RelayCoordinator:
         Only a deposit or a health transition can free a session (a
         consume only lowers a level). So only two kinds of session are
         examined: those starved on a pair with one since the last call, and
-        the path-pending ones of a size whose graph gained an edge, after
-        one walk per source, and only where the walk reaches their
-        destination.
+        the path-pending ones of a size whose :func:`hop_need` lies in a
+        level rise since then, after one walk per need and source, and only
+        where the walk reaches their destination.
         """
         self._drain()
-        if not self._touched and not self._grown:
+        if not self._touched and not self._rises:
             return []
         candidates = [s for pair in self._touched
                       for s in self._starved.get(pair, {}).values()]
+        grown = {}  # the hop need of each pending size that a rise crossed
+        for r in {key[0] for key in self._pending}:
+            need = hop_need(r, self.reserve_bits)
+            if any(old < need <= new for old, new in self._rises):
+                grown[r] = need
         reach: Dict[Tuple[int, str], Dict[str, int]] = {}
-        for r in self._grown:
-            for src, by_dst in self._pending.get(r, {}).items():
-                if not by_dst:
-                    continue
-                reach[r, src] = seen = _layers(self.topology, self._graphs[r], src)
-                candidates.extend(s for dst, queue in by_dst.items() if dst in seen
-                                  for s in queue.values())
-        self._touched, self._grown = set(), set()
-        ready = sorted((s for s in candidates if self._can_move(s, reach)),
-                       key=lambda s: s.seq)
+        for (r, src, dst), queue in self._pending.items():
+            need = grown.get(r)
+            if need is None:
+                continue
+            if (need, src) not in reach:
+                reach[need, src] = _layers(self.topology, self._graph, src, need)
+            if dst in reach[need, src]:
+                candidates.extend(queue.values())
+        self._touched, self._rises = set(), []
+        ready = sorted(self._ready(candidates, self._graph, reach), key=lambda s: s.seq)
         for session in ready:
             self._unfile(session)
         return ready
 
-    def _can_move(self, session: RelaySession,
-                  reach: Dict[Tuple[int, str], Dict[str, int]]) -> bool:
-        """:meth:`movable`'s rule for one session, on the kept graphs;
-        ``reach`` holds the walk from each path-pending session's source."""
-        if session.status is RelayStatus.PATH_PENDING:
-            return session.dst in reach[session.r_length_bits, session.src]
-        pair = pair_key(session.path[session.next_hop], session.path[session.next_hop + 1])
-        return (self.store.available(*pair) >= hop_need(session.r_length_bits,
-                                                        self.reserve_bits)
-                or not pair_up(self.topology, self.health, pair))
-
-    def movable(self, sessions: Iterable[RelaySession]) -> List[RelaySession]:
+    def _ready(self, sessions: Iterable[RelaySession], graph: Dict[str, Dict[str, int]],
+               reach: Dict[Tuple[int, str], Dict[str, int]]) -> List[RelaySession]:
         """The blocked sessions among ``sessions`` that a step would move now.
 
         A starved session can move once its next hop is funded or no longer
         up (the step then reroutes it); a path-pending one once its
-        destination is reachable through trusted nodes. Every answer comes
-        from one relay graph per request size, built on first need. This
-        full scan is the test oracle of :meth:`wake`.
+        destination is reachable through trusted nodes. ``graph`` is the
+        current :func:`relay_graph`; ``reach`` caches the walk for each hop
+        need and source.
         """
-        graphs: Dict[int, Dict[str, Set[str]]] = {}
-        reach: Dict[Tuple[int, str], Dict[str, int]] = {}
         ready = []
         for session in sessions:
-            r = session.r_length_bits
-            if r not in graphs:
-                graphs[r] = relay_edges(self.topology, self.health, self.store,
-                                        r, self.reserve_bits)
+            need = hop_need(session.r_length_bits, self.reserve_bits)
             if session.status is RelayStatus.PATH_PENDING:
-                if (r, session.src) not in reach:
-                    reach[r, session.src] = _layers(self.topology, graphs[r], session.src)
-                if session.dst in reach[r, session.src]:
+                if (need, session.src) not in reach:
+                    reach[need, session.src] = _layers(self.topology, graph, session.src, need)
+                if session.dst in reach[need, session.src]:
                     ready.append(session)
                 continue
-            tx, rx = session.path[session.next_hop], session.path[session.next_hop + 1]
-            if rx in graphs[r][tx] or not pair_up(self.topology, self.health, pair_key(tx, rx)):
+            level = graph[session.path[session.next_hop]].get(
+                session.path[session.next_hop + 1], -1)
+            if level >= need or level < 0:
                 ready.append(session)
         return ready
+
+    def movable(self, sessions: Iterable[RelaySession]) -> List[RelaySession]:
+        """:meth:`_ready` on a relay graph built fresh: the full scan that
+        is the test oracle of :meth:`wake`."""
+        return self._ready(sessions, relay_graph(self.topology, self.health, self.store), {})
 
     def step(self, session: RelaySession, time_s: float) -> str:
         """Advance the session by at most one hop.
@@ -551,7 +531,7 @@ class RelayCoordinator:
 
         ciphertext = xor_bits(session.secret, key)
         payload = struct.pack("<IH", session.r_length_bits, hop) + bits_to_bytes(ciphertext)
-        record = Record(RecordType.RELAY_HOP, frame_id=self._counter, payload=payload)
+        record = Record(RecordType.RELAY_HOP, frame_id=session.seq, payload=payload)
         message = encode_record(record)
         tag = auth_tag(auth_key, message)
         if (session.session_id, hop) in self.corrupt_hops:

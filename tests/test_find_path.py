@@ -9,7 +9,7 @@ import pytest
 
 from qkdnet import netgraph as ng
 from qkdnet.errors import NoPathError
-from qkdnet.keyrelay import HealthMonitor, _layers, find_path, hop_need, relay_edges
+from qkdnet.keyrelay import HealthMonitor, _layers, find_path, hop_need, relay_graph
 from qkdnet.keystore import KeyOrigin, KeyStore
 
 R_LENGTH = 8
@@ -19,8 +19,9 @@ def _oracle(topology, health, store, src, dst, r_length) -> List[str]:
     """Test oracle: list every shortest path with trusted interior nodes,
     then take the one with the widest bottleneck, then the smallest node
     sequence."""
-    adjacency = relay_edges(topology, health, store, r_length)
-    dist = _layers(topology, adjacency, src, dst)
+    need = hop_need(r_length)
+    graph = relay_graph(topology, health, store)
+    dist = _layers(topology, graph, src, need, dst)
     if dst not in dist:
         raise NoPathError(f"no qualifying relay path {src} -> {dst}")
     paths: List[List[str]] = []
@@ -30,7 +31,7 @@ def _oracle(topology, health, store, src, dst, r_length) -> List[str]:
         if node == dst:
             paths.append(list(path))
             return
-        for peer in sorted(adjacency[node]):
+        for peer in sorted(p for p, level in graph[node].items() if level >= need):
             if dist.get(peer) == dist[node] + 1 and \
                     (peer == dst or topology.nodes[peer].trusted):
                 path.append(peer)
@@ -79,14 +80,15 @@ def test_find_path_matches_the_enumeration_oracle():
         health = HealthMonitor()
         for _ in range(3):
             src, dst = rng.sample(names, 2)
+            graph = relay_graph(topology, health, store)
             try:
                 expected = _oracle(topology, health, store, src, dst, R_LENGTH)
             except NoPathError:
                 with pytest.raises(NoPathError):
-                    find_path(topology, health, store, src, dst, R_LENGTH)
+                    find_path(topology, graph, src, dst, need)
                 no_path += 1
                 continue
-            assert find_path(topology, health, store, src, dst, R_LENGTH) == expected, \
+            assert find_path(topology, graph, src, dst, need) == expected, \
                 (trial, nodes, pairs, levels, src, dst)
             compared += 1
             multi_hop += len(expected) > 2
@@ -102,7 +104,8 @@ def test_find_path_on_a_12x12_grid_is_fast():
     topology, store = _prepositioned_mesh(
         [(n, True) for row in names for n in row], pairs, [hop_need(R_LENGTH)] * len(pairs))
     t0 = time.perf_counter()
-    path = find_path(topology, HealthMonitor(), store, names[0][0], names[-1][-1], R_LENGTH)
+    path = find_path(topology, relay_graph(topology, HealthMonitor(), store),
+                     names[0][0], names[-1][-1], hop_need(R_LENGTH))
     elapsed = time.perf_counter() - t0
     # Every corner-to-corner path ties on width: the smallest node sequence
     # runs along the first row, then down the last column.

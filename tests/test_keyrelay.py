@@ -1,14 +1,18 @@
 """Key relay: path selection, hop-by-hop OTP algebra, failure handling."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from qkdnet import netgraph as ng
 from qkdnet.bits import xor_bits
 from qkdnet.errors import NoPathError
-from qkdnet.keyrelay import HealthMonitor, RelayCoordinator, RelayStatus, find_path
+from qkdnet.keyrelay import (HealthMonitor, RelayCoordinator, RelayStatus, find_path,
+                             hop_need, relay_graph)
 from qkdnet.keystore import ConsumePurpose, KeyOrigin, KeyStore, scan_one_time_use
 from qkdnet.netgraph import LinkHealth
+from qkdnet.qkdproto.wire import RecordType, decode_record
 
 
 class _StubRng:
@@ -117,16 +121,21 @@ def test_recovery_after_three_clean_blocks():
 # find_path
 # ---------------------------------------------------------------------------
 
+def _find(topo, health, store, src, dst, r_length):
+    """find_path on the current relay graph for an ``r_length``-bit relay."""
+    return find_path(topo, relay_graph(topo, health, store), src, dst, hop_need(r_length))
+
+
 def test_find_path_prefers_richer_relay():
     topo = ng.load_preset("cambridge")
     store = KeyStore()
     _seed(store, [("Alice", "Bob"), ("Anna", "Bob")], bits=5000)
     _seed(store, [("Alice", "Boris"), ("Anna", "Boris")], bits=4000)
-    path = find_path(topo, HealthMonitor(), store, "Alice", "Anna", 1000)
+    path = _find(topo, HealthMonitor(), store, "Alice", "Anna", 1000)
     assert path == ["Alice", "Bob", "Anna"]
     # Starve the Bob pairs below the request: the Boris relay takes over.
     store.reservoir("Alice", "Bob").consume(4500, ConsumePurpose.DELIVERY)
-    path = find_path(topo, HealthMonitor(), store, "Alice", "Anna", 1000)
+    path = _find(topo, HealthMonitor(), store, "Alice", "Anna", 1000)
     assert path == ["Alice", "Boris", "Anna"]
 
 
@@ -135,14 +144,14 @@ def test_find_path_lexicographic_tie_break():
     store = KeyStore()
     _seed(store, [("Alice", "Bob"), ("Anna", "Bob"),
                   ("Alice", "Boris"), ("Anna", "Boris")], bits=5000)
-    path = find_path(topo, HealthMonitor(), store, "Alice", "Anna", 1000)
+    path = _find(topo, HealthMonitor(), store, "Alice", "Anna", 1000)
     assert path == ["Alice", "Bob", "Anna"]  # equal min-key; "Bob" < "Boris"
 
 
 def test_find_path_rejects_same_endpoints():
     topo = ng.load_preset("cambridge")
     with pytest.raises(ValueError):
-        find_path(topo, HealthMonitor(), KeyStore(), "Alice", "Alice", 10)
+        _find(topo, HealthMonitor(), KeyStore(), "Alice", "Alice", 10)
 
 
 def test_find_path_cut_chain_disconnects():
@@ -152,7 +161,7 @@ def test_find_path_cut_chain_disconnects():
     health = HealthMonitor()
     health.force("N2-N3", LinkHealth.CUT, 0.0, "test")
     with pytest.raises(NoPathError):
-        find_path(topo, health, store, "N0", "N4", 100)
+        _find(topo, health, store, "N0", "N4", 100)
 
 
 def test_find_path_excludes_untrusted_interior():
@@ -167,7 +176,7 @@ def test_find_path_excludes_untrusted_interior():
     store = KeyStore()
     _seed(store, [("A", "M"), ("M", "B")])
     with pytest.raises(NoPathError):
-        find_path(topo, HealthMonitor(), store, "A", "B", 100)
+        _find(topo, HealthMonitor(), store, "A", "B", 100)
 
 
 def test_find_path_needs_available_key():
@@ -175,7 +184,7 @@ def test_find_path_needs_available_key():
     store = KeyStore()
     _seed(store, pairs, bits=500)
     with pytest.raises(NoPathError):
-        find_path(topo, HealthMonitor(), store, "N0", "N2", 501)
+        _find(topo, HealthMonitor(), store, "N0", "N2", 501)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +239,24 @@ def test_five_hop_relay_accounting_and_algebra():
         key = store.reservoirs[t.pair].peek(t.otp_offset_start, 10_000)
         assert np.array_equal(xor_bits(t.ciphertext, key), session.secret)
     assert scan_one_time_use(store.audit) == []
+
+
+def test_every_hop_message_carries_its_session_number_as_frame_id():
+    topo, pairs = _chain(4)
+    store = KeyStore()
+    _seed(store, pairs, bits=20_000)
+    coord = RelayCoordinator(topo, HealthMonitor(), store, np.random.default_rng(11))
+    sessions = [coord.request(src, dst, 512, time_s=0.0)
+                for src, dst in (("N0", "N3"), ("N1", "N3"), ("N0", "N2"))]
+    for session in sessions:
+        assert coord.drive(session, 1.0) == "delivered"
+    for session in sessions:
+        for t in session.hop_transcripts:
+            record, end = decode_record(t.message)
+            assert end == len(t.message)
+            assert (record.rtype, record.frame_id) == (RecordType.RELAY_HOP, session.seq)
+            assert struct.unpack_from("<IH", record.payload) == (512, t.hop_index)
+    assert [s.seq for s in sessions] == [1, 2, 3]
 
 
 def test_relay_deposits_delivered_secret_for_endpoints():

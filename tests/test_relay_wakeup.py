@@ -7,7 +7,7 @@ import numpy as np
 
 from qkdnet import netgraph as ng
 from qkdnet.engine import run_scenario
-from qkdnet.keyrelay import HealthMonitor, RelayCoordinator, RelayStatus
+from qkdnet.keyrelay import HealthMonitor, RelayCoordinator, RelayStatus, hop_need
 from qkdnet.keystore import ConsumePurpose, KeyOrigin, KeyStore
 from qkdnet.netgraph import LinkHealth
 from qkdnet.scenario import load_scenario
@@ -27,7 +27,9 @@ def _mesh():
                              "prepositioned": [{"a": "S", "b": "D", "bits": 0}]})
 
 
-def test_wake_matches_the_movable_oracle_under_random_changes():
+def _wake_against_the_oracle(draw_size):
+    """Random deposits, consumes, health flips, requests, steps and
+    cancels, with ``wake()`` checked against ``movable`` after each."""
     topo = _mesh()
     channels = [ch.channel_id for ch in topo.qkd_channels()]
     pairs = sorted(topo.channel_ids_by_pair) + [("D", "S"), ("S", "U")]
@@ -64,7 +66,7 @@ def test_wake_matches_the_movable_oracle_under_random_changes():
                 health.force(rng.choice(channels), rng.choice(list(LinkHealth)), t, "test")
             elif op == "request":
                 src, dst = rng.sample(nodes, 2)
-                session = coord.request(src, dst, rng.choice(SIZES), t)
+                session = coord.request(src, dst, draw_size(rng), t)
                 if session.status is RelayStatus.PATH_PENDING:
                     coord.wait(session)
                 else:
@@ -87,6 +89,43 @@ def test_wake_matches_the_movable_oracle_under_random_changes():
             active.extend(expected)
     # Both kinds of blocked session were woken, many times over.
     assert min(woken_by_status.values()) >= 20, woken_by_status
+
+
+def test_wake_matches_the_movable_oracle_under_random_changes():
+    _wake_against_the_oracle(lambda rng: rng.choice(SIZES))
+
+
+def test_wake_matches_the_movable_oracle_with_many_request_sizes():
+    # One level rise then crosses some sizes' hop needs and not others'.
+    _wake_against_the_oracle(lambda rng: rng.randint(200, 4000))
+
+
+def test_a_rise_to_exactly_a_hop_need_wakes_that_size_only():
+    topo = _mesh()
+    store = KeyStore()
+    coord = RelayCoordinator(topo, HealthMonitor(), store, np.random.default_rng(0),
+                             reserve_bits=64)
+    sessions = [coord.request("S", "D", r, 0.0) for r in (1000, 1001)]
+    for session in sessions:
+        coord.wait(session)
+    store.reservoir("S", "D").deposit(
+        "fund", np.zeros(hop_need(1000, 64), dtype=np.uint8), KeyOrigin.PREPOSITIONED, 1.0)
+    assert coord.wake() == coord.movable(sessions) == sessions[:1]
+
+
+def test_woken_path_pending_sessions_leave_no_empty_queues():
+    topo = _mesh()
+    store = KeyStore()
+    coord = RelayCoordinator(topo, HealthMonitor(), store, np.random.default_rng(0))
+    for i in range(50):
+        session = coord.request("S", "D", 100 + i, float(i))
+        assert session.status is RelayStatus.PATH_PENDING
+        coord.wait(session)
+    store.reservoir("S", "D").deposit(
+        "fund", np.random.default_rng(1).integers(0, 2, 1000, dtype=np.uint8),
+        KeyOrigin.PREPOSITIONED, 50.0)
+    assert len(coord.wake()) == 50
+    assert coord.waiting == {} and coord._pending == {}
 
 
 def _chain_scenario(requests: int) -> dict:
@@ -125,11 +164,12 @@ def _full_scan_wake(self):
 
 def test_wakeups_examine_linearly_many_sessions_and_match_a_full_scan(monkeypatch):
     counts = {}
-    can_move, wake = RelayCoordinator._can_move, RelayCoordinator.wake
+    ready_rule, wake = RelayCoordinator._ready, RelayCoordinator.wake
 
-    def counted_can_move(self, session, reach):
-        counts["examined"] += 1
-        return can_move(self, session, reach)
+    def counted_ready(self, sessions, graph, reach):
+        sessions = list(sessions)
+        counts["examined"] += len(sessions)
+        return ready_rule(self, sessions, graph, reach)
 
     def counted_wake(self):
         ready = wake(self)
@@ -141,7 +181,7 @@ def test_wakeups_examine_linearly_many_sessions_and_match_a_full_scan(monkeypatc
         doc = _chain_scenario(requests)
         counts.update(examined=0, woken=0)
         with monkeypatch.context() as m:
-            m.setattr(RelayCoordinator, "_can_move", counted_can_move)
+            m.setattr(RelayCoordinator, "_ready", counted_ready)
             m.setattr(RelayCoordinator, "wake", counted_wake)
             indexed = run_scenario(load_scenario(doc)).emit_records()
         examined, woken = counts["examined"], counts["woken"]

@@ -351,6 +351,15 @@ def test_cli_run_verify_presets_budget(tmp_path, capsys):
     assert "2.000" in capsys.readouterr().out
 
 
+def test_cli_budget_on_an_unreadable_topology_exits_1(tmp_path, capsys):
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"name": "caf\xe9"}')
+    for path in (tmp_path / "missing.json", not_utf8):
+        assert main(["budget", "--topology", str(path), "--path", "a-b"]) == 1
+        err = capsys.readouterr().err
+        assert f"cannot read topology {path}" in err and "Traceback" not in err
+
+
 def test_cli_run_csv_format(tmp_path):
     scenario_path = tmp_path / "s.json"
     scenario_path.write_text(json.dumps(_minimal(duration=5.0)))
