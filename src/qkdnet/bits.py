@@ -19,7 +19,16 @@ __all__ = [
 
 
 def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.integers(0, 2, size=n, dtype=np.uint8)
+    """``n`` fair bits from ``ceil(n / 64)`` raw 64-bit words of ``rng``.
+
+    Each word is read as eight little-endian bytes, so the bits do not
+    depend on the host's byte order, and each byte is unpacked most
+    significant bit first. The unused tail of the last word is discarded,
+    so draws are not prefix-stable: ``k`` bits and then ``n - k`` more
+    differ from ``n`` bits drawn at once unless ``k`` is a multiple of 64.
+    """
+    words = rng.bit_generator.random_raw(-(-n // 64)).astype("<u8", copy=False)
+    return np.unpackbits(words.view(np.uint8), count=n)
 
 
 def bits_to_bytes(bits: np.ndarray) -> bytes:

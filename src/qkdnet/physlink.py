@@ -12,8 +12,11 @@ for every attacker:
   process, so cost scales with the number of clicks instead of the number
   of slots. Behind the photon-number-splitting attacker it draws a photon
   number per slot (her loss budget needs every pulse) and detector draws
-  only where photons arrive. Its generator calls and their order are part
-  of the byte-identical-records contract (see its docstring).
+  only where photons arrive. All the bits a window's clicks need (bases,
+  values, the intercept-resend attacker's basis and guess) come from one
+  bit draw, after the click slots and classes and before the attacker's
+  ``hit`` and the flip uniforms. Its generator calls and their order are
+  part of the byte-identical-records contract (see its docstring).
 * :func:`transmit_frame` walks every slot of an explicit frame. It is the
   declared statistical oracle of the window sampler, and the only path
   that reports what the attacker achieved (``eve_tally``).
@@ -499,10 +502,17 @@ def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_
     without PNS, geometric batches and then click class; with PNS, photon
     numbers, the lit slots' click uniforms, geometric batches of dark
     clicks (when darks can occur) and their class uniforms. Then, for
-    every attacker: tx basis, tx value, the intercept-resend draws (hit,
-    basis, guess) when that attacker is present, rx basis, flip, mismatch
-    value, dark value. Reordering them changes every record. An empty
-    window draws nothing.
+    every attacker, with ``m`` clicks:
+
+    1. one :func:`~qkdnet.bits.random_bits` draw of ``5 * m`` bits
+       (``7 * m`` behind intercept-resend), read as rows of ``m``: tx
+       basis, tx value, rx basis, mismatch value, dark value, and then
+       the attacker's basis and guess;
+    2. the intercept-resend ``hit`` uniforms, when that attacker is
+       present;
+    3. the flip uniforms.
+
+    Reordering them changes every record. An empty window draws nothing.
     """
     if n_slots <= 0:
         return _empty_window(frame_id)
@@ -533,29 +543,27 @@ def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_
     is_signal = u < p_signal_event
     keep = u < p_signal_event + p_dark_event
 
-    tx_basis = random_bits(rng, m)
-    tx_value = random_bits(rng, m)
+    # Every per-click bit comes from one draw, one row per use.
+    intercept = kind is EveKind.INTERCEPT_RESEND
+    bits = random_bits(rng, (7 if intercept else 5) * m).reshape(-1, m)
+    tx_basis, tx_value, rx_basis, mismatch_value, dark_value = bits[:5]
     pulse_basis = tx_basis
     pulse_value = tx_value
-    if kind is EveKind.INTERCEPT_RESEND:
+    if intercept:
         # Interception leaves the click law unchanged in this model, so it
         # conditions independently on each signal event.
         hit = rng.random(m) < eve.intercept_fraction
-        eve_basis = random_bits(rng, m)
-        eve_guess = random_bits(rng, m)
+        eve_basis, eve_guess = bits[5:]
         eve_value = np.where(eve_basis == pulse_basis, pulse_value, eve_guess)
         pulse_basis = np.where(hit, eve_basis, pulse_basis)
         pulse_value = np.where(hit, eve_value, pulse_value)
 
-    rx_basis = random_bits(rng, m)
     perr = min(max(params.intrinsic_error + phase_error_rate(phase.phase_error_rad), 0.0), 1.0)
     flips = rng.random(m) < perr
-    mismatch_value = random_bits(rng, m)
     # Bits are 0 or 1, so selecting by basis match is an xor mask, which
     # is cheaper than np.where on a condition that is a coin toss per click.
     matched = rx_basis == pulse_basis
     sig_value = mismatch_value ^ (matched & (pulse_value ^ flips ^ mismatch_value))
-    dark_value = random_bits(rng, m)
     rx_value = np.where(is_signal, sig_value, dark_value)
 
     is_dark = ~is_signal

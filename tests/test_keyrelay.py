@@ -16,15 +16,18 @@ from qkdnet.qkdproto.wire import RecordType, decode_record
 
 
 class _StubRng:
-    """Feeds predetermined bit arrays to random_bits()."""
+    """Feeds predetermined bit arrays to random_bits() as raw 64-bit words."""
 
     def __init__(self, arrays):
         self._queue = [np.asarray(a, dtype=np.uint8) for a in arrays]
+        self.bit_generator = self
 
-    def integers(self, low, high, size=None, dtype=None):
-        out = self._queue.pop(0)
-        assert out.size == size
-        return out
+    def random_raw(self, size=None):
+        bits = self._queue.pop(0)
+        assert size == -(-bits.size // 64)
+        padded = np.zeros(64 * size, dtype=np.uint8)
+        padded[:bits.size] = bits
+        return np.packbits(padded).view("<u8")
 
 
 def _relay_mesh(node_specs, link_pairs):

@@ -283,12 +283,20 @@ def test_window_sampler_pns_matches_dense_path(loss_db):
     assert abs(float(np.mean(dense_q)) - float(np.mean(window_q))) < 0.01
 
 
-# Declared oracle: the window sampler as it was before its per-window
-# overhead was removed. The sampler must keep its generator calls and its
-# outputs identical to this, value by value and dtype by dtype.
+def _integer_bits(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The bit source the window sampler used before its one raw-word draw."""
+    return rng.integers(0, 2, size=n, dtype=np.uint8)
+
+
+# Declared oracles of the window sampler. With ``fused`` it is the
+# sampler's declared draw order, which the sampler must keep call for call
+# and value for value: geometric batches, class uniform, one raw-word draw
+# of every per-click bit, [hit uniform], flip uniform. Without it, it is
+# the sampler as it was before its per-click bits were fused (one integer
+# draw per use), kept as the statistical reference of the fused stream.
 def _window_oracle(params: LinkParams, phase: PhaseState, n_slots: int, rng_seed,
-                   eve: Optional[EveModel] = None,
-                   frame_id: str = "window") -> tuple[np.ndarray, np.ndarray, DetectionRecord]:
+                   eve: Optional[EveModel] = None, frame_id: str = "window",
+                   fused: bool = False) -> tuple[np.ndarray, np.ndarray, DetectionRecord]:
     """Sample a transmission window by drawing click slots directly.
 
     Returns ``(tx_basis, tx_value, record)`` where the tx arrays give the
@@ -341,27 +349,38 @@ def _window_oracle(params: LinkParams, phase: PhaseState, n_slots: int, rng_seed
     is_signal = u < p_signal_event
     is_dark_ev = (u >= p_signal_event) & (u < p_signal_event + p_dark_event)
 
-    tx_basis = random_bits(rng, m)
-    tx_value = random_bits(rng, m)
+    intercept = eve.kind is EveKind.INTERCEPT_RESEND
+    perr = min(max(params.intrinsic_error + phase_error_rate(phase.phase_error_rad), 0.0), 1.0)
+    if fused:
+        rows = random_bits(rng, (7 if intercept else 5) * m).reshape(-1, m)
+        tx_basis, tx_value, rx_basis, mismatch_value, dark_value = rows[:5]
+        if intercept:
+            hit = rng.random(m) < eve.intercept_fraction
+            eve_basis, eve_guess = rows[5:]
+        flips = rng.random(m) < perr
+    else:
+        tx_basis = _integer_bits(rng, m)
+        tx_value = _integer_bits(rng, m)
+        if intercept:
+            hit = rng.random(m) < eve.intercept_fraction
+            eve_basis = _integer_bits(rng, m)
+            eve_guess = _integer_bits(rng, m)
+        rx_basis = _integer_bits(rng, m)
+        flips = rng.random(m) < perr
+        mismatch_value = _integer_bits(rng, m)
+        dark_value = _integer_bits(rng, m)
+
     pulse_basis = tx_basis.copy()
     pulse_value = tx_value.copy()
-    if eve.kind is EveKind.INTERCEPT_RESEND:
+    if intercept:
         # Interception leaves the click law unchanged in this model, so it
         # conditions independently on each signal event.
-        hit = rng.random(m) < eve.intercept_fraction
-        eve_basis = random_bits(rng, m)
-        eve_guess = random_bits(rng, m)
         eve_value = np.where(eve_basis == pulse_basis, pulse_value, eve_guess)
         pulse_basis = np.where(hit, eve_basis, pulse_basis).astype(np.uint8)
         pulse_value = np.where(hit, eve_value, pulse_value).astype(np.uint8)
 
-    rx_basis = random_bits(rng, m)
-    perr = min(max(params.intrinsic_error + phase_error_rate(phase.phase_error_rad), 0.0), 1.0)
-    flips = rng.random(m) < perr
-    mismatch_value = random_bits(rng, m)
     matched = rx_basis == pulse_basis
     sig_value = np.where(matched, pulse_value ^ flips, mismatch_value).astype(np.uint8)
-    dark_value = random_bits(rng, m)
     rx_value = np.where(is_signal, sig_value, dark_value).astype(np.uint8)
 
     keep = is_signal | is_dark_ev
@@ -375,12 +394,24 @@ def _window_oracle(params: LinkParams, phase: PhaseState, n_slots: int, rng_seed
     return tx_basis[keep], tx_value[keep], record
 
 
+class _RecordingBitGenerator(np.random.PCG64):
+    """PCG64 that logs each raw-word draw into a shared call log."""
+
+    def __init__(self, seed, calls):
+        super().__init__(seed)
+        self.calls = calls
+
+    def random_raw(self, size=None, output=True):
+        self.calls.append(("random_raw", size))
+        return super().random_raw(size, output)
+
+
 class _RecordingGenerator(np.random.Generator):
     """A generator that logs each draw's method and size."""
 
     def __init__(self, seed):
-        super().__init__(np.random.PCG64(seed))
         self.calls = []
+        super().__init__(_RecordingBitGenerator(seed, self.calls))
 
     def geometric(self, *args, **kwargs):
         self.calls.append(("geometric", kwargs.get("size")))
@@ -426,7 +457,7 @@ def test_window_sampler_matches_oracle_bit_for_bit():
                     got = pl.sample_link_window(params, phase, n_slots, rng_new,
                                                 eve=eve, frame_id=f"w{case}")
                     want = _window_oracle(params, phase, n_slots, rng_old,
-                                          eve=eve, frame_id=f"w{case}")
+                                          eve=eve, frame_id=f"w{case}", fused=True)
                     assert rng_new.calls == rng_old.calls, case
                     multi_batch += [c[0] for c in rng_new.calls].count("geometric") > 1
                     assert got[2].frame_id == want[2].frame_id
@@ -438,6 +469,29 @@ def test_window_sampler_matches_oracle_bit_for_bit():
                         assert g.dtype == w.dtype, case
                         assert np.array_equal(g, w), case
     assert multi_batch > 0
+
+
+@pytest.mark.parametrize("eve", [None, pl.EveModel.intercept_resend(0.5)])
+def test_window_sampler_matches_integer_bit_stream_statistics(eve):
+    # Over 20 seeds the sampler (one raw-word draw for every per-click bit)
+    # and the unfused oracle (one integer draw per use) agree on sifted-bit
+    # rate and sifted QBER within 3 standard errors of the difference of
+    # their means, on a metro-like link: one 0.25 s round of cambridge
+    # Anna-Bob.
+    params = LinkParams(mean_photon_number=0.5, channel_loss_db=2.0, insertion_loss_db=0.8,
+                        detector_efficiency=0.004, dark_count_prob=1e-5,
+                        dead_time_s=1e-5, intrinsic_error=0.018)
+    n = 1_250_000
+    samplers = (pl.sample_link_window, _window_oracle)
+    stats = ([], [])
+    for seed in range(20):
+        for k, sample in enumerate(samplers):
+            txb, txv, record = sample(params, PHASE0, n, np.random.default_rng([seed, k]), eve=eve)
+            alice, bob, _ = sift_bb84_events(txb, txv, record)
+            stats[k].append((alice.size / n, float(np.mean(alice != bob))))
+    new, old = np.array(stats[0]), np.array(stats[1])
+    se = np.sqrt(new.var(axis=0, ddof=1) / len(new) + old.var(axis=0, ddof=1) / len(old))
+    assert (np.abs(new.mean(axis=0) - old.mean(axis=0)) < 3 * se).all()
 
 
 def test_detection_record_requires_strictly_increasing_slots():
