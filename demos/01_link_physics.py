@@ -10,7 +10,7 @@ Run:  python demos/01_link_physics.py
 import numpy as np
 
 from qkdnet import physlink as pl
-from qkdnet.qkdproto import sift_bb84
+from qkdnet.qkdproto import sift_bb84_events
 
 phase = pl.PhaseState()
 
@@ -23,13 +23,13 @@ for loss_db in (0, 2, 5, 10, 15, 20):
 print("\n=== Dead time throttles the event rate ===")
 params = pl.LinkParams(mean_photon_number=0.5, detector_efficiency=1.0,
                        dark_count_prob=0.0, dead_time_s=1e-5)
-frame = pl.PulseFrame.random("dead-time", 500_000, np.random.default_rng(1))
-record = pl.transmit_frame(params, phase, None, frame, rng_seed=2)
+n_slots = 500_000
+_, _, record = pl.sample_link_window(params, phase, n_slots, rng_seed=2)
 p = pl.click_probability(params)
 f = params.pulse_rate_hz
 print(f"  raw click probability {p:.3f} would suggest {p * f:,.0f} clicks/s")
 print(f"  with a 10 us dead time the link delivers "
-      f"{record.n_events / (frame.n_slots / f):,.0f} events/s "
+      f"{record.n_events / (n_slots / f):,.0f} events/s "
       f"(renewal model: {p * f / (1 + p * f * params.dead_time_s):,.0f})")
 print(f"  closest spacing between events: {record.min_gap()} slots "
       f"(floor is {params.dead_slots + 1})")
@@ -37,11 +37,11 @@ print(f"  closest spacing between events: {record.min_gap()} slots "
 print("\n=== Intercept-resend leaves a 25% fingerprint ===")
 clean = pl.LinkParams(mean_photon_number=0.2, detector_efficiency=1.0,
                       dark_count_prob=0.0, dead_time_s=0.0, intrinsic_error=0.0)
-frame = pl.PulseFrame.random("eve", 400_000, np.random.default_rng(3))
 for fraction in (0.0, 0.5, 1.0):
     eve = pl.EveModel.intercept_resend(fraction) if fraction else None
-    record = pl.transmit_frame(clean, phase, eve, frame, rng_seed=4)
-    alice, bob, _ = sift_bb84(frame, record)
+    tx_basis, tx_value, record = pl.sample_link_window(clean, phase, 400_000, rng_seed=4,
+                                                       eve=eve)
+    alice, bob, _ = sift_bb84_events(tx_basis, tx_value, record)
     print(f"  intercept fraction {fraction:.1f} -> sifted QBER "
           f"{float(np.mean(alice != bob)):.4f}")
 
@@ -50,8 +50,8 @@ lossy = pl.LinkParams(mean_photon_number=0.5, channel_loss_db=10.0,
                       detector_efficiency=0.1, dark_count_prob=0.0, dead_time_s=0.0,
                       intrinsic_error=0.0)
 eve = pl.EveModel.photon_number_split()
-record = pl.transmit_frame(lossy, phase, eve, frame, rng_seed=5)
-alice, bob, _ = sift_bb84(frame, record)
+tx_basis, tx_value, record = pl.sample_link_window(lossy, phase, 400_000, rng_seed=5, eve=eve)
+alice, bob, _ = sift_bb84_events(tx_basis, tx_value, record)
 tally = record.eve_tally
 print(f"  multi-photon pulses: {tally.multi_photon_emissions:,}, "
       f"bits learned by the attacker: {tally.learned_bits:,}")

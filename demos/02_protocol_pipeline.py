@@ -18,25 +18,27 @@ from qkdnet.qkdproto import (
     EstimatorKind,
     auth_tag,
     estimate_qber,
-    estimate_secret_length,
     privacy_amplify,
     reconcile_cascade,
-    sift_bb84,
-    sift_sarg,
+    secret_length,
+    sift_bb84_events,
+    sift_sarg_events,
+    usable_fraction,
     verify_tag,
 )
 
 params = pl.LinkParams(mean_photon_number=0.5, channel_loss_db=2.0,
                        detector_efficiency=0.3, dark_count_prob=1e-5,
                        dead_time_s=0.0, intrinsic_error=0.03)
-frame = pl.PulseFrame.random("pipeline", 300_000, np.random.default_rng(0))
-record = pl.transmit_frame(params, pl.PhaseState(), None, frame, rng_seed=1)
-print(f"transmitted {frame.n_slots:,} pulses, detected {record.n_events:,}")
+n_slots = 300_000
+tx_basis, tx_value, record = pl.sample_link_window(params, pl.PhaseState(), n_slots,
+                                                   rng_seed=1)
+print(f"transmitted {n_slots:,} pulses, detected {record.n_events:,}")
 
-alice, bob, kept = sift_bb84(frame, record)
+alice, bob, kept = sift_bb84_events(tx_basis, tx_value, record)
 print(f"\n[sift/bb84]   kept {alice.size:,} bits "
       f"({alice.size / record.n_events:.3f} of detections)")
-a_sarg, b_sarg, _ = sift_sarg(frame, record)
+a_sarg, b_sarg, _ = sift_sarg_events(tx_basis, tx_value, record)
 print(f"[sift/sarg]   would keep {a_sarg.size:,} bits "
       f"({a_sarg.size / record.n_events:.3f}); PNS-robust at a rate cost")
 
@@ -55,7 +57,8 @@ print(f"[cascade]     fixed {true_errors:,} errors for {parities:,} disclosed "
 
 est = EntropyEstimator(EstimatorKind.SIMPLE_SHANNON)
 leaked = sample.disclosed + parities
-m = estimate_secret_length(est, n, sample.qber, leaked, params)
+m = secret_length(n, sample.qber, leaked, usable_fraction(est, params),
+                  est.security_margin_bits)
 print(f"[entropy]     {n:,} reconciled - leakage {leaked:,} - margin "
       f"{est.security_margin_bits} -> {m:,} distillable bits")
 
@@ -73,7 +76,8 @@ print(f"[auth]        64-bit tag over the public PA seed verifies: "
       f"(consumes {AUTH_KEY_BITS_PER_TAG} one-time key bits)")
 
 mpa = EntropyEstimator(EstimatorKind.MULTIPHOTON_AWARE)
-print(f"\n[pns pricing] the multiphoton-aware estimator allows only "
-      f"{estimate_secret_length(mpa, n, sample.qber, leaked, params):,} bits here: "
+m_mpa = secret_length(n, sample.qber, leaked, usable_fraction(mpa, params),
+                      mpa.security_margin_bits)
+print(f"\n[pns pricing] the multiphoton-aware estimator allows only {m_mpa:,} bits here: "
       f"multi-photon emissions could explain nearly every detection, so almost "
       f"nothing is credited as single-photon key")

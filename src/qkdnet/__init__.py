@@ -2,7 +2,8 @@
 
 Library layers, bottom up:
 
-* :mod:`qkdnet.physlink` — weak-coherent BB84 link at pulse-slot grain.
+* :mod:`qkdnet.physlink` — weak-coherent BB84 link, one window sampler for
+  every attacker.
 * :mod:`qkdnet.qkdproto` — sifting, reconciliation, privacy amplification,
   authentication, and the public-channel record format.
 * :mod:`qkdnet.switchfab` — 2x2 photonic switch and realignment.
@@ -21,9 +22,7 @@ from .physlink import (
     EveModel,
     LinkParams,
     PhaseState,
-    PulseFrame,
     click_probability,
-    transmit_frame,
 )
 from .report import MetricsReport, read_records, verify_report
 from .scenario import Scenario, default_preset_scenario, load_scenario
@@ -42,9 +41,7 @@ __all__ = [
     "EveModel",
     "LinkParams",
     "PhaseState",
-    "PulseFrame",
     "click_probability",
-    "transmit_frame",
     "MetricsReport",
     "read_records",
     "verify_report",

@@ -14,11 +14,7 @@ class ConfigurationError(QkdNetError):
 
 
 class ProtocolError(QkdNetError):
-    """Peers disagree about protocol state (frame-id mismatch, bad transcript)."""
-
-
-class FrameTooLargeError(QkdNetError):
-    """Pulse frame exceeds the per-frame slot cap."""
+    """Peers disagree about protocol state (malformed or unsupported record)."""
 
 
 class InsufficientSampleError(QkdNetError):

@@ -29,6 +29,9 @@ DEFAULT_FIBER_LOSS_DB_PER_KM = 0.2
 DEFAULT_DRIFT_RATE_RAD_PER_S = 0.02
 DEFAULT_FEEDBACK_GAIN = 0.5
 DEFAULT_PREPOSITIONED_BITS = 1 << 20
+# The keystore holds one byte per key bit, so a pair's prepositioned key
+# costs that many bytes at set-up: at most 256 MiB.
+MAX_PREPOSITIONED_BITS = 1 << 28
 _FLOAT_MAX = sys.float_info.max
 
 _LINK_PARAM_FIELDS = (
@@ -457,8 +460,9 @@ def load_topology(config: Union[str, dict]) -> Topology:
                                   f"distinct nodes and be listed once")
         seeded.add(pair)
         bits = raw.get("bits", DEFAULT_PREPOSITIONED_BITS)
-        if type(bits) is not int or bits < 0:
-            raise ValidationError(f"{where}: bits must be an integer >= 0, got {bits!r}")
+        if type(bits) is not int or not 0 <= bits <= MAX_PREPOSITIONED_BITS:
+            raise ValidationError(f"{where}: bits must be an integer in "
+                                  f"[0, {MAX_PREPOSITIONED_BITS}], got {bits!r}")
         prepositioned.append(Preposition(raw["a"], raw["b"], bits))
 
     topology = Topology(

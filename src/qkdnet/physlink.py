@@ -4,22 +4,18 @@ Models one fiber link end to end: Poisson photon source, channel and
 insertion loss, an optional eavesdropper, gated detectors with dark counts
 and dead time, and interferometer phase drift with training-frame feedback.
 
-Two sampling paths produce detection events under the same per-slot law,
-for every attacker:
-
-* :func:`sample_link_window` is the simulator's one link sampler. It draws
-  click slots directly, via the renewal structure of the gated-detector
-  process, so cost scales with the number of clicks instead of the number
-  of slots. Behind the photon-number-splitting attacker it draws a photon
-  number per slot (her loss budget needs every pulse) and detector draws
-  only where photons arrive. All the bits a window's clicks need (bases,
-  values, the intercept-resend attacker's basis and guess) come from one
-  bit draw, after the click slots and classes and before the attacker's
-  ``hit`` and the flip uniforms. Its generator calls and their order are
-  part of the byte-identical-records contract (see its docstring).
-* :func:`transmit_frame` walks every slot of an explicit frame. It is the
-  declared statistical oracle of the window sampler, and the only path
-  that reports what the attacker achieved (``eve_tally``).
+:func:`sample_link_window` is the one link sampler, for every attacker. It
+draws click slots directly, via the renewal structure of the gated-detector
+process, so cost scales with the number of clicks instead of the number of
+slots. Behind the photon-number-splitting attacker it draws a photon number
+per slot (her loss budget needs every pulse), detector draws only where
+photons arrive, and reports what she learned (``eve_tally``). All the bits
+a window's clicks need (bases, values, the intercept-resend attacker's
+basis and guess) come from one bit draw, after the click slots and classes
+and before the attacker's ``hit`` and the flip uniforms. Its generator
+calls and their order are part of the byte-identical-records contract (see
+its docstring). A per-slot frame simulation of the same law is kept in the
+test suite as its declared statistical oracle.
 """
 
 from __future__ import annotations
@@ -32,11 +28,9 @@ from typing import Optional
 import numpy as np
 
 from .bits import random_bits
-from .errors import FrameTooLargeError
 
 __all__ = [
     "LinkParams",
-    "PulseFrame",
     "DetectionRecord",
     "EveKind",
     "EveTally",
@@ -48,15 +42,10 @@ __all__ = [
     "sifted_error_floor",
     "phase_error_rate",
     "wrap_phase",
-    "transmit_frame",
     "sample_link_window",
     "advance_phase",
     "apply_training_feedback",
-    "DEFAULT_MAX_FRAME_SLOTS",
 ]
-
-# Resource guard for the dense per-slot path.
-DEFAULT_MAX_FRAME_SLOTS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -110,41 +99,14 @@ class LinkParams:
 
 
 @dataclass(frozen=True)
-class PulseFrame:
-    """Transmitter-side frame: per-slot basis and value choices."""
-
-    frame_id: str
-    basis: np.ndarray
-    value: np.ndarray
-
-    def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=np.uint8)
-        value = np.asarray(self.value, dtype=np.uint8)
-        if basis.size == 0:
-            raise ValueError("frame must contain at least one slot")
-        if basis.shape != value.shape:
-            raise ValueError("basis and value arrays must have equal length")
-        if (basis.size and basis.max() > 1) or (value.size and value.max() > 1):
-            raise ValueError("basis and value entries must be single bits")
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "value", value)
-
-    @property
-    def n_slots(self) -> int:
-        return int(self.basis.size)
-
-    @classmethod
-    def random(cls, frame_id: str, n_slots: int, rng: np.random.Generator) -> "PulseFrame":
-        return cls(frame_id, random_bits(rng, n_slots), random_bits(rng, n_slots))
-
-
-@dataclass(frozen=True)
 class DetectionRecord:
-    """Receiver-side click record for one frame.
+    """Receiver-side click record for one window.
 
-    ``is_dark`` and ``eve_tally`` (set by :func:`transmit_frame` only) are
-    simulator-internal ground truth and must never be read by protocol
-    layers (sifting sees only slot, basis, value).
+    ``is_dark`` and ``eve_tally`` are simulator-internal ground truth and
+    must never be read by protocol layers (sifting sees only slot, basis,
+    value). ``eve_tally`` is set behind the photon-number-splitting
+    attacker only; behind no attacker or intercept-resend it is ``None``.
+    The engine never reads it, and it is not written to the records.
     """
 
     frame_id: str
@@ -186,7 +148,13 @@ class EveKind(Enum):
 
 @dataclass(frozen=True)
 class EveTally:
-    """What the attacker achieved on one :func:`transmit_frame` call."""
+    """What the photon-number-splitting attacker achieved on one window.
+
+    ``multi_photon_emissions`` counts the pulses of two or more photons,
+    ``learned_bits`` those of them she took a photon from (she learns each
+    one's bit at basis announcement), and ``suppressed_singles`` the
+    single-photon pulses she removed to spend her loss budget.
+    """
 
     learned_bits: int = 0
     multi_photon_emissions: int = 0
@@ -198,8 +166,8 @@ class EveModel:
     """Eavesdropper configuration attached to a link.
 
     ``intercept_fraction`` applies to the intercept-resend attacker only.
-    What the attacker achieved on a frame is ``record.eve_tally`` of that
-    frame's :func:`transmit_frame` record.
+    What the photon-number-splitting attacker achieved on a window is the
+    ``eve_tally`` of that window's :func:`sample_link_window` record.
     """
 
     kind: EveKind = EveKind.NONE
@@ -300,29 +268,6 @@ def sifted_error_floor(params: LinkParams) -> float:
     return (params.intrinsic_error * p_signal_event + 0.5 * p_dark_event) / total
 
 
-def _pns_channel(photons: np.ndarray, transmittance: float) -> np.ndarray:
-    """Photon-number-splitting attacker standing in for the lossy channel.
-
-    She replaces the fiber with a lossless one and removes photons herself,
-    from a loss budget that accrues at the honest channel's expected
-    absorption rate, so she never creates anomalous loss. Each pulse loses
-    as many whole photons as the budget holds, at most all of them. From a
-    multi-photon pulse that loses any she keeps one and learns its bit after
-    basis announcement, without inducing errors; a single photon she takes
-    is suppressed.
-    """
-    delivered = photons.copy()
-    budget = 0.0
-    accrual = 1.0 - transmittance
-    for i in np.flatnonzero(photons):
-        n = int(photons[i])
-        budget += n * accrual
-        taken = min(n, int(budget))
-        budget -= taken
-        delivered[i] = n - taken
-    return delivered
-
-
 def _live_clicks(slots: np.ndarray, dead: int) -> np.ndarray:
     """Indices of the clicks that non-paralyzable dead time lets through.
 
@@ -340,82 +285,10 @@ def _live_clicks(slots: np.ndarray, dead: int) -> np.ndarray:
     return np.asarray(live, dtype=np.intp)
 
 
-def transmit_frame(params: LinkParams, phase: PhaseState, eve: Optional[EveModel],
-                   frame: PulseFrame, rng_seed,
-                   max_slots: int = DEFAULT_MAX_FRAME_SLOTS) -> DetectionRecord:
-    """Simulate one frame slot by slot and return the receiver's clicks.
-
-    Per slot: Poisson photon number, attacker action, channel thinning,
-    random receiver basis, error model on matched-basis detections, dark
-    counts, double-click discard, and non-paralyzable dead time. The same
-    (params, phase, eve, frame, seed) always yields the same record.
-    """
-    n = frame.n_slots
-    if n > max_slots:
-        raise FrameTooLargeError(
-            f"frame has {n} slots, exceeding the per-frame maximum of {max_slots}")
-    rng = np.random.default_rng(rng_seed)
-    kind = eve.kind if eve is not None else EveKind.NONE
-    transmittance = params.total_transmittance
-
-    photons = rng.poisson(params.mean_photon_number, size=n)
-    multi = photons >= 2
-    pulse_basis = frame.basis
-    pulse_value = frame.value
-
-    if kind is EveKind.INTERCEPT_RESEND:
-        hit = (rng.random(n) < eve.intercept_fraction) & (photons > 0)
-        eve_basis = random_bits(rng, n)
-        eve_guess = random_bits(rng, n)
-        eve_value = np.where(eve_basis == pulse_basis, pulse_value, eve_guess)
-        pulse_basis = np.where(hit, eve_basis, pulse_basis).astype(np.uint8)
-        pulse_value = np.where(hit, eve_value, pulse_value).astype(np.uint8)
-    if kind is EveKind.PHOTON_NUMBER_SPLIT:
-        arriving = _pns_channel(photons, transmittance)
-        taken = arriving < photons
-        tally = EveTally(learned_bits=int(np.count_nonzero(taken & multi)),
-                         multi_photon_emissions=int(np.count_nonzero(multi)),
-                         suppressed_singles=int(np.count_nonzero(taken & ~multi)))
-    else:
-        arriving = rng.binomial(photons, transmittance)
-        tally = EveTally(multi_photon_emissions=int(np.count_nonzero(multi)))
-
-    eta = params.detector_efficiency
-    sig_click = rng.random(n) < -np.expm1(np.log1p(-eta) * arriving) if eta < 1.0 \
-        else arriving > 0
-
-    rx_basis = random_bits(rng, n)
-    perr = min(max(params.intrinsic_error + phase_error_rate(phase.phase_error_rad), 0.0), 1.0)
-    flips = rng.random(n) < perr
-    mismatch_value = random_bits(rng, n)
-    matched = rx_basis == pulse_basis
-    sig_value = np.where(matched, pulse_value ^ flips, mismatch_value).astype(np.uint8)
-
-    d = params.dark_count_prob
-    dark0 = rng.random(n) < d
-    dark1 = rng.random(n) < d
-    fired0 = dark0 | (sig_click & (sig_value == 0))
-    fired1 = dark1 | (sig_click & (sig_value == 1))
-    any_click = fired0 | fired1
-
-    candidates = np.flatnonzero(any_click)
-    candidates = candidates[_live_clicks(candidates, params.dead_slots)]
-
-    double = fired0[candidates] & fired1[candidates]
-    events = candidates[~double]
-    return DetectionRecord(
-        frame_id=frame.frame_id,
-        slot_index=events,
-        rx_basis=rx_basis[events],
-        rx_value=np.where(fired1[events], 1, 0).astype(np.uint8),
-        is_dark=~sig_click[events],
-        eve_tally=tally,
-    )
-
-
-def _empty_window(frame_id: str) -> tuple[np.ndarray, np.ndarray, DetectionRecord]:
+def _empty_window(frame_id: str, tally: Optional[EveTally] = None
+                  ) -> tuple[np.ndarray, np.ndarray, DetectionRecord]:
     z = np.zeros(0, dtype=np.uint8)
-    return z, z, DetectionRecord.empty(frame_id)
+    return z, z, replace(DetectionRecord.empty(frame_id), eve_tally=tally)
 
 
 def _renewal_slots(rng: np.random.Generator, q: float, dead: int, n_slots: int) -> np.ndarray:
@@ -446,15 +319,26 @@ def _renewal_slots(rng: np.random.Generator, q: float, dead: int, n_slots: int) 
 
 def _pns_clicks(params: LinkParams, n_slots: int, rng: np.random.Generator):
     """Click slots behind the photon-number-splitting attacker, with each
-    click's class uniform on [0, q) and its slot's signal-click probability."""
+    click's class uniform on [0, q), its slot's signal-click probability,
+    and the window's :class:`EveTally`."""
     photons = rng.poisson(params.mean_photon_number, size=n_slots)
-    # _pns_channel's budget loop as a prefix sum: she has taken the floor of
-    # (photons sent so far) * (1 - t). The cap of n binds only by rounding.
+    # She replaces the fiber with a lossless one and removes whole photons
+    # from a budget that accrues at the honest channel's absorption rate,
+    # so she never creates anomalous loss. As a prefix sum: she has taken
+    # the floor of (photons sent so far) * (1 - t). The cap of n binds
+    # only by rounding.
     sent = np.flatnonzero(photons)
     n = photons[sent]
     taken = np.diff((np.cumsum(n) * (1.0 - params.total_transmittance)).astype(n.dtype),
                     prepend=0)
     arriving = n - np.minimum(taken, n)
+    # From a multi-photon pulse that loses any she keeps one and learns its
+    # bit after basis announcement; a single photon she takes is suppressed.
+    multi = n >= 2
+    robbed = taken > 0
+    tally = EveTally(learned_bits=int(np.count_nonzero(robbed & multi)),
+                     multi_photon_emissions=int(np.count_nonzero(multi)),
+                     suppressed_singles=int(np.count_nonzero(robbed & (n == 1))))
     lit = arriving > 0
     lit_slots = sent[lit]
     k = arriving[lit]
@@ -478,7 +362,7 @@ def _pns_clicks(params: LinkParams, n_slots: int, rng: np.random.Generator):
         p_sig = np.concatenate((p_sig, np.zeros(dark.size)))[order]
 
     live = _live_clicks(slots, params.dead_slots)
-    return slots[live], u[live], p_sig[live]
+    return slots[live], u[live], p_sig[live], tally
 
 
 def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_seed,
@@ -490,12 +374,13 @@ def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_
     transmitter's random choices at the event slots only (non-click slots
     never reach any protocol layer, so their bits are irrelevant).
 
-    Statistically identical to :func:`transmit_frame` over a frame of
+    Statistically identical to a per-slot simulation of a frame of
     uniformly random slots, for every attacker. Without the
     photon-number-splitting attacker, cost scales with clicks, not slots.
     With her, every slot gets a photon number (her loss budget needs every
-    pulse) but only the slots photons reach get detector draws. The
-    record carries no ``eve_tally``.
+    pulse) but only the slots photons reach get detector draws, and the
+    record's ``eve_tally`` counts what she learned over the whole window;
+    counting draws nothing. Behind any other attacker it is ``None``.
 
     The generator calls, their sizes and their order are part of the
     byte-identical-records contract. Click slots and classes come first:
@@ -514,13 +399,15 @@ def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_
 
     Reordering them changes every record. An empty window draws nothing.
     """
-    if n_slots <= 0:
-        return _empty_window(frame_id)
-    rng = np.random.default_rng(rng_seed)
     kind = eve.kind if eve is not None else EveKind.NONE
+    pns = kind is EveKind.PHOTON_NUMBER_SPLIT
+    tally = EveTally() if pns else None
+    if n_slots <= 0:
+        return _empty_window(frame_id, tally)
+    rng = np.random.default_rng(rng_seed)
     d = params.dark_count_prob
-    if kind is EveKind.PHOTON_NUMBER_SPLIT:
-        click_slots, u, p_sig = _pns_clicks(params, n_slots, rng)
+    if pns:
+        click_slots, u, p_sig, tally = _pns_clicks(params, n_slots, rng)
     else:
         # Every slot has the same click law.
         p_sig = signal_click_probability(params)
@@ -533,7 +420,7 @@ def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_
         u = rng.random(click_slots.size) * q
     m = click_slots.size
     if m == 0:
-        return _empty_window(frame_id)
+        return _empty_window(frame_id, tally)
 
     # Classify each click: signal event, dark event, or double (discarded).
     # The classes are consecutive ranges of u, so a kept click that is not
@@ -576,6 +463,7 @@ def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_
         rx_basis=rx_basis,
         rx_value=rx_value,
         is_dark=is_dark,
+        eve_tally=tally,
     )
     return tx_basis, tx_value, record
 

@@ -4,29 +4,25 @@ Stages follow the usual order: sifting, error-rate sampling, Cascade
 reconciliation, entropy estimation, privacy amplification, authentication.
 """
 
-from .sifting import SiftingProtocol, sift_bb84, sift_bb84_events, sift_sarg, sift_sarg_events
+from .sifting import SiftingProtocol, sift_bb84_events, sift_sarg_events
 from .qber import QberEstimate, estimate_qber
 from .cascade import reconcile_cascade
-from .secrecy import EntropyEstimator, EstimatorKind, estimate_secret_length, multi_photon_fraction, privacy_amplify, secret_length, toeplitz_matrix, usable_fraction
+from .secrecy import EntropyEstimator, EstimatorKind, multi_photon_fraction, privacy_amplify, secret_length, usable_fraction
 from .auth import AUTH_KEY_BITS_PER_TAG, TAG_BITS, auth_tag, verify_tag
-from .wire import Record, RecordType, WIRE_VERSION, decode_record, decode_records, encode_record, encode_records
+from .wire import Record, RecordType, WIRE_VERSION, decode_record, encode_record
 
 __all__ = [
     "SiftingProtocol",
-    "sift_bb84",
     "sift_bb84_events",
-    "sift_sarg",
     "sift_sarg_events",
     "QberEstimate",
     "estimate_qber",
     "reconcile_cascade",
     "EntropyEstimator",
     "EstimatorKind",
-    "estimate_secret_length",
     "multi_photon_fraction",
     "privacy_amplify",
     "secret_length",
-    "toeplitz_matrix",
     "usable_fraction",
     "AUTH_KEY_BITS_PER_TAG",
     "TAG_BITS",
@@ -36,7 +32,5 @@ __all__ = [
     "RecordType",
     "WIRE_VERSION",
     "decode_record",
-    "decode_records",
     "encode_record",
-    "encode_records",
 ]

@@ -96,13 +96,6 @@ def secret_length(n: int, qber: float, bits_leaked: int, usable_fraction: float,
     return max(0, math.floor(usable - bits_leaked - margin))
 
 
-def estimate_secret_length(est: EntropyEstimator, n: int, qber: float,
-                           bits_leaked: int, link: LinkParams | None = None) -> int:
-    """:func:`secret_length` with the estimator's usable fraction and margin."""
-    return secret_length(n, qber, bits_leaked, usable_fraction(est, link),
-                         est.security_margin_bits)
-
-
 def privacy_amplify(key: np.ndarray, target_len: int, seed: np.ndarray) -> np.ndarray:
     """Compress ``key`` through the seed-defined binary Toeplitz matrix.
 
@@ -136,13 +129,3 @@ def privacy_amplify(key: np.ndarray, target_len: int, seed: np.ndarray) -> np.nd
         raise InvariantViolation(
             f"privacy amplification lost float64 exactness (error {error:.3g})")
     return (rounded.astype(np.int64) & 1).astype(np.uint8)
-
-
-def toeplitz_matrix(seed: np.ndarray, n_key: int, n_out: int) -> np.ndarray:
-    """Materialize the Toeplitz matrix (small sizes; tests and docs)."""
-    seed = np.asarray(seed, dtype=np.uint8)
-    if seed.size != n_key + n_out - 1:
-        raise InvalidRequestError("seed length must be n_key + n_out - 1")
-    i = np.arange(n_out)
-    j = np.arange(n_key)
-    return seed[n_key - 1 + i[:, None] - j[None, :]]

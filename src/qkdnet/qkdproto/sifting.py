@@ -18,8 +18,7 @@ from typing import Tuple
 import numpy as np
 
 from ..bits import derive_seed, random_bits
-from ..errors import ProtocolError
-from ..physlink import DetectionRecord, PulseFrame
+from ..physlink import DetectionRecord
 
 SiftResult = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -27,12 +26,6 @@ SiftResult = Tuple[np.ndarray, np.ndarray, np.ndarray]
 class SiftingProtocol(Enum):
     BB84 = "bb84"
     SARG = "sarg"
-
-
-def _check_frame(tx_frame: PulseFrame, rx_record: DetectionRecord):
-    if tx_frame.frame_id != rx_record.frame_id:
-        raise ProtocolError(
-            f"sift on mismatched frames: {tx_frame.frame_id!r} vs {rx_record.frame_id!r}")
 
 
 def sift_bb84_events(tx_basis: np.ndarray, tx_value: np.ndarray,
@@ -49,32 +42,22 @@ def sift_bb84_events(tx_basis: np.ndarray, tx_value: np.ndarray,
     return alice, bob, kept
 
 
-def sift_bb84(tx_frame: PulseFrame, rx_record: DetectionRecord) -> SiftResult:
-    """Keep detected slots where the receiver's basis matched the transmitter's.
-
-    Returns (alice_bits, bob_bits, kept_slot_indices); both parties compute
-    the identical kept set from the announced detections and bases.
-    """
-    _check_frame(tx_frame, rx_record)
-    slots = rx_record.slot_index
-    return sift_bb84_events(tx_frame.basis[slots], tx_frame.value[slots], rx_record)
-
-
 def sift_sarg_events(tx_basis: np.ndarray, tx_value: np.ndarray,
-                     rx_record: DetectionRecord, announce_seed=None,
-                     frame_id: str = "") -> SiftResult:
+                     rx_record: DetectionRecord, announce_seed=None) -> SiftResult:
     """SARG sifting over event-aligned transmitter data.
 
     For each detection the transmitter announces a pair of non-orthogonal
     states: the one actually sent plus a decoy drawn from the conjugate
     basis. The receiver keeps the slot only when his outcome rules out one
     announced state, which unambiguously identifies the other; his bit is
-    that state's value. On a noiseless channel this never errs.
+    that state's value. On a noiseless channel this never errs. The
+    announcements are drawn from ``announce_seed``, by default one derived
+    from the record's ``frame_id``.
     """
     tx_basis = np.asarray(tx_basis, dtype=np.uint8)
     tx_value = np.asarray(tx_value, dtype=np.uint8)
     if announce_seed is None:
-        announce_seed = derive_seed(0, "sarg-announce", frame_id or rx_record.frame_id)
+        announce_seed = derive_seed(0, "sarg-announce", rx_record.frame_id)
     rng = np.random.default_rng(announce_seed)
     decoy_value = random_bits(rng, rx_record.n_events)
 
@@ -90,12 +73,3 @@ def sift_sarg_events(tx_basis: np.ndarray, tx_value: np.ndarray,
     alice = tx_value[kept_mask]
     bob = inferred[kept_mask]
     return alice, bob, kept
-
-
-def sift_sarg(tx_frame: PulseFrame, rx_record: DetectionRecord,
-              announce_seed=None) -> SiftResult:
-    """SARG sifting of a full frame; see :func:`sift_sarg_events`."""
-    _check_frame(tx_frame, rx_record)
-    slots = rx_record.slot_index
-    return sift_sarg_events(tx_frame.basis[slots], tx_frame.value[slots], rx_record,
-                            announce_seed=announce_seed, frame_id=tx_frame.frame_id)

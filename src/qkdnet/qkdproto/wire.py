@@ -20,7 +20,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, List, Tuple
+from typing import Tuple
 
 from ..errors import ProtocolError
 
@@ -61,16 +61,3 @@ def decode_record(buf: bytes, offset: int = 0) -> Tuple[Record, int]:
     if end > len(buf):
         raise ProtocolError("truncated record payload")
     return Record(rtype, frame_id, buf[start:end]), end
-
-
-def encode_records(records: Iterable[Record]) -> bytes:
-    return b"".join(encode_record(r) for r in records)
-
-
-def decode_records(buf: bytes) -> List[Record]:
-    records = []
-    offset = 0
-    while offset < len(buf):
-        record, offset = decode_record(buf, offset)
-        records.append(record)
-    return records

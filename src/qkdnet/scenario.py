@@ -16,7 +16,7 @@ from types import MappingProxyType
 from typing import Mapping, Tuple, Union
 
 from .errors import ValidationError
-from .netgraph import Topology, _finite_number, load_preset, load_topology
+from .netgraph import MAX_PREPOSITIONED_BITS, Topology, _finite_number, load_preset, load_topology
 from .physlink import EveKind, EveModel
 from .qkdproto.sifting import SiftingProtocol
 
@@ -40,13 +40,14 @@ class ScenarioEvent:
     args: Mapping[str, object]  # read-only: load_scenario wraps a fresh dict
 
 
-# Each knob's admissible type and minimum: a negative delay would schedule
-# the past, a negative budget would invert a check, and a bit count is a
-# whole number. A bool is never a number here (JSON true is not 1).
+# Each knob's admissible type and range: a negative delay would schedule
+# the past, a negative budget would invert a check, a bit count is a whole
+# number, and prepositioned key is held one byte per bit. A bool is never a
+# number here (JSON true is not 1).
 _KNOB_RANGES = {
-    "block_target_bits": (int, 1),
-    "relay_hop_latency_s": ((int, float), 0),
-    "prepositioned_auth_bits": (int, 0),
+    "block_target_bits": (int, 1, math.inf),
+    "relay_hop_latency_s": ((int, float), 0, math.inf),
+    "prepositioned_auth_bits": (int, 0, MAX_PREPOSITIONED_BITS),
 }
 
 
@@ -60,13 +61,14 @@ class EngineKnobs:
     prepositioned_auth_bits: int = 1 << 20
 
     def __post_init__(self):
-        for name, (types, minimum) in _KNOB_RANGES.items():
+        for name, (types, minimum, maximum) in _KNOB_RANGES.items():
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, types) \
-                    or not value >= minimum:
+                    or not minimum <= value <= maximum:
                 kind = "an integer" if types is int else "a number"
+                bound = f">= {minimum}" if maximum == math.inf else f"in [{minimum}, {maximum}]"
                 raise ValidationError(
-                    f"engine: {name} must be {kind} >= {minimum}, got {value!r}")
+                    f"engine: {name} must be {kind} {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import PulseFrame, estimate_secret_length, transmit_frame
 from qkdnet import netgraph as ng
 from qkdnet import physlink as pl
 from qkdnet.bits import binary_entropy, xor_bits
@@ -19,11 +20,10 @@ from qkdnet.qkdproto import (
     EntropyEstimator,
     EstimatorKind,
     estimate_qber,
-    estimate_secret_length,
     privacy_amplify,
     reconcile_cascade,
-    sift_bb84,
-    sift_sarg,
+    sift_bb84_events,
+    sift_sarg_events,
 )
 from qkdnet.report import verify_report
 from qkdnet.scenario import load_scenario
@@ -89,11 +89,11 @@ def test_criterion_2_bu_zero_yield(calibration_run):
 
 def test_criterion_3_sift_fractions():
     params = _clean_params(mean_photon_number=20.0)
-    frame = pl.PulseFrame.random("accept", 100_000, np.random.default_rng(31))
-    record = pl.transmit_frame(params, pl.PhaseState(), None, frame, rng_seed=32)
+    frame = PulseFrame.random("accept", 100_000, np.random.default_rng(31))
+    record = transmit_frame(params, pl.PhaseState(), None, frame, rng_seed=32)
     assert record.n_events == 100_000
-    _, _, kept_bb84 = sift_bb84(frame, record)
-    _, _, kept_sarg = sift_sarg(frame, record)
+    _, _, kept_bb84 = sift_bb84_events(*frame.sent(record), record)
+    _, _, kept_sarg = sift_sarg_events(*frame.sent(record), record)
     f_bb84 = kept_bb84.size / record.n_events
     f_sarg = kept_sarg.size / record.n_events
     ok = abs(f_bb84 - 0.5) < 0.005 and abs(f_sarg - 0.25) < 0.005
@@ -369,10 +369,10 @@ def test_criterion_9_protocol_stack_soundness():
     est = EntropyEstimator(EstimatorKind.SIMPLE_SHANNON)
     identical = 0
     for seed in range(1000):
-        frame = pl.PulseFrame.random(f"p{seed}", 6000, np.random.default_rng(seed))
-        record = pl.transmit_frame(params, pl.PhaseState(), None, frame,
-                                   rng_seed=seed + 1_000_000)
-        alice, bob, _ = sift_bb84(frame, record)
+        frame = PulseFrame.random(f"p{seed}", 6000, np.random.default_rng(seed))
+        record = transmit_frame(params, pl.PhaseState(), None, frame,
+                                rng_seed=seed + 1_000_000)
+        alice, bob, _ = sift_bb84_events(*frame.sent(record), record)
         sample = estimate_qber(alice, bob, 0.1, rng_seed=seed, min_sample=50)
         corrected, leaked = reconcile_cascade(
             sample.remaining_alice, sample.remaining_bob, 0.01, rng_seed=seed)

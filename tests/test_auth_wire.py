@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import decode_records, encode_records
 from qkdnet.errors import ProtocolError
 from qkdnet.qkdproto.auth import _PRIME, _poly_hash
 from qkdnet.qkdproto import (
@@ -11,9 +12,7 @@ from qkdnet.qkdproto import (
     RecordType,
     auth_tag,
     decode_record,
-    decode_records,
     encode_record,
-    encode_records,
     verify_tag,
 )
 

@@ -1,5 +1,6 @@
 """Link-level physics: click statistics, attackers, dead time, phase loop."""
 
+import dataclasses
 import math
 from typing import Optional
 
@@ -7,11 +8,11 @@ import numpy as np
 import pytest
 
 from qkdnet import physlink as pl
+from oracles import FrameTooLargeError, PulseFrame, transmit_frame
 from qkdnet.bits import random_bits
-from qkdnet.errors import FrameTooLargeError
 from qkdnet.physlink import (DetectionRecord, EveKind, EveModel, LinkParams, PhaseState,
                              phase_error_rate, signal_click_probability)
-from qkdnet.qkdproto import sift_bb84, sift_bb84_events
+from qkdnet.qkdproto import sift_bb84_events
 
 PHASE0 = pl.PhaseState()
 
@@ -51,38 +52,38 @@ def test_click_probability_includes_both_detectors_darks():
 
 
 # ---------------------------------------------------------------------------
-# transmit_frame
+# transmit_frame (the per-slot oracle)
 # ---------------------------------------------------------------------------
 
 def test_infinite_loss_yields_empty_record():
     params = _params(channel_loss_db=math.inf)
-    frame = pl.PulseFrame.random("f", 10_000, np.random.default_rng(0))
-    record = pl.transmit_frame(params, PHASE0, None, frame, rng_seed=1)
+    frame = PulseFrame.random("f", 10_000, np.random.default_rng(0))
+    record = transmit_frame(params, PHASE0, None, frame, rng_seed=1)
     assert record.n_events == 0
 
 
 def test_transmit_determinism_byte_for_byte():
     params = _params(channel_loss_db=3.0, detector_efficiency=0.3,
                      dark_count_prob=1e-4, dead_time_s=1e-5)
-    frame = pl.PulseFrame.random("f", 200_000, np.random.default_rng(3))
+    frame = PulseFrame.random("f", 200_000, np.random.default_rng(3))
     eve = pl.EveModel.intercept_resend(0.5)
-    rec1 = pl.transmit_frame(params, PHASE0, eve, frame, rng_seed=42)
-    rec2 = pl.transmit_frame(params, PHASE0, eve, frame, rng_seed=42)
+    rec1 = transmit_frame(params, PHASE0, eve, frame, rng_seed=42)
+    rec2 = transmit_frame(params, PHASE0, eve, frame, rng_seed=42)
     for field in ("slot_index", "rx_basis", "rx_value", "is_dark"):
         assert np.array_equal(getattr(rec1, field), getattr(rec2, field))
 
 
 def test_frame_size_guard():
-    frame = pl.PulseFrame.random("f", 2048, np.random.default_rng(0))
+    frame = PulseFrame.random("f", 2048, np.random.default_rng(0))
     with pytest.raises(FrameTooLargeError):
-        pl.transmit_frame(_params(), PHASE0, None, frame, rng_seed=0, max_slots=1024)
+        transmit_frame(_params(), PHASE0, None, frame, rng_seed=0, max_slots=1024)
 
 
 def test_monte_carlo_matches_analytic_within_three_sigma():
     params = _params(channel_loss_db=3.0, detector_efficiency=0.3, dark_count_prob=1e-4)
     n = 1_000_000
-    frame = pl.PulseFrame.random("f", n, np.random.default_rng(7))
-    record = pl.transmit_frame(params, PHASE0, None, frame, rng_seed=11)
+    frame = PulseFrame.random("f", n, np.random.default_rng(7))
+    record = transmit_frame(params, PHASE0, None, frame, rng_seed=11)
     p = pl.click_probability(params)
     sigma = math.sqrt(p * (1 - p) / n)
     assert abs(record.n_events / n - p) < 3 * sigma
@@ -92,10 +93,10 @@ def test_intercept_resend_qber_25_percent():
     # Enumeration oracle over (tx basis, eve basis, rx basis): 8 equiprobable
     # cases, errors in 2 of the 8 sifted outcomes -> QBER 1/4.
     params = _params(mean_photon_number=0.2)
-    frame = pl.PulseFrame.random("f", 1_200_000, np.random.default_rng(9))
-    record = pl.transmit_frame(params, PHASE0, pl.EveModel.intercept_resend(1.0),
+    frame = PulseFrame.random("f", 1_200_000, np.random.default_rng(9))
+    record = transmit_frame(params, PHASE0, pl.EveModel.intercept_resend(1.0),
                                frame, rng_seed=5)
-    alice, bob, _ = sift_bb84(frame, record)
+    alice, bob, _ = sift_bb84_events(*frame.sent(record), record)
     assert alice.size > 100_000
     qber = float(np.mean(alice != bob))
     assert abs(qber - 0.25) < 0.01
@@ -106,8 +107,8 @@ def test_dead_time_event_rate_and_gap():
     # equivalently p*f / (1 + p*f*tau); expected ~9.52e4 events/s.
     params = _params(dead_time_s=1e-5)
     assert params.dead_slots == 50
-    frame = pl.PulseFrame.random("f", 500_000, np.random.default_rng(8))
-    record = pl.transmit_frame(params, PHASE0, None, frame, rng_seed=1)
+    frame = PulseFrame.random("f", 500_000, np.random.default_rng(8))
+    record = transmit_frame(params, PHASE0, None, frame, rng_seed=1)
     p = pl.click_probability(params)
     f = params.pulse_rate_hz
     oracle = p * f / (1 + p * f * params.dead_time_s)
@@ -120,8 +121,8 @@ def test_dead_time_event_rate_and_gap():
 def test_dead_time_gap_invariant_with_darks():
     params = _params(mean_photon_number=0.8, detector_efficiency=0.5,
                      dark_count_prob=1e-3, dead_time_s=4e-6)
-    frame = pl.PulseFrame.random("f", 300_000, np.random.default_rng(10))
-    record = pl.transmit_frame(params, PHASE0, None, frame, rng_seed=2)
+    frame = PulseFrame.random("f", 300_000, np.random.default_rng(10))
+    record = transmit_frame(params, PHASE0, None, frame, rng_seed=2)
     assert record.min_gap() >= params.dead_slots
 
 
@@ -135,19 +136,19 @@ def test_click_rate_monotone_in_loss_and_mu():
              for m in mus]
     assert all(a <= b for a, b in zip(rates, rates[1:]))
     # Spot-check empirically at two ends of the loss sweep.
-    frame = pl.PulseFrame.random("f", 300_000, np.random.default_rng(4))
-    low = pl.transmit_frame(_params(channel_loss_db=0.0, detector_efficiency=0.2),
+    frame = PulseFrame.random("f", 300_000, np.random.default_rng(4))
+    low = transmit_frame(_params(channel_loss_db=0.0, detector_efficiency=0.2),
                             PHASE0, None, frame, rng_seed=3).n_events
-    high = pl.transmit_frame(_params(channel_loss_db=20.0, detector_efficiency=0.2),
+    high = transmit_frame(_params(channel_loss_db=20.0, detector_efficiency=0.2),
                              PHASE0, None, frame, rng_seed=3).n_events
     assert low > high
 
 
 def test_eve_neutrality_zero_error_channel():
     params = _params(detector_efficiency=0.5)
-    frame = pl.PulseFrame.random("f", 200_000, np.random.default_rng(11))
-    record = pl.transmit_frame(params, PHASE0, None, frame, rng_seed=13)
-    alice, bob, _ = sift_bb84(frame, record)
+    frame = PulseFrame.random("f", 200_000, np.random.default_rng(11))
+    record = transmit_frame(params, PHASE0, None, frame, rng_seed=13)
+    alice, bob, _ = sift_bb84_events(*frame.sent(record), record)
     assert alice.size > 0
     assert np.array_equal(alice, bob)
 
@@ -155,10 +156,10 @@ def test_eve_neutrality_zero_error_channel():
 def test_pns_invariants():
     params = _params(channel_loss_db=10.0, detector_efficiency=0.1)
     eve = pl.EveModel.photon_number_split()
-    frame = pl.PulseFrame.random("f", 200_000, np.random.default_rng(12))
-    record = pl.transmit_frame(params, PHASE0, eve, frame, rng_seed=13)
+    frame = PulseFrame.random("f", 200_000, np.random.default_rng(12))
+    record = transmit_frame(params, PHASE0, eve, frame, rng_seed=13)
     assert 0 < record.eve_tally.learned_bits <= record.eve_tally.multi_photon_emissions
-    alice, bob, _ = sift_bb84(frame, record)
+    alice, bob, _ = sift_bb84_events(*frame.sent(record), record)
     assert alice.size > 0
     assert np.array_equal(alice, bob)  # zero induced error
 
@@ -168,17 +169,17 @@ def test_pns_creates_no_anomalous_loss(loss_db):
     # The splitter replaces the fiber and spends only its expected loss:
     # the receiver sees as many clicks as on the honest channel.
     params = _params(channel_loss_db=loss_db, detector_efficiency=0.1)
-    frame = pl.PulseFrame.random("f", 400_000, np.random.default_rng(1))
-    honest = pl.transmit_frame(params, PHASE0, None, frame, rng_seed=2)
-    attacked = pl.transmit_frame(params, PHASE0, pl.EveModel.photon_number_split(),
+    frame = PulseFrame.random("f", 400_000, np.random.default_rng(1))
+    honest = transmit_frame(params, PHASE0, None, frame, rng_seed=2)
+    attacked = transmit_frame(params, PHASE0, pl.EveModel.photon_number_split(),
                                  frame, rng_seed=2)
     assert attacked.n_events == pytest.approx(honest.n_events, rel=0.03)
 
 
 def test_pns_cannot_act_without_loss_budget():
     eve = pl.EveModel.photon_number_split()
-    frame = pl.PulseFrame.random("f", 50_000, np.random.default_rng(14))
-    record = pl.transmit_frame(_params(), PHASE0, eve, frame, rng_seed=15)
+    frame = PulseFrame.random("f", 50_000, np.random.default_rng(14))
+    record = transmit_frame(_params(), PHASE0, eve, frame, rng_seed=15)
     assert record.eve_tally.learned_bits == 0
     assert record.eve_tally.suppressed_singles == 0
 
@@ -207,12 +208,12 @@ def test_pns_tally_matches_loop_oracle(loss_db):
     params = _params(mean_photon_number=0.8, channel_loss_db=loss_db)
     eve = pl.EveModel.photon_number_split()
     for seed in range(4):
-        frame = pl.PulseFrame.random("f", 20_000, np.random.default_rng(100 + seed))
-        record = pl.transmit_frame(params, PHASE0, eve, frame, rng_seed=seed)
+        frame = PulseFrame.random("f", 20_000, np.random.default_rng(100 + seed))
+        record = transmit_frame(params, PHASE0, eve, frame, rng_seed=seed)
         # The photon numbers are the frame's first draw from its seed.
         photons = np.random.default_rng(seed).poisson(0.8, size=frame.n_slots)
         assert record.eve_tally == _pns_tally_oracle(photons, params.total_transmittance)
-    again = pl.transmit_frame(params, PHASE0, eve, frame, rng_seed=seed)
+    again = transmit_frame(params, PHASE0, eve, frame, rng_seed=seed)
     assert again.eve_tally == record.eve_tally
 
 
@@ -234,9 +235,9 @@ def test_window_sampler_matches_dense_path_statistics():
                      dark_count_prob=5e-4, dead_time_s=2e-6,
                      intrinsic_error=0.03)
     n = 400_000
-    frame = pl.PulseFrame.random("f", n, np.random.default_rng(21))
-    dense = pl.transmit_frame(params, PHASE0, None, frame, rng_seed=22)
-    a1, b1, _ = sift_bb84(frame, dense)
+    frame = PulseFrame.random("f", n, np.random.default_rng(21))
+    dense = transmit_frame(params, PHASE0, None, frame, rng_seed=22)
+    a1, b1, _ = sift_bb84_events(*frame.sent(dense), dense)
     txb, txv, fast = pl.sample_link_window(params, PHASE0, n, rng_seed=23)
     a2, b2, _ = sift_bb84_events(txb, txv, fast)
     # Same per-slot law: click fraction and sifted error rate agree.
@@ -258,21 +259,24 @@ def test_window_sampler_intercept_resend():
 @pytest.mark.parametrize("loss_db", [3.0, 10.0])
 def test_window_sampler_pns_matches_dense_path(loss_db):
     # Over 20 seeds the window sampler behind the PNS attacker and the
-    # per-slot oracle agree on clicks (3 standard errors of the summed
-    # count) and on sifted QBER, and dead time holds in every window.
+    # per-slot oracle agree on clicks and on each count of the attacker's
+    # tally (3 standard errors of the summed count) and on sifted QBER,
+    # and dead time holds in every window.
     params = _params(channel_loss_db=loss_db, detector_efficiency=0.1,
                      dark_count_prob=1e-4, dead_time_s=2e-6, intrinsic_error=0.03)
     eve = pl.EveModel.photon_number_split()
     n = 200_000
     dense_clicks = window_clicks = 0
+    dense_tally, window_tally = np.zeros(3), np.zeros(3)
     dense_q, window_q = [], []
     for seed in range(20):
-        frame = pl.PulseFrame.random("f", n, np.random.default_rng(1000 + seed))
-        dense = pl.transmit_frame(params, PHASE0, eve, frame, rng_seed=2000 + seed)
-        a1, b1, _ = sift_bb84(frame, dense)
+        frame = PulseFrame.random("f", n, np.random.default_rng(1000 + seed))
+        dense = transmit_frame(params, PHASE0, eve, frame, rng_seed=2000 + seed)
+        a1, b1, _ = sift_bb84_events(*frame.sent(dense), dense)
         txb, txv, fast = pl.sample_link_window(params, PHASE0, n, 3000 + seed, eve=eve)
         a2, b2, _ = sift_bb84_events(txb, txv, fast)
-        assert fast.eve_tally is None
+        dense_tally += dataclasses.astuple(dense.eve_tally)
+        window_tally += dataclasses.astuple(fast.eve_tally)
         assert fast.min_gap() > params.dead_slots
         dense_clicks += dense.n_events
         window_clicks += fast.n_events
@@ -280,7 +284,38 @@ def test_window_sampler_pns_matches_dense_path(loss_db):
         window_q.append(np.mean(a2 != b2))
     # Clicks are nearly Poisson, so each sum's variance is about its mean.
     assert abs(dense_clicks - window_clicks) < 3 * math.sqrt(dense_clicks + window_clicks)
+    assert (window_tally > 0).all()
+    assert (np.abs(dense_tally - window_tally) < 3 * np.sqrt(dense_tally + window_tally)).all()
     assert abs(float(np.mean(dense_q)) - float(np.mean(window_q))) < 0.01
+
+
+@pytest.mark.parametrize("loss_db", [0.0, 0.5, 3.0, 10.0, 30.0])
+def test_window_sampler_pns_tally_matches_loop_oracle(loss_db):
+    # The photon numbers are the sampler's first draw from its seed. The
+    # sampler's prefix-sum budget and the loop's running budget round
+    # differently at some losses, 10 dB here, which moves a few suppressed
+    # singles: 0.21% at most over mu 0.1-1.0 and 0-30 dB. Multi-photon
+    # emissions and learned bits are always exact.
+    eve = pl.EveModel.photon_number_split()
+    n = 200_000
+    for mu in (0.1, 0.5, 1.0):
+        params = _params(mean_photon_number=mu, channel_loss_db=loss_db,
+                         detector_efficiency=0.1, dark_count_prob=1e-4, dead_time_s=2e-6)
+        for seed in range(2):
+            _, _, record = pl.sample_link_window(params, PHASE0, n, seed, eve=eve)
+            photons = np.random.default_rng(seed).poisson(mu, size=n)
+            want = _pns_tally_oracle(photons, params.total_transmittance)
+            got = record.eve_tally
+            assert got.multi_photon_emissions == want.multi_photon_emissions
+            assert got.learned_bits == want.learned_bits
+            if loss_db != 10.0:
+                assert got == want
+            else:
+                assert got.suppressed_singles == pytest.approx(want.suppressed_singles,
+                                                               rel=0.005)
+            _, _, again = pl.sample_link_window(params, PHASE0, n, seed, eve=eve)
+            assert again.eve_tally == got
+    assert pl.sample_link_window(params, PHASE0, 0, 1, eve=eve)[2].eve_tally == pl.EveTally()
 
 
 def _integer_bits(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -461,6 +496,8 @@ def test_window_sampler_matches_oracle_bit_for_bit():
                     assert rng_new.calls == rng_old.calls, case
                     multi_batch += [c[0] for c in rng_new.calls].count("geometric") > 1
                     assert got[2].frame_id == want[2].frame_id
+                    # Only the photon-number splitter's windows carry a tally.
+                    assert got[2].eve_tally is None
                     for g, w in zip(
                             (got[0], got[1], got[2].slot_index, got[2].rx_basis,
                              got[2].rx_value, got[2].is_dark),

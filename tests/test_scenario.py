@@ -136,6 +136,24 @@ def test_engine_knob_validation():
             load_scenario(_minimal(**{name: 1}))
 
 
+def test_prepositioned_key_capped_at_load():
+    # The keystore holds one byte per key bit, so an uncapped 2**34 would
+    # ask for 16 GiB at set-up. Loading only: no engine is built here.
+    cap = ng.MAX_PREPOSITIONED_BITS
+    assert cap == 1 << 28
+    topology = ng.cambridge_config()
+    topology["prepositioned"][0]["bits"] = cap
+    assert ng.load_topology(topology).prepositioned[0].bits == cap
+    assert load_scenario(_minimal(prepositioned_auth_bits=cap)).knobs \
+        .prepositioned_auth_bits == cap
+    for bits in (cap + 1, 1 << 34):
+        topology["prepositioned"][0]["bits"] = bits
+        with pytest.raises(ValidationError, match="prepositioned\\[0\\]: bits"):
+            ng.load_topology(topology)
+        with pytest.raises(ValidationError, match="prepositioned_auth_bits"):
+            load_scenario(_minimal(prepositioned_auth_bits=bits))
+
+
 def test_unfundable_relay_waits_without_hanging():
     # With a zero retry interval this request once re-polled at one instant
     # forever. Nothing ever funds it, so it ends the run still pending.

@@ -5,17 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from oracles import PulseFrame, estimate_secret_length, toeplitz_matrix, transmit_frame
 from qkdnet.errors import InvalidRequestError, InvariantViolation
 from qkdnet.physlink import LinkParams
 from qkdnet.qkdproto import (
     EntropyEstimator,
     EstimatorKind,
     SiftingProtocol,
-    estimate_secret_length,
     multi_photon_fraction,
     privacy_amplify,
     secret_length,
-    toeplitz_matrix,
     usable_fraction,
 )
 from qkdnet.qkdproto.secrecy import DEFAULT_SECURITY_MARGIN_BITS
@@ -121,7 +120,7 @@ def test_sarg_yield_dominates_bb84_under_pns_attack():
     # below BB84's, and is strictly positive at low loss.
     from qkdnet import physlink as pl
     from qkdnet.bits import binary_entropy
-    from qkdnet.qkdproto import sift_bb84, sift_sarg
+    from qkdnet.qkdproto import sift_bb84_events, sift_sarg_events
 
     sarg_est = EntropyEstimator(EstimatorKind.MULTIPHOTON_AWARE, 0, SiftingProtocol.SARG)
     bb84_est = EntropyEstimator(EstimatorKind.MULTIPHOTON_AWARE, 0, SiftingProtocol.BB84)
@@ -130,13 +129,13 @@ def test_sarg_yield_dominates_bb84_under_pns_attack():
         params = pl.LinkParams(mean_photon_number=0.5, channel_loss_db=float(loss),
                                detector_efficiency=0.1, dark_count_prob=0.0,
                                dead_time_s=0.0, intrinsic_error=0.01)
-        frame = pl.PulseFrame.random(f"sweep{i}", 60_000, np.random.default_rng(i))
-        record = pl.transmit_frame(params, pl.PhaseState(),
-                                   pl.EveModel.photon_number_split(), frame,
-                                   rng_seed=1000 + i)
+        frame = PulseFrame.random(f"sweep{i}", 60_000, np.random.default_rng(i))
+        record = transmit_frame(params, pl.PhaseState(),
+                                pl.EveModel.photon_number_split(), frame,
+                                rng_seed=1000 + i)
         yields = {}
-        for est, sifter in ((bb84_est, sift_bb84), (sarg_est, sift_sarg)):
-            alice, bob, _ = sifter(frame, record)
+        for est, sifter in ((bb84_est, sift_bb84_events), (sarg_est, sift_sarg_events)):
+            alice, bob, _ = sifter(*frame.sent(record), record)
             if alice.size < 64:
                 yields[est.sifting] = 0
                 continue
