@@ -15,8 +15,8 @@ Exit codes: 0 success, 1 validation failure, 2 runtime invariant violation.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .engine import run_scenario
@@ -66,14 +66,15 @@ def _cmd_run(args) -> int:
         return EXIT_VALIDATION
     if args.scenario is not None:
         try:
-            doc = json.loads(args.scenario.read_text())
+            text = args.scenario.read_text()
         except (OSError, ValueError) as exc:
             raise ValidationError(f"cannot read scenario {args.scenario}: {exc}") from exc
+        scenario = load_scenario(text)
+        # Scenario re-checks the duration against the event times.
         if args.seed is not None:
-            doc["seed"] = args.seed
+            scenario = replace(scenario, seed=args.seed)
         if args.duration is not None:
-            doc["duration_s"] = args.duration
-        scenario = load_scenario(doc)
+            scenario = replace(scenario, duration_s=args.duration)
     else:
         scenario = default_preset_scenario(
             args.preset,

@@ -9,8 +9,6 @@ round-trips to an identical topology.
 
 from __future__ import annotations
 
-import json
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -21,6 +19,7 @@ from .errors import ConfigurationError, ValidationError
 from .physlink import LinkParams, PhaseState
 from .qkdproto.secrecy import EstimatorKind
 from .qkdproto.sifting import SiftingProtocol
+from .schema import choice, document, fields, integer, items, number, text
 from .switchfab import (DEFAULT_INSERTION_LOSS_DB, DEFAULT_SCHEDULE_PERIOD_S,
                         SwitchPosition, SwitchState)
 
@@ -32,7 +31,6 @@ DEFAULT_PREPOSITIONED_BITS = 1 << 20
 # The keystore holds one byte per key bit, so a pair's prepositioned key
 # costs that many bytes at set-up: at most 256 MiB.
 MAX_PREPOSITIONED_BITS = 1 << 28
-_FLOAT_MAX = sys.float_info.max
 
 _LINK_PARAM_FIELDS = (
     "pulse_rate_hz", "mean_photon_number", "channel_loss_db", "insertion_loss_db",
@@ -295,152 +293,110 @@ def required_links(n_enclaves: int, topology_kind: TopologyKind) -> int:
 # Config parsing
 # --------------------------------------------------------------------------
 
-def _require_keys(obj: dict, where: str, required: tuple, optional: tuple):
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{where}: expected an object")
-    for key in required:
-        if key not in obj:
-            raise ValidationError(f"{where}: missing required key {key!r}")
-    allowed = set(required) | set(optional)
-    for key in obj:
-        if key not in allowed:
-            raise ValidationError(f"{where}: unknown key {key!r}")
-
-
-def _finite_number(value, where: str, name: str) -> float:
-    """A JSON number: an int or float, neither NaN nor infinite. ``type()``
-    and not ``isinstance()``, since a bool is an int but not a number here."""
-    if type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX:
-        return float(value)
-    raise ValidationError(f"{where}: {name} must be a finite number, got {value!r}")
-
-
 def _optional_number(raw: dict, key: str, where: str) -> Optional[float]:
     """An optional override: absent or null is None, else a finite number."""
     value = raw.get(key)
-    return None if value is None else _finite_number(value, where, key)
+    return None if value is None else number(value, where, key)
 
 
 def _parse_params(obj: dict, where: str) -> Dict[str, float]:
-    _require_keys(obj, where, (), _LINK_PARAM_FIELDS)
-    return {k: _finite_number(v, where, k) for k, v in obj.items()}
-
-
-def _parse_enum(enum_cls, value, where: str):
-    try:
-        return enum_cls(value)
-    except ValueError as exc:
-        options = ", ".join(e.value for e in enum_cls)
-        raise ValidationError(f"{where}: expected one of [{options}], got {value!r}") from exc
+    fields(obj, where, (), _LINK_PARAM_FIELDS)
+    return {k: number(v, where, k) for k, v in obj.items()}
 
 
 def load_topology(config: Union[str, dict]) -> Topology:
     """Parse and fully validate a topology document (strict mode)."""
-    if isinstance(config, str):
-        try:
-            config = json.loads(config)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config is not valid JSON: {exc}") from exc
-
-    _require_keys(config, "topology", ("version", "nodes", "links"),
-                  ("name", "description", "switches", "channels", "prepositioned",
-                   "defaults"))
-    if config["version"] != CONFIG_VERSION:
+    config = fields(document(config, "topology"), "topology", ("version", "nodes", "links"),
+                    ("name", "description", "switches", "channels", "prepositioned",
+                     "defaults"))
+    if type(config["version"]) is not int or config["version"] != CONFIG_VERSION:
         raise ValidationError(f"unsupported config version {config['version']!r}")
 
-    defaults = config.get("defaults", {})
-    _require_keys(defaults, "defaults", (),
-                  ("fiber_loss_db_per_km", "params", "drift_rate_rad_per_s",
-                   "feedback_gain"))
+    defaults = fields(config.get("defaults", {}), "defaults", (),
+                      ("fiber_loss_db_per_km", "params", "drift_rate_rad_per_s",
+                       "feedback_gain"))
 
     nodes: Dict[str, Node] = {}
-    if not config["nodes"]:
-        raise ValidationError("nodes: at least one node is required")
-    for i, raw in enumerate(config["nodes"]):
+    for i, raw in enumerate(items(config["nodes"], "topology", "nodes")):
         where = f"nodes[{i}]"
-        _require_keys(raw, where, ("id", "role"), ("trusted",))
-        role = _parse_enum(NodeRole, raw["role"], f"{where}.role")
+        fields(raw, where, ("id", "role"), ("trusted",))
+        node_id = text(raw["id"], where, "id")
+        role = choice(NodeRole, raw["role"], f"{where}.role")
         trusted = raw.get("trusted", True)
         if type(trusted) is not bool:
             raise ValidationError(f"{where}: trusted must be true or false, got {trusted!r}")
-        node = Node(raw["id"], role, trusted)
-        if node.node_id in nodes:
-            raise ValidationError(f"{where}: duplicate node id {node.node_id!r}")
-        if node.role is NodeRole.RELAY and not node.trusted:
-            raise ValidationError(
-                f"{where}: relay node {node.node_id!r} must be trusted")
-        nodes[node.node_id] = node
+        if node_id in nodes:
+            raise ValidationError(f"{where}: duplicate node id {node_id!r}")
+        if role is NodeRole.RELAY and not trusted:
+            raise ValidationError(f"{where}: relay node {node_id!r} must be trusted")
+        nodes[node_id] = Node(node_id, role, trusted)
+    if not nodes:
+        raise ValidationError("nodes: at least one node is required")
 
     switches: Dict[str, SwitchState] = {}
-    for i, raw in enumerate(config.get("switches", [])):
+    for i, raw in enumerate(items(config.get("switches", []), "topology", "switches")):
         where = f"switches[{i}]"
-        _require_keys(raw, where, ("id", "tx_ports", "rx_ports"),
-                      ("initial_position", "schedule_period_s", "insertion_loss_db",
-                       "toggle_times_s"))
-        for port in (*raw["tx_ports"], *raw["rx_ports"]):
-            if port not in nodes:
-                raise ValidationError(f"{where}: port references undefined node {port!r}")
-        if raw["id"] in nodes or raw["id"] in switches:
-            raise ValidationError(f"{where}: duplicate id {raw['id']!r}")
-        position = _parse_enum(SwitchPosition, raw.get("initial_position", "bar"),
-                               f"{where}.initial_position")
-        period = _finite_number(raw.get("schedule_period_s", DEFAULT_SCHEDULE_PERIOD_S),
-                                where, "schedule_period_s")
-        insertion = _finite_number(raw.get("insertion_loss_db", DEFAULT_INSERTION_LOSS_DB),
-                                   where, "insertion_loss_db")
-        toggles = tuple(_finite_number(t, where, "toggle_times_s entry")
-                        for t in raw.get("toggle_times_s", ()))
+        fields(raw, where, ("id", "tx_ports", "rx_ports"),
+               ("initial_position", "schedule_period_s", "insertion_loss_db",
+                "toggle_times_s"))
+        tx_ports, rx_ports = (tuple(text(port, where, "node", nodes)
+                                    for port in items(raw[key], where, key))
+                              for key in ("tx_ports", "rx_ports"))
+        switch_id = text(raw["id"], where, "id")
+        if switch_id in nodes or switch_id in switches:
+            raise ValidationError(f"{where}: duplicate id {switch_id!r}")
+        position = choice(SwitchPosition, raw.get("initial_position", "bar"),
+                          f"{where}.initial_position")
+        period = number(raw.get("schedule_period_s", DEFAULT_SCHEDULE_PERIOD_S),
+                        where, "schedule_period_s")
+        insertion = number(raw.get("insertion_loss_db", DEFAULT_INSERTION_LOSS_DB),
+                           where, "insertion_loss_db")
+        toggles = tuple(number(t, where, "toggle_times_s entry")
+                        for t in items(raw.get("toggle_times_s", []), where, "toggle_times_s"))
         try:
-            switches[raw["id"]] = SwitchState(
-                switch_id=raw["id"], tx_ports=tuple(raw["tx_ports"]),
-                rx_ports=tuple(raw["rx_ports"]), position=position,
+            switches[switch_id] = SwitchState(
+                switch_id=switch_id, tx_ports=tx_ports, rx_ports=rx_ports, position=position,
                 schedule_period_s=period, insertion_loss_db=insertion,
                 toggle_times_s=toggles)
         except (ValueError, ConfigurationError) as exc:
             raise ValidationError(f"{where}: {exc}") from exc
 
     links: Dict[str, Link] = {}
-    endpoints = set(nodes) | set(switches)
-    for i, raw in enumerate(config["links"]):
+    endpoints = nodes.keys() | switches.keys()
+    for i, raw in enumerate(items(config["links"], "topology", "links")):
         where = f"links[{i}]"
-        _require_keys(raw, where, ("id", "a", "b"),
-                      ("length_km", "loss_db_override", "params"))
-        for end in (raw["a"], raw["b"]):
-            if end not in endpoints:
-                raise ValidationError(f"{where}: endpoint references undefined node {end!r}")
-        if raw["id"] in links:
-            raise ValidationError(f"{where}: duplicate link id {raw['id']!r}")
-        a, b = raw["a"], raw["b"]
+        fields(raw, where, ("id", "a", "b"), ("length_km", "loss_db_override", "params"))
+        a, b = (text(raw[end], where, "endpoint", endpoints) for end in ("a", "b"))
+        link_id = text(raw["id"], where, "id")
+        if link_id in links:
+            raise ValidationError(f"{where}: duplicate link id {link_id!r}")
         if a in nodes and b in nodes:
             if not (nodes[a].role.can_transmit and nodes[b].role.can_receive):
                 raise ValidationError(
                     f"{where}: a QKD link needs a transmit-capable 'a' endpoint and a "
                     f"receive-capable 'b' endpoint ({a!r} is {nodes[a].role.value}, "
                     f"{b!r} is {nodes[b].role.value})")
-        links[raw["id"]] = Link(
-            link_id=raw["id"], a=a, b=b,
-            length_km=_finite_number(raw.get("length_km", 0.0), where, "length_km"),
+        links[link_id] = Link(
+            link_id=link_id, a=a, b=b,
+            length_km=number(raw.get("length_km", 0.0), where, "length_km"),
             loss_db_override=_optional_number(raw, "loss_db_override", where),
             params=_parse_params(raw.get("params", {}), f"{where}.params"),
         )
 
     channels = []
-    for i, raw in enumerate(config.get("channels", [])):
+    for i, raw in enumerate(items(config.get("channels", []), "topology", "channels")):
         where = f"channels[{i}]"
-        _require_keys(raw, where, ("tx", "rx"),
-                      ("params", "estimator", "sifting", "drift_rate_rad_per_s",
-                       "feedback_gain"))
-        for end in (raw["tx"], raw["rx"]):
-            if end not in nodes:
-                raise ValidationError(f"{where}: references undefined node {end!r}")
-        if any((ov.tx, ov.rx) == (raw["tx"], raw["rx"]) for ov in channels):
-            raise ValidationError(f"{where}: channel {raw['tx']}-{raw['rx']} is already listed")
+        fields(raw, where, ("tx", "rx"),
+               ("params", "estimator", "sifting", "drift_rate_rad_per_s", "feedback_gain"))
+        tx, rx = (text(raw[end], where, "node", nodes) for end in ("tx", "rx"))
+        if any((ov.tx, ov.rx) == (tx, rx) for ov in channels):
+            raise ValidationError(f"{where}: channel {tx}-{rx} is already listed")
         channels.append(ChannelOverride(
-            tx=raw["tx"], rx=raw["rx"],
+            tx=tx, rx=rx,
             params=_parse_params(raw.get("params", {}), f"{where}.params"),
-            estimator=_parse_enum(EstimatorKind, raw["estimator"], f"{where}.estimator")
+            estimator=choice(EstimatorKind, raw["estimator"], f"{where}.estimator")
             if "estimator" in raw else None,
-            sifting=_parse_enum(SiftingProtocol, raw["sifting"], f"{where}.sifting")
+            sifting=choice(SiftingProtocol, raw["sifting"], f"{where}.sifting")
             if "sifting" in raw else None,
             drift_rate_rad_per_s=_optional_number(raw, "drift_rate_rad_per_s", where),
             feedback_gain=_optional_number(raw, "feedback_gain", where),
@@ -448,40 +404,37 @@ def load_topology(config: Union[str, dict]) -> Topology:
 
     prepositioned = []
     seeded = set()
-    for i, raw in enumerate(config.get("prepositioned", [])):
+    for i, raw in enumerate(items(config.get("prepositioned", []), "topology",
+                                  "prepositioned")):
         where = f"prepositioned[{i}]"
-        _require_keys(raw, where, ("a", "b"), ("bits",))
-        for end in (raw["a"], raw["b"]):
-            if end not in nodes:
-                raise ValidationError(f"{where}: references undefined node {end!r}")
-        pair = tuple(sorted((raw["a"], raw["b"])))
-        if pair in seeded or pair[0] == pair[1]:
+        fields(raw, where, ("a", "b"), ("bits",))
+        a, b = (text(raw[end], where, "node", nodes) for end in ("a", "b"))
+        pair = tuple(sorted((a, b)))
+        if pair in seeded or a == b:
             raise ValidationError(f"{where}: pair {pair[0]}|{pair[1]} must join two "
                                   f"distinct nodes and be listed once")
         seeded.add(pair)
-        bits = raw.get("bits", DEFAULT_PREPOSITIONED_BITS)
-        if type(bits) is not int or not 0 <= bits <= MAX_PREPOSITIONED_BITS:
-            raise ValidationError(f"{where}: bits must be an integer in "
-                                  f"[0, {MAX_PREPOSITIONED_BITS}], got {bits!r}")
-        prepositioned.append(Preposition(raw["a"], raw["b"], bits))
+        prepositioned.append(Preposition(a, b, integer(
+            raw.get("bits", DEFAULT_PREPOSITIONED_BITS), where, "bits",
+            0, MAX_PREPOSITIONED_BITS)))
 
     topology = Topology(
-        name=config.get("name", ""),
+        name=text(config.get("name", ""), "topology", "name"),
         nodes=nodes,
         links=links,
         switches=switches,
         channels=channels,
         prepositioned=prepositioned,
-        fiber_loss_db_per_km=_finite_number(
+        fiber_loss_db_per_km=number(
             defaults.get("fiber_loss_db_per_km", DEFAULT_FIBER_LOSS_DB_PER_KM),
             "defaults", "fiber_loss_db_per_km"),
         default_params=_parse_params(defaults.get("params", {}), "defaults.params"),
-        drift_rate_rad_per_s=_finite_number(
+        drift_rate_rad_per_s=number(
             defaults.get("drift_rate_rad_per_s", DEFAULT_DRIFT_RATE_RAD_PER_S),
             "defaults", "drift_rate_rad_per_s"),
-        feedback_gain=_finite_number(defaults.get("feedback_gain", DEFAULT_FEEDBACK_GAIN),
-                                     "defaults", "feedback_gain"),
-        description=config.get("description", ""),
+        feedback_gain=number(defaults.get("feedback_gain", DEFAULT_FEEDBACK_GAIN),
+                             "defaults", "feedback_gain"),
+        description=text(config.get("description", ""), "topology", "description"),
     )
     # Resolve every logical channel now: each must have valid physics and
     # phase dynamics, and the run reads them from here.

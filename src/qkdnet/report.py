@@ -178,9 +178,10 @@ class MetricsReport:
 
     @classmethod
     def from_records(cls, records: List[dict]) -> "MetricsReport":
-        """Rebuild a report. A record that is not an object, or whose fields
-        are not exactly its type's with values of their JSON types, raises
-        ValidationError naming its 1-based position in ``records``."""
+        """Rebuild a report. A record that is not an object, whose fields
+        are not exactly its type's with values of their JSON types, or that
+        repeats a pair's reservoir row, raises ValidationError naming its
+        1-based position in ``records``."""
         i, meta = next(((i, r) for i, r in enumerate(records, 1)
                         if isinstance(r, dict) and r.get("type") == "meta"), (0, None))
         if meta is None:
@@ -190,12 +191,17 @@ class MetricsReport:
             if not isinstance(r, dict):
                 raise ValidationError(f"record {i}: not an object")
             kind = r.get("type")
+            if type(kind) is not str:
+                raise ValidationError(f"record {i}: type must be a string, got {kind!r}")
             if kind in _ROWS:
                 attr, codec = _ROWS[kind]
                 getattr(report, attr).append(codec.decode(i, r))
             elif kind == "reservoir":
                 snap = _RESERVOIR.decode(i, r)
-                report.final_reservoirs[snap.pop("pair")] = snap
+                pair = snap.pop("pair")
+                if pair in report.final_reservoirs:
+                    raise ValidationError(f"record {i}: a second reservoir row for pair {pair!r}")
+                report.final_reservoirs[pair] = snap
             elif kind != "meta":
                 raise ValidationError(f"record {i}: unknown record type {kind!r}")
         return report

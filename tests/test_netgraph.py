@@ -272,6 +272,12 @@ def _override_twice(doc):
     return doc
 
 
+def _numeric_node(doc):
+    doc["nodes"].append({"id": 7, "role": "rx"})
+    doc["links"].append({"id": "ali-7", "a": "Ali", "b": 7, "length_km": 1.0})
+    return doc
+
+
 # Each edit loaded (or crashed the run, or raised something other than a
 # ValidationError) before topology values were checked instead of coerced.
 _BAD_TOPOLOGIES = {
@@ -294,6 +300,26 @@ _BAD_TOPOLOGIES = {
     "pair-listed-twice": _prepositioned_twice,
     "pair-of-one-node": lambda d: _set(d, ("prepositioned", 0, "b"), "Ali"),
     "override-listed-twice": _override_twice,
+    # Each edit below raised a TypeError at load, or loaded, before every
+    # list, id, reference and name had its JSON type checked. The numeric
+    # node id loaded and then crashed the run comparing it with a string.
+    "nodes-number": lambda d: _set(d, ("nodes",), 5),
+    "switches-null": lambda d: _set(d, ("switches",), None),
+    "channels-object": lambda d: _set(d, ("channels",), {}),
+    "prepositioned-number": lambda d: _set(d, ("prepositioned",), 5),
+    "node-id-list": lambda d: _set(d, ("nodes", 0, "id"), ["Alice"]),
+    "node-id-number": _numeric_node,
+    "link-id-list": lambda d: _set(d, ("links", 0, "id"), ["alice-sw"]),
+    "switch-id-list": lambda d: _set(d, ("switches", 0, "id"), ["sw"]),
+    "tx-ports-number": lambda d: _set(d, ("switches", 0, "tx_ports"), 5),
+    "port-list": lambda d: _set(d, ("switches", 0, "tx_ports", 1), ["Anna"]),
+    "toggle-times-number": lambda d: _set(d, ("switches", 0, "toggle_times_s"), 5),
+    "endpoint-list": lambda d: _set(d, ("links", 4, "a"), ["Ali"]),
+    "override-tx-list": lambda d: _set(d, ("channels", 0, "tx"), ["Alice"]),
+    "pair-end-object": lambda d: _set(d, ("prepositioned", 0, "a"), {"Ali": 1}),
+    "name-number": lambda d: _set(d, ("name",), 5),
+    "description-list": lambda d: _set(d, ("description",), []),
+    "version-true": lambda d: _set(d, ("version",), True),
 }
 
 
@@ -311,6 +337,16 @@ def test_cli_run_on_untrusted_string_exits_1(tmp_path, capsys):
                                 "seed": 1, "events": []}))
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
     assert "trusted must be true or false" in capsys.readouterr().err
+
+
+def test_cli_run_on_numeric_node_id_exits_1(tmp_path, capsys):
+    topology = _BAD_TOPOLOGIES["node-id-number"](ng.cambridge_config())
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"version": 1, "topology": topology, "duration_s": 5.0,
+                                "seed": 1, "events": []}))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "nodes[6]: id must be a string, got 7" in err and "Traceback" not in err
 
 
 def test_channel_override_naming_no_logical_channel_exits_1(tmp_path, capsys):

@@ -99,6 +99,45 @@ def test_scenario_validates_references():
         load_scenario(_minimal(events=[{"t": 0.0, "kind": "cut_link", "link": "zap"}]))
 
 
+def _one_event(**event):
+    return _minimal(events=[{"t": 0.0, **event}])
+
+
+# Each document raised a TypeError at load, or loaded, before every list,
+# id, reference and name in a scenario had its JSON type checked.
+_BAD_SCENARIOS = {
+    "events-null": {**_minimal(), "events": None},
+    "events-object": {**_minimal(), "events": {}},
+    "engine-list": {**_minimal(), "engine": []},
+    "engine-null": {**_minimal(), "engine": None},
+    "preset-list": {**_minimal(), "topology": {"preset": []}},
+    "name-number": {**_minimal(), "name": 5},
+    "version-true": {**_minimal(), "version": True},
+    "link-list": _one_event(kind="cut_link", link=["anna-sw"]),
+    "switch-object": _one_event(kind="switch_toggle", switch={"sw": 1}),
+    "src-list": _one_event(kind="relay_request", src=["Anna"], dst="Bob", bits=8),
+    "dst-object": _one_event(kind="relay_request", src="Anna", dst={}, bits=8),
+    "eve-channel-list": _one_event(kind="enable_eve", channel=["Anna-Bob"],
+                                   eve={"kind": "none"}),
+    "sifting-channel-list": _one_event(kind="set_sifting", channel=["Anna-Bob"],
+                                       protocol="sarg"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SCENARIOS))
+def test_bad_scenario_structure_rejected_at_load(case):
+    with pytest.raises(ValidationError):
+        load_scenario(_BAD_SCENARIOS[case])
+
+
+def test_cli_run_on_null_events_exits_1(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(_BAD_SCENARIOS["events-null"]))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "events must be a list, got None" in err and "Traceback" not in err
+
+
 def test_relay_request_to_itself_exits_1(tmp_path, capsys):
     doc = _minimal(duration=2.0, events=[
         {"t": 0.0, "kind": "start_qkd", "tx": "Anna", "rx": "Bob"},
@@ -132,7 +171,7 @@ def test_engine_knob_validation():
                "metrics_interval_s", "relay_reserve_bits", "min_sample_bits",
                "security_margin_bits"]
     for name in unknown:
-        with pytest.raises(ValidationError, match=f"unknown keys \\['{name}'\\]"):
+        with pytest.raises(ValidationError, match=f"unknown key '{name}'"):
             load_scenario(_minimal(**{name: 1}))
 
 
@@ -433,6 +472,41 @@ def test_cli_validation_failure_exit_code(tmp_path, capsys):
         assert main(["verify", "--records", str(edited)]) == 1
         err = capsys.readouterr().err
         assert f"record {at + 1}: {field} must be" in err and "Traceback" not in err
+
+
+def test_cli_verify_rejects_untyped_records_and_repeated_reservoirs(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["run", "--preset", "cambridge", "--duration", "5", "--out", str(out),
+                 "--format", "records"]) == 0
+    lines = (out / "metrics.records.jsonl").read_text().splitlines()
+    reservoir = next(line for line in lines if '"type": "reservoir"' in line)
+    capsys.readouterr()
+    # A type that is no string crashed the reader; a second row for a pair
+    # replaced the first, so verify checked only one of them.
+    for name, extra, message in (("untyped", '{"type": []}', "type must be a string"),
+                                 ("repeated", reservoir, "a second reservoir row")):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text("\n".join(lines + [extra]) + "\n")
+        assert main(["verify", "--records", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"record {len(lines) + 1}: {message}" in err and "Traceback" not in err
+
+
+def test_cli_overrides_apply_to_the_loaded_scenario(tmp_path, capsys):
+    # Overrides once edited the raw document, so a JSON list crashed them.
+    listed = tmp_path / "list.json"
+    listed.write_text("[]")
+    late = tmp_path / "late.json"
+    late.write_text(json.dumps(_minimal(duration=10.0, events=[
+        {"t": 5.0, "kind": "cut_link", "link": "anna-sw"}])))
+    capsys.readouterr()
+    for path, flags, message in ((listed, ["--seed", "3"], "scenario: expected an object"),
+                                 (late, ["--duration", "2"], "event times"),
+                                 (late, ["--duration", "nan"], "duration_s must be finite")):
+        assert main(["run", "--scenario", str(path), *flags,
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
 
 def test_cli_verify_rederives_block_secret_lengths(tmp_path, capsys):
