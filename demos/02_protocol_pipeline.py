@@ -14,8 +14,9 @@ from qkdnet import physlink as pl
 from qkdnet.bits import binary_entropy, bits_to_bytes, random_bits
 from qkdnet.qkdproto import (
     AUTH_KEY_BITS_PER_TAG,
-    EntropyEstimator,
+    SECURITY_MARGIN_BITS,
     EstimatorKind,
+    SiftingProtocol,
     auth_tag,
     estimate_qber,
     privacy_amplify,
@@ -55,12 +56,11 @@ efficiency = parities / (n * binary_entropy(true_errors / n))
 print(f"[cascade]     fixed {true_errors:,} errors for {parities:,} disclosed "
       f"parities (f = {efficiency:.2f} vs the Shannon floor), residual {residual}")
 
-est = EntropyEstimator(EstimatorKind.SIMPLE_SHANNON)
 leaked = sample.disclosed + parities
-m = secret_length(n, sample.qber, leaked, usable_fraction(est, params),
-                  est.security_margin_bits)
+beta = usable_fraction(EstimatorKind.SIMPLE_SHANNON, SiftingProtocol.BB84, params)
+m = secret_length(n, sample.qber, leaked, beta)
 print(f"[entropy]     {n:,} reconciled - leakage {leaked:,} - margin "
-      f"{est.security_margin_bits} -> {m:,} distillable bits")
+      f"{SECURITY_MARGIN_BITS} -> {m:,} distillable bits")
 
 pa_seed = random_bits(np.random.default_rng(4), n + m - 1)
 secret_a = privacy_amplify(sample.remaining_alice, m, pa_seed)
@@ -75,9 +75,8 @@ print(f"[auth]        64-bit tag over the public PA seed verifies: "
       f"{verify_tag(auth_key, transcript, tag)} "
       f"(consumes {AUTH_KEY_BITS_PER_TAG} one-time key bits)")
 
-mpa = EntropyEstimator(EstimatorKind.MULTIPHOTON_AWARE)
-m_mpa = secret_length(n, sample.qber, leaked, usable_fraction(mpa, params),
-                      mpa.security_margin_bits)
+beta_mpa = usable_fraction(EstimatorKind.MULTIPHOTON_AWARE, SiftingProtocol.BB84, params)
+m_mpa = secret_length(n, sample.qber, leaked, beta_mpa)
 print(f"\n[pns pricing] the multiphoton-aware estimator allows only {m_mpa:,} bits here: "
       f"multi-photon emissions could explain nearly every detection, so almost "
       f"nothing is credited as single-photon key")

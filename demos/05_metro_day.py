@@ -42,7 +42,7 @@ for cid in ("Anna-Bob", "Alice-Boris"):
 relay = report.relay_sessions[0]
 print(f"\nrelay Alice->Anna: {relay.status} via {' -> '.join(relay.path)}")
 print(f"Alice|Anna reservoir: "
-      f"{report.final_reservoirs['Alice|Anna']['available']:,} shared bits")
+      f"{report.final_reservoirs['Alice|Anna'].available:,} shared bits")
 
 print("\nfive sample rows of the metrics series (time, link, sifted b/s, "
       "QBER, secret b/s, reservoir):")

@@ -70,16 +70,13 @@ def _cmd_run(args) -> int:
         except (OSError, ValueError) as exc:
             raise ValidationError(f"cannot read scenario {args.scenario}: {exc}") from exc
         scenario = load_scenario(text)
-        # Scenario re-checks the duration against the event times.
-        if args.seed is not None:
-            scenario = replace(scenario, seed=args.seed)
-        if args.duration is not None:
-            scenario = replace(scenario, duration_s=args.duration)
     else:
-        scenario = default_preset_scenario(
-            args.preset,
-            duration_s=args.duration if args.duration is not None else 600.0,
-            seed=args.seed if args.seed is not None else 1)
+        scenario = default_preset_scenario(args.preset)
+    # Scenario re-checks the duration against the event times.
+    if args.seed is not None:
+        scenario = replace(scenario, seed=args.seed)
+    if args.duration is not None:
+        scenario = replace(scenario, duration_s=args.duration)
     report = run_scenario(scenario)
     written = report.write(args.out, fmt=args.format)
     for path in written:
@@ -104,8 +101,8 @@ def _cmd_verify(args) -> int:
         for p in problems:
             print(f"FAIL {p}")
         return EXIT_INVARIANT
-    print("ok: one-time-pad uniqueness (disjoint draws, so purpose separation), "
-          "reservoir conservation, switch key isolation, block secret lengths")
+    print("ok: series ranges, one-time-pad uniqueness (disjoint draws, so purpose "
+          "separation), reservoir conservation, switch key isolation, block secret lengths")
     return EXIT_OK
 
 

@@ -46,7 +46,6 @@ from .physlink import (
 )
 from .qkdproto import (
     AUTH_KEY_BITS_PER_TAG,
-    EntropyEstimator,
     estimate_qber,
     privacy_amplify,
     reconcile_cascade,
@@ -58,7 +57,7 @@ from .qkdproto import (
 from .qkdproto.cascade import MAX_QBER_HINT
 from .qkdproto.qber import DEFAULT_MIN_SAMPLE
 from .qkdproto.sifting import SiftingProtocol
-from .report import BlockRecord, MetricsReport, RelayOutcome, SeriesRow
+from .report import BlockRecord, MetricsReport, RelayOutcome, ReservoirRow, SeriesRow
 from .scenario import EventKind, Scenario
 from .switchfab import (FEEDBACK_DEADBAND, REALIGN_FRAME_BUDGET, SWITCHING_TIME_S,
                         SwitchEvent, SwitchState, realign_receiver, resolve_path,
@@ -461,9 +460,7 @@ class Engine:
         # the same evidence of compromise; the series caps at 0.5.
         session.interval_qbers.append(min(qber, 0.5))
 
-        beta = usable_fraction(
-            EntropyEstimator(kind=session.channel.estimator, sifting=session.sifting),
-            session.params)
+        beta = usable_fraction(session.channel.estimator, session.sifting, session.params)
 
         def record_block(leaked: int, secret_bits: int, discarded: bool):
             self.blocks.append(BlockRecord(
@@ -530,20 +527,14 @@ class Engine:
     # -- report -----------------------------------------------------------------
 
     def _build_report(self) -> MetricsReport:
-        relay_outcomes = []
-        for s in self.coordinator.sessions.values():
-            relay_outcomes.append(RelayOutcome(
-                session_id=s.session_id, src=s.src, dst=s.dst,
-                bits=s.r_length_bits, status=s.status.value,
-                path=tuple(s.path), requested_at=s.requested_at,
-                delivered_at=s.delivered_at, regenerations=s.regenerations,
-                failure_cause=s.failure_cause))
-        reservoirs = {}
-        for pair in self.store.pairs():
-            r = self.store.reservoirs[pair]
-            reservoirs["|".join(pair)] = {
-                "deposited": r.deposited, "consumed": r.consumed,
-                "available": r.available}
+        relay_outcomes = [RelayOutcome(
+            session_id=s.session_id, src=s.src, dst=s.dst,
+            bits=s.r_length_bits, status=s.status.value,
+            path=tuple(s.path), requested_at=s.requested_at,
+            delivered_at=s.delivered_at, regenerations=s.regenerations,
+            failure_cause=s.failure_cause) for s in self.coordinator.sessions.values()]
+        reservoirs = (ReservoirRow("|".join(pair), r.deposited, r.consumed, r.available)
+                      for pair, r in self.store.reservoirs.items())
         return MetricsReport(
             scenario_name=self.scenario.name,
             seed=self.scenario.seed,
@@ -551,10 +542,10 @@ class Engine:
             series=self.series,
             blocks=self.blocks,
             relay_sessions=relay_outcomes,
-            health_log=[t.to_dict() for t in self.health.transitions],
+            health_log=list(self.health.transitions),
             switch_events=self.switch_events,
             audit=list(self.store.audit),
-            final_reservoirs=reservoirs,
+            final_reservoirs={row.pair: row for row in reservoirs},
         ).validate()
 
 

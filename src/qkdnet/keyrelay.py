@@ -38,15 +38,14 @@ ZERO_CLICK_WINDOW_S = 5.0
 
 @dataclass(frozen=True)
 class HealthTransition:
+    """One change of a channel's health, and its ``health`` record row:
+    ``old`` and ``new`` are :class:`~qkdnet.netgraph.LinkHealth` values."""
+
     time_s: float
     channel_id: str
-    old: LinkHealth
-    new: LinkHealth
+    old: str
+    new: str
     cause: str
-
-    def to_dict(self) -> dict:
-        return {"time_s": self.time_s, "channel_id": self.channel_id,
-                "old": self.old.value, "new": self.new.value, "cause": self.cause}
 
 
 class HealthMonitor:
@@ -89,7 +88,7 @@ class HealthMonitor:
         # Recovery evidence must postdate the failure (and vice versa).
         self._bad[channel_id] = 0
         self._clean[channel_id] = 0
-        self.transitions.append(HealthTransition(time_s, channel_id, old, new, cause))
+        self.transitions.append(HealthTransition(time_s, channel_id, old.value, new.value, cause))
 
     def report_block(self, channel_id: str, qber: float, time_s: float):
         """Feed one completed block's error rate into the health state."""

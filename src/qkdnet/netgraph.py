@@ -209,6 +209,13 @@ class Topology:
             legs = {n: self._leg_link(n, sid).link_id for n in (*sw.tx_ports, *sw.rx_ports)}
             paths += [(tx, rx, (legs[tx], legs[rx]), sid)
                       for tx in sw.tx_ports for rx in sw.rx_ports]
+        # A channel's id joins its ends with "-", which node ids may contain.
+        strands = {}
+        for tx, rx, link_ids, _ in paths:
+            strand = f"{tx}->{rx} over {'+'.join(link_ids)}"
+            first = strands.setdefault(f"{tx}-{rx}", strand)
+            if first != strand:
+                raise ValidationError(f"channels {first} and {strand} share the id {tx}-{rx}")
         overrides = {(ov.tx, ov.rx): ov for ov in self.channels}
         unmatched = set(overrides) - {(tx, rx) for tx, rx, _, _ in paths}
         if unmatched:

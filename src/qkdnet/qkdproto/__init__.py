@@ -7,7 +7,7 @@ reconciliation, entropy estimation, privacy amplification, authentication.
 from .sifting import SiftingProtocol, sift_bb84_events, sift_sarg_events
 from .qber import QberEstimate, estimate_qber
 from .cascade import reconcile_cascade
-from .secrecy import EntropyEstimator, EstimatorKind, multi_photon_fraction, privacy_amplify, secret_length, usable_fraction
+from .secrecy import SECURITY_MARGIN_BITS, EstimatorKind, multi_photon_fraction, privacy_amplify, secret_length, usable_fraction
 from .auth import AUTH_KEY_BITS_PER_TAG, TAG_BITS, auth_tag, verify_tag
 from .wire import Record, RecordType, WIRE_VERSION, decode_record, encode_record
 
@@ -18,7 +18,7 @@ __all__ = [
     "QberEstimate",
     "estimate_qber",
     "reconcile_cascade",
-    "EntropyEstimator",
+    "SECURITY_MARGIN_BITS",
     "EstimatorKind",
     "multi_photon_fraction",
     "privacy_amplify",

@@ -68,7 +68,7 @@ def reconcile_cascade(alice: np.ndarray, bob: np.ndarray, qber_hint: float,
     disclosed. A final whole-string hash comparison catches residual
     mismatch and raises :class:`ReconciliationFailure` (block discarded);
     the verification hash is public randomness-free and is covered by the
-    entropy estimator's security margin rather than the leak count.
+    secret length's security margin rather than the leak count.
     """
     alice = np.asarray(alice, dtype=np.uint8)
     work = np.asarray(bob, dtype=np.uint8).copy()

@@ -20,7 +20,6 @@ rounding is not exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -30,25 +29,13 @@ from ..errors import InvalidRequestError, InvariantViolation
 from ..physlink import LinkParams, click_probability
 from .sifting import SiftingProtocol
 
-DEFAULT_SECURITY_MARGIN_BITS = 128
+# Flat finite-size margin every secret length pays, in bits.
+SECURITY_MARGIN_BITS = 128
 
 
 class EstimatorKind(Enum):
     SIMPLE_SHANNON = "simple_shannon"
     MULTIPHOTON_AWARE = "multiphoton_aware"
-
-
-@dataclass(frozen=True)
-class EntropyEstimator:
-    """Choice of secret-fraction accounting, with a flat security margin."""
-
-    kind: EstimatorKind = EstimatorKind.SIMPLE_SHANNON
-    security_margin_bits: int = DEFAULT_SECURITY_MARGIN_BITS
-    sifting: SiftingProtocol = SiftingProtocol.BB84
-
-    def __post_init__(self):
-        if self.security_margin_bits < 0:
-            raise ValueError("security_margin_bits must be non-negative")
 
 
 def multi_photon_fraction(mean_photon_number: float, threshold: int = 2) -> float:
@@ -63,27 +50,24 @@ def multi_photon_fraction(mean_photon_number: float, threshold: int = 2) -> floa
     return float(-np.expm1(-mu + math.log(tail))) if tail > 0 else 1.0
 
 
-def usable_fraction(est: EntropyEstimator, link: LinkParams | None = None) -> float:
-    """Share beta of the Shannon secret fraction the estimator credits.
+def usable_fraction(kind: EstimatorKind, sifting: SiftingProtocol, link: LinkParams) -> float:
+    """Share beta of the Shannon secret fraction a channel's estimator credits.
 
     1.0 for ``SIMPLE_SHANNON``. For ``MULTIPHOTON_AWARE`` it is the share of
     detections not explainable by multi-photon emissions (three or more
-    photons under SARG, two or more otherwise), clamped at zero.
+    photons under SARG sifting, two or more otherwise), clamped at zero.
     """
-    if est.kind is EstimatorKind.SIMPLE_SHANNON:
+    if kind is EstimatorKind.SIMPLE_SHANNON:
         return 1.0
-    if link is None:
-        raise ValueError("multiphoton-aware estimation needs the link parameters")
-    threshold = 3 if est.sifting is SiftingProtocol.SARG else 2
+    threshold = 3 if sifting is SiftingProtocol.SARG else 2
     p_multi = multi_photon_fraction(link.mean_photon_number, threshold)
     p_click = click_probability(link)
     return 0.0 if p_click <= 0.0 else max(0.0, (p_click - p_multi) / p_click)
 
 
-def secret_length(n: int, qber: float, bits_leaked: int, usable_fraction: float,
-                  margin: int = DEFAULT_SECURITY_MARGIN_BITS) -> int:
+def secret_length(n: int, qber: float, bits_leaked: int, usable_fraction: float) -> int:
     """Secret bits distillable from ``n`` reconciled bits:
-    ``floor(usable_fraction * n * (1 - h2(qber)) - bits_leaked - margin)``,
+    ``floor(usable_fraction * n * (1 - h2(qber)) - bits_leaked - SECURITY_MARGIN_BITS)``,
     clamped at zero, with ``qber`` clamped to [0, 0.5].
 
     The one secret-length rule: the engine sizes privacy amplification with
@@ -93,7 +77,7 @@ def secret_length(n: int, qber: float, bits_leaked: int, usable_fraction: float,
         raise ValueError("n must be positive")
     qber = min(max(qber, 0.0), 0.5)
     usable = usable_fraction * (n * (1.0 - binary_entropy(qber)))
-    return max(0, math.floor(usable - bits_leaked - margin))
+    return max(0, math.floor(usable - bits_leaked - SECURITY_MARGIN_BITS))
 
 
 def privacy_amplify(key: np.ndarray, target_len: int, seed: np.ndarray) -> np.ndarray:

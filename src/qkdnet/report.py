@@ -19,11 +19,21 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 from .errors import InvariantViolation, ValidationError
+from .keyrelay import HealthTransition
 from .keystore import AuditRecord, scan_one_time_use
 from .qkdproto.secrecy import secret_length
 from .switchfab import SwitchEvent
 
 CSV_COLUMNS = ("time_s", "link_id", "sifted_bps", "qber", "secret_bps", "reservoir_bits")
+
+
+@dataclass(frozen=True)
+class Meta:
+    """The run a records stream describes: its one first record."""
+
+    scenario_name: str
+    seed: int
+    duration_s: float
 
 
 @dataclass(frozen=True)
@@ -71,6 +81,16 @@ class RelayOutcome:
     failure_cause: str
 
 
+@dataclass(frozen=True)
+class ReservoirRow:
+    """A pair's reservoir totals at the end of the run; ``pair`` is ``"A|B"``."""
+
+    pair: str
+    deposited: int
+    consumed: int
+    available: int
+
+
 def _json_types(hint) -> tuple:
     """The JSON value types a field annotated ``hint`` accepts; a bool is no number."""
     if type(None) in get_args(hint):
@@ -81,11 +101,10 @@ def _json_types(hint) -> tuple:
 
 
 class _Codec:
-    """One record type's fields and their JSON types: a row class's
-    annotations, or the given ones for a row kept as a dict."""
+    """One record type's row class, and its fields' JSON types."""
 
-    def __init__(self, row_type=None, **hints):
-        hints = hints or get_type_hints(row_type)
+    def __init__(self, row_type):
+        hints = get_type_hints(row_type)
         self.row_type = row_type
         self.names = tuple(hints)
         self.keys = {"type", *hints}
@@ -105,21 +124,21 @@ class _Codec:
             if not ok:
                 wanted = " or ".join(t.__name__ for t in self.types[j])
                 raise ValidationError(f"record {i}: {self.names[j]} must be {wanted}, got {value!r}")
-        return self.row_type(*values) if self.row_type else dict(zip(self.names, values))
+        return self.row_type(*values)
 
 
-_META = _Codec(scenario_name=str, seed=int, duration_s=float)
-# Each record tag after ``meta``, in stream order, with the report field its
-# rows fill. ``health`` and ``reservoir`` rows stay dicts.
+# Each record tag, in stream order, with the report field its rows fill and
+# their codec. ``meta`` fills the report's own first three fields.
 _ROWS = {
+    "meta": (None, _Codec(Meta)),
     "series": ("series", _Codec(SeriesRow)),
     "block": ("blocks", _Codec(BlockRecord)),
     "relay": ("relay_sessions", _Codec(RelayOutcome)),
-    "health": ("health_log", _Codec(time_s=float, channel_id=str, old=str, new=str, cause=str)),
+    "health": ("health_log", _Codec(HealthTransition)),
     "switch": ("switch_events", _Codec(SwitchEvent)),
     "audit": ("audit", _Codec(AuditRecord)),
+    "reservoir": ("final_reservoirs", _Codec(ReservoirRow)),
 }
-_RESERVOIR = _Codec(pair=str, deposited=int, consumed=int, available=int)
 
 
 @dataclass
@@ -130,21 +149,31 @@ class MetricsReport:
     series: List[SeriesRow] = field(default_factory=list)
     blocks: List[BlockRecord] = field(default_factory=list)
     relay_sessions: List[RelayOutcome] = field(default_factory=list)
-    health_log: List[dict] = field(default_factory=list)
+    health_log: List[HealthTransition] = field(default_factory=list)
     switch_events: List[SwitchEvent] = field(default_factory=list)
     audit: List[AuditRecord] = field(default_factory=list)
-    final_reservoirs: Dict[str, dict] = field(default_factory=dict)
+    final_reservoirs: Dict[str, ReservoirRow] = field(default_factory=dict)
+
+    def series_problems(self) -> List[str]:
+        """Series rows out of range: a negative rate, a QBER outside
+        [0, 0.5], or a time outside [0, duration]."""
+        problems = []
+        for row in self.series:
+            if not (row.sifted_bps >= 0 and row.secret_bps >= 0):
+                problems.append(f"series {row.link_id} at t={row.time_s}: negative rate")
+            if row.qber is not None and not 0.0 <= row.qber <= 0.5:
+                problems.append(f"series {row.link_id} at t={row.time_s}: "
+                                f"QBER {row.qber} outside [0, 0.5]")
+            if not 0.0 <= row.time_s <= self.duration_s:
+                problems.append(f"series {row.link_id} at t={row.time_s}: "
+                                f"time outside [0, {self.duration_s}]")
+        return problems
 
     def validate(self) -> "MetricsReport":
         """Assert the report's structural invariants; raises on violation."""
-        for row in self.series:
-            if row.secret_bps < 0 or row.sifted_bps < 0:
-                raise InvariantViolation(f"negative rate at t={row.time_s}")
-            if row.qber is not None and not 0.0 <= row.qber <= 0.5:
-                raise InvariantViolation(f"QBER {row.qber} outside [0, 0.5]")
-            if not 0.0 <= row.time_s <= self.duration_s:
-                raise InvariantViolation(f"series timestamp {row.time_s} "
-                                         f"outside [0, {self.duration_s}]")
+        problems = self.series_problems()
+        if problems:
+            raise InvariantViolation(problems[0])
         return self
 
     # -- aggregation helpers -------------------------------------------------
@@ -168,42 +197,41 @@ class MetricsReport:
     # -- structured records ----------------------------------------------------
 
     def to_records(self) -> List[dict]:
-        records = [{"type": "meta", **{name: getattr(self, name) for name in _META.names}}]
-        for tag, (attr, codec) in _ROWS.items():
-            records += [{"type": tag, **(vars(row) if codec.row_type else row)}
-                        for row in getattr(self, attr)]
-        for pair, snap in sorted(self.final_reservoirs.items()):
-            records.append({"type": "reservoir", "pair": pair, **snap})
-        return records
+        rows = {tag: getattr(self, attr) for tag, (attr, _) in _ROWS.items() if attr}
+        rows["meta"] = [Meta(self.scenario_name, self.seed, self.duration_s)]
+        # Reservoir rows in "A|B" string order.
+        rows["reservoir"] = [row for _, row in sorted(self.final_reservoirs.items())]
+        return [{"type": tag, **vars(row)} for tag in _ROWS for row in rows[tag]]
 
     @classmethod
     def from_records(cls, records: List[dict]) -> "MetricsReport":
-        """Rebuild a report. A record that is not an object, whose fields
-        are not exactly its type's with values of their JSON types, or that
-        repeats a pair's reservoir row, raises ValidationError naming its
-        1-based position in ``records``."""
-        i, meta = next(((i, r) for i, r in enumerate(records, 1)
-                        if isinstance(r, dict) and r.get("type") == "meta"), (0, None))
-        if meta is None:
-            raise ValidationError("records stream has no meta record")
-        report = cls(**_META.decode(i, meta))
+        """Rebuild a report. A record that is not an object, whose fields are
+        not exactly its type's with values of their JSON types, a stream that
+        does not open with its one ``meta`` record, or a pair's second
+        reservoir row raises ValidationError naming its 1-based position."""
+        report = None
         for i, r in enumerate(records, 1):
             if not isinstance(r, dict):
                 raise ValidationError(f"record {i}: not an object")
             kind = r.get("type")
             if type(kind) is not str:
                 raise ValidationError(f"record {i}: type must be a string, got {kind!r}")
-            if kind in _ROWS:
-                attr, codec = _ROWS[kind]
-                getattr(report, attr).append(codec.decode(i, r))
-            elif kind == "reservoir":
-                snap = _RESERVOIR.decode(i, r)
-                pair = snap.pop("pair")
-                if pair in report.final_reservoirs:
-                    raise ValidationError(f"record {i}: a second reservoir row for pair {pair!r}")
-                report.final_reservoirs[pair] = snap
-            elif kind != "meta":
+            if kind not in _ROWS:
                 raise ValidationError(f"record {i}: unknown record type {kind!r}")
+            if (kind == "meta") != (i == 1):
+                what = "a second meta record" if i > 1 else "the stream must open with meta"
+                raise ValidationError(f"record {i}: {what}")
+            attr, codec = _ROWS[kind]
+            row = codec.decode(i, r)
+            if kind == "meta":
+                report = cls(**vars(row))
+            elif kind == "reservoir":
+                if report.final_reservoirs.setdefault(row.pair, row) is not row:
+                    raise ValidationError(f"record {i}: a second reservoir row for pair {row.pair!r}")
+            else:
+                getattr(report, attr).append(row)
+        if report is None:
+            raise ValidationError("records stream has no meta record")
         return report
 
     def __eq__(self, other) -> bool:
@@ -258,34 +286,27 @@ def read_records(path: Union[str, Path]) -> MetricsReport:
 def verify_report(report: MetricsReport) -> List[str]:
     """Re-check audited invariants from the emitted records.
 
-    Covers one-time-pad uniqueness (which implies purpose separation),
-    per-pair reservoir conservation, key-block isolation across switch
-    events, and each block's secret length.
+    Covers the series rows' ranges, one-time-pad uniqueness (which implies
+    purpose separation), per-pair reservoir conservation, key-block
+    isolation across switch events, and each block's secret length.
     """
-    problems = list(scan_one_time_use(report.audit))
+    problems = report.series_problems() + scan_one_time_use(report.audit)
 
     # Conservation per pair: deposits observed in the audit must equal
     # consumed + available in the final snapshot.
-    deposited: Dict[str, int] = {}
-    consumed: Dict[str, int] = {}
+    bits: Dict[Tuple[str, str], int] = {}  # by ("A|B", audit kind)
     for rec in report.audit:
-        pair = "|".join(rec.pair)
-        size = rec.offset_end - rec.offset_start
-        if rec.kind == "deposit":
-            deposited[pair] = deposited.get(pair, 0) + size
-        elif rec.kind == "consume":
-            consumed[pair] = consumed.get(pair, 0) + size
+        key = "|".join(rec.pair), rec.kind
+        bits[key] = bits.get(key, 0) + rec.offset_end - rec.offset_start
     for pair, snap in report.final_reservoirs.items():
-        dep = deposited.get(pair, 0)
-        con = consumed.get(pair, 0)
-        if dep != snap["deposited"] or con != snap["consumed"] or \
-                dep != con + snap["available"]:
+        dep, con = bits.get((pair, "deposit"), 0), bits.get((pair, "consume"), 0)
+        if dep != snap.deposited or con != snap.consumed or dep != con + snap.available:
             problems.append(f"pair {pair}: conservation mismatch "
                             f"(deposited {dep}, consumed {con}, "
-                            f"available {snap['available']})")
-    for pair in set(deposited) | set(consumed):
-        if pair not in report.final_reservoirs:
-            problems.append(f"pair {pair}: audit records but no final snapshot")
+                            f"available {snap.available})")
+    audited = {pair for pair, kind in bits if kind in ("deposit", "consume")}
+    for pair in sorted(audited - report.final_reservoirs.keys()):
+        problems.append(f"pair {pair}: audit records but no final snapshot")
 
     # Key isolation: no block spans a reconfiguration of its own switch.
     toggles = [(s.time_s, s.switch_id) for s in report.switch_events]

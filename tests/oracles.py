@@ -9,7 +9,7 @@ engine runs.
 * :func:`toeplitz_matrix` materializes privacy amplification's hash matrix.
 * :func:`encode_records` / :func:`decode_records` frame a stream of
   public-channel records.
-* :func:`estimate_secret_length` is the estimator-level form of
+* :func:`estimate_secret_length` is the channel-level form of
   :func:`qkdnet.qkdproto.secret_length`.
 """
 
@@ -24,8 +24,8 @@ from qkdnet.bits import random_bits
 from qkdnet.errors import InvalidRequestError, QkdNetError
 from qkdnet.physlink import (DetectionRecord, EveKind, EveModel, EveTally, LinkParams,
                              PhaseState, _live_clicks, phase_error_rate)
-from qkdnet.qkdproto import (EntropyEstimator, Record, decode_record, encode_record,
-                             secret_length, usable_fraction)
+from qkdnet.qkdproto import (EstimatorKind, Record, SiftingProtocol, decode_record,
+                             encode_record, secret_length, usable_fraction)
 
 # Resource guard for the dense per-slot path.
 DEFAULT_MAX_FRAME_SLOTS = 1 << 21
@@ -190,9 +190,9 @@ def decode_records(buf: bytes) -> List[Record]:
     return records
 
 
-def estimate_secret_length(est: EntropyEstimator, n: int, qber: float,
-                           bits_leaked: int, link: Optional[LinkParams] = None) -> int:
-    """:func:`qkdnet.qkdproto.secret_length` with the estimator's usable
-    fraction and margin."""
-    return secret_length(n, qber, bits_leaked, usable_fraction(est, link),
-                         est.security_margin_bits)
+def estimate_secret_length(kind: EstimatorKind, n: int, qber: float, bits_leaked: int,
+                           link: LinkParams = LinkParams(),
+                           sifting: SiftingProtocol = SiftingProtocol.BB84) -> int:
+    """:func:`qkdnet.qkdproto.secret_length` with the usable fraction that a
+    channel with estimator ``kind``, physics ``link`` and ``sifting`` credits."""
+    return secret_length(n, qber, bits_leaked, usable_fraction(kind, sifting, link))

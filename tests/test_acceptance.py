@@ -17,7 +17,6 @@ from qkdnet.errors import ReconciliationFailure
 from qkdnet.keyrelay import HealthMonitor, RelayCoordinator, RelayStatus
 from qkdnet.keystore import KeyOrigin, KeyStore, scan_one_time_use
 from qkdnet.qkdproto import (
-    EntropyEstimator,
     EstimatorKind,
     estimate_qber,
     privacy_amplify,
@@ -76,8 +75,7 @@ def test_criterion_2_bu_zero_yield(calibration_run):
     sifted = report.sifted_bits("Alice-Boris")
     secret = report.secret_bits("Alice-Boris")
     link = ng.load_preset("cambridge").channel_by_id("Alice-Boris").params
-    est = EntropyEstimator(EstimatorKind.MULTIPHOTON_AWARE)
-    analytic = estimate_secret_length(est, 100_000, 0.03, 0, link)
+    analytic = estimate_secret_length(EstimatorKind.MULTIPHOTON_AWARE, 100_000, 0.03, 0, link)
     ok = sifted > 0 and secret == 0 and analytic == 0
     _report(2, f"mu=1.0 over 11.5 dB: sifted {sifted} bits flow while secret "
                f"yield is exactly {secret} (estimator gives {analytic})", ok)
@@ -132,16 +130,16 @@ def test_criterion_4_eavesdropper_signature():
     eve_blocks = [b for b in report.blocks if 20.5 <= b.t_start and b.t_end <= 50.0]
     mean_q = float(np.mean([b.qber for b in eve_blocks]))
     onset = [b.t_end for b in report.blocks if b.t_end > 20.0]
-    degraded = [h for h in report.health_log if h["new"] == "degraded"]
-    cut = [h for h in report.health_log if h["new"] == "cut"]
-    blocks_until_flag = len([t for t in onset if t <= degraded[0]["time_s"]]) \
+    degraded = [h for h in report.health_log if h.new == "degraded"]
+    cut = [h for h in report.health_log if h.new == "cut"]
+    blocks_until_flag = len([t for t in onset if t <= degraded[0].time_s]) \
         if degraded else 99
     ok = (abs(mean_q - 0.25) < 0.01
           and bool(degraded) and blocks_until_flag <= 3
-          and bool(cut) and 0 < cut[0]["time_s"] - 50.0 <= 5.5)
+          and bool(cut) and 0 < cut[0].time_s - 50.0 <= 5.5)
     _report(4, f"intercept-resend sifted QBER {mean_q:.4f} (0.25 +- 0.01), "
                f"Degraded after {blocks_until_flag} blocks, cut flagged "
-               f"{cut[0]['time_s'] - 50.0:.2f}s after the cut" if cut else
+               f"{cut[0].time_s - 50.0:.2f}s after the cut" if cut else
                "cut never flagged", ok)
 
 
@@ -235,8 +233,9 @@ def test_criterion_6_reroute_and_transitivity(switching_run):
                    and scan_one_time_use(report.audit) == [])
     # Transmitter-to-transmitter reservoir built across the switch.
     switching_report = switching_run
-    alice_anna = switching_report.final_reservoirs.get("Alice|Anna", {})
-    transitive_ok = alice_anna.get("available", 0) > 0
+    alice_anna = switching_report.final_reservoirs.get("Alice|Anna")
+    shared = alice_anna.available if alice_anna else 0
+    transitive_ok = shared > 0
     relay_row = [r for r in switching_report.relay_sessions
                  if r.src == "Alice" and r.dst == "Anna"]
     transitive_ok = (transitive_ok and bool(relay_row)
@@ -244,7 +243,7 @@ def test_criterion_6_reroute_and_transitivity(switching_run):
                      and ("Bob" in relay_row[0].path or "Boris" in relay_row[0].path))
     _report(6, f"mid-relay cut rerouted {'/'.join(session.path)} with fresh R "
                f"and {len(writeoffs)} write-off(s); Alice-Anna reservoir "
-               f"{alice_anna.get('available', 0)} bits via trusted relay",
+               f"{shared} bits via trusted relay",
             bool(rerouted_ok and transitive_ok))
 
 
@@ -341,8 +340,8 @@ def test_criterion_7_long_haul():
     # A single 500 km fiber cannot yield secret key at mu=0.5.
     direct_link = pl.LinkParams(mean_photon_number=0.5, channel_loss_db=100.0,
                                 detector_efficiency=0.1, dark_count_prob=1e-5)
-    est = EntropyEstimator(EstimatorKind.MULTIPHOTON_AWARE)
-    direct_analytic = estimate_secret_length(est, 100_000, 0.03, 0, direct_link)
+    direct_analytic = estimate_secret_length(EstimatorKind.MULTIPHOTON_AWARE, 100_000, 0.03, 0,
+                                             direct_link)
     direct_scenario = load_scenario({
         "version": 1, "name": "direct", "topology": {
             "version": 1, "nodes": [{"id": "A", "role": "tx"}, {"id": "B", "role": "rx"}],
@@ -366,7 +365,6 @@ def test_criterion_7_long_haul():
 def test_criterion_9_protocol_stack_soundness():
     # (a) Noiseless pipeline: identical secrets for 1000 seeds.
     params = _clean_params()
-    est = EntropyEstimator(EstimatorKind.SIMPLE_SHANNON)
     identical = 0
     for seed in range(1000):
         frame = PulseFrame.random(f"p{seed}", 6000, np.random.default_rng(seed))
@@ -376,7 +374,7 @@ def test_criterion_9_protocol_stack_soundness():
         sample = estimate_qber(alice, bob, 0.1, rng_seed=seed, min_sample=50)
         corrected, leaked = reconcile_cascade(
             sample.remaining_alice, sample.remaining_bob, 0.01, rng_seed=seed)
-        m = estimate_secret_length(est, corrected.size, sample.qber,
+        m = estimate_secret_length(EstimatorKind.SIMPLE_SHANNON, corrected.size, sample.qber,
                                    leaked + sample.disclosed)
         pa_seed = np.random.default_rng(seed + 2_000_000).integers(
             0, 2, corrected.size + m - 1, dtype=np.uint8)

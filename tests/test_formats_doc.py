@@ -6,8 +6,7 @@ import re
 from pathlib import Path
 
 from qkdnet.netgraph import _LINK_PARAM_FIELDS
-from qkdnet.keystore import AuditRecord
-from qkdnet.report import BlockRecord, RelayOutcome, SeriesRow, SwitchEvent
+from qkdnet.report import _ROWS
 from qkdnet.scenario import EngineKnobs
 
 FORMATS = Path(__file__).resolve().parent.parent / "docs" / "formats.md"
@@ -32,7 +31,9 @@ def test_documented_link_params_are_the_parsed_fields():
 
 
 def test_documented_block_fields_are_the_record_fields():
-    for tag, row in (("series", SeriesRow), ("block", BlockRecord), ("relay", RelayOutcome),
-                     ("switch", SwitchEvent), ("audit", AuditRecord)):
+    # Every record kind the reader decodes, in stream order.
+    text = FORMATS.read_text()
+    assert re.findall(r"^\* `(\w+)` — ", text, re.M) == list(_ROWS)
+    for tag, (_, codec) in _ROWS.items():
         listed = _bullet(f"`{tag}`").split(":", 1)[1].split(".", 1)[0]
-        assert re.findall(r"`(\w+)`", listed) == [f.name for f in dataclasses.fields(row)], tag
+        assert re.findall(r"`(\w+)`", listed) == list(codec.names), tag

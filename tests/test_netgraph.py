@@ -278,6 +278,19 @@ def _numeric_node(doc):
     return doc
 
 
+def _colliding_channel_ids(doc):
+    doc["nodes"] += [{"id": "A", "role": "tx"}, {"id": "A-B", "role": "tx"},
+                     {"id": "B-C", "role": "rx"}, {"id": "C", "role": "rx"}]
+    doc["links"] += [{"id": "l1", "a": "A", "b": "B-C", "length_km": 1.0},
+                     {"id": "l2", "a": "A-B", "b": "C", "length_km": 1.0}]
+    return doc
+
+
+def _parallel_strand(doc):
+    doc["links"].append({**doc["links"][4], "id": "ali-baba-2"})
+    return doc
+
+
 # Each edit loaded (or crashed the run, or raised something other than a
 # ValidationError) before topology values were checked instead of coerced.
 _BAD_TOPOLOGIES = {
@@ -300,6 +313,10 @@ _BAD_TOPOLOGIES = {
     "pair-listed-twice": _prepositioned_twice,
     "pair-of-one-node": lambda d: _set(d, ("prepositioned", 0, "b"), "Ali"),
     "override-listed-twice": _override_twice,
+    # Both strands were channel "A-B-C" (or "Ali-Baba"), and channel_by_id
+    # found only the second.
+    "channel-ids-collide": _colliding_channel_ids,
+    "parallel-strands": _parallel_strand,
     # Each edit below raised a TypeError at load, or loaded, before every
     # list, id, reference and name had its JSON type checked. The numeric
     # node id loaded and then crashed the run comparing it with a string.
@@ -328,6 +345,12 @@ def test_bad_topology_values_rejected_at_load(case):
     doc = _BAD_TOPOLOGIES[case](ng.cambridge_config())
     with pytest.raises(ValidationError):
         ng.load_topology(doc)
+
+
+def test_colliding_channel_ids_name_both_strands():
+    with pytest.raises(ValidationError, match="^channels A->B-C over l1 and A-B->C over l2 "
+                                              "share the id A-B-C$"):
+        ng.load_topology(_colliding_channel_ids(ng.cambridge_config()))
 
 
 def test_cli_run_on_untrusted_string_exits_1(tmp_path, capsys):

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError
@@ -20,7 +21,8 @@ from qkdnet.errors import InvariantViolation, ValidationError
 from qkdnet.keyrelay import QBER_THRESHOLD, hop_need
 from qkdnet.keystore import AuditRecord
 from qkdnet.physlink import EveModel, sifted_error_floor
-from qkdnet.report import CSV_COLUMNS, MetricsReport, read_records, verify_report
+from qkdnet.report import (CSV_COLUMNS, MetricsReport, ReservoirRow, SeriesRow, read_records,
+                           verify_report)
 from qkdnet.scenario import EngineKnobs, EventKind, default_preset_scenario, load_scenario
 
 
@@ -358,8 +360,7 @@ def test_cut_and_restore_recovers_health():
         {"t": 30.0, "kind": "cut_link", "link": "anna-sw"},
         {"t": 60.0, "kind": "restore_link", "link": "anna-sw"}]))
     report = run_scenario(sc)
-    states = [(h["time_s"], h["new"]) for h in report.health_log
-              if h["channel_id"] == "Anna-Bob"]
+    states = [(h.time_s, h.new) for h in report.health_log if h.channel_id == "Anna-Bob"]
     assert any(new == "cut" for _, new in states)
     assert states[-1][1] == "up"
     late_secret = [r.secret_bps for r in report.channel_series("Anna-Bob")
@@ -482,14 +483,59 @@ def test_cli_verify_rejects_untyped_records_and_repeated_reservoirs(tmp_path, ca
     reservoir = next(line for line in lines if '"type": "reservoir"' in line)
     capsys.readouterr()
     # A type that is no string crashed the reader; a second row for a pair
-    # replaced the first, so verify checked only one of them.
+    # replaced the first, so verify checked only one of them; a second meta
+    # record was skipped.
     for name, extra, message in (("untyped", '{"type": []}', "type must be a string"),
-                                 ("repeated", reservoir, "a second reservoir row")):
+                                 ("repeated", reservoir, "a second reservoir row"),
+                                 ("meta", lines[0], "a second meta record")):
         path = tmp_path / f"{name}.jsonl"
         path.write_text("\n".join(lines + [extra]) + "\n")
         assert main(["verify", "--records", str(path)]) == 1
         err = capsys.readouterr().err
         assert f"record {len(lines) + 1}: {message}" in err and "Traceback" not in err
+
+
+def test_cli_verify_needs_one_meta_record_first(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["run", "--preset", "cambridge", "--duration", "3", "--out", str(out),
+                 "--format", "records"]) == 0
+    lines = (out / "metrics.records.jsonl").read_text().splitlines()
+    assert json.loads(lines[0])["type"] == "meta"
+    capsys.readouterr()
+    for name, stream, message in (("late", lines[1:] + lines[:1],
+                                   "record 1: the stream must open with meta"),
+                                  ("none", [], "no meta record")):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text("".join(line + "\n" for line in stream))
+        assert main(["verify", "--records", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+
+def test_cli_verify_flags_out_of_range_series_rows(tmp_path, capsys):
+    # The run raises on these rows; verify once passed them clean.
+    out = tmp_path / "o"
+    assert main(["run", "--preset", "cambridge", "--duration", "3", "--out", str(out),
+                 "--format", "records"]) == 0
+    lines = (out / "metrics.records.jsonl").read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if '"type": "series"' in line)
+    row = json.loads(lines[at])
+    for field, value, message in (("qber", 0.9, "QBER 0.9 outside [0, 0.5]"),
+                                  ("sifted_bps", -5.0, "negative rate"),
+                                  ("secret_bps", -1, "negative rate"),
+                                  ("time_s", 1e6, "time outside [0, 3.0]")):
+        edited = {**row, field: value}
+        path = tmp_path / f"{field}.jsonl"
+        path.write_text("\n".join(lines[:at] + [json.dumps(edited)] + lines[at + 1:]) + "\n")
+        capsys.readouterr()
+        assert main(["verify", "--records", str(path)]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            f"FAIL series {row['link_id']} at t={edited['time_s']}: {message}"]
+        report = read_records(path)
+        with pytest.raises(InvariantViolation, match=re.escape(message)):
+            report.validate()
+    clean = MetricsReport("t", 1, 1.0, series=[SeriesRow(1.0, "A-B", 0.0, 0.5, 0.0, 0)])
+    assert clean.validate() is clean and verify_report(clean) == []
 
 
 def test_cli_overrides_apply_to_the_loaded_scenario(tmp_path, capsys):
@@ -537,7 +583,7 @@ def test_cli_verify_flags_authentication_draw_over_one_time_pad(tmp_path, capsys
                     segment_id="s"),
         AuditRecord(0.5, pair, "consume", 0, 200, purpose="one_time_pad"),
         AuditRecord(0.5, pair, "consume", 100, 228, purpose="authentication")],
-        final_reservoirs={"Anna|Bob": {"deposited": 328, "consumed": 328, "available": 0}})
+        final_reservoirs={"Anna|Bob": ReservoirRow("Anna|Bob", 328, 328, 0)})
     report.write(tmp_path, fmt="records")
     assert main(["verify", "--records", str(tmp_path / "metrics.records.jsonl")]) == 2
     assert capsys.readouterr().out.splitlines() == [
@@ -556,7 +602,7 @@ def test_attack_from_start_reads_as_attack_not_cut():
     blocks = [b for b in report.blocks if b.channel_id == "Alice-Boris"]
     assert len(blocks) >= 3
     assert report.mean_qber("Alice-Boris") > QBER_THRESHOLD
-    states = [h["new"] for h in report.health_log if h["channel_id"] == "Alice-Boris"]
+    states = [h.new for h in report.health_log if h.channel_id == "Alice-Boris"]
     assert "degraded" in states and "cut" not in states
 
 

@@ -9,7 +9,7 @@ from oracles import PulseFrame, estimate_secret_length, toeplitz_matrix, transmi
 from qkdnet.errors import InvalidRequestError, InvariantViolation
 from qkdnet.physlink import LinkParams
 from qkdnet.qkdproto import (
-    EntropyEstimator,
+    SECURITY_MARGIN_BITS,
     EstimatorKind,
     SiftingProtocol,
     multi_photon_fraction,
@@ -17,7 +17,8 @@ from qkdnet.qkdproto import (
     secret_length,
     usable_fraction,
 )
-from qkdnet.qkdproto.secrecy import DEFAULT_SECURITY_MARGIN_BITS
+
+SHANNON, AWARE = EstimatorKind.SIMPLE_SHANNON, EstimatorKind.MULTIPHOTON_AWARE
 
 
 def _poisson_tail_oracle(mu, threshold):
@@ -39,16 +40,14 @@ def test_multi_photon_fraction_against_brute_force():
 
 
 def test_shannon_estimator_perfect_channel():
-    est = EntropyEstimator(EstimatorKind.SIMPLE_SHANNON, security_margin_bits=0)
-    assert estimate_secret_length(est, 1000, 0.0, 0) == 1000
+    assert estimate_secret_length(SHANNON, 1000, 0.0, 0) == 1000 - SECURITY_MARGIN_BITS
 
 
 def test_shannon_estimator_subtracts_leakage_and_margin():
-    est = EntropyEstimator(EstimatorKind.SIMPLE_SHANNON, security_margin_bits=128)
     n, q, leaked = 10_000, 0.03, 2400
     expected = math.floor(n * (1 - (-q * math.log2(q) - (1 - q) * math.log2(1 - q)))
                           - leaked - 128)
-    assert estimate_secret_length(est, n, q, leaked) == expected
+    assert estimate_secret_length(SHANNON, n, q, leaked) == expected
 
 
 def test_multiphoton_estimator_bu_link_yields_zero():
@@ -56,22 +55,21 @@ def test_multiphoton_estimator_bu_link_yields_zero():
     # (p2 ~ 0.264) dwarf the click probability (~0.007): zero yield.
     link = LinkParams(mean_photon_number=1.0, channel_loss_db=11.5,
                       detector_efficiency=0.1, dark_count_prob=0.0)
-    est = EntropyEstimator(EstimatorKind.MULTIPHOTON_AWARE, security_margin_bits=0)
     assert multi_photon_fraction(1.0) == pytest.approx(0.2642411176571153, abs=1e-12)
-    assert estimate_secret_length(est, 100_000, 0.03, 0, link) == 0
+    assert usable_fraction(AWARE, SiftingProtocol.BB84, link) == 0.0
+    assert estimate_secret_length(AWARE, 100_000, 0.03, 0, link) == 0
 
 
 def test_multiphoton_estimator_creditable_efficiency_threshold():
     # At mu=0.5 over 2 dB the estimator credits nothing at eta=0.10
     # (p_multi 0.090 > p_click 0.031); the calibrated efficiency that turns
     # the yield positive is eta ~ 0.30.
-    est = EntropyEstimator(EstimatorKind.MULTIPHOTON_AWARE, security_margin_bits=0)
     starved = LinkParams(mean_photon_number=0.5, channel_loss_db=2.0,
                          detector_efficiency=0.10, dark_count_prob=0.0)
-    assert estimate_secret_length(est, 10_000, 0.03, 0, starved) == 0
+    assert usable_fraction(AWARE, SiftingProtocol.BB84, starved) == 0.0
     credited = LinkParams(mean_photon_number=0.5, channel_loss_db=2.0,
                           detector_efficiency=0.30, dark_count_prob=0.0)
-    assert estimate_secret_length(est, 10_000, 0.03, 0, credited) > 0
+    assert usable_fraction(AWARE, SiftingProtocol.BB84, credited) > 0.0
 
 
 def test_sarg_accounting_more_tolerant_than_bb84():
@@ -79,16 +77,14 @@ def test_sarg_accounting_more_tolerant_than_bb84():
     # BB84 accounting has already collapsed to zero.
     link = LinkParams(mean_photon_number=0.5, channel_loss_db=2.0,
                       detector_efficiency=0.10, dark_count_prob=0.0)
-    bb84 = EntropyEstimator(EstimatorKind.MULTIPHOTON_AWARE, 0, SiftingProtocol.BB84)
-    sarg = EntropyEstimator(EstimatorKind.MULTIPHOTON_AWARE, 0, SiftingProtocol.SARG)
-    assert estimate_secret_length(bb84, 10_000, 0.03, 0, link) == 0
-    assert estimate_secret_length(sarg, 10_000, 0.03, 0, link) > 0
+    assert estimate_secret_length(AWARE, 10_000, 0.03, 0, link, SiftingProtocol.BB84) == 0
+    assert estimate_secret_length(AWARE, 10_000, 0.03, 0, link, SiftingProtocol.SARG) > 0
 
 
 def test_estimator_clamps_at_zero():
-    est = EntropyEstimator(EstimatorKind.SIMPLE_SHANNON, security_margin_bits=0)
-    assert estimate_secret_length(est, 100, 0.5, 0) == 0
-    assert estimate_secret_length(est, 100, 0.0, 1000) == 0
+    # 1000 bits would keep 1000 - 128 at QBER 0 with no leakage.
+    assert estimate_secret_length(SHANNON, 1000, 0.5, 0) == 0
+    assert estimate_secret_length(SHANNON, 1000, 0.0, 1000) == 0
 
 
 def test_secret_length_never_exceeds_reconciled_minus_leaked_and_margin():
@@ -99,10 +95,9 @@ def test_secret_length_never_exceeds_reconciled_minus_leaked_and_margin():
     topo = load_preset("cambridge")
     boris = topo.channel_by_id("Alice-Boris").params
     betas = [1.0, 0.5, 0.0] + [
-        usable_fraction(EntropyEstimator(EstimatorKind.MULTIPHOTON_AWARE, sifting=s), boris)
-        for s in SiftingProtocol]
+        usable_fraction(AWARE, s, boris) for s in SiftingProtocol]
     assert all(0.0 <= beta <= 1.0 for beta in betas)
-    margin = DEFAULT_SECURITY_MARGIN_BITS
+    margin = SECURITY_MARGIN_BITS
     kept = 0
     for beta in betas:
         for n in (1, 200, 3686, 29491, 1 << 20):
@@ -122,8 +117,6 @@ def test_sarg_yield_dominates_bb84_under_pns_attack():
     from qkdnet.bits import binary_entropy
     from qkdnet.qkdproto import sift_bb84_events, sift_sarg_events
 
-    sarg_est = EntropyEstimator(EstimatorKind.MULTIPHOTON_AWARE, 0, SiftingProtocol.SARG)
-    bb84_est = EntropyEstimator(EstimatorKind.MULTIPHOTON_AWARE, 0, SiftingProtocol.BB84)
     positive_points = 0
     for i, loss in enumerate(np.linspace(0.0, 10.0, 20)):
         params = pl.LinkParams(mean_photon_number=0.5, channel_loss_db=float(loss),
@@ -134,15 +127,16 @@ def test_sarg_yield_dominates_bb84_under_pns_attack():
                                 pl.EveModel.photon_number_split(), frame,
                                 rng_seed=1000 + i)
         yields = {}
-        for est, sifter in ((bb84_est, sift_bb84_events), (sarg_est, sift_sarg_events)):
+        for sifting, sifter in ((SiftingProtocol.BB84, sift_bb84_events),
+                                (SiftingProtocol.SARG, sift_sarg_events)):
             alice, bob, _ = sifter(*frame.sent(record), record)
             if alice.size < 64:
-                yields[est.sifting] = 0
+                yields[sifting] = 0
                 continue
             q = float(np.mean(alice != bob))
             leaked = math.ceil(1.2 * alice.size * binary_entropy(max(q, 0.01)))
-            yields[est.sifting] = estimate_secret_length(
-                est, int(alice.size), q, leaked, params)
+            yields[sifting] = estimate_secret_length(
+                AWARE, int(alice.size), q, leaked, params, sifting)
         assert yields[SiftingProtocol.SARG] >= yields[SiftingProtocol.BB84]
         if yields[SiftingProtocol.SARG] > 0:
             positive_points += 1
