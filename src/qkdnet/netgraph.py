@@ -328,6 +328,9 @@ def load_topology(config: Union[str, dict]) -> Topology:
         where = f"nodes[{i}]"
         fields(raw, where, ("id", "role"), ("trusted",))
         node_id = text(raw["id"], where, "id")
+        if "|" in node_id:
+            # "|" joins a pair's ends in the report's reservoir rows.
+            raise ValidationError(f"{where}: id must not contain '|', got {node_id!r}")
         role = choice(NodeRole, raw["role"], f"{where}.role")
         trusted = raw.get("trusted", True)
         if type(trusted) is not bool:

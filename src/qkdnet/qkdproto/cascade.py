@@ -7,27 +7,23 @@ containing that bit in all other passes, which can queue further searches
 (the cascade effect). Leakage counts every parity the reference side
 disclosed: all top-level block parities plus one bit per search level.
 
-In simulation both strings are visible, so the exchange is modeled as a
-recorded conversation between a reference side (discloses parities of the
-true string) and a correcting side (flips its own bits). A parity query
-over a range disagrees exactly when the range holds an odd number of
-errors, so every search reads one prefix-parity array of the two strings'
-difference in pass order.
-
-Mismatched blocks wait in one FIFO queue, and each run of consecutive
-entries from one pass is searched as a batch: the blocks of a pass hold
-disjoint bits, so every block steps one level at a time with numpy, and
-the corrections are then applied in queue order. This gives the same
-corrections, queue and leak count as searching one block at a time. The
-first run of each pass is its top-level mismatched blocks; later runs are
-cascade-effect requeues.
+Both strings are visible in simulation, and a range's parities disagree
+exactly when it holds an odd number of errors, so the work follows the
+errors. Each pass keeps, per block, the sorted pass-order indices of the
+bits that still disagree; an odd list is a mismatch. A search halves its
+range with ``bisect`` on that list while it holds more than one error; the
+parities left for the last one depend only on the range's width and the
+error's offset (``_depth``). Mismatched blocks are searched one at a time
+from one FIFO queue. A correction drops the bit from its block's list in
+every pass and queues each block that turns odd; a pass-0 correction has
+no other pass to toggle, so pass 0 is searched at once (``_search_first_pass``).
 """
 
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from collections import deque
-from typing import Tuple
 
 import numpy as np
 
@@ -40,28 +36,49 @@ N_PASSES = 4
 BLOCK_SIZE_FACTOR = 0.73
 
 
-class _Pass:
-    """One pass's layout, and which of its blocks hold an odd number of
-    errors (``differences`` is alice ^ bob at the start of the pass)."""
+def _depth(width: int, offset: int) -> int:
+    """Parities a halving search (odd bit to the left half) discloses over
+    ``width`` bits whose one error lies ``offset`` bits in."""
+    depth = 0
+    while width & (width - 1):
+        half = (width + 1) // 2
+        depth += 1
+        if offset < half:
+            width = half
+        else:
+            width -= half
+            offset -= half
+    return depth + width.bit_length() - 1
 
-    def __init__(self, perm: np.ndarray, block_size: int, differences: np.ndarray):
-        n = perm.size
-        self.perm = perm
-        self.inverse = np.empty(n, dtype=np.int64)
-        self.inverse[perm] = np.arange(n, dtype=np.int64)
-        self.block_size = block_size
-        self.starts = np.arange(0, n, block_size, dtype=np.int64)
-        self.ends = np.minimum(self.starts + block_size, n)
-        # Read and toggled one block at a time, so a Python list.
-        self.mismatch: list[int] = \
-            np.bitwise_xor.reduceat(differences[perm], self.starts).tolist()
 
-    def block_of(self, position: int) -> int:
-        return int(self.inverse[position]) // self.block_size
+def _search_first_pass(differences: np.ndarray, size: int) -> tuple[np.ndarray, int]:
+    """Halve every mismatched block of the unshuffled pass 0 at once;
+    returns the error found in each and the parities disclosed."""
+    n = differences.size
+    starts = np.arange(0, n, size)
+    lo = starts[np.bitwise_xor.reduceat(differences, starts).astype(bool)]
+    if not lo.size:
+        return lo, 0
+    hi = np.minimum(lo + size, n)
+    # Parity of the errors before each index. Moving ``lo`` past an even
+    # half keeps its parity, and a one-bit range stays put at every level.
+    odd = np.zeros(n + 1, dtype=np.uint8)
+    np.bitwise_xor.accumulate(differences, out=odd[1:])
+    odd_at_lo = odd[lo]
+    cost = 0
+    while True:
+        mid = (lo + hi + 1) >> 1
+        searching = int(np.count_nonzero(mid < hi))
+        if not searching:
+            return lo, cost
+        cost += searching
+        left_odd = odd[mid] != odd_at_lo
+        hi = np.where(left_odd, mid, hi)
+        lo = np.where(left_odd, lo, mid)
 
 
 def reconcile_cascade(alice: np.ndarray, bob: np.ndarray, qber_hint: float,
-                      rng_seed=0) -> Tuple[np.ndarray, int]:
+                      rng_seed=0) -> tuple[np.ndarray, int]:
     """Correct ``bob`` toward ``alice``; returns (corrected, bits_leaked).
 
     ``bits_leaked`` is the number of parity bits the reference side
@@ -71,9 +88,9 @@ def reconcile_cascade(alice: np.ndarray, bob: np.ndarray, qber_hint: float,
     secret length's security margin rather than the leak count.
     """
     alice = np.asarray(alice, dtype=np.uint8)
-    work = np.asarray(bob, dtype=np.uint8).copy()
+    bob = np.asarray(bob, dtype=np.uint8)
     n = alice.size
-    if work.size != n:
+    if bob.size != n:
         raise ValueError("keys must have equal length")
     if n < MIN_BLOCK_LENGTH:
         raise ValueError(f"keys shorter than {MIN_BLOCK_LENGTH} bits are not reconciled")
@@ -83,75 +100,58 @@ def reconcile_cascade(alice: np.ndarray, bob: np.ndarray, qber_hint: float,
 
     rng = np.random.default_rng(rng_seed)
     base_size = max(1, int(round(BLOCK_SIZE_FACTOR / qber_hint)))
-    leaked = 0
-    passes: list[_Pass] = []
+    differences = alice ^ bob
+    # Per pass: index, block size, position -> pass-order index and back for
+    # the bits that disagreed when it began, and their blocks' error lists.
+    passes: list[tuple[int, int, dict[int, int], dict[int, int], dict[int, list[int]]]] = []
     queue: deque[tuple[int, int]] = deque()
 
-    def bisect(p: _Pass, blocks: list[int]) -> int:
-        """Find and correct one error in each of ``blocks``, distinct
-        mismatched blocks of pass ``p``, in the given order; returns the
-        parities disclosed."""
-        lo = p.starts[blocks]
-        hi = p.ends[blocks]
-        base = int(lo.min())
-        span = p.perm[base:int(hi.max())]
-        # Prefix parities of the disagreement in pass order. A mismatched
-        # range [lo, hi) has odd[lo] != odd[hi]; the search keeps odd[lo]
-        # fixed and moves whichever end keeps the range odd, so a finished
-        # block (hi - lo == 1) is left as it is at every further level.
-        odd = np.zeros(span.size + 1, dtype=np.uint8)
-        np.bitwise_xor.accumulate(alice[span] ^ work[span], out=odd[1:])
-        lo = lo - base
-        hi = hi - base
-        lo_parity = odd[lo]
-        cost = 0
-        while True:
-            width = hi - lo
-            searching = int(np.count_nonzero(width > 1))
-            if not searching:
-                break
-            # One disclosed parity per block still searching at this level.
-            cost += searching
-            mid = lo + (width + 1) // 2
-            left_odd = odd[mid] != lo_parity
-            hi = np.where(left_odd, mid, hi)
-            lo = np.where(left_odd, lo, mid)
-        for position in p.perm[lo + base].tolist():
-            work[position] ^= 1
-            for q_idx, q in enumerate(passes):
-                b = q.block_of(position)
-                q.mismatch[b] ^= 1
-                if q.mismatch[b]:
-                    queue.append((q_idx, b))
-        return cost
-
     for pass_idx in range(N_PASSES):
-        block_size = min(base_size << pass_idx, n)
-        perm = np.arange(n, dtype=np.int64) if pass_idx == 0 else \
-            rng.permutation(n).astype(np.int64)
-        p = _Pass(perm, block_size, alice ^ work)
-        passes.append(p)
-
+        size = min(base_size << pass_idx, n)
+        if pass_idx == 0:
+            found, leaked = _search_first_pass(differences, size)
+            differences[found] = 0
+            order = positions = differences.nonzero()[0].tolist()
+        else:
+            perm = rng.permutation(n)
+            index = differences[perm].nonzero()[0]
+            order, positions = index.tolist(), perm[index].tolist()
         # The reference side discloses every top-level parity of the pass.
-        leaked += p.starts.size
-        queue.extend((pass_idx, b) for b, odd in enumerate(p.mismatch) if odd)
-
-        # Consecutive entries of one pass are searched as one batch. A
-        # correction in one block of a pass toggles no other block of that
-        # pass, so the batch skips exactly the entries (even blocks,
-        # repeats) that popping one at a time would skip, and corrections
-        # made in queue order append to the queue what one at a time would.
+        leaked += -(-n // size)
+        errors: dict[int, list[int]] = {}
+        for i in order:
+            errors.setdefault(i // size, []).append(i)
+        passes.append((pass_idx, size, dict(zip(positions, order)),
+                       dict(zip(order, positions)), errors))
+        queue.extend((pass_idx, b) for b, errs in errors.items() if len(errs) & 1)
         while queue:
-            q_idx = queue[0][0]
-            q = passes[q_idx]
-            run: dict[int, None] = {}
-            while queue and queue[0][0] == q_idx:
-                b = queue.popleft()[1]
-                if q.mismatch[b]:
-                    run[b] = None
-            if run:
-                leaked += bisect(q, list(run))
+            p_idx, block = queue.popleft()
+            _, p_size, _, position_of, p_errors = passes[p_idx]
+            errs = p_errors[block]
+            if not len(errs) & 1:
+                continue
+            lo, hi = block * p_size, min(block * p_size + p_size, n)
+            i, j = 0, len(errs)
+            while j - i > 1:
+                mid = (lo + hi + 1) // 2
+                leaked += 1
+                k = bisect_left(errs, mid, i, j)
+                if (k - i) & 1:
+                    hi, j = mid, k
+                else:
+                    lo, i = mid, k
+            leaked += _depth(hi - lo, errs[i] - lo)
+            position = position_of[errs[i]]
+            differences[position] = 0
+            for q_idx, q_size, index_of, _, q_errors in passes:
+                k = index_of[position]
+                q_errs = q_errors[k // q_size]
+                q_errs.remove(k)
+                if len(q_errs) & 1:
+                    queue.append((q_idx, k // q_size))
 
+    # The correcting side has flipped every bit that no longer disagrees.
+    work = alice ^ differences
     if hashlib.sha256(bits_to_bytes(alice)).digest() != \
             hashlib.sha256(bits_to_bytes(work)).digest():
         raise ReconciliationFailure("verification hash mismatch after reconciliation")

@@ -10,7 +10,7 @@ from qkdnet.bits import binary_entropy, bits_to_bytes
 from qkdnet.errors import ReconciliationFailure, UnsupportedRegimeError
 from qkdnet.qkdproto import reconcile_cascade
 from qkdnet.qkdproto.cascade import (
-    BLOCK_SIZE_FACTOR, MAX_QBER_HINT, MIN_BLOCK_LENGTH, N_PASSES)
+    BLOCK_SIZE_FACTOR, MAX_QBER_HINT, MIN_BLOCK_LENGTH, N_PASSES, _depth)
 
 
 def _keys(n, n_errors, seed):
@@ -154,19 +154,24 @@ def _cascade_oracle(alice, bob, qber_hint, rng_seed=0):
     return work, leaked
 
 
-def _outcome(alice, bob, hint, rng_seed, reconcile):
+def _outcome(alice, bob, hint, seed, reconcile):
+    """The call's result or error type, and its generator's state after it."""
+    rng = np.random.default_rng(seed)
     try:
-        corrected, leaked = reconcile(alice, bob, hint, rng_seed=rng_seed)
+        corrected, leaked = reconcile(alice, bob, hint, rng_seed=rng)
+        result = corrected.tobytes(), leaked
     except (ReconciliationFailure, UnsupportedRegimeError) as exc:
-        return type(exc)
-    return corrected.tobytes(), leaked
+        result = type(exc)
+    return result, rng.bit_generator.state
 
 
 def test_matches_one_block_at_a_time_oracle():
     # n = 64 is the shortest key; 65, 100, 1000 and 4099 leave the last
     # block of some pass short; the hints reach both ends of (0, 0.15] and
     # just past them. Short keys at 25-30% errors end in reconciliation
-    # failure or depend on the order corrections are queued in.
+    # failure or depend on the order corrections are queued in. Equal
+    # generator states show every pass drew its permutation, so the next
+    # call on the same generator sees the same stream.
     rng = np.random.default_rng(2024)
     outcomes = set()
     for case in range(240):
@@ -179,5 +184,44 @@ def test_matches_one_block_at_a_time_oracle():
         seed = int(rng.integers(0, 1 << 31))
         expected = _outcome(alice, bob, hint, seed, _cascade_oracle)
         assert _outcome(alice, bob, hint, seed, reconcile_cascade) == expected, case
-        outcomes.add(expected if isinstance(expected, type) else "ok")
+        result = expected[0]
+        outcomes.add(result if isinstance(result, type) else "ok")
     assert outcomes == {"ok", ReconciliationFailure, UnsupportedRegimeError}
+
+
+@pytest.mark.parametrize("n", [64, 1000, 4099, 1 << 15])
+@pytest.mark.parametrize("qber", [0.005, 0.03, 0.08, 0.15])
+def test_matches_oracle_over_key_length_and_error_rate(n, qber):
+    # The hint is the rate the errors are drawn at; two of the 64-bit keys
+    # at 8% keep residual errors and fail verification.
+    for seed in range(3):
+        rng = np.random.default_rng([n, int(qber * 1000), seed])
+        alice = rng.integers(0, 2, n, dtype=np.uint8)
+        bob = alice ^ (rng.random(n) < qber).astype(np.uint8)
+        assert _outcome(alice, bob, qber, seed, reconcile_cascade) == \
+            _outcome(alice, bob, qber, seed, _cascade_oracle), seed
+
+
+def _halving_depth(width, offset):
+    """Parities disclosed finding the one error at ``offset`` by literal
+    halving: the left half gets the odd bit."""
+    lo, hi, cost = 0, width, 0
+    while hi - lo > 1:
+        mid = lo + (hi - lo + 1) // 2
+        cost += 1
+        if offset < mid:
+            hi = mid
+        else:
+            lo = mid
+    return cost
+
+
+def test_one_error_depth_matches_literal_halving():
+    for width in range(1, 301):
+        for offset in range(width):
+            assert _depth(width, offset) == _halving_depth(width, offset), (width, offset)
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        width = int(rng.integers(1, (1 << 16) + 1))
+        offset = int(rng.integers(0, width))
+        assert _depth(width, offset) == _halving_depth(width, offset), (width, offset)

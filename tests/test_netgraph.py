@@ -353,6 +353,19 @@ def test_colliding_channel_ids_name_both_strands():
         ng.load_topology(_colliding_channel_ids(ng.cambridge_config()))
 
 
+def test_node_id_holding_a_bar_rejected_at_load():
+    # Strands A|B->C and A->B|C would run two reservoirs whose report rows
+    # share the pair A|B|C, so verify would see a conservation mismatch.
+    doc = ng.cambridge_config()
+    doc["nodes"] += [{"id": "A|B", "role": "tx"}, {"id": "C", "role": "rx"},
+                     {"id": "A", "role": "tx"}, {"id": "B|C", "role": "rx"}]
+    doc["links"] += [{"id": "l1", "a": "A|B", "b": "C", "length_km": 1.0},
+                     {"id": "l2", "a": "A", "b": "B|C", "length_km": 1.0}]
+    with pytest.raises(ValidationError,
+                       match=r"^nodes\[6\]: id must not contain '\|', got 'A\|B'$"):
+        ng.load_topology(doc)
+
+
 def test_cli_run_on_untrusted_string_exits_1(tmp_path, capsys):
     topology = _BAD_TOPOLOGIES["trusted-string"](ng.cambridge_config())
     path = tmp_path / "s.json"

@@ -204,7 +204,10 @@ def _pns_tally_oracle(photons: np.ndarray, transmittance: float) -> pl.EveTally:
 
 
 @pytest.mark.parametrize("loss_db", [0.0, 0.5, 3.0, 10.0, 30.0])
-def test_pns_tally_matches_loop_oracle(loss_db):
+def test_oracle_self_check_frame_pns_tally_matches_loop(loss_db):
+    """Oracle self-check: the frame oracle's vectorized PNS tally against
+    the per-pulse loop. No library code runs here; the library's tally is
+    tested by ``test_window_sampler_pns_tally_matches_loop_oracle``."""
     params = _params(mean_photon_number=0.8, channel_loss_db=loss_db)
     eve = pl.EveModel.photon_number_split()
     for seed in range(4):
