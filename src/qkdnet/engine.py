@@ -11,10 +11,19 @@ block target runs the full post-processing pipeline: QBER sampling,
 Cascade, entropy estimation, privacy amplification, authentication charge,
 and a reservoir deposit. Switch toggles force block boundaries, pause the
 affected sessions, and trigger receiver realignment against the new
-transmitter before key generation resumes. A relay session moves one hop
-per event; a blocked one has no timer: the relay coordinator holds it and,
-after each event, hands back the ones a key deposit or a health transition
-let move.
+transmitter before key generation resumes.
+
+A started session has at most one pending event, its next ``realign`` or
+``round``, and ``Engine._schedule`` is the only code that pushes one: it
+bumps the session's token, so the new event retires whatever was pending,
+and it pushes nothing for a halted session. The one other token bump parks
+a session with nothing pending, when a switch moves its pairing away; the
+toggle that pairs it again schedules its realignment. Handlers act only on
+the event that carries the session's current token.
+
+A relay session moves one hop per event; a blocked one has no timer: the
+relay coordinator holds it and, after each event, hands back the ones a key
+deposit or a health transition let move.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import replace
+from enum import Enum
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -70,6 +80,7 @@ _P_REALIGN = 2
 _P_RELAY = 3
 _P_ROUND = 4
 _P_METRICS = 5
+_SESSION_PRIORITY = {"realign": _P_REALIGN, "round": _P_ROUND}
 
 # Cadences and budgets of the event loop.
 _ROUND_DURATION_S = 0.25
@@ -86,6 +97,13 @@ _TAGS_PER_BLOCK_ROUND = 2  # one batched tag per direction per protocol round
 # not a phase error: correcting on them would steer the interferometer on
 # garbage. Health monitoring raises the alarm instead.
 _TRAINING_PANIC_QBER = 0.20
+
+
+class _State(Enum):
+    IDLE = "idle"        # not started; an attacker or a sifting change may come first
+    DARK = "dark"        # started, no key yet: realigning, or waiting for light or a pairing
+    ACTIVE = "active"    # realigned: every round samples a data window
+    HALTED = "halted"    # out of authentication key, for good
 
 
 class _Session:
@@ -115,9 +133,7 @@ class _Session:
         round_slots = int(_ROUND_DURATION_S * self.params.pulse_rate_hz)
         cap = max(1, min(_TRAINING_MAX_SLOTS, round_slots))
         self.training_slots = min(max(want, min(1 << 16, cap)), cap)
-        self.started = False
-        self.active = False
-        self.halted = False
+        self.state = _State.IDLE
         self.tuning = False
         self.tuning_rounds = 0
         self.token = 0
@@ -146,8 +162,11 @@ class _Session:
     def cid(self) -> str:
         return self.channel.channel_id
 
-    def is_cut(self) -> bool:
-        return any(l in self.engine.cut_links for l in self.channel.link_ids)
+    def lit(self, now_s: float) -> bool:
+        """Whether light reaches the receiver: no link of the channel is cut
+        and its switched pairing, if any, is made."""
+        return (not any(l in self.engine.cut_links for l in self.channel.link_ids)
+                and self.connected(now_s))
 
     def connected(self, now_s: float) -> bool:
         if self.channel.via_switch is None:
@@ -196,6 +215,14 @@ class Engine:
     def _push(self, time_s: float, priority: int, kind: str, payload: tuple = ()):
         heapq.heappush(self._heap, (time_s, priority, self._seq, kind, payload))
         self._seq += 1
+
+    def _schedule(self, session: _Session, time_s: float, kind: str):
+        """Make ``kind`` (``realign`` or ``round``) at ``time_s`` the session's
+        one pending event; a halted session gets none."""
+        if session.state is _State.HALTED:
+            return
+        session.token += 1
+        self._push(time_s, _SESSION_PRIORITY[kind], kind, (session.cid, session.token))
 
     def _session(self, channel_id: str) -> _Session:
         if channel_id not in self.sessions:
@@ -251,14 +278,13 @@ class Engine:
     def _on_scenario(self, now: float, ev):
         kind = ev.kind
         if kind is EventKind.START_QKD:
-            cid = f"{ev.args['tx']}-{ev.args['rx']}"
-            session = self._session(cid)
-            session.started = True
+            session = self._session(ev.args["channel"])
+            session.state = _State.DARK
             session.last_t = session.last_phase_t = now
             # A disconnected switched pairing waits for its toggle; a cut
             # link still realigns (and fails) so the zero-click watch runs.
             if session.connected(now):
-                self._push(now, _P_REALIGN, "realign", (session.cid, session.token))
+                self._schedule(session, now, "realign")
         elif kind is EventKind.RELAY_REQUEST:
             session = self.coordinator.request(
                 ev.args["src"], ev.args["dst"], ev.args["bits"], now)
@@ -293,28 +319,25 @@ class Engine:
         pause every session behind it and realign the new pairings."""
         self.switches[sw.switch_id] = sw
         self.switch_events.extend(events)
+        at = now + SWITCHING_TIME_S
         for session in self.sessions.values():
-            if session.channel.via_switch != sw.switch_id or not session.started:
+            if (session.channel.via_switch != sw.switch_id
+                    or session.state in (_State.IDLE, _State.HALTED)):
                 continue
             session.flush_pool()
-            session.active = False
-            session.token += 1
-            self.health.unwatch(session.cid)
-            if session.connected(now + SWITCHING_TIME_S):
-                self._push(now + SWITCHING_TIME_S, _P_REALIGN, "realign",
-                           (session.cid, session.token))
+            session.state = _State.DARK
+            if session.connected(at):
+                self._schedule(session, at, "realign")
+            else:
+                session.token += 1  # parked: the toggle that pairs it again realigns it
 
     def _on_realign(self, now: float, channel_id: str, token: int):
         session = self.sessions[channel_id]
-        if token != session.token or session.halted:
+        if token != session.token:
             return
         session.drift_to(now)
         params = session.params
-        if session.is_cut():
-            # No light: the realignment burns its whole frame budget.
-            outcome_converged = False
-            frames = REALIGN_FRAME_BUDGET
-        else:
+        if session.lit(now):
             outcome = realign_receiver(
                 params, session.phase,
                 seed=(self.scenario.seed, channel_id, session.realign_count),
@@ -322,6 +345,10 @@ class Engine:
             session.phase = outcome.phase
             outcome_converged = outcome.converged
             frames = outcome.frames_spent
+        else:
+            # No light: the realignment burns its whole frame budget.
+            outcome_converged = False
+            frames = REALIGN_FRAME_BUDGET
         session.realign_count += 1
         realign_duration = frames * session.training_slots / params.pulse_rate_hz
         resume_at = now + realign_duration
@@ -329,10 +356,9 @@ class Engine:
         if not outcome_converged:
             # Keep watching so a cut is still detected during the outage.
             self.health.watch(channel_id, resume_at)
-            self._push(resume_at, _P_ROUND, "round", (channel_id, session.token))
+            self._schedule(session, resume_at, "round")
             return
-        session.active = True
-        session.token += 1
+        session.state = _State.ACTIVE
         session.last_t = resume_at
         session.last_phase_t = resume_at
         # Fine-tune densely right after realignment: the acceptance
@@ -341,21 +367,20 @@ class Engine:
         session.tuning = True
         session.tuning_rounds = 0
         self.health.watch(channel_id, resume_at)
-        self._push(resume_at + _ROUND_DURATION_S, _P_ROUND, "round", (channel_id, session.token))
+        self._schedule(session, resume_at + _ROUND_DURATION_S, "round")
 
     def _on_round(self, now: float, channel_id: str, token: int):
         session = self.sessions[channel_id]
-        if session.halted or token != session.token:
+        if token != session.token:
             return
-        if not session.active:
-            if not session.is_cut() and session.connected(now):
+        if session.state is _State.DARK:
+            if session.lit(now):
                 # The outage cleared: try realignment again.
-                session.token += 1
-                self._push(now, _P_REALIGN, "realign", (channel_id, session.token))
-                return
-            # Idle but under cut surveillance.
-            self.health.report_clicks(channel_id, 0, now)
-            self._push(now + _ROUND_DURATION_S, _P_ROUND, "round", (channel_id, token))
+                self._schedule(session, now, "realign")
+            else:
+                # Dark but under cut surveillance.
+                self.health.report_clicks(channel_id, 0, now)
+                self._schedule(session, now + _ROUND_DURATION_S, "round")
             return
         params = session.params
         session.drift_to(now)
@@ -373,7 +398,7 @@ class Engine:
             training_clicks = self._run_training(session, now)
 
         data_slots = max(0, round_slots - training_cost)
-        if session.is_cut() or not session.connected(now):
+        if not session.lit(now):
             # Cut fiber kills the sync channel too: gates never open.
             self.health.report_clicks(channel_id, 0, now)
         else:
@@ -398,13 +423,13 @@ class Engine:
                 self._process_block(session, now)
 
         session.last_t = now
-        self._push(now + _ROUND_DURATION_S, _P_ROUND, "round", (channel_id, token))
+        self._schedule(session, now + _ROUND_DURATION_S, "round")
 
     def _run_training(self, session: _Session, now: float) -> int:
         """One training frame, whose public bits drive a feedback step; returns its clicks."""
         session.last_training_t = now
         params = session.params
-        if session.is_cut() or not session.connected(now):
+        if not session.lit(now):
             return 0
         tx_basis, tx_value, record = sample_link_window(
             params, session.phase, session.training_slots, session.rng_train,
@@ -448,9 +473,7 @@ class Engine:
                 _TAGS_PER_BLOCK_ROUND * AUTH_KEY_BITS_PER_TAG,
                 ConsumePurpose.AUTHENTICATION, now, consumer=f"{block_id}:auth")
         except AuthenticationStarvation:
-            session.halted = True
-            session.active = False
-            self.health.unwatch(cid)
+            session.state = _State.HALTED
             return
 
         estimate = estimate_qber(alice, bob, _SAMPLE_FRACTION, session.rng_qber)
@@ -509,7 +532,7 @@ class Engine:
 
     def _on_metrics(self, now: float):
         for cid, session in self.sessions.items():
-            if not session.started:
+            if session.state is _State.IDLE:
                 continue
             qbers = session.interval_qbers
             self.series.append(SeriesRow(

@@ -59,26 +59,19 @@ class HealthMonitor:
 
     def __init__(self):
         self._status: Dict[str, LinkHealth] = {}
-        self._bad: Dict[str, int] = {}
-        self._clean: Dict[str, int] = {}
+        # Consecutive blocks of one kind: +n above the QBER threshold, -n clean.
+        self._streak: Dict[str, int] = {}
         self._last_click: Dict[str, float] = {}
-        self._watched: Set[str] = set()
         self.transitions: List[HealthTransition] = []
 
     def status(self, channel_id: str) -> LinkHealth:
         return self._status.get(channel_id, LinkHealth.UP)
 
     def watch(self, channel_id: str, time_s: float):
-        """Start zero-click surveillance (a session is supposed to be running).
-
-        Resets the zero-click baseline: silence during a deliberate pause
-        (switched away, realigning) is not evidence of a cut.
+        """Reset the zero-click baseline as a session resumes: silence during
+        a deliberate pause (switched away, realigning) is not evidence of a cut.
         """
-        self._watched.add(channel_id)
         self._last_click[channel_id] = time_s
-
-    def unwatch(self, channel_id: str):
-        self._watched.discard(channel_id)
 
     def _set(self, channel_id: str, new: LinkHealth, time_s: float, cause: str):
         old = self.status(channel_id)
@@ -86,33 +79,27 @@ class HealthMonitor:
             return
         self._status[channel_id] = new
         # Recovery evidence must postdate the failure (and vice versa).
-        self._bad[channel_id] = 0
-        self._clean[channel_id] = 0
+        self._streak[channel_id] = 0
         self.transitions.append(HealthTransition(time_s, channel_id, old.value, new.value, cause))
 
     def report_block(self, channel_id: str, qber: float, time_s: float):
         """Feed one completed block's error rate into the health state."""
+        streak = self._streak.get(channel_id, 0)
         if qber > QBER_THRESHOLD:
-            self._bad[channel_id] = self._bad.get(channel_id, 0) + 1
-            self._clean[channel_id] = 0
-            if self._bad[channel_id] >= CONSECUTIVE_BLOCKS:
+            streak = self._streak[channel_id] = max(streak, 0) + 1
+            if streak >= CONSECUTIVE_BLOCKS:
                 self._set(channel_id, LinkHealth.DEGRADED, time_s,
-                          f"qber {qber:.3f} above {QBER_THRESHOLD} for "
-                          f"{self._bad[channel_id]} blocks")
+                          f"qber {qber:.3f} above {QBER_THRESHOLD} for {streak} blocks")
         else:
-            self._clean[channel_id] = self._clean.get(channel_id, 0) + 1
-            self._bad[channel_id] = 0
-            if (self._clean[channel_id] >= CONSECUTIVE_BLOCKS
+            streak = self._streak[channel_id] = min(streak, 0) - 1
+            if (-streak >= CONSECUTIVE_BLOCKS
                     and self.status(channel_id) is not LinkHealth.UP):
-                self._set(channel_id, LinkHealth.UP, time_s,
-                          f"{self._clean[channel_id]} clean blocks")
+                self._set(channel_id, LinkHealth.UP, time_s, f"{-streak} clean blocks")
 
     def report_clicks(self, channel_id: str, n_events: int, time_s: float):
         """Feed click telemetry; a long zero-click interval means a cut."""
         if n_events > 0:
             self._last_click[channel_id] = time_s
-            return
-        if channel_id not in self._watched:
             return
         last = self._last_click.get(channel_id, time_s)
         if time_s - last >= ZERO_CLICK_WINDOW_S and \

@@ -76,6 +76,14 @@ class Scenario:
             raise ValidationError("event times must lie within [0, duration]")
         if times != sorted(times):
             raise ValidationError("events must be time-ordered")
+        start = EventKind.START_QKD
+        started = set()
+        for i, ev in enumerate(self.events):
+            if ev.kind is start:
+                if ev.args["channel"] in started:
+                    raise ValidationError(f"events[{i}]: channel {ev.args['channel']!r} "
+                                          f"is already started; a channel starts once")
+                started.add(ev.args["channel"])
 
 
 # Each event kind's fields: exactly these, no more and no fewer.
@@ -102,8 +110,9 @@ def _parse_eve(raw, where: str) -> EveModel:
                                               "eve fraction", 0, 1))
 
 
-def _parse_event(raw, where: str, topology: Topology, channel_ids) -> ScenarioEvent:
-    """One event, its references checked against the topology."""
+def _parse_event(raw, where: str, topology: Topology, channels) -> ScenarioEvent:
+    """One event, its references checked against the topology, whose
+    channel ids ``channels`` maps from their (tx, rx) ends."""
     kind = choice(EventKind, fields(raw, where, ("t", "kind"), _ANY_EVENT_KEY)["kind"],
                   f"{where}.kind")
     if raw.keys() != _EVENT_KEYS[kind]:
@@ -117,17 +126,18 @@ def _parse_event(raw, where: str, topology: Topology, channel_ids) -> ScenarioEv
         args = {"src": src, "dst": dst,
                 "bits": integer(raw["bits"], where, "bits", 1, _MAX_RELAY_BITS)}
     elif kind is EventKind.START_QKD:
-        args = {"tx": text(raw["tx"], where, "tx"), "rx": text(raw["rx"], where, "rx")}
-        channel_id = f"{args['tx']}-{args['rx']}"
-        if channel_id not in channel_ids:
-            raise ValidationError(f"{where}: no QKD channel {channel_id!r} in the topology")
+        tx, rx = text(raw["tx"], where, "tx"), text(raw["rx"], where, "rx")
+        if (tx, rx) not in channels:
+            raise ValidationError(f"{where}: no QKD channel from {tx!r} to {rx!r} "
+                                  f"in the topology")
+        args = {"channel": channels[tx, rx]}
     elif kind is EventKind.SWITCH_TOGGLE:
         args = {"switch": text(raw["switch"], where, "switch", topology.switches)}
     elif kind is EventKind.ENABLE_EVE:
-        args = {"channel": text(raw["channel"], where, "channel", channel_ids),
+        args = {"channel": text(raw["channel"], where, "channel", channels.values()),
                 "eve": _parse_eve(raw["eve"], where)}
     elif kind is EventKind.SET_SIFTING:
-        args = {"channel": text(raw["channel"], where, "channel", channel_ids),
+        args = {"channel": text(raw["channel"], where, "channel", channels.values()),
                 "protocol": choice(SiftingProtocol, raw["protocol"], f"{where}.protocol")}
     else:  # cut_link or restore_link
         args = {"link": text(raw["link"], where, "link", topology.links)}
@@ -150,8 +160,8 @@ def load_scenario(config: Union[str, dict]) -> Scenario:
         raise ValidationError("topology: expected {'preset': name} or an inline document")
 
     knobs = EngineKnobs(**fields(config.get("engine", {}), "engine", (), _KNOB_NAMES))
-    channel_ids = {c.channel_id for c in topology.qkd_channels()}
-    events = tuple(_parse_event(raw, f"events[{i}]", topology, channel_ids)
+    channels = {(c.tx, c.rx): c.channel_id for c in topology.qkd_channels()}
+    events = tuple(_parse_event(raw, f"events[{i}]", topology, channels)
                    for i, raw in enumerate(items(config.get("events", []), "scenario",
                                                  "events")))
     return Scenario(

@@ -92,14 +92,11 @@ def test_zero_click_window_marks_cut():
     assert monitor.status("L") is LinkHealth.CUT
 
 
-def test_silence_while_unwatched_is_not_a_cut():
+def test_rewatch_resets_the_zero_click_baseline():
     monitor = HealthMonitor()
     monitor.watch("L", 0.0)
     monitor.report_clicks("L", 10, 1.0)
-    monitor.unwatch("L")
-    monitor.report_clicks("L", 0, 500.0)
-    assert monitor.status("L") is LinkHealth.UP
-    monitor.watch("L", 600.0)  # baseline resets on rewatch
+    monitor.watch("L", 600.0)  # a session resumes after a pause
     monitor.report_clicks("L", 0, 602.0)
     assert monitor.status("L") is LinkHealth.UP
     monitor.report_clicks("L", 0, 605.5)

@@ -7,7 +7,7 @@ import pickle
 import re
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,8 @@ from qkdnet.keystore import AuditRecord
 from qkdnet.physlink import EveModel, sifted_error_floor
 from qkdnet.report import (CSV_COLUMNS, MetricsReport, ReservoirRow, SeriesRow, read_records,
                            verify_report)
-from qkdnet.scenario import EngineKnobs, EventKind, default_preset_scenario, load_scenario
+from qkdnet.scenario import (EngineKnobs, EventKind, Scenario, ScenarioEvent,
+                             default_preset_scenario, load_scenario)
 
 
 def _minimal(duration=1.0, events=(), **engine):
@@ -130,6 +131,35 @@ _BAD_SCENARIOS = {
 def test_bad_scenario_structure_rejected_at_load(case):
     with pytest.raises(ValidationError):
         load_scenario(_BAD_SCENARIOS[case])
+
+
+_START_TWICE = _minimal(duration=20.0, events=[
+    {"t": 0.0, "kind": "start_qkd", "tx": "Anna", "rx": "Bob"},
+    {"t": 5.0, "kind": "cut_link", "link": "anna-sw"},
+    {"t": 10.0, "kind": "start_qkd", "tx": "Anna", "rx": "Bob"}])
+
+
+def test_a_channel_starts_at_most_once(tmp_path, capsys):
+    # A second start once ran a second round chain beside the first, and
+    # the channel sampled every window twice.
+    with pytest.raises(ValidationError,
+                       match=r"events\[2\]: channel 'Anna-Bob' is already started"):
+        load_scenario(_START_TWICE)
+    once = load_scenario({**_START_TWICE, "events": _START_TWICE["events"][:2]})
+    start = once.events[0]
+    assert dict(start.args) == {"channel": "Anna-Bob"}
+    again = ScenarioEvent(10.0, EventKind.START_QKD, start.args)
+    with pytest.raises(ValidationError, match="already started"):
+        Scenario(once.topology, once.duration_s, once.seed, once.events + (again,))
+    with pytest.raises(ValidationError, match="already started"):
+        replace(once, events=once.events + (again,))
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(_START_TWICE))
+    capsys.readouterr()
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "already started" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_cli_run_on_null_events_exits_1(tmp_path, capsys):
@@ -366,6 +396,49 @@ def test_cut_and_restore_recovers_health():
     late_secret = [r.secret_bps for r in report.channel_series("Anna-Bob")
                    if r.time_s > 80]
     assert sum(late_secret) > 0  # generation resumed after restore
+
+
+def test_dark_start_and_toggles_sample_each_channel_once_per_instant(monkeypatch):
+    # Anna-Bob starts on a cut link, so its first realignment fails; a
+    # toggle parks it while dark, the restore and a second toggle bring it
+    # back. Alice-Boris runs out of authentication key and halts.
+    now = [None]
+    windows = []  # (time, channel, training frame) of every window sampled
+    halted_at = {}
+    on_round = Engine._on_round
+    sample = engine_module.sample_link_window
+
+    def spy_round(self, t, channel_id, token):
+        now[0] = t
+        on_round(self, t, channel_id, token)
+        if self.sessions[channel_id].state is engine_module._State.HALTED:
+            halted_at.setdefault(channel_id, t)
+
+    def spy_sample(*args, frame_id, **kwargs):
+        channel, frame = frame_id.rsplit(":", 1)
+        windows.append((now[0], channel, frame == "train"))
+        return sample(*args, frame_id=frame_id, **kwargs)
+
+    monkeypatch.setattr(Engine, "_on_round", spy_round)
+    monkeypatch.setattr(engine_module, "sample_link_window", spy_sample)
+    report = run_scenario(load_scenario(_minimal(
+        duration=40.0, prepositioned_auth_bits=300, events=[
+            {"t": 0.0, "kind": "start_qkd", "tx": "Anna", "rx": "Bob"},
+            {"t": 0.0, "kind": "start_qkd", "tx": "Alice", "rx": "Boris"},
+            {"t": 0.0, "kind": "cut_link", "link": "anna-sw"},
+            {"t": 5.0, "kind": "switch_toggle", "switch": "sw"},
+            {"t": 12.0, "kind": "restore_link", "link": "anna-sw"},
+            {"t": 20.0, "kind": "switch_toggle", "switch": "sw"}])))
+    assert any(h.channel_id == "Anna-Bob" and h.cause == "realignment failed to converge"
+               for h in report.health_log)
+    # A session switched away has nothing pending, so its silence is no cut.
+    assert all(h.new != "cut" for h in report.health_log)
+    assert list(halted_at) == ["Alice-Boris"]
+    data = [(t, channel) for t, channel, train in windows if not train]
+    assert len(data) == len(set(data))
+    assert any(channel == "Anna-Bob" and t > 20.0 for t, channel in data)
+    assert not [t for t, channel, _ in windows
+                if channel == "Alice-Boris" and t > halted_at["Alice-Boris"]]
 
 
 def test_eve_none_disables_attacker():
