@@ -7,9 +7,11 @@ and dead time, and interferometer phase drift with training-frame feedback.
 :func:`sample_link_window` is the one link sampler, for every attacker. It
 draws click slots directly, via the renewal structure of the gated-detector
 process, so cost scales with the number of clicks instead of the number of
-slots. Behind the photon-number-splitting attacker it draws a photon number
-per slot (her loss budget needs every pulse), detector draws only where
-photons arrive, and reports what she learned (``eve_tally``). All the bits
+slots. Without the photon-number-splitting attacker every gate of a link
+has one click law, :attr:`LinkParams.click_law`, which the link computes
+once and caches. Behind that attacker it draws a photon number per slot
+(her loss budget needs every pulse), detector draws only where photons
+arrive, and reports what she learned (``eve_tally``). All the bits
 a window's clicks need (bases, values, the intercept-resend attacker's
 basis and guess) come from one bit draw, after the click slots and classes
 and before the attacker's ``hit`` and the flip uniforms. Its generator
@@ -23,7 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from .bits import random_bits
 
 __all__ = [
     "LinkParams",
+    "ClickLaw",
     "DetectionRecord",
     "EveKind",
     "EveTally",
@@ -48,12 +52,30 @@ __all__ = [
 ]
 
 
+class ClickLaw(NamedTuple):
+    """One gate's click law on a link with no attacker.
+
+    ``q`` is the chance the gate clicks at all. A click is a signal event
+    (a photon is detected and the other detector stays dark), a dark event
+    (no photon, exactly one detector darks) or a double, in that order of
+    its class uniform on [0, q).
+    """
+
+    p_sig: float           # at least one signal photon is detected
+    q: float               # the gate clicks: signal, dark or double
+    p_signal_event: float  # kept as a signal event
+    p_dark_event: float    # kept as a dark event
+
+
 @dataclass(frozen=True)
 class LinkParams:
     """Physical parameters of one weak-coherent QKD link.
 
     Defaults describe a 5 MHz gated system; detector constants are
-    calibration knobs, overridable per link in the topology.
+    calibration knobs, overridable per link in the topology. The derived
+    :attr:`click_law` and :attr:`dead_slots` are computed on first use and
+    cached on the instance; ``dataclasses.replace`` builds a new instance,
+    which derives its own.
     """
 
     pulse_rate_hz: float = 5e6
@@ -90,12 +112,20 @@ class LinkParams:
         """Power transmittance of fiber plus photonic-path insertion loss."""
         return 10.0 ** (-self.total_loss_db / 10.0)
 
-    @property
+    @cached_property
     def dead_slots(self) -> int:
         """Number of gate slots the detectors stay disabled after a click."""
         product = self.dead_time_s * self.pulse_rate_hz
         # Guard against float noise pushing an exact product over the ceiling.
         return int(math.ceil(product - 1e-9)) if product > 0 else 0
+
+    @cached_property
+    def click_law(self) -> ClickLaw:
+        """The per-gate :class:`ClickLaw`, which every window of this link reads."""
+        p_sig = signal_click_probability(self)
+        d = self.dark_count_prob
+        return ClickLaw(p_sig, 1.0 - (1.0 - p_sig) * (1.0 - d) ** 2,
+                        *_event_probabilities(p_sig, d))
 
 
 @dataclass(frozen=True)
@@ -121,6 +151,10 @@ class DetectionRecord:
         object.__setattr__(self, "rx_basis", np.asarray(self.rx_basis, dtype=np.uint8))
         object.__setattr__(self, "rx_value", np.asarray(self.rx_value, dtype=np.uint8))
         object.__setattr__(self, "is_dark", np.asarray(self.is_dark, dtype=bool))
+        sizes = (self.slot_index.size, self.rx_basis.size, self.rx_value.size, self.is_dark.size)
+        if len(set(sizes)) > 1:
+            raise ValueError("slot_index, rx_basis, rx_value and is_dark must have equal "
+                             f"lengths, got {', '.join(map(str, sizes))}")
         s = self.slot_index
         if s.size > 1 and not (s[1:] > s[:-1]).all():
             raise ValueError("slot_index must be strictly increasing")
@@ -239,11 +273,20 @@ def dark_click_probability(params: LinkParams) -> float:
     return 1.0 - (1.0 - d) ** 2
 
 
+def _event_probabilities(p_sig, d: float):
+    """Signal-event and dark-event probabilities of a gate whose signal
+    photons are detected with probability ``p_sig`` (a float, or an array
+    with one entry per click) and whose detectors each dark with ``d``."""
+    return p_sig * (1.0 - d), (1.0 - p_sig) * 2.0 * d * (1.0 - d)
+
+
 def click_probability(params: LinkParams) -> float:
     """Per-gate click probability, signal and dark counts combined.
 
     Poisson source of mean ``mu``, thinned by transmittance and detector
-    efficiency; dark counts on either detector fire independently.
+    efficiency; dark counts on either detector fire independently. The
+    same law as ``params.click_law.q`` in other arithmetic: the two round
+    alike only while ``(1 - d)^2 >= 1/2``.
     """
     p_signal = signal_click_probability(params)
     p_dark = dark_click_probability(params)
@@ -258,10 +301,8 @@ def sifted_error_floor(params: LinkParams) -> float:
     share. Receivers subtract this floor from training readings so the
     phase feedback does not chase detector noise.
     """
-    p_sig = signal_click_probability(params)
-    d = params.dark_count_prob
-    p_signal_event = p_sig * (1.0 - d)
-    p_dark_event = (1.0 - p_sig) * 2.0 * d * (1.0 - d)
+    law = params.click_law
+    p_signal_event, p_dark_event = law.p_signal_event, law.p_dark_event
     total = p_signal_event + p_dark_event
     if total <= 0.0:
         return params.intrinsic_error
@@ -305,9 +346,11 @@ def _renewal_slots(rng: np.random.Generator, q: float, dead: int, n_slots: int) 
     while True:
         batch = max(64, expect - count + 16)
         s = rng.geometric(q, size=batch)
-        s += dead
+        if dead:
+            s += dead
+        # The window offset rides on the first gap; the prefix sum carries it.
+        s[0] += start - dead - 1
         s.cumsum(out=s)
-        s += start - dead - 1
         inside = int(np.searchsorted(s, n_slots))
         slots.append(s[:inside])
         count += inside
@@ -382,6 +425,10 @@ def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_
     record's ``eve_tally`` counts what she learned over the whole window;
     counting draws nothing. Behind any other attacker it is ``None``.
 
+    Without PNS every gate has the link's cached :class:`ClickLaw`: the
+    click slots are a renewal process of live gates that each click with
+    probability ``q``, and a click's uniform on [0, q) picks its class.
+
     The generator calls, their sizes and their order are part of the
     byte-identical-records contract. Click slots and classes come first:
     without PNS, geometric batches and then click class; with PNS, photon
@@ -405,19 +452,20 @@ def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_
     if n_slots <= 0:
         return _empty_window(frame_id, tally)
     rng = np.random.default_rng(rng_seed)
-    d = params.dark_count_prob
     if pns:
         click_slots, u, p_sig, tally = _pns_clicks(params, n_slots, rng)
+        p_signal_event, p_dark_event = _event_probabilities(p_sig, params.dark_count_prob)
     else:
-        # Every slot has the same click law.
-        p_sig = signal_click_probability(params)
-        q = 1.0 - (1.0 - p_sig) * (1.0 - d) ** 2
-        if q <= 0.0:
+        # Every slot has the link's one click law.
+        law = params.click_law
+        if law.q <= 0.0:
             return _empty_window(frame_id)
-        click_slots = _renewal_slots(rng, q, params.dead_slots, n_slots)
+        click_slots = _renewal_slots(rng, law.q, params.dead_slots, n_slots)
         if click_slots.size == 0:
             return _empty_window(frame_id)
-        u = rng.random(click_slots.size) * q
+        u = rng.random(click_slots.size)
+        u *= law.q
+        p_signal_event, p_dark_event = law.p_signal_event, law.p_dark_event
     m = click_slots.size
     if m == 0:
         return _empty_window(frame_id, tally)
@@ -425,8 +473,6 @@ def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_
     # Classify each click: signal event, dark event, or double (discarded).
     # The classes are consecutive ranges of u, so a kept click that is not
     # a signal event is a dark one.
-    p_signal_event = p_sig * (1.0 - d)
-    p_dark_event = (1.0 - p_sig) * 2.0 * d * (1.0 - d)
     is_signal = u < p_signal_event
     keep = u < p_signal_event + p_dark_event
 
@@ -447,16 +493,17 @@ def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_
 
     perr = min(max(params.intrinsic_error + phase_error_rate(phase.phase_error_rad), 0.0), 1.0)
     flips = rng.random(m) < perr
-    # Bits are 0 or 1, so selecting by basis match is an xor mask, which
+    # Bits are 0 or 1, so selecting by a condition is an xor mask, which
     # is cheaper than np.where on a condition that is a coin toss per click.
     matched = rx_basis == pulse_basis
     sig_value = mismatch_value ^ (matched & (pulse_value ^ flips ^ mismatch_value))
-    rx_value = np.where(is_signal, sig_value, dark_value)
+    rx_value = dark_value ^ (is_signal & (sig_value ^ dark_value))
 
     is_dark = ~is_signal
     if not keep.all():
+        kept = np.flatnonzero(keep)
         click_slots, rx_basis, rx_value, is_dark, tx_basis, tx_value = (
-            a[keep] for a in (click_slots, rx_basis, rx_value, is_dark, tx_basis, tx_value))
+            a[kept] for a in (click_slots, rx_basis, rx_value, is_dark, tx_basis, tx_value))
     record = DetectionRecord(
         frame_id=frame_id,
         slot_index=click_slots,

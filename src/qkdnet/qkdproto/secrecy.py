@@ -80,6 +80,23 @@ def secret_length(n: int, qber: float, bits_leaked: int, usable_fraction: float)
     return max(0, math.floor(usable - bits_leaked - SECURITY_MARGIN_BITS))
 
 
+def fft_length(n: int) -> int:
+    """The smallest 2^a * 3^b * 5^c that is at least ``n`` (1 for ``n <= 1``).
+
+    numpy's FFT runs such lengths on its fast radix paths. Each odd part
+    3^b * 5^c is paired with the least power of two that lifts it to ``n``.
+    """
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        odd = p5
+        while odd < best:
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        p5 *= 5
+    return best
+
+
 def privacy_amplify(key: np.ndarray, target_len: int, seed: np.ndarray) -> np.ndarray:
     """Compress ``key`` through the seed-defined binary Toeplitz matrix.
 
@@ -103,8 +120,8 @@ def privacy_amplify(key: np.ndarray, target_len: int, seed: np.ndarray) -> np.nd
 
     # Row i's inner product is entry n-1+i of the integer convolution
     # seed * key. A circular transform of L >= len(seed) points does not
-    # alias those entries; a power of two keeps numpy's FFT on its fast path.
-    length = 1 << (seed.size - 1).bit_length()
+    # alias those entries; a 5-smooth L keeps numpy's FFT on its fast path.
+    length = fft_length(seed.size)
     product = np.fft.rfft(seed, length) * np.fft.rfft(key, length)
     counts = np.fft.irfft(product, length)[n - 1:n - 1 + target_len]
     rounded = np.rint(counts)

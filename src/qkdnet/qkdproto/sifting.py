@@ -28,18 +28,27 @@ class SiftingProtocol(Enum):
     SARG = "sarg"
 
 
+def _tx_arrays(tx_basis, tx_value, rx_record: DetectionRecord):
+    """The transmitter's choices as uint8 arrays of one entry per event."""
+    tx_basis = np.asarray(tx_basis, dtype=np.uint8)
+    tx_value = np.asarray(tx_value, dtype=np.uint8)
+    n = rx_record.n_events
+    if tx_basis.shape != (n,) or tx_value.shape != (n,):
+        raise ValueError(f"tx_basis and tx_value must hold the record's {n} events, "
+                         f"got {tx_basis.size} and {tx_value.size}")
+    return tx_basis, tx_value
+
+
 def sift_bb84_events(tx_basis: np.ndarray, tx_value: np.ndarray,
                      rx_record: DetectionRecord) -> SiftResult:
     """Traditional sifting over event-aligned transmitter data.
 
     ``tx_basis``/``tx_value`` hold the transmitter's choices at exactly the
-    record's event slots.
+    record's event slots; other lengths raise ValueError.
     """
-    matched = rx_record.rx_basis == np.asarray(tx_basis, dtype=np.uint8)
-    kept = rx_record.slot_index[matched]
-    alice = np.asarray(tx_value, dtype=np.uint8)[matched]
-    bob = rx_record.rx_value[matched]
-    return alice, bob, kept
+    tx_basis, tx_value = _tx_arrays(tx_basis, tx_value, rx_record)
+    kept = np.flatnonzero(rx_record.rx_basis == tx_basis)
+    return tx_value[kept], rx_record.rx_value[kept], rx_record.slot_index[kept]
 
 
 def sift_sarg_events(tx_basis: np.ndarray, tx_value: np.ndarray,
@@ -52,10 +61,10 @@ def sift_sarg_events(tx_basis: np.ndarray, tx_value: np.ndarray,
     announced state, which unambiguously identifies the other; his bit is
     that state's value. On a noiseless channel this never errs. The
     announcements are drawn from ``announce_seed``, by default one derived
-    from the record's ``frame_id``.
+    from the record's ``frame_id``. Transmitter arrays that do not hold one
+    entry per event raise ValueError.
     """
-    tx_basis = np.asarray(tx_basis, dtype=np.uint8)
-    tx_value = np.asarray(tx_value, dtype=np.uint8)
+    tx_basis, tx_value = _tx_arrays(tx_basis, tx_value, rx_record)
     if announce_seed is None:
         announce_seed = derive_seed(0, "sarg-announce", rx_record.frame_id)
     rng = np.random.default_rng(announce_seed)
@@ -63,13 +72,11 @@ def sift_sarg_events(tx_basis: np.ndarray, tx_value: np.ndarray,
 
     # Exactly one announced state lies in the receiver's measurement basis:
     # the actual state if bases matched, the decoy otherwise. It is ruled
-    # out precisely when its value differs from the measured outcome.
-    measured_actual = rx_record.rx_basis == tx_basis
-    in_basis_value = np.where(measured_actual, tx_value, decoy_value)
-    kept_mask = in_basis_value != rx_record.rx_value
-    inferred = np.where(measured_actual, decoy_value, tx_value).astype(np.uint8)
-
-    kept = rx_record.slot_index[kept_mask]
-    alice = tx_value[kept_mask]
-    bob = inferred[kept_mask]
-    return alice, bob, kept
+    # out precisely when its value differs from the measured outcome. Bits
+    # are 0 or 1, so the selects are xor masks.
+    pair_xor = tx_value ^ decoy_value
+    in_basis_value = decoy_value ^ ((rx_record.rx_basis == tx_basis) & pair_xor)
+    kept = np.flatnonzero(in_basis_value != rx_record.rx_value)
+    # The inferred state is the announced one not in the receiver's basis.
+    return (tx_value[kept], in_basis_value[kept] ^ pair_xor[kept],
+            rx_record.slot_index[kept])

@@ -26,6 +26,10 @@ from .switchfab import SwitchEvent
 
 CSV_COLUMNS = ("time_s", "link_id", "sifted_bps", "qber", "secret_bps", "reservoir_bits")
 
+# One records line: ``json.dumps(record, sort_keys=True)``, without building
+# an encoder per record.
+_encode_record = json.JSONEncoder(sort_keys=True).encode
+
 
 @dataclass(frozen=True)
 class Meta:
@@ -248,7 +252,7 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
     def emit_records(self) -> str:
-        return "\n".join(json.dumps(r, sort_keys=True) for r in self.to_records()) + "\n"
+        return "\n".join(map(_encode_record, self.to_records())) + "\n"
 
     def write(self, out_dir: Union[str, Path], fmt: str = "csv") -> List[Path]:
         out = Path(out_dir)

@@ -497,6 +497,8 @@ def test_window_sampler_matches_oracle_bit_for_bit():
                     want = _window_oracle(params, phase, n_slots, rng_old,
                                           eve=eve, frame_id=f"w{case}", fused=True)
                     assert rng_new.calls == rng_old.calls, case
+                    # The next window starts where the oracle's would.
+                    assert rng_new.bit_generator.state == rng_old.bit_generator.state, case
                     multi_batch += [c[0] for c in rng_new.calls].count("geometric") > 1
                     assert got[2].frame_id == want[2].frame_id
                     # Only the photon-number splitter's windows carry a tally.
@@ -547,6 +549,40 @@ def test_detection_record_requires_strictly_increasing_slots():
     assert record([]).n_events == 0
     assert record([7]).n_events == 1
     assert pl.DetectionRecord.empty("e").n_events == 0
+
+
+def test_detection_record_requires_equal_lengths():
+    # Three slots with two bases, five values and one dark flag once made
+    # a record of three events.
+    with pytest.raises(ValueError, match="equal lengths, got 3, 2, 5, 1"):
+        pl.DetectionRecord("r", np.array([1, 4, 9]), np.zeros(2, np.uint8),
+                           np.zeros(5, np.uint8), np.zeros(1, bool))
+    with pytest.raises(ValueError, match="equal lengths, got 2, 2, 2, 3"):
+        pl.DetectionRecord("r", [1, 4], [0, 1], [1, 1], [False, True, False])
+
+
+def test_click_law_is_cached_per_instance():
+    params = _params(channel_loss_db=3.0, detector_efficiency=0.1, dark_count_prob=1e-3,
+                     dead_time_s=1e-5)
+    law = params.click_law
+    assert params.click_law is law
+    p_sig = signal_click_probability(params)
+    d = params.dark_count_prob
+    assert law == (p_sig, 1.0 - (1.0 - p_sig) * (1.0 - d) ** 2, p_sig * (1.0 - d),
+                   (1.0 - p_sig) * 2.0 * d * (1.0 - d))
+    assert law.q == pl.click_probability(params)
+    # A replaced link derives its own law and dead time; the cache is no
+    # field, so equality and hashing see the fields only.
+    dimmer = dataclasses.replace(params, channel_loss_db=10.0, dead_time_s=2e-5)
+    assert dimmer.click_law.p_sig < law.p_sig
+    assert dimmer.click_law.p_sig == signal_click_probability(dimmer)
+    assert (params.dead_slots, dimmer.dead_slots) == (50, 100)
+    assert params == dataclasses.replace(dimmer, channel_loss_db=3.0, dead_time_s=1e-5)
+    assert hash(params) == hash(_params(channel_loss_db=3.0, detector_efficiency=0.1,
+                                        dark_count_prob=1e-3, dead_time_s=1e-5))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.dark_count_prob = 0.5
+    assert params.click_law is law
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,11 @@ from qkdnet import netgraph as ng
 from qkdnet.cli import main
 from qkdnet.engine import RELAY_RESERVE_BITS, Engine, run_scenario
 from qkdnet.errors import InvariantViolation, ValidationError
-from qkdnet.keyrelay import QBER_THRESHOLD, hop_need
+from qkdnet.keyrelay import QBER_THRESHOLD, HealthTransition, hop_need
 from qkdnet.keystore import AuditRecord
 from qkdnet.physlink import EveModel, sifted_error_floor
-from qkdnet.report import (CSV_COLUMNS, MetricsReport, ReservoirRow, SeriesRow, read_records,
-                           verify_report)
+from qkdnet.report import (CSV_COLUMNS, BlockRecord, MetricsReport, RelayOutcome, ReservoirRow,
+                           SeriesRow, read_records, verify_report)
 from qkdnet.scenario import (EngineKnobs, EventKind, Scenario, ScenarioEvent,
                              default_preset_scenario, load_scenario)
 
@@ -546,6 +546,30 @@ def test_cli_validation_failure_exit_code(tmp_path, capsys):
         assert main(["verify", "--records", str(edited)]) == 1
         err = capsys.readouterr().err
         assert f"record {at + 1}: {field} must be" in err and "Traceback" not in err
+
+
+def test_emitted_record_lines_are_sorted_key_json_dumps():
+    # The records' bytes, which records_sha256 fingerprints: one
+    # json.dumps(record, sort_keys=True) per line, non-ASCII escaped.
+    odd = 'Ånna "the" \\ Bøb'
+    report = MetricsReport(
+        scenario_name="naïve \"run\"", seed=3, duration_s=2,
+        series=[SeriesRow(1, odd, 0.5, None, 2, 7), SeriesRow(2.0, "A-B", 0.0, 0.25, 0.0, 0)],
+        blocks=[BlockRecord("b-\u03b1", odd, 0, 1.5, 4096, 200, 0.03, 1, 900, 0,
+                            discarded=True, via_switch=None),
+                BlockRecord("b2", "A-B", 1.5, 2.0, 4096, 200, 0.02, 0.75, 880, 1000,
+                            via_switch="sw")],
+        relay_sessions=[RelayOutcome("r\\1", "Ånna", "Bøb", 512, "failed",
+                                     ("Ånna", "x", "Bøb"), 0.25, None, 0, 'no "path"')],
+        health_log=[HealthTransition(1, odd, "up", "cut", "zero clicks for 1.0 s")],
+        audit=[AuditRecord(0.0, ("Ånna", "Bøb"), "deposit", 0, 64, origin="prepositioned",
+                           segment_id="s\\0")],
+        final_reservoirs={"Ånna|Bøb": ReservoirRow("Ånna|Bøb", 64, 0, 64)})
+    text = report.emit_records()
+    assert text == "".join(json.dumps(r, sort_keys=True) + "\n" for r in report.to_records())
+    assert text.isascii() and "\\u00c5nna" in text and '\\"' in text
+    assert '"time_s": 1, ' in text and '"qber": null' in text and '"discarded": true' in text
+    assert MetricsReport.from_records(list(map(json.loads, text.splitlines()))) == report
 
 
 def test_cli_verify_rejects_untyped_records_and_repeated_reservoirs(tmp_path, capsys):

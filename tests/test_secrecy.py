@@ -17,6 +17,7 @@ from qkdnet.qkdproto import (
     secret_length,
     usable_fraction,
 )
+from qkdnet.qkdproto.secrecy import fft_length
 
 SHANNON, AWARE = EstimatorKind.SIMPLE_SHANNON, EstimatorKind.MULTIPHOTON_AWARE
 
@@ -171,6 +172,7 @@ def _pa_row_loop_oracle(key, target_len, seed):
     (1, 1), (64, 1), (65, 1), (63, 2), (64, 64),      # seed 1, 64, 65, 64, 127 bits
     (3000, 1096), (3000, 1097), (3000, 1098),          # seed 2^12 - 1, 2^12, 2^12 + 1
     (4096, 4096), (5000, 1), (100_000, 20_000),
+    (4000, 1301), (42_000, 501),                       # seed 5300, 42500: fast 5400, 43200
 ])
 def test_pa_matches_row_loop_oracle(n, target_len):
     rng = np.random.default_rng(n + target_len)
@@ -186,6 +188,41 @@ def test_pa_matches_toeplitz_matrix_at_thousands_of_bits():
     n, m = 3000, 1200
     key = rng.integers(0, 2, n, dtype=np.uint8)
     seed = rng.integers(0, 2, n + m - 1, dtype=np.uint8)
+    matrix = toeplitz_matrix(seed, n, m).astype(np.int64)
+    assert np.array_equal(privacy_amplify(key, m, seed), (matrix @ key) % 2)
+
+
+def _fft_length_oracle(n):
+    """Declared test oracle: count up from n to the first 5-smooth integer."""
+    m = max(n, 1)
+    while True:
+        rest = m
+        for factor in (2, 3, 5):
+            while rest % factor == 0:
+                rest //= factor
+        if rest == 1:
+            return m
+        m += 1
+
+
+def test_fft_length_matches_brute_force():
+    assert [fft_length(n) for n in range(5001)] == [_fft_length_oracle(n) for n in range(5001)]
+    assert (fft_length(1 << 16), fft_length((1 << 16) + 1)) == (1 << 16, 65610)
+
+
+@pytest.mark.parametrize("seed_len, m, fast", [
+    # Seed lengths like metro's and metro-bigblock's, whose fast lengths
+    # are not powers of two, and exact powers of two. Few output rows keep
+    # the materialized matrix small.
+    (5300, 300, 5400), (42500, 64, 43200),
+    (4096, 96, 4096), (32768, 64, 32768),
+])
+def test_pa_matches_toeplitz_matrix_at_fast_fft_lengths(seed_len, m, fast):
+    assert fft_length(seed_len) == fast
+    rng = np.random.default_rng(seed_len)
+    n = seed_len - m + 1
+    key = rng.integers(0, 2, n, dtype=np.uint8)
+    seed = rng.integers(0, 2, seed_len, dtype=np.uint8)
     matrix = toeplitz_matrix(seed, n, m).astype(np.int64)
     assert np.array_equal(privacy_amplify(key, m, seed), (matrix @ key) % 2)
 

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import PulseFrame, transmit_frame
 from qkdnet import physlink as pl
+from qkdnet.bits import random_bits
 from qkdnet.errors import InsufficientSampleError
 from qkdnet.qkdproto import estimate_qber, sift_bb84_events, sift_sarg_events
 
@@ -90,6 +91,63 @@ def test_sift_sarg_noisy_rates():
     qber = float(np.mean(alice != bob))
     assert abs(kept_frac - (e + 0.5) / 2) < 0.005
     assert abs(qber - (e / 2) / (e + 0.5)) < 0.01
+
+
+def _sift_mask_oracle(tx_basis, tx_value, record, protocol, announce_seed=None):
+    """Declared test oracle: both sifters as boolean-mask gathers with
+    ``np.where`` selects, as they were before they gathered by index."""
+    tx_basis = np.asarray(tx_basis, dtype=np.uint8)
+    tx_value = np.asarray(tx_value, dtype=np.uint8)
+    matched = record.rx_basis == tx_basis
+    if protocol == "bb84":
+        return tx_value[matched], record.rx_value[matched], record.slot_index[matched]
+    rng = np.random.default_rng(announce_seed)
+    decoy = random_bits(rng, record.n_events)
+    kept = np.where(matched, tx_value, decoy) != record.rx_value
+    inferred = np.where(matched, decoy, tx_value).astype(np.uint8)
+    return tx_value[kept], inferred[kept], record.slot_index[kept]
+
+
+def _random_record(n, rng, frame_id="r"):
+    slots = np.sort(rng.choice(10 * n + 1, size=n, replace=False))
+    bits = rng.integers(0, 2, size=(4, n), dtype=np.uint8)
+    record = pl.DetectionRecord(frame_id, slots, bits[0], bits[1], bits[2].astype(bool))
+    return bits[3], rng.integers(0, 2, n, dtype=np.uint8), record
+
+
+@pytest.mark.parametrize("case", ["random", "empty", "all-matched", "none-matched"])
+def test_sifters_match_boolean_mask_oracle(case):
+    rng = np.random.default_rng(11)
+    for trial in range(20):
+        n = 0 if case == "empty" else int(rng.integers(1, 2000))
+        tx_basis, tx_value, record = _random_record(n, rng, f"r{trial}")
+        if case == "all-matched":
+            tx_basis = record.rx_basis.copy()
+        elif case == "none-matched":
+            tx_basis = 1 - record.rx_basis
+        for protocol, got in (
+                ("bb84", sift_bb84_events(tx_basis, tx_value, record)),
+                ("sarg", sift_sarg_events(tx_basis, tx_value, record, announce_seed=trial))):
+            want = _sift_mask_oracle(tx_basis, tx_value, record, protocol, trial)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype, (case, protocol)
+                assert np.array_equal(g, w), (case, protocol)
+            if protocol == "bb84" and case == "all-matched":
+                assert got[2].size == n
+            if protocol == "bb84" and case == "none-matched":
+                assert got[2].size == 0
+
+
+@pytest.mark.parametrize("sift", [sift_bb84_events, sift_sarg_events])
+def test_sifters_require_one_tx_entry_per_event(sift):
+    record = _record("f", [0, 1, 2], [0, 0, 1], [1, 0, 0])
+    # Length-1 arrays once broadcast against the record.
+    for tx_basis, tx_value, sizes in (([0], [1, 1, 0], "1 and 3"),
+                                      ([0, 0, 1], [1], "3 and 1"),
+                                      ([0, 0, 1, 1], [1, 1, 0, 0], "4 and 4"),
+                                      ([], [], "0 and 0")):
+        with pytest.raises(ValueError, match=f"record's 3 events, got {sizes}"):
+            sift(tx_basis, tx_value, record)
 
 
 # ---------------------------------------------------------------------------
