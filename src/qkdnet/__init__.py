@@ -16,7 +16,7 @@ Library layers, bottom up:
 
 from .engine import run_scenario
 from .errors import QkdNetError
-from .netgraph import Topology, load_preset, load_topology, required_links, serialize_topology
+from .netgraph import Topology, load_preset, load_topology
 from .physlink import (
     DetectionRecord,
     EveModel,
@@ -35,8 +35,6 @@ __all__ = [
     "Topology",
     "load_preset",
     "load_topology",
-    "required_links",
-    "serialize_topology",
     "DetectionRecord",
     "EveModel",
     "LinkParams",

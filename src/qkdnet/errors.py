@@ -13,10 +13,6 @@ class ConfigurationError(QkdNetError):
     """A runtime object is wired inconsistently (unknown port, bad binding)."""
 
 
-class ProtocolError(QkdNetError):
-    """Peers disagree about protocol state (malformed or unsupported record)."""
-
-
 class InsufficientSampleError(QkdNetError):
     """QBER sample would be below the configured minimum."""
 

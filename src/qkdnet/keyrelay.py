@@ -265,20 +265,16 @@ def find_path(topology: Topology, graph: Dict[str, Dict[str, int]],
 class RelayCoordinator:
     """Executes relay sessions over the shared key store.
 
-    Owns session state and the per-node plaintext ledger used by the
-    trusted-node exposure check: R must only ever appear at nodes on the
-    delivering path.
-
-    It also owns the blocked sessions. :meth:`wait` files one under what
-    can free it: a starved session under its next-hop pair, a path-pending
-    one under its request size, source and destination. :meth:`wake` reads
-    what changed since its last call from one change feed, the store's
-    audit log and the health transitions, each read by cursor, and examines
-    only the sessions filed under a change. The same feed keeps one
-    :func:`relay_graph` of pair levels current, which path search and the
-    wake-up both read for every request size. One readiness rule,
-    :meth:`_ready`, decides for the wake-up and for :meth:`movable`, the
-    test oracle that applies it on a graph built fresh.
+    Owns session state and the blocked sessions. :meth:`wait` files one
+    under what can free it: a starved session under its next-hop pair, a
+    path-pending one under its request size, source and destination.
+    :meth:`wake` reads what changed since its last call from one change
+    feed, the store's audit log and the health transitions, each read by
+    cursor, and examines only the sessions filed under a change. The same
+    feed keeps one :func:`relay_graph` of pair levels current, which path
+    search and the wake-up both read for every request size. One readiness
+    rule, :meth:`_ready`, decides which of the examined sessions a step
+    would move.
     """
 
     def __init__(self, topology: Topology, health: HealthMonitor, store: KeyStore,
@@ -291,8 +287,6 @@ class RelayCoordinator:
         # QKD authentication upkeep cannot be starved by relay traffic.
         self.reserve_bits = reserve_bits
         self.sessions: Dict[str, RelaySession] = {}
-        self.node_plaintexts: Dict[str, List[bytes]] = {n: [] for n in topology.nodes}
-        self.corrupt_hops: Set[Tuple[str, int]] = set()  # fault injection for tests
         self._counter = 0
         # Blocked sessions by request number, each filed in one queue: a
         # starved one under its next-hop pair, a path-pending one under
@@ -329,21 +323,6 @@ class RelayCoordinator:
         self._select_path(session)
         return session
 
-    def status(self, session_id: str) -> RelayStatus:
-        return self.sessions[session_id].status
-
-    def cancel(self, session_id: str, time_s: float = 0.0) -> RelaySession:
-        """Abort a session; key consumed so far is written off, never reused."""
-        session = self.sessions[session_id]
-        if session.terminal:
-            return session
-        if session.seq in self.waiting:
-            self._unfile(session)
-        self._write_off(session, time_s, "cancelled")
-        session.status = RelayStatus.FAILED
-        session.failure_cause = "cancelled"
-        return session
-
     def _write_off(self, session: RelaySession, time_s: float, reason: str) -> bool:
         """Write off every one-time pad the session consumed, so none is
         ever reused; whether any hop had been transmitted."""
@@ -368,7 +347,6 @@ class RelayCoordinator:
         session.status = RelayStatus.IN_FLIGHT
         if session.secret is None:
             session.secret = random_bits(self.rng, session.r_length_bits)
-            self.node_plaintexts[session.src].append(bits_to_bytes(session.secret))
         return True
 
     # -- blocked sessions ---------------------------------------------------
@@ -485,11 +463,6 @@ class RelayCoordinator:
                 ready.append(session)
         return ready
 
-    def movable(self, sessions: Iterable[RelaySession]) -> List[RelaySession]:
-        """:meth:`_ready` on a relay graph built fresh: the full scan that
-        is the test oracle of :meth:`wake`."""
-        return self._ready(sessions, relay_graph(self.topology, self.health, self.store), {})
-
     def step(self, session: RelaySession, time_s: float) -> str:
         """Advance the session by at most one hop.
 
@@ -520,8 +493,6 @@ class RelayCoordinator:
         record = Record(RecordType.RELAY_HOP, frame_id=session.seq, payload=payload)
         message = encode_record(record)
         tag = auth_tag(auth_key, message)
-        if (session.session_id, hop) in self.corrupt_hops:
-            message = message[:-1] + bytes([message[-1] ^ 0x01])
         if not verify_tag(auth_key, message, tag):
             cause = "authentication failure"
             self._write_off(session, time_s, cause)
@@ -534,8 +505,6 @@ class RelayCoordinator:
                                   "relay authentication failure")
             return "failed"
 
-        recovered = xor_bits(ciphertext, key)
-        self.node_plaintexts[rx].append(bits_to_bytes(recovered))
         session.hop_transcripts.append(HopTranscript(
             hop_index=hop, tx_node=tx, rx_node=rx, pair=pair_key(tx, rx),
             ciphertext=ciphertext,
@@ -545,7 +514,7 @@ class RelayCoordinator:
             message=message, time_s=time_s))
         session.next_hop += 1
         if session.next_hop == len(session.path) - 1:
-            session.delivered_secret = recovered
+            session.delivered_secret = xor_bits(ciphertext, key)
             session.delivered_at = time_s
             session.status = RelayStatus.DELIVERED
             segment_id = f"{session.session_id}:r{session.regenerations}"
@@ -564,7 +533,6 @@ class RelayCoordinator:
         if self._write_off(session, time_s, f"reroute: {cause}"):
             session.secret = random_bits(self.rng, session.r_length_bits)
             session.regenerations += 1
-            self.node_plaintexts[session.src].append(bits_to_bytes(session.secret))
         if not self._select_path(session):
             session.status = RelayStatus.FAILED
             session.failure_cause = f"no alternate path ({cause})"

@@ -187,9 +187,6 @@ class KeyStore:
             return 0
         return self.reservoirs[key].available
 
-    def pairs(self) -> List[Tuple[str, str]]:
-        return sorted(self.reservoirs)
-
 
 def scan_one_time_use(audit: List[AuditRecord]) -> List[str]:
     """Audit-scan for double-spend: consume ranges must be disjoint per pair.

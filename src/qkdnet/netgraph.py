@@ -3,8 +3,7 @@
 The config document is JSON with a versioned header. Parsing is strict:
 unknown keys are rejected so scenarios stay reproducible. The schema is
 documented in docs/formats.md; :func:`load_topology` accepts a dict or a
-JSON string, and :func:`serialize_topology` emits the canonical form that
-round-trips to an identical topology.
+JSON string.
 """
 
 from __future__ import annotations
@@ -56,11 +55,6 @@ class LinkHealth(Enum):
     UP = "up"
     DEGRADED = "degraded"
     CUT = "cut"
-
-
-class TopologyKind(Enum):
-    FULL_MESH = "full_mesh"
-    STAR = "star"
 
 
 @dataclass(frozen=True)
@@ -287,15 +281,6 @@ class Topology:
         return legs[0]
 
 
-def required_links(n_enclaves: int, topology_kind: TopologyKind) -> int:
-    """Links needed to join n enclaves: full mesh n(n-1)/2, star n."""
-    if n_enclaves < 2:
-        raise ValidationError("a key-distribution network needs at least 2 enclaves")
-    if topology_kind is TopologyKind.FULL_MESH:
-        return n_enclaves * (n_enclaves - 1) // 2
-    return n_enclaves
-
-
 # --------------------------------------------------------------------------
 # Config parsing
 # --------------------------------------------------------------------------
@@ -450,60 +435,6 @@ def load_topology(config: Union[str, dict]) -> Topology:
     # phase dynamics, and the run reads them from here.
     topology.qkd_channels()
     return topology
-
-
-def serialize_topology(topology: Topology) -> dict:
-    """Canonical config form; load_topology(serialize_topology(t)) == t."""
-    doc = {
-        "version": CONFIG_VERSION,
-        "name": topology.name,
-        "description": topology.description,
-        "nodes": [
-            {"id": n.node_id, "role": n.role.value, "trusted": n.trusted}
-            for n in sorted(topology.nodes.values(), key=lambda n: n.node_id)
-        ],
-        "links": [],
-        "switches": [],
-        "channels": [],
-        "prepositioned": [],
-        "defaults": {
-            "fiber_loss_db_per_km": topology.fiber_loss_db_per_km,
-            "params": dict(sorted(topology.default_params.items())),
-            "drift_rate_rad_per_s": topology.drift_rate_rad_per_s,
-            "feedback_gain": topology.feedback_gain,
-        },
-    }
-    for link in sorted(topology.links.values(), key=lambda l: l.link_id):
-        doc["links"].append({
-            "id": link.link_id, "a": link.a, "b": link.b,
-            "length_km": link.length_km,
-            "loss_db_override": link.loss_db_override,
-            "params": dict(sorted(link.params.items())),
-        })
-    for sw in sorted(topology.switches.values(), key=lambda s: s.switch_id):
-        doc["switches"].append({
-            "id": sw.switch_id,
-            "tx_ports": list(sw.tx_ports),
-            "rx_ports": list(sw.rx_ports),
-            "initial_position": sw.position.value,
-            "schedule_period_s": sw.schedule_period_s,
-            "insertion_loss_db": sw.insertion_loss_db,
-            "toggle_times_s": list(sw.toggle_times_s),
-        })
-    for ov in sorted(topology.channels, key=lambda o: (o.tx, o.rx)):
-        entry = {"tx": ov.tx, "rx": ov.rx, "params": dict(sorted(ov.params.items()))}
-        if ov.estimator:
-            entry["estimator"] = ov.estimator.value
-        if ov.sifting:
-            entry["sifting"] = ov.sifting.value
-        if ov.drift_rate_rad_per_s is not None:
-            entry["drift_rate_rad_per_s"] = ov.drift_rate_rad_per_s
-        if ov.feedback_gain is not None:
-            entry["feedback_gain"] = ov.feedback_gain
-        doc["channels"].append(entry)
-    for pre in sorted(topology.prepositioned, key=lambda p: (p.a, p.b)):
-        doc["prepositioned"].append({"a": pre.a, "b": pre.b, "bits": pre.bits})
-    return doc
 
 
 # --------------------------------------------------------------------------

@@ -51,6 +51,12 @@ __all__ = [
     "apply_training_feedback",
 ]
 
+# Slot numbers are int64, which a 1e20 Hz gate rate overflows within a
+# window. 1 GHz covers the fastest gated detectors, and no detector is
+# dead for a second.
+MAX_PULSE_RATE_HZ = 1e9
+MAX_DEAD_TIME_S = 1.0
+
 
 class ClickLaw(NamedTuple):
     """One gate's click law on a link with no attacker.
@@ -88,18 +94,20 @@ class LinkParams:
     intrinsic_error: float = 0.02
 
     def __post_init__(self):
-        if self.pulse_rate_hz <= 0:
-            raise ValueError("pulse_rate_hz must be positive")
-        if self.mean_photon_number < 0:
-            raise ValueError("mean_photon_number must be non-negative")
-        if self.channel_loss_db < 0 or self.insertion_loss_db < 0:
+        # Each check fails on NaN. The one infinity allowed is a loss: a
+        # dark fiber, whose transmittance is 0.
+        if not 0 < self.pulse_rate_hz <= MAX_PULSE_RATE_HZ:
+            raise ValueError(f"pulse_rate_hz must be in (0, {MAX_PULSE_RATE_HZ:g}]")
+        if not 0 <= self.mean_photon_number < math.inf:
+            raise ValueError("mean_photon_number must be finite and non-negative")
+        if not (self.channel_loss_db >= 0 and self.insertion_loss_db >= 0):
             raise ValueError("losses must be non-negative")
         if not 0.0 <= self.detector_efficiency <= 1.0:
             raise ValueError("detector_efficiency must be in [0, 1]")
         if not 0.0 <= self.dark_count_prob <= 1.0:
             raise ValueError("dark_count_prob must be in [0, 1]")
-        if self.dead_time_s < 0:
-            raise ValueError("dead_time_s must be non-negative")
+        if not 0 <= self.dead_time_s <= MAX_DEAD_TIME_S:
+            raise ValueError(f"dead_time_s must be in [0, {MAX_DEAD_TIME_S:g}]")
         if not 0.0 <= self.intrinsic_error <= 0.5:
             raise ValueError("intrinsic_error must be in [0, 0.5]")
 
@@ -212,10 +220,6 @@ class EveModel:
             raise ValueError("intercept_fraction must be in [0, 1]")
 
     @classmethod
-    def none(cls) -> "EveModel":
-        return cls(kind=EveKind.NONE)
-
-    @classmethod
     def intercept_resend(cls, fraction: float = 1.0) -> "EveModel":
         return cls(kind=EveKind.INTERCEPT_RESEND, intercept_fraction=fraction)
 
@@ -248,6 +252,10 @@ class PhaseState:
     preferred_sign: int = 1
 
     def __post_init__(self):
+        probe = 0.0 if self.probe_correction is None else self.probe_correction
+        if not all(map(math.isfinite, (self.phase_error_rad, self.drift_rate_rad_per_s,
+                                       probe, self.probe_reference_qber))):
+            raise ValueError("phase state values must be finite")
         if not 0.0 < self.feedback_gain <= 1.0:
             raise ValueError("feedback_gain must be in (0, 1]")
         if self.drift_rate_rad_per_s < 0:

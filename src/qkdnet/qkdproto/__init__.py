@@ -9,7 +9,7 @@ from .qber import QberEstimate, estimate_qber
 from .cascade import reconcile_cascade
 from .secrecy import SECURITY_MARGIN_BITS, EstimatorKind, multi_photon_fraction, privacy_amplify, secret_length, usable_fraction
 from .auth import AUTH_KEY_BITS_PER_TAG, TAG_BITS, auth_tag, verify_tag
-from .wire import Record, RecordType, WIRE_VERSION, decode_record, encode_record
+from .wire import Record, RecordType, WIRE_VERSION, encode_record
 
 __all__ = [
     "SiftingProtocol",
@@ -31,6 +31,5 @@ __all__ = [
     "Record",
     "RecordType",
     "WIRE_VERSION",
-    "decode_record",
     "encode_record",
 ]

@@ -20,9 +20,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Tuple
-
-from ..errors import ProtocolError
 
 WIRE_VERSION = 1
 _HEADER = struct.Struct("<BBQI")
@@ -43,21 +40,3 @@ class Record:
 def encode_record(record: Record) -> bytes:
     return _HEADER.pack(record.version, int(record.rtype), record.frame_id,
                         len(record.payload)) + record.payload
-
-
-def decode_record(buf: bytes, offset: int = 0) -> Tuple[Record, int]:
-    """Decode one record starting at ``offset``; returns (record, next_offset)."""
-    if offset + _HEADER.size > len(buf):
-        raise ProtocolError("truncated record header")
-    version, rtype, frame_id, length = _HEADER.unpack_from(buf, offset)
-    if version != WIRE_VERSION:
-        raise ProtocolError(f"unsupported wire version {version}")
-    try:
-        rtype = RecordType(rtype)
-    except ValueError as exc:
-        raise ProtocolError(f"unknown record type {rtype}") from exc
-    start = offset + _HEADER.size
-    end = start + length
-    if end > len(buf):
-        raise ProtocolError("truncated record payload")
-    return Record(rtype, frame_id, buf[start:end]), end

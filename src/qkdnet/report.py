@@ -290,11 +290,31 @@ def read_records(path: Union[str, Path]) -> MetricsReport:
 def verify_report(report: MetricsReport) -> List[str]:
     """Re-check audited invariants from the emitted records.
 
-    Covers the series rows' ranges, one-time-pad uniqueness (which implies
-    purpose separation), per-pair reservoir conservation, key-block
-    isolation across switch events, and each block's secret length.
+    Covers the series rows' ranges, block and relay delivery times,
+    one-time-pad uniqueness (which implies purpose separation), per-pair
+    reservoir conservation, key-block isolation across switch events, and
+    each block's secret length.
     """
     problems = report.series_problems() + scan_one_time_use(report.audit)
+
+    # Times: a block ends no earlier than it starts, and a relay is
+    # delivered no earlier than it was requested, both within the run.
+    end = report.duration_s
+    for block in report.blocks:
+        if block.t_end < block.t_start:
+            problems.append(f"block {block.block_id}: ends at t={block.t_end} "
+                            f"before it starts at t={block.t_start}")
+        if not (0.0 <= block.t_start <= end and 0.0 <= block.t_end <= end):
+            problems.append(f"block {block.block_id}: time outside [0, {end}]")
+    for relay in report.relay_sessions:
+        if relay.status != "delivered":
+            continue
+        if relay.delivered_at is None:
+            problems.append(f"relay {relay.session_id}: delivered without a delivered_at")
+        elif not relay.requested_at <= relay.delivered_at <= end:
+            problems.append(f"relay {relay.session_id}: delivered at t={relay.delivered_at}, "
+                            f"outside [{relay.requested_at}, {end}] from its request "
+                            f"to the end of the run")
 
     # Conservation per pair: deposits observed in the audit must equal
     # consumed + available in the final snapshot.

@@ -7,25 +7,30 @@ engine runs.
   slot, the attacker's loss budget (:func:`_pns_channel`) pulse by pulse.
   It is the statistical oracle of :func:`qkdnet.physlink.sample_link_window`.
 * :func:`toeplitz_matrix` materializes privacy amplification's hash matrix.
-* :func:`encode_records` / :func:`decode_records` frame a stream of
-  public-channel records.
+* :func:`decode_record` parses one public-channel record, raising
+  :class:`ProtocolError` on a malformed one; :func:`encode_records` /
+  :func:`decode_records` frame a stream of them.
 * :func:`estimate_secret_length` is the channel-level form of
   :func:`qkdnet.qkdproto.secret_length`.
+* :func:`movable` is the full-scan oracle of
+  :meth:`qkdnet.keyrelay.RelayCoordinator.wake`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from qkdnet.bits import random_bits
 from qkdnet.errors import InvalidRequestError, QkdNetError
+from qkdnet.keyrelay import RelayCoordinator, RelaySession, relay_graph
 from qkdnet.physlink import (DetectionRecord, EveKind, EveModel, EveTally, LinkParams,
                              PhaseState, _live_clicks, phase_error_rate)
-from qkdnet.qkdproto import (EstimatorKind, Record, SiftingProtocol, decode_record,
-                             encode_record, secret_length, usable_fraction)
+from qkdnet.qkdproto import (WIRE_VERSION, EstimatorKind, Record, RecordType,
+                             SiftingProtocol, encode_record, secret_length, usable_fraction)
+from qkdnet.qkdproto.wire import _HEADER
 
 # Resource guard for the dense per-slot path.
 DEFAULT_MAX_FRAME_SLOTS = 1 << 21
@@ -33,6 +38,10 @@ DEFAULT_MAX_FRAME_SLOTS = 1 << 21
 
 class FrameTooLargeError(QkdNetError):
     """Pulse frame exceeds the per-frame slot cap."""
+
+
+class ProtocolError(QkdNetError):
+    """A malformed or unsupported public-channel record."""
 
 
 @dataclass(frozen=True)
@@ -177,6 +186,24 @@ def toeplitz_matrix(seed: np.ndarray, n_key: int, n_out: int) -> np.ndarray:
     return seed[n_key - 1 + i[:, None] - j[None, :]]
 
 
+def decode_record(buf: bytes, offset: int = 0) -> Tuple[Record, int]:
+    """Decode one record starting at ``offset``; returns (record, next_offset)."""
+    if offset + _HEADER.size > len(buf):
+        raise ProtocolError("truncated record header")
+    version, rtype, frame_id, length = _HEADER.unpack_from(buf, offset)
+    if version != WIRE_VERSION:
+        raise ProtocolError(f"unsupported wire version {version}")
+    try:
+        rtype = RecordType(rtype)
+    except ValueError as exc:
+        raise ProtocolError(f"unknown record type {rtype}") from exc
+    start = offset + _HEADER.size
+    end = start + length
+    if end > len(buf):
+        raise ProtocolError("truncated record payload")
+    return Record(rtype, frame_id, buf[start:end]), end
+
+
 def encode_records(records: Iterable[Record]) -> bytes:
     return b"".join(encode_record(r) for r in records)
 
@@ -196,3 +223,9 @@ def estimate_secret_length(kind: EstimatorKind, n: int, qber: float, bits_leaked
     """:func:`qkdnet.qkdproto.secret_length` with the usable fraction that a
     channel with estimator ``kind``, physics ``link`` and ``sifting`` credits."""
     return secret_length(n, qber, bits_leaked, usable_fraction(kind, sifting, link))
+
+
+def movable(coord: RelayCoordinator, sessions: Iterable[RelaySession]) -> List[RelaySession]:
+    """The coordinator's readiness rule on a relay graph built fresh: the
+    sessions among ``sessions`` that a step would move now."""
+    return coord._ready(sessions, relay_graph(coord.topology, coord.health, coord.store), {})

@@ -3,15 +3,13 @@
 import numpy as np
 import pytest
 
-from oracles import decode_records, encode_records
-from qkdnet.errors import ProtocolError
+from oracles import ProtocolError, decode_record, decode_records, encode_records
 from qkdnet.qkdproto.auth import _PRIME, _poly_hash
 from qkdnet.qkdproto import (
     AUTH_KEY_BITS_PER_TAG,
     Record,
     RecordType,
     auth_tag,
-    decode_record,
     encode_record,
     verify_tag,
 )

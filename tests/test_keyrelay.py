@@ -5,6 +5,8 @@ import struct
 import numpy as np
 import pytest
 
+from oracles import decode_record, movable
+from qkdnet import keyrelay
 from qkdnet import netgraph as ng
 from qkdnet.bits import xor_bits
 from qkdnet.errors import NoPathError
@@ -12,7 +14,8 @@ from qkdnet.keyrelay import (HealthMonitor, RelayCoordinator, RelayStatus, find_
                              hop_need, relay_graph)
 from qkdnet.keystore import ConsumePurpose, KeyOrigin, KeyStore, scan_one_time_use
 from qkdnet.netgraph import LinkHealth
-from qkdnet.qkdproto.wire import RecordType, decode_record
+from qkdnet.qkdproto.auth import auth_tag
+from qkdnet.qkdproto.wire import RecordType
 
 
 class _StubRng:
@@ -42,6 +45,17 @@ def _seed(store, pairs, bits=6000, seed=0):
     for a, b in pairs:
         store.reservoir(a, b).deposit(
             "seed", rng.integers(0, 2, bits, dtype=np.uint8), KeyOrigin.DIRECT_QKD)
+
+
+def _holders(store, secret, transcripts, src):
+    """The nodes that hold ``secret``: ``src``, and each hop's receiver whose
+    one-time pad opens that hop's ciphertext to it."""
+    holders = {src}
+    for t in transcripts:
+        pad = store.reservoir(*t.pair).peek(t.otp_offset_start, secret.size)
+        if np.array_equal(xor_bits(t.ciphertext, pad), secret):
+            holders.add(t.rx_node)
+    return holders
 
 
 def _chain(n):
@@ -323,23 +337,31 @@ def test_movable_reports_sessions_a_step_would_move():
     assert coord.step(starved, 0.2) == "starved"
     pending = coord.request("N1", "N2", 2048, time_s=0.3)
     assert pending.status is RelayStatus.PATH_PENDING
-    assert coord.movable([starved, pending]) == []
+    assert movable(coord, [starved, pending]) == []
     store.reservoir("N1", "N2").deposit(
         "more", np.random.default_rng(1).integers(0, 2, 4000, dtype=np.uint8),
         KeyOrigin.DIRECT_QKD)
-    assert coord.movable([starved, pending]) == [starved, pending]
+    assert movable(coord, [starved, pending]) == [starved, pending]
     health.force("N1-N2", LinkHealth.CUT, 1.0, "test")
-    assert coord.movable([starved, pending]) == [starved]  # its step reroutes
+    assert movable(coord, [starved, pending]) == [starved]  # its step reroutes
 
 
-def test_relay_auth_failure_fails_session_and_degrades_link():
+def test_relay_auth_failure_fails_session_and_degrades_link(monkeypatch):
+    # Hop 1's tag has one bit flipped, so the receiver's check fails there.
+    def tag_corrupted_at_hop_1(key, message):
+        tag = auth_tag(key, message)
+        record, _ = decode_record(message)
+        if struct.unpack_from("<IH", record.payload)[1] == 1:
+            tag[0] ^= 1
+        return tag
+
+    monkeypatch.setattr(keyrelay, "auth_tag", tag_corrupted_at_hop_1)
     topo, pairs = _chain(3)
     store = KeyStore()
     _seed(store, pairs)
     health = HealthMonitor()
     coord = RelayCoordinator(topo, health, store, np.random.default_rng(10))
     session = coord.request("N0", "N2", 512, time_s=0.0)
-    coord.corrupt_hops.add((session.session_id, 1))
     assert coord.drive(session, 1.0) == "failed"
     assert session.status is RelayStatus.FAILED
     assert health.status("N1-N2") is LinkHealth.DEGRADED
@@ -350,6 +372,11 @@ def test_relay_auth_failure_fails_session_and_degrades_link():
                  if a.kind == "write_off"]
     assert len(pads) == 2
     assert sorted(writeoffs) == sorted(pads)
+    assert scan_one_time_use(store.audit) == []
+    # A failed session never steps again.
+    audited = len(store.audit)
+    assert coord.step(session, 2.0) == "failed"
+    assert len(store.audit) == audited
 
 
 def test_reroute_mid_session_writes_off_and_regenerates():
@@ -375,24 +402,6 @@ def test_reroute_mid_session_writes_off_and_regenerates():
     assert scan_one_time_use(store.audit) == []
 
 
-def test_session_api_status_and_cancel():
-    topo, pairs = _chain(3)
-    store = KeyStore()
-    _seed(store, pairs)
-    coord = RelayCoordinator(topo, HealthMonitor(), store, np.random.default_rng(14))
-    session = coord.request("N0", "N2", 512, time_s=0.0)
-    assert coord.status(session.session_id) is RelayStatus.IN_FLIGHT
-    coord.step(session, 0.1)
-    cancelled = coord.cancel(session.session_id, time_s=0.2)
-    assert cancelled.status is RelayStatus.FAILED
-    assert cancelled.failure_cause == "cancelled"
-    writeoffs = [a for a in store.audit if a.kind == "write_off"]
-    assert len(writeoffs) == 1
-    assert scan_one_time_use(store.audit) == []
-    # A cancelled session never advances again.
-    assert coord.step(session, 0.3) == "failed"
-
-
 def test_reroute_all_paths_cut_fails():
     topo, pairs = _chain(3)
     store = KeyStore()
@@ -416,11 +425,36 @@ def test_trusted_node_exposure_limited_to_path():
     session = coord.request("S", "D", 500, time_s=0.0)
     assert coord.drive(session, 0.5) == "delivered"
     assert session.path == ["S", "R1", "D"]
-    assert coord.node_plaintexts["R2"] == []
-    from qkdnet.bits import bits_to_bytes
-    r_bytes = bits_to_bytes(session.secret)
-    for node in ("S", "R1", "D"):
-        assert r_bytes in coord.node_plaintexts[node]
+    assert "R2" not in {t.rx_node for t in session.hop_transcripts}
+    assert _holders(store, session.secret, session.hop_transcripts, "S") == {"S", "R1", "D"}
+
+
+def test_exposure_after_a_reroute_is_the_final_path_and_the_first_hop():
+    # One hop on S-R1, then R1-D is cut: the session regenerates R and
+    # delivers through R2. The first R stays at S and R1 only.
+    specs = [("S", "tx"), ("R1", "relay"), ("R2", "relay"), ("D", "rx")]
+    pairs = [("S", "R1"), ("S", "R2"), ("R1", "D"), ("R2", "D")]
+    topo = _relay_mesh(specs, pairs)
+    store = KeyStore()
+    _seed(store, pairs, bits=4000)
+    health = HealthMonitor()
+    coord = RelayCoordinator(topo, health, store, np.random.default_rng(16))
+    session = coord.request("S", "D", 500, time_s=0.0)
+    assert session.path == ["S", "R1", "D"]
+    assert coord.step(session, 0.1) == "advanced"
+    first_secret, first_transcripts = session.secret.copy(), list(session.hop_transcripts)
+    health.force("R1-D", LinkHealth.CUT, 0.2, "test cut")
+    assert coord.step(session, 0.3) == "rerouted"
+    assert session.regenerations == 1 and session.hop_transcripts == []
+    assert coord.drive(session, 0.4) == "delivered"
+    assert session.path == ["S", "R2", "D"]
+    # Each final hop's receiver opens its ciphertext to the regenerated R.
+    final = session.hop_transcripts
+    assert [t.rx_node for t in final] == ["R2", "D"]
+    assert _holders(store, session.secret, final, "S") == set(session.path)
+    assert _holders(store, session.secret, first_transcripts, "S") == {"S"}
+    assert _holders(store, first_secret, first_transcripts, "S") == {"S", "R1"}
+    assert _holders(store, first_secret, final, "S") == {"S"}
 
 
 def test_randomized_cut_sessions_always_deliver_when_possible():

@@ -125,4 +125,3 @@ def test_store_shares_single_audit_log():
     store.reservoir("C", "B").deposit("s1", _bits(10), KeyOrigin.DIRECT_QKD)
     assert len(store.audit) == 2
     assert store.available("B", "A") == 10
-    assert store.pairs() == [("A", "B"), ("B", "C")]

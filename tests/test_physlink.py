@@ -346,7 +346,7 @@ def _window_oracle(params: LinkParams, phase: PhaseState, n_slots: int, rng_seed
     photon-number-splitting attacker needs per-slot bookkeeping and is not
     supported here.
     """
-    eve = eve if eve is not None else EveModel.none()
+    eve = eve if eve is not None else EveModel()
     if eve.kind is EveKind.PHOTON_NUMBER_SPLIT:
         raise ValueError("PNS attacker requires the per-slot transmit_frame path")
     rng = np.random.default_rng(rng_seed)
@@ -480,7 +480,7 @@ def test_window_sampler_matches_oracle_bit_for_bit():
         # Darks only.
         dict(mean_photon_number=0.0, dark_count_prob=0.01, dead_time_s=1e-6),
     ]
-    eves = [None, pl.EveModel.none(), pl.EveModel.intercept_resend(0.5)]
+    eves = [None, pl.EveModel(), pl.EveModel.intercept_resend(0.5)]
     phases = [PHASE0, pl.PhaseState(phase_error_rad=0.4)]
     multi_batch = 0
     for gi, kw in enumerate(grid):
@@ -559,6 +559,19 @@ def test_detection_record_requires_equal_lengths():
                            np.zeros(5, np.uint8), np.zeros(1, bool))
     with pytest.raises(ValueError, match="equal lengths, got 2, 2, 2, 3"):
         pl.DetectionRecord("r", [1, 4], [0, 1], [1, 1], [False, True, False])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LinkParams(pulse_rate_hz=math.nan),
+    lambda: LinkParams(mean_photon_number=math.nan),
+    lambda: LinkParams(pulse_rate_hz=1e20),
+    lambda: LinkParams(dead_time_s=1e300),
+    lambda: PhaseState(drift_rate_rad_per_s=math.nan),
+    lambda: PhaseState(phase_error_rad=math.inf),
+], ids=["rate-nan", "mu-nan", "rate-1e20", "dead-time-1e300", "drift-nan", "phase-inf"])
+def test_link_and_phase_values_must_be_numbers_in_range(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_click_law_is_cached_per_instance():

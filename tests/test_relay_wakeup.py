@@ -1,10 +1,11 @@
 """Relay wake-ups: the coordinator's index of blocked sessions against its
-declared oracle, ``RelayCoordinator.movable``, and its cost as demand grows."""
+declared oracle, :func:`oracles.movable`, and its cost as demand grows."""
 
 import random
 
 import numpy as np
 
+from oracles import movable
 from qkdnet import netgraph as ng
 from qkdnet.engine import run_scenario
 from qkdnet.keyrelay import HealthMonitor, RelayCoordinator, RelayStatus, hop_need
@@ -28,8 +29,8 @@ def _mesh():
 
 
 def _wake_against_the_oracle(draw_size):
-    """Random deposits, consumes, health flips, requests, steps and
-    cancels, with ``wake()`` checked against ``movable`` after each."""
+    """Random deposits, consumes, health flips, requests and steps, with
+    ``wake()`` checked against ``movable`` after each."""
     topo = _mesh()
     channels = [ch.channel_id for ch in topo.qkd_channels()]
     pairs = sorted(topo.channel_ids_by_pair) + [("D", "S"), ("S", "U")]
@@ -45,8 +46,8 @@ def _wake_against_the_oracle(draw_size):
         active = []
         for step in range(200):
             t = float(step)
-            op = rng.choices(("deposit", "consume", "health", "request", "step", "cancel"),
-                             (8, 8, 4, 4, 8, 1))[0]
+            op = rng.choices(("deposit", "consume", "health", "request", "step"),
+                             (8, 8, 4, 4, 8))[0]
             if op == "deposit":
                 a, b = rng.choice(pairs)
                 store.reservoir(a, b).deposit(
@@ -71,9 +72,6 @@ def _wake_against_the_oracle(draw_size):
                     coord.wait(session)
                 else:
                     active.append(session)
-            elif op == "cancel":
-                if coord.waiting:
-                    coord.cancel(rng.choice(list(coord.waiting.values())).session_id, t)
             elif active:
                 session = active.pop(rng.randrange(len(active)))
                 outcome = coord.step(session, t)
@@ -82,7 +80,7 @@ def _wake_against_the_oracle(draw_size):
                 elif outcome in ("starved", "pending"):
                     coord.wait(session)
             waiting = [coord.waiting[n] for n in sorted(coord.waiting)]
-            expected = coord.movable(waiting)
+            expected = movable(coord, waiting)
             for session in expected:
                 woken_by_status[session.status] += 1
             assert coord.wake() == expected, (seed, step, op)
@@ -110,7 +108,7 @@ def test_a_rise_to_exactly_a_hop_need_wakes_that_size_only():
         coord.wait(session)
     store.reservoir("S", "D").deposit(
         "fund", np.zeros(hop_need(1000, 64), dtype=np.uint8), KeyOrigin.PREPOSITIONED, 1.0)
-    assert coord.wake() == coord.movable(sessions) == sessions[:1]
+    assert coord.wake() == movable(coord, sessions) == sessions[:1]
 
 
 def test_woken_path_pending_sessions_leave_no_empty_queues():
@@ -156,7 +154,7 @@ def _chain_scenario(requests: int) -> dict:
 
 def _full_scan_wake(self):
     """The wake-up as a full scan: every waiting session through the oracle."""
-    ready = self.movable([self.waiting[n] for n in sorted(self.waiting)])
+    ready = movable(self, [self.waiting[n] for n in sorted(self.waiting)])
     for session in ready:
         self._unfile(session)
     return ready

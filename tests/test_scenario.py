@@ -635,6 +635,41 @@ def test_cli_verify_flags_out_of_range_series_rows(tmp_path, capsys):
     assert clean.validate() is clean and verify_report(clean) == []
 
 
+def test_cli_verify_flags_block_and_delivery_times(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(_minimal(duration=15.0, events=[
+        {"t": 0.0, "kind": "start_qkd", "tx": "Anna", "rx": "Bob"},
+        {"t": 1.0, "kind": "relay_request", "src": "Anna", "dst": "Bob", "bits": 256}])))
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(path), "--out", str(out), "--format", "records"]) == 0
+    assert main(["verify", "--records", str(out / "metrics.records.jsonl")]) == 0
+    lines = (out / "metrics.records.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    at_block = next(i for i, r in enumerate(records) if r["type"] == "block")
+    at_relay = next(i for i, r in enumerate(records)
+                    if r["type"] == "relay" and r["status"] == "delivered")
+    block, relay = records[at_block], records[at_relay]
+    t0, t1, asked = block["t_start"], block["t_end"], relay["requested_at"]
+    where = f"outside [{asked}, 15.0] from its request to the end of the run"
+    for at, edit, message in (
+            (at_block, {"t_start": t1, "t_end": t0},
+             f"block {block['block_id']}: ends at t={t0} before it starts at t={t1}"),
+            (at_block, {"t_start": -1.0}, f"block {block['block_id']}: time outside [0, 15.0]"),
+            (at_block, {"t_end": 16.0}, f"block {block['block_id']}: time outside [0, 15.0]"),
+            (at_relay, {"delivered_at": None},
+             f"relay {relay['session_id']}: delivered without a delivered_at"),
+            (at_relay, {"delivered_at": asked - 0.5},
+             f"relay {relay['session_id']}: delivered at t={asked - 0.5}, {where}"),
+            (at_relay, {"delivered_at": 16.0},
+             f"relay {relay['session_id']}: delivered at t=16.0, {where}")):
+        edited = tmp_path / "edited.jsonl"
+        edited.write_text("\n".join(
+            lines[:at] + [json.dumps({**records[at], **edit})] + lines[at + 1:]) + "\n")
+        capsys.readouterr()
+        assert main(["verify", "--records", str(edited)]) == 2
+        assert capsys.readouterr().out.splitlines() == [f"FAIL {message}"]
+
+
 def test_cli_overrides_apply_to_the_loaded_scenario(tmp_path, capsys):
     # Overrides once edited the raw document, so a JSON list crashed them.
     listed = tmp_path / "list.json"
@@ -787,6 +822,31 @@ def test_pns_attack_from_start_samples_empty_data_windows(monkeypatch, tmp_path)
     path = tmp_path / "records.jsonl"
     path.write_text(report.emit_records())
     assert main(["verify", "--records", str(path)]) == 0
+
+
+def test_link_rate_and_dead_time_are_bounded_at_load(tmp_path, capsys):
+    # 1e300 Hz and 1e300 s of dead time once loaded and then overflowed the
+    # link sampler with a traceback; 1e20 Hz overflowed int64 and ran on
+    # for minutes.
+    def two_nodes(params):
+        return {"version": 1, "duration_s": 2.0, "seed": 1,
+                "topology": {"version": 1,
+                             "nodes": [{"id": "A", "role": "tx"}, {"id": "B", "role": "rx"}],
+                             "links": [{"id": "a-b", "a": "A", "b": "B", "length_km": 5.0}],
+                             "defaults": {"params": params}},
+                "events": [{"t": 0.0, "kind": "start_qkd", "tx": "A", "rx": "B"}]}
+
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(two_nodes({"pulse_rate_hz": 1e9})))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
+    for params, message in (({"pulse_rate_hz": 1e300}, "pulse_rate_hz must be in (0, 1e+09]"),
+                            ({"pulse_rate_hz": 1e20}, "pulse_rate_hz must be in (0, 1e+09]"),
+                            ({"dead_time_s": 1e300}, "dead_time_s must be in [0, 1]")):
+        path.write_text(json.dumps(two_nodes(params)))
+        capsys.readouterr()
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"validation error: channel A-B: invalid parameters: {message}"]
 
 
 def test_slow_pulse_rate_does_not_hang_the_event_loop(tmp_path):
