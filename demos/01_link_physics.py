@@ -18,14 +18,14 @@ print("=== Click probability vs fiber loss (mu=0.5, eta=10%) ===")
 for loss_db in (0, 2, 5, 10, 15, 20):
     params = pl.LinkParams(mean_photon_number=0.5, channel_loss_db=loss_db,
                            detector_efficiency=0.1, dark_count_prob=1e-5)
-    print(f"  {loss_db:>4.1f} dB -> p(click per gate) = {pl.click_probability(params):.6f}")
+    print(f"  {loss_db:>4.1f} dB -> p(click per gate) = {params.click_law.q:.6f}")
 
 print("\n=== Dead time throttles the event rate ===")
 params = pl.LinkParams(mean_photon_number=0.5, detector_efficiency=1.0,
                        dark_count_prob=0.0, dead_time_s=1e-5)
 n_slots = 500_000
 _, _, record = pl.sample_link_window(params, phase, n_slots, rng_seed=2)
-p = pl.click_probability(params)
+p = params.click_law.q
 f = params.pulse_rate_hz
 print(f"  raw click probability {p:.3f} would suggest {p * f:,.0f} clicks/s")
 print(f"  with a 10 us dead time the link delivers "

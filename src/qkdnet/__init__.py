@@ -22,7 +22,6 @@ from .physlink import (
     EveModel,
     LinkParams,
     PhaseState,
-    click_probability,
 )
 from .report import MetricsReport, read_records, verify_report
 from .scenario import Scenario, default_preset_scenario, load_scenario
@@ -39,7 +38,6 @@ __all__ = [
     "EveModel",
     "LinkParams",
     "PhaseState",
-    "click_probability",
     "MetricsReport",
     "read_records",
     "verify_report",

@@ -101,7 +101,8 @@ def _cmd_verify(args) -> int:
         for p in problems:
             print(f"FAIL {p}")
         return EXIT_INVARIANT
-    print("ok: series ranges, one-time-pad uniqueness (disjoint draws, so purpose "
+    print("ok: series ranges, one timeline (health, switch and audit rows in time order, "
+          "all times in the run), one-time-pad uniqueness (disjoint draws, so purpose "
           "separation), reservoir conservation, switch key isolation, block secret lengths")
     return EXIT_OK
 

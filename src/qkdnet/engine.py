@@ -13,13 +13,18 @@ and a reservoir deposit. Switch toggles force block boundaries, pause the
 affected sessions, and trigger receiver realignment against the new
 transmitter before key generation resumes.
 
-A started session has at most one pending event, its next ``realign`` or
-``round``, and ``Engine._schedule`` is the only code that pushes one: it
-bumps the session's token, so the new event retires whatever was pending,
-and it pushes nothing for a halted session. The one other token bump parks
-a session with nothing pending, when a switch moves its pairing away; the
-toggle that pairs it again schedules its realignment. Handlers act only on
-the event that carries the session's current token.
+A started session (states in ``_State``) has at most one pending event,
+and ``Engine._schedule`` is the only code that pushes one: it bumps the
+session's token, so the new event retires whatever was pending, and it
+pushes nothing for a halted session. A ``realign`` is answered by a
+``realigned`` event when its frames are spent. An ``ACTIVE`` session then
+has its next ``round`` pending; an ``UNLIT`` one, whose round found no
+light, has one ``watchdog`` that flags the cut, then nothing until a
+restore or a toggle realigns it. The one other token bump parks a session
+when a switch moves its pairing away, until the toggle that pairs it again.
+Handlers act only on the event that carries the current token, except that
+a failed realignment reaches the health monitor either way: its frames
+were spent. So every health row is stamped at the event that emits it.
 
 A relay session moves one hop per event; a blocked one has no timer: the
 relay coordinator holds it and, after each event, hands back the ones a key
@@ -44,13 +49,12 @@ from .errors import (
 )
 from .keyrelay import HealthMonitor, RelayCoordinator, RelayStatus
 from .keystore import ConsumePurpose, KeyOrigin, KeyStore, pair_key
-from .netgraph import QkdChannel, Topology
+from .netgraph import LinkHealth, QkdChannel, Topology
 from .physlink import (
     EveModel,
     LinkParams,
     advance_phase,
     apply_training_feedback,
-    click_probability,
     sample_link_window,
     sifted_error_floor,
 )
@@ -80,7 +84,8 @@ _P_REALIGN = 2
 _P_RELAY = 3
 _P_ROUND = 4
 _P_METRICS = 5
-_SESSION_PRIORITY = {"realign": _P_REALIGN, "round": _P_ROUND}
+_SESSION_PRIORITY = {"realign": _P_REALIGN, "realigned": _P_REALIGN,
+                     "round": _P_ROUND, "watchdog": _P_ROUND}
 
 # Cadences and budgets of the event loop.
 _ROUND_DURATION_S = 0.25
@@ -101,8 +106,9 @@ _TRAINING_PANIC_QBER = 0.20
 
 class _State(Enum):
     IDLE = "idle"        # not started; an attacker or a sifting change may come first
-    DARK = "dark"        # started, no key yet: realigning, or waiting for light or a pairing
+    DARK = "dark"        # started, no key yet: realigning, or waiting for a pairing
     ACTIVE = "active"    # realigned: every round samples a data window
+    UNLIT = "unlit"      # a round found no light: waiting for a restore or a toggle
     HALTED = "halted"    # out of authentication key, for good
 
 
@@ -125,7 +131,7 @@ class _Session:
         # number of matched-basis bits on this particular channel, but
         # never longer than one round's slot budget, nor shorter than one
         # slot: an empty frame would realign in no time, for ever.
-        p_click = click_probability(self.params)
+        p_click = self.params.click_law.q
         if p_click > 0:
             want = int(math.ceil(2.0 * _TRAINING_TARGET_BITS / p_click))
         else:
@@ -216,13 +222,20 @@ class Engine:
         heapq.heappush(self._heap, (time_s, priority, self._seq, kind, payload))
         self._seq += 1
 
-    def _schedule(self, session: _Session, time_s: float, kind: str):
-        """Make ``kind`` (``realign`` or ``round``) at ``time_s`` the session's
-        one pending event; a halted session gets none."""
+    def _schedule(self, session: _Session, time_s: float, kind: str, *args):
+        """Make ``kind`` at ``time_s`` the session's one pending event, its
+        handler taking ``args`` after the token; a halted session gets none."""
         if session.state is _State.HALTED:
             return
         session.token += 1
-        self._push(time_s, _SESSION_PRIORITY[kind], kind, (session.cid, session.token))
+        self._push(time_s, _SESSION_PRIORITY[kind], kind, (session.cid, session.token, *args))
+
+    def _go_unlit(self, session: _Session, now: float):
+        """End the block in progress and wait, with one watchdog for the cut:
+        due when the zero-click window runs out, or now if it already has."""
+        session.state = _State.UNLIT
+        session.flush_pool()
+        self._schedule(session, max(now, self.health.cut_due(session.cid)), "watchdog")
 
     def _session(self, channel_id: str) -> _Session:
         if channel_id not in self.sessions:
@@ -297,6 +310,10 @@ class Engine:
             self.cut_links.add(ev.args["link"])
         elif kind is EventKind.RESTORE_LINK:
             self.cut_links.discard(ev.args["link"])
+            for session in self.sessions.values():
+                if session.state is _State.UNLIT and session.lit(now):
+                    session.state = _State.DARK
+                    self._schedule(session, now, "realign")
         elif kind is EventKind.ENABLE_EVE:
             self._session(ev.args["channel"]).eve = ev.args["eve"]
         elif kind is EventKind.SWITCH_TOGGLE:
@@ -343,44 +360,47 @@ class Engine:
                 seed=(self.scenario.seed, channel_id, session.realign_count),
                 training_slots=session.training_slots)
             session.phase = outcome.phase
-            outcome_converged = outcome.converged
-            frames = outcome.frames_spent
+            converged, frames = outcome.converged, outcome.frames_spent
         else:
             # No light: the realignment burns its whole frame budget.
-            outcome_converged = False
-            frames = REALIGN_FRAME_BUDGET
+            converged, frames = False, REALIGN_FRAME_BUDGET
         session.realign_count += 1
-        realign_duration = frames * session.training_slots / params.pulse_rate_hz
-        resume_at = now + realign_duration
-        self.health.report_realignment(channel_id, outcome_converged, resume_at)
-        if not outcome_converged:
-            # Keep watching so a cut is still detected during the outage.
-            self.health.watch(channel_id, resume_at)
-            self._schedule(session, resume_at, "round")
+        resume_at = now + frames * session.training_slots / params.pulse_rate_hz
+        self._schedule(session, resume_at, "realigned", converged)
+
+    def _on_realigned(self, now: float, channel_id: str, token: int, converged: bool):
+        session = self.sessions[channel_id]
+        if not converged:
+            self.health.force(channel_id, LinkHealth.DEGRADED, now,
+                              "realignment failed to converge")
+        if token != session.token:
             return
-        session.state = _State.ACTIVE
-        session.last_t = resume_at
-        session.last_phase_t = resume_at
-        # Fine-tune densely right after realignment: the acceptance
-        # threshold leaves a residual offset worth trimming before it
-        # shows up in many blocks.
-        session.tuning = True
-        session.tuning_rounds = 0
-        self.health.watch(channel_id, resume_at)
-        self._schedule(session, resume_at + _ROUND_DURATION_S, "round")
+        self.health.watch(channel_id, now)
+        if converged:
+            session.state = _State.ACTIVE
+            session.last_t = session.last_phase_t = now
+            # Fine-tune densely right after realignment: the acceptance
+            # threshold leaves a residual offset worth trimming before it
+            # shows up in many blocks.
+            session.tuning = True
+            session.tuning_rounds = 0
+            self._schedule(session, now + _ROUND_DURATION_S, "round")
+        elif session.lit(now):
+            self._schedule(session, now, "realign")
+        else:
+            self._go_unlit(session, now)
+
+    def _on_watchdog(self, now: float, channel_id: str, token: int):
+        if token == self.sessions[channel_id].token:
+            self.health.report_clicks(channel_id, 0, now)
 
     def _on_round(self, now: float, channel_id: str, token: int):
         session = self.sessions[channel_id]
         if token != session.token:
             return
-        if session.state is _State.DARK:
-            if session.lit(now):
-                # The outage cleared: try realignment again.
-                self._schedule(session, now, "realign")
-            else:
-                # Dark but under cut surveillance.
-                self.health.report_clicks(channel_id, 0, now)
-                self._schedule(session, now + _ROUND_DURATION_S, "round")
+        if not session.lit(now):
+            # Cut fiber kills the sync channel too: gates never open.
+            self._go_unlit(session, now)
             return
         params = session.params
         session.drift_to(now)
@@ -398,29 +418,25 @@ class Engine:
             training_clicks = self._run_training(session, now)
 
         data_slots = max(0, round_slots - training_cost)
-        if not session.lit(now):
-            # Cut fiber kills the sync channel too: gates never open.
-            self.health.report_clicks(channel_id, 0, now)
+        tx_basis, tx_value, record = sample_link_window(
+            params, session.phase, data_slots, session.rng_window, eve=session.eve,
+            frame_id=f"{channel_id}:{session.block_count}")
+        self.health.report_clicks(channel_id, training_clicks + record.n_events, now)
+        if session.sifting is SiftingProtocol.SARG:
+            alice, bob, _ = sift_sarg_events(
+                tx_basis, tx_value, record, announce_seed=session.rng_announce)
         else:
-            tx_basis, tx_value, record = sample_link_window(
-                params, session.phase, data_slots, session.rng_window, eve=session.eve,
-                frame_id=f"{channel_id}:{session.block_count}")
-            self.health.report_clicks(channel_id, training_clicks + record.n_events, now)
-            if session.sifting is SiftingProtocol.SARG:
-                alice, bob, _ = sift_sarg_events(
-                    tx_basis, tx_value, record, announce_seed=session.rng_announce)
-            else:
-                alice, bob, _ = sift_bb84_events(tx_basis, tx_value, record)
-            if alice.size:
-                if session.pool_t0 is None:
-                    session.pool_t0 = session.last_t
-                session.pool_a.append(alice)
-                session.pool_b.append(bob)
-                session.pool_bits += alice.size
-                session.interval_sifted += int(alice.size)
-            if (session.pool_bits >= self.knobs.block_target_bits
-                    and session.pool_bits * _SAMPLE_FRACTION >= DEFAULT_MIN_SAMPLE):
-                self._process_block(session, now)
+            alice, bob, _ = sift_bb84_events(tx_basis, tx_value, record)
+        if alice.size:
+            if session.pool_t0 is None:
+                session.pool_t0 = session.last_t
+            session.pool_a.append(alice)
+            session.pool_b.append(bob)
+            session.pool_bits += alice.size
+            session.interval_sifted += int(alice.size)
+        if (session.pool_bits >= self.knobs.block_target_bits
+                and session.pool_bits * _SAMPLE_FRACTION >= DEFAULT_MIN_SAMPLE):
+            self._process_block(session, now)
 
         session.last_t = now
         self._schedule(session, now + _ROUND_DURATION_S, "round")
@@ -428,11 +444,8 @@ class Engine:
     def _run_training(self, session: _Session, now: float) -> int:
         """One training frame, whose public bits drive a feedback step; returns its clicks."""
         session.last_training_t = now
-        params = session.params
-        if not session.lit(now):
-            return 0
         tx_basis, tx_value, record = sample_link_window(
-            params, session.phase, session.training_slots, session.rng_train,
+            session.params, session.phase, session.training_slots, session.rng_train,
             eve=session.eve, frame_id=f"{session.cid}:train")
         alice, bob, _ = sift_bb84_events(tx_basis, tx_value, record)
         if alice.size:

@@ -54,7 +54,9 @@ class HealthMonitor:
     A channel goes Degraded after three consecutive blocks above the QBER
     threshold (set well below the intercept-resend signature and well above
     the normal operating point), Cut after a zero-click window, and
-    recovers to Up after three consecutive clean blocks.
+    recovers to Up after three consecutive clean blocks; ``force`` sets a
+    failed realignment's or relay hop's verdict. Each transition is stamped
+    with the time of the report, made at the event that causes it.
     """
 
     def __init__(self):
@@ -72,6 +74,10 @@ class HealthMonitor:
         a deliberate pause (switched away, realigning) is not evidence of a cut.
         """
         self._last_click[channel_id] = time_s
+
+    def cut_due(self, channel_id: str) -> float:
+        """When the channel is flagged cut if no click comes first."""
+        return self._last_click[channel_id] + ZERO_CLICK_WINDOW_S
 
     def _set(self, channel_id: str, new: LinkHealth, time_s: float, cause: str):
         old = self.status(channel_id)
@@ -102,15 +108,11 @@ class HealthMonitor:
             self._last_click[channel_id] = time_s
             return
         last = self._last_click.get(channel_id, time_s)
-        if time_s - last >= ZERO_CLICK_WINDOW_S and \
+        # Not ``time_s - last``, which can round below the window at ``cut_due``.
+        if time_s >= last + ZERO_CLICK_WINDOW_S and \
                 self.status(channel_id) is not LinkHealth.CUT:
             self._set(channel_id, LinkHealth.CUT, time_s,
                       f"no clicks for {time_s - last:.1f} s")
-
-    def report_realignment(self, channel_id: str, converged: bool, time_s: float):
-        if not converged:
-            self._set(channel_id, LinkHealth.DEGRADED, time_s,
-                      "realignment failed to converge")
 
     def force(self, channel_id: str, health: LinkHealth, time_s: float, cause: str):
         self._set(channel_id, health, time_s, cause)

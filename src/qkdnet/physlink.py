@@ -40,9 +40,7 @@ __all__ = [
     "EveTally",
     "EveModel",
     "PhaseState",
-    "click_probability",
     "signal_click_probability",
-    "dark_click_probability",
     "sifted_error_floor",
     "phase_error_rate",
     "wrap_phase",
@@ -53,9 +51,11 @@ __all__ = [
 
 # Slot numbers are int64, which a 1e20 Hz gate rate overflows within a
 # window. 1 GHz covers the fastest gated detectors, and no detector is
-# dead for a second.
+# dead for a second. Weak-coherent sources run below 10 photons a pulse;
+# numpy's Poisson sampler refuses means above about 9.2e18.
 MAX_PULSE_RATE_HZ = 1e9
 MAX_DEAD_TIME_S = 1.0
+MAX_MEAN_PHOTON_NUMBER = 100.0
 
 
 class ClickLaw(NamedTuple):
@@ -98,8 +98,9 @@ class LinkParams:
         # dark fiber, whose transmittance is 0.
         if not 0 < self.pulse_rate_hz <= MAX_PULSE_RATE_HZ:
             raise ValueError(f"pulse_rate_hz must be in (0, {MAX_PULSE_RATE_HZ:g}]")
-        if not 0 <= self.mean_photon_number < math.inf:
-            raise ValueError("mean_photon_number must be finite and non-negative")
+        if not 0 <= self.mean_photon_number <= MAX_MEAN_PHOTON_NUMBER:
+            raise ValueError(
+                f"mean_photon_number must be in [0, {MAX_MEAN_PHOTON_NUMBER:g}]")
         if not (self.channel_loss_db >= 0 and self.insertion_loss_db >= 0):
             raise ValueError("losses must be non-negative")
         if not 0.0 <= self.detector_efficiency <= 1.0:
@@ -275,30 +276,11 @@ def signal_click_probability(params: LinkParams) -> float:
     return float(-np.expm1(-mu_eff))
 
 
-def dark_click_probability(params: LinkParams) -> float:
-    """Per-gate probability that at least one of the two detectors darks."""
-    d = params.dark_count_prob
-    return 1.0 - (1.0 - d) ** 2
-
-
 def _event_probabilities(p_sig, d: float):
     """Signal-event and dark-event probabilities of a gate whose signal
     photons are detected with probability ``p_sig`` (a float, or an array
     with one entry per click) and whose detectors each dark with ``d``."""
     return p_sig * (1.0 - d), (1.0 - p_sig) * 2.0 * d * (1.0 - d)
-
-
-def click_probability(params: LinkParams) -> float:
-    """Per-gate click probability, signal and dark counts combined.
-
-    Poisson source of mean ``mu``, thinned by transmittance and detector
-    efficiency; dark counts on either detector fire independently. The
-    same law as ``params.click_law.q`` in other arithmetic: the two round
-    alike only while ``(1 - d)^2 >= 1/2``.
-    """
-    p_signal = signal_click_probability(params)
-    p_dark = dark_click_probability(params)
-    return 1.0 - (1.0 - p_signal) * (1.0 - p_dark)
 
 
 def sifted_error_floor(params: LinkParams) -> float:

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..bits import binary_entropy
 from ..errors import InvalidRequestError, InvariantViolation
-from ..physlink import LinkParams, click_probability
+from ..physlink import LinkParams
 from .sifting import SiftingProtocol
 
 # Flat finite-size margin every secret length pays, in bits.
@@ -61,7 +61,7 @@ def usable_fraction(kind: EstimatorKind, sifting: SiftingProtocol, link: LinkPar
         return 1.0
     threshold = 3 if sifting is SiftingProtocol.SARG else 2
     p_multi = multi_photon_fraction(link.mean_photon_number, threshold)
-    p_click = click_probability(link)
+    p_click = link.click_law.q
     return 0.0 if p_click <= 0.0 else max(0.0, (p_click - p_multi) / p_click)
 
 

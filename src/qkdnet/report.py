@@ -290,16 +290,26 @@ def read_records(path: Union[str, Path]) -> MetricsReport:
 def verify_report(report: MetricsReport) -> List[str]:
     """Re-check audited invariants from the emitted records.
 
-    Covers the series rows' ranges, block and relay delivery times,
-    one-time-pad uniqueness (which implies purpose separation), per-pair
-    reservoir conservation, key-block isolation across switch events, and
-    each block's secret length.
+    Covers the series rows' ranges, one timeline (event logs in time order;
+    their rows, blocks and relays within the run), one-time-pad uniqueness
+    (which implies purpose separation), per-pair reservoir conservation,
+    key-block isolation across switch events, and each block's secret length.
     """
     problems = report.series_problems() + scan_one_time_use(report.audit)
 
-    # Times: a block ends no earlier than it starts, and a relay is
-    # delivered no earlier than it was requested, both within the run.
+    # Times: event logs run forward, a block ends no earlier than it starts,
+    # a relay is delivered no earlier than it was requested, all in the run.
     end = report.duration_s
+    for kind, rows in (("health", report.health_log), ("switch", report.switch_events),
+                       ("audit", report.audit)):
+        before = -float("inf")  # the first row has none before it
+        for i, row in enumerate(rows, 1):
+            t = row.time_s
+            if not 0.0 <= t <= end:
+                problems.append(f"{kind} row {i}: t={t} outside [0, {end}]")
+            if t < before:
+                problems.append(f"{kind} row {i}: t={t} before the row before it at t={before}")
+            before = t
     for block in report.blocks:
         if block.t_end < block.t_start:
             problems.append(f"block {block.block_id}: ends at t={block.t_end} "
@@ -307,6 +317,9 @@ def verify_report(report: MetricsReport) -> List[str]:
         if not (0.0 <= block.t_start <= end and 0.0 <= block.t_end <= end):
             problems.append(f"block {block.block_id}: time outside [0, {end}]")
     for relay in report.relay_sessions:
+        if not 0.0 <= relay.requested_at <= end:
+            problems.append(f"relay {relay.session_id}: requested at t={relay.requested_at}, "
+                            f"outside [0, {end}]")
         if relay.status != "delivered":
             continue
         if relay.delivered_at is None:

@@ -26,28 +26,28 @@ def _params(**kw):
 
 
 # ---------------------------------------------------------------------------
-# click_probability
+# click law: params.click_law.q
 # ---------------------------------------------------------------------------
 
 def test_click_probability_poisson_oracle():
     # Oracle: P(click) = 1 - exp(-mu) for a lossless unit-efficiency link.
-    p = pl.click_probability(_params())
+    p = _params().click_law.q
     assert abs(p - 0.3934693402873666) < 1e-12
 
 
 def test_click_probability_no_photons_no_darks():
-    assert pl.click_probability(_params(mean_photon_number=0.0)) == 0.0
+    assert _params(mean_photon_number=0.0).click_law.q == 0.0
 
 
 def test_click_probability_bu_link():
     # Oracle: transmittance 10**-1.15, p = 1 - exp(-1.0 * T * 0.1).
-    p = pl.click_probability(_params(mean_photon_number=1.0, channel_loss_db=11.5,
-                                     detector_efficiency=0.1))
+    p = _params(mean_photon_number=1.0, channel_loss_db=11.5,
+                detector_efficiency=0.1).click_law.q
     assert abs(p - 0.007054457513210988) < 1e-12
 
 
 def test_click_probability_includes_both_detectors_darks():
-    p = pl.click_probability(_params(mean_photon_number=0.0, dark_count_prob=0.01))
+    p = _params(mean_photon_number=0.0, dark_count_prob=0.01).click_law.q
     assert abs(p - (1.0 - 0.99 ** 2)) < 1e-12
 
 
@@ -84,7 +84,7 @@ def test_monte_carlo_matches_analytic_within_three_sigma():
     n = 1_000_000
     frame = PulseFrame.random("f", n, np.random.default_rng(7))
     record = transmit_frame(params, PHASE0, None, frame, rng_seed=11)
-    p = pl.click_probability(params)
+    p = params.click_law.q
     sigma = math.sqrt(p * (1 - p) / n)
     assert abs(record.n_events / n - p) < 3 * sigma
 
@@ -109,7 +109,7 @@ def test_dead_time_event_rate_and_gap():
     assert params.dead_slots == 50
     frame = PulseFrame.random("f", 500_000, np.random.default_rng(8))
     record = transmit_frame(params, PHASE0, None, frame, rng_seed=1)
-    p = pl.click_probability(params)
+    p = params.click_law.q
     f = params.pulse_rate_hz
     oracle = p * f / (1 + p * f * params.dead_time_s)
     rate = record.n_events / (frame.n_slots / f)
@@ -128,11 +128,11 @@ def test_dead_time_gap_invariant_with_darks():
 
 def test_click_rate_monotone_in_loss_and_mu():
     losses = np.linspace(0.0, 20.0, 9)
-    rates = [pl.click_probability(_params(channel_loss_db=l, detector_efficiency=0.2))
+    rates = [_params(channel_loss_db=l, detector_efficiency=0.2).click_law.q
              for l in losses]
     assert all(a >= b for a, b in zip(rates, rates[1:]))
     mus = np.linspace(0.0, 2.0, 9)
-    rates = [pl.click_probability(_params(mean_photon_number=m, detector_efficiency=0.2))
+    rates = [_params(mean_photon_number=m, detector_efficiency=0.2).click_law.q
              for m in mus]
     assert all(a <= b for a, b in zip(rates, rates[1:]))
     # Spot-check empirically at two ends of the loss sweep.
@@ -228,7 +228,7 @@ def test_window_sampler_matches_click_probability():
     params = _params(channel_loss_db=3.0, detector_efficiency=0.3, dark_count_prob=1e-4)
     n = 1_000_000
     _, _, record = pl.sample_link_window(params, PHASE0, n, rng_seed=3)
-    p = pl.click_probability(params)
+    p = params.click_law.q
     sigma = math.sqrt(p * (1 - p) / n)
     assert abs(record.n_events / n - p) < 3 * sigma
 
@@ -566,9 +566,11 @@ def test_detection_record_requires_equal_lengths():
     lambda: LinkParams(mean_photon_number=math.nan),
     lambda: LinkParams(pulse_rate_hz=1e20),
     lambda: LinkParams(dead_time_s=1e300),
+    lambda: LinkParams(mean_photon_number=100.5),
     lambda: PhaseState(drift_rate_rad_per_s=math.nan),
     lambda: PhaseState(phase_error_rad=math.inf),
-], ids=["rate-nan", "mu-nan", "rate-1e20", "dead-time-1e300", "drift-nan", "phase-inf"])
+], ids=["rate-nan", "mu-nan", "rate-1e20", "dead-time-1e300", "mu-100.5", "drift-nan",
+        "phase-inf"])
 def test_link_and_phase_values_must_be_numbers_in_range(make):
     with pytest.raises(ValueError):
         make()
@@ -583,7 +585,6 @@ def test_click_law_is_cached_per_instance():
     d = params.dark_count_prob
     assert law == (p_sig, 1.0 - (1.0 - p_sig) * (1.0 - d) ** 2, p_sig * (1.0 - d),
                    (1.0 - p_sig) * 2.0 * d * (1.0 - d))
-    assert law.q == pl.click_probability(params)
     # A replaced link derives its own law and dead time; the cache is no
     # field, so equality and hashing see the fields only.
     dimmer = dataclasses.replace(params, channel_loss_db=10.0, dead_time_s=2e-5)

@@ -18,7 +18,7 @@ from qkdnet import netgraph as ng
 from qkdnet.cli import main
 from qkdnet.engine import RELAY_RESERVE_BITS, Engine, run_scenario
 from qkdnet.errors import InvariantViolation, ValidationError
-from qkdnet.keyrelay import QBER_THRESHOLD, HealthTransition, hop_need
+from qkdnet.keyrelay import QBER_THRESHOLD, ZERO_CLICK_WINDOW_S, HealthTransition, hop_need
 from qkdnet.keystore import AuditRecord
 from qkdnet.physlink import EveModel, sifted_error_floor
 from qkdnet.report import (CSV_COLUMNS, BlockRecord, MetricsReport, RelayOutcome, ReservoirRow,
@@ -384,14 +384,34 @@ def test_set_sifting_switches_protocol():
     assert report.secret_bits("Anna-Bob") > 0
 
 
-def test_cut_and_restore_recovers_health():
+def test_cut_and_restore_recovers_health(monkeypatch):
+    rounds, windows = [], []
+    on_round = Engine._on_round
+    sample = engine_module.sample_link_window
+
+    def spy_round(self, t, channel_id, token):
+        rounds.append(t)
+        on_round(self, t, channel_id, token)
+
+    def spy_sample(*args, **kwargs):
+        windows.append(rounds[-1])
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(Engine, "_on_round", spy_round)
+    monkeypatch.setattr(engine_module, "sample_link_window", spy_sample)
     sc = load_scenario(_minimal(duration=120.0, events=[
         {"t": 0.0, "kind": "start_qkd", "tx": "Anna", "rx": "Bob"},
         {"t": 30.0, "kind": "cut_link", "link": "anna-sw"},
         {"t": 60.0, "kind": "restore_link", "link": "anna-sw"}]))
     report = run_scenario(sc)
     states = [(h.time_s, h.new) for h in report.health_log if h.channel_id == "Anna-Bob"]
-    assert any(new == "cut" for _, new in states)
+    # The one round that finds the link cut is the last until the restore
+    # realigns the session: the watchdog flags the cut when the zero-click
+    # window since the last lit round runs out, with no polling.
+    assert len([t for t in rounds if 30.0 < t < 60.0]) == 1
+    assert not [t for t in windows if 30.0 < t < 60.0]
+    cut_at = [t for t, new in states if new == "cut"]
+    assert cut_at == [max(t for t in rounds if t < 30.0) + ZERO_CLICK_WINDOW_S]
     assert states[-1][1] == "up"
     late_secret = [r.secret_bps for r in report.channel_series("Anna-Bob")
                    if r.time_s > 80]
@@ -439,6 +459,52 @@ def test_dark_start_and_toggles_sample_each_channel_once_per_instant(monkeypatch
     assert any(channel == "Anna-Bob" and t > 20.0 for t, channel in data)
     assert not [t for t, channel, _ in windows
                 if channel == "Alice-Boris" and t > halted_at["Alice-Boris"]]
+
+
+def test_a_cut_after_a_silent_spell_is_watched_from_now():
+    # Behind 80 dB and no dark counts the session realigns, then its rounds
+    # see almost no clicks: the cut at 30 s comes more than 5 s after the
+    # last click, so the watchdog is due at once, not in the past.
+    report = run_scenario(load_scenario({
+        "version": 1, "duration_s": 40.0, "seed": 1,
+        "topology": {"version": 1,
+                     "nodes": [{"id": "A", "role": "tx"}, {"id": "B", "role": "rx"}],
+                     "links": [{"id": "a-b", "a": "A", "b": "B", "length_km": 5.0,
+                                "loss_db_override": 80.0}],
+                     "defaults": {"params": {"dark_count_prob": 0.0}}},
+        "events": [{"t": 0.0, "kind": "start_qkd", "tx": "A", "rx": "B"},
+                   {"t": 30.0, "kind": "cut_link", "link": "a-b"}]}))
+    assert [(h.new, h.time_s < 30.0) for h in report.health_log] == [("cut", True)]
+    assert verify_report(report) == []
+
+
+def _four_channel_dark_start(duration, *extra):
+    # Anna's channels start on a cut link, toggles at 5 and 20 s swap the
+    # pairings, and the link is restored at 12 s.
+    starts = [{"t": 0.0, "kind": "start_qkd", "tx": tx, "rx": rx}
+              for tx, rx in (("Anna", "Bob"), ("Alice", "Boris"), ("Alice", "Bob"),
+                             ("Anna", "Boris"))]
+    events = [*extra, *starts,
+              {"t": 0.0, "kind": "cut_link", "link": "anna-sw"},
+              {"t": 5.0, "kind": "switch_toggle", "switch": "sw"},
+              {"t": 12.0, "kind": "restore_link", "link": "anna-sw"},
+              {"t": 20.0, "kind": "switch_toggle", "switch": "sw"}]
+    return run_scenario(load_scenario(_minimal(
+        duration=duration, events=[e for e in events if e["t"] <= duration])))
+
+
+def test_health_rows_are_stamped_in_order_within_the_run():
+    # A failed realignment reaches the health monitor when its frames are
+    # spent: Anna-Boris's from 5.008 s at 55.008 s, Anna-Bob's at 19.16 s.
+    # Both were once logged at once with those stamps, so the log ran
+    # 19.16, 55.008, 26.466 s, and the 10 s run had rows past its end.
+    long = _four_channel_dark_start(60.0)
+    times = [h.time_s for h in long.health_log]
+    assert len(times) == 3 and times == sorted(times)
+    assert verify_report(long) == []
+    short = _four_channel_dark_start(10.0)
+    assert all(h.time_s <= 10.0 for h in short.health_log)
+    assert verify_report(short) == []
 
 
 def test_eve_none_disables_attacker():
@@ -670,6 +736,40 @@ def test_cli_verify_flags_block_and_delivery_times(tmp_path, capsys):
         assert capsys.readouterr().out.splitlines() == [f"FAIL {message}"]
 
 
+def test_cli_verify_flags_rows_out_of_time_order_or_outside_the_run(tmp_path, capsys):
+    out = tmp_path / "o"
+    _four_channel_dark_start(30.0, {"t": 0.0, "kind": "relay_request", "src": "Alice",
+                                    "dst": "Boris", "bits": 256}).write(out, "records")
+    assert main(["verify", "--records", str(out / "metrics.records.jsonl")]) == 0
+    lines = (out / "metrics.records.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+
+    def last_of(kind):
+        """Position and number of the last row of a kind, and the row before's time."""
+        at = [i for i, r in enumerate(records) if r["type"] == kind]
+        assert len(at) >= 2
+        return at[-1], len(at), records[at[-2]]["time_s"]
+
+    edits = []
+    for kind in ("health", "switch", "audit"):
+        at, n, before = last_of(kind)
+        assert before > 0
+        edits += [(at, {"time_s": before / 2},
+                   f"{kind} row {n}: t={before / 2} before the row before it at t={before}"),
+                  (at, {"time_s": 31.0}, f"{kind} row {n}: t=31.0 outside [0, 30.0]")]
+    at_relay = next(i for i, r in enumerate(records) if r["type"] == "relay")
+    relay = records[at_relay]
+    edits.append((at_relay, {"requested_at": -1.0},
+                  f"relay {relay['session_id']}: requested at t=-1.0, outside [0, 30.0]"))
+    for at, edit, message in edits:
+        edited = tmp_path / "edited.jsonl"
+        edited.write_text("\n".join(
+            lines[:at] + [json.dumps({**records[at], **edit})] + lines[at + 1:]) + "\n")
+        capsys.readouterr()
+        assert main(["verify", "--records", str(edited)]) == 2
+        assert capsys.readouterr().out.splitlines() == [f"FAIL {message}"]
+
+
 def test_cli_overrides_apply_to_the_loaded_scenario(tmp_path, capsys):
     # Overrides once edited the raw document, so a JSON list crashed them.
     listed = tmp_path / "list.json"
@@ -847,6 +947,30 @@ def test_link_rate_and_dead_time_are_bounded_at_load(tmp_path, capsys):
         assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"validation error: channel A-B: invalid parameters: {message}"]
+
+
+def test_mean_photon_number_is_bounded_at_load(tmp_path, capsys):
+    # A mean of 1e19 once loaded, and then numpy's Poisson sampler refused
+    # it behind the photon-number-splitting attacker with a traceback.
+    def pns_on(mu):
+        return {"version": 1, "duration_s": 2.0, "seed": 1,
+                "topology": {"version": 1,
+                             "nodes": [{"id": "A", "role": "tx"}, {"id": "B", "role": "rx"}],
+                             "links": [{"id": "a-b", "a": "A", "b": "B", "length_km": 5.0}],
+                             "defaults": {"params": {"mean_photon_number": mu}}},
+                "events": [{"t": 0.0, "kind": "start_qkd", "tx": "A", "rx": "B"},
+                           {"t": 0.0, "kind": "enable_eve", "channel": "A-B",
+                            "eve": {"kind": "photon_number_split"}}]}
+
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(pns_on(100)))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
+    path.write_text(json.dumps(pns_on(1e19)))
+    capsys.readouterr()
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "validation error: channel A-B: invalid parameters: "
+        "mean_photon_number must be in [0, 100]"]
 
 
 def test_slow_pulse_rate_does_not_hang_the_event_loop(tmp_path):
