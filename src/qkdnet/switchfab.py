@@ -18,7 +18,8 @@ against the link's phase-independent floor ``f``, its
 ``max(0.05, f + 0.03)`` ends realignment; any other reading drives one
 feedback step with ``f`` subtracted and a deadband of
 :data:`FEEDBACK_DEADBAND`, for at most :data:`REALIGN_FRAME_BUDGET`
-frames. The engine's periodic training frames use the same deadband.
+frames; a frame with fewer than :data:`REALIGN_MIN_SIFTED_BITS` sifted
+bits reads nothing. The engine's periodic training frames use the same deadband.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ SWITCHING_TIME_S = 0.008
 DEFAULT_SCHEDULE_PERIOD_S = 900.0
 DEFAULT_INSERTION_LOSS_DB = 0.8
 REALIGN_FRAME_BUDGET = 200
+# Fewest sifted bits a reading needs: 32 read a QBER of 0.1 as 0 in 3.4% of frames.
+REALIGN_MIN_SIFTED_BITS = 32
 # Training error above the floor that the phase feedback leaves uncorrected.
 FEEDBACK_DEADBAND = 0.012
 
@@ -160,7 +163,7 @@ def realign_receiver(params: LinkParams, phase: PhaseState, seed,
 
     Models the receiver-side discovery sequence after a connectivity
     change: each frame's publicly known bits yield an error reading. A
-    frame with no usable detection still spends budget. Non-convergence
+    frame too sparse to read still spends budget. Non-convergence
     within the budget marks the link degraded upstream.
     """
     floor = sifted_error_floor(params)
@@ -171,7 +174,7 @@ def realign_receiver(params: LinkParams, phase: PhaseState, seed,
         tx_basis, tx_value, record = sample_link_window(
             params, phase, training_slots, frame_seed, frame_id=f"train-{frame_idx}")
         alice, bob, _ = sift_bb84_events(tx_basis, tx_value, record)
-        if alice.size == 0:
+        if alice.size < REALIGN_MIN_SIFTED_BITS:
             continue
         last_q = float(np.count_nonzero(alice != bob)) / alice.size
         if last_q < threshold:

@@ -14,6 +14,9 @@ engine runs.
   :func:`qkdnet.qkdproto.secret_length`.
 * :func:`movable` is the full-scan oracle of
   :meth:`qkdnet.keyrelay.RelayCoordinator.wake`.
+* :func:`report_from_records` reads a records stream one record at a time;
+  it is the oracle of :meth:`qkdnet.report.MetricsReport.from_records`,
+  which checks a field column at a time.
 """
 
 from __future__ import annotations
@@ -24,13 +27,14 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from qkdnet.bits import random_bits
-from qkdnet.errors import InvalidRequestError, QkdNetError
+from qkdnet.errors import InvalidRequestError, QkdNetError, ValidationError
 from qkdnet.keyrelay import RelayCoordinator, RelaySession, relay_graph
 from qkdnet.physlink import (DetectionRecord, EveKind, EveModel, EveTally, LinkParams,
                              PhaseState, _live_clicks, phase_error_rate)
 from qkdnet.qkdproto import (WIRE_VERSION, EstimatorKind, Record, RecordType,
                              SiftingProtocol, encode_record, secret_length, usable_fraction)
 from qkdnet.qkdproto.wire import _HEADER
+from qkdnet.report import _ROWS, MetricsReport
 
 # Resource guard for the dense per-slot path.
 DEFAULT_MAX_FRAME_SLOTS = 1 << 21
@@ -229,3 +233,49 @@ def movable(coord: RelayCoordinator, sessions: Iterable[RelaySession]) -> List[R
     """The coordinator's readiness rule on a relay graph built fresh: the
     sessions among ``sessions`` that a step would move now."""
     return coord._ready(sessions, relay_graph(coord.topology, coord.health, coord.store), {})
+
+
+def _decode_row(codec, i: int, record: dict):
+    """The ``i``-th record's row; a missing, unknown or wrong-typed field raises."""
+    if record.keys() != codec.keys:
+        raise ValidationError(f"record {i}: missing or unknown fields "
+                              f"{sorted(record.keys() ^ codec.keys)}")
+    values = [record[name] for name in codec.names]
+    for j, value in enumerate(values):
+        ok = type(value) in codec.types[j]
+        if ok and type(value) is list:
+            ok = all(type(item) is str for item in value)
+            values[j] = tuple(value)
+        if not ok:
+            wanted = " or ".join(t.__name__ for t in codec.types[j])
+            raise ValidationError(f"record {i}: {codec.names[j]} must be {wanted}, got {value!r}")
+    return codec.row_type(*values)
+
+
+def report_from_records(records: List[dict]) -> MetricsReport:
+    """Rebuild a report one record at a time, raising ValidationError at the
+    first bad record with the library's messages."""
+    report = None
+    for i, r in enumerate(records, 1):
+        if not isinstance(r, dict):
+            raise ValidationError(f"record {i}: not an object")
+        kind = r.get("type")
+        if type(kind) is not str:
+            raise ValidationError(f"record {i}: type must be a string, got {kind!r}")
+        if kind not in _ROWS:
+            raise ValidationError(f"record {i}: unknown record type {kind!r}")
+        if (kind == "meta") != (i == 1):
+            what = "a second meta record" if i > 1 else "the stream must open with meta"
+            raise ValidationError(f"record {i}: {what}")
+        attr, codec = _ROWS[kind]
+        row = _decode_row(codec, i, r)
+        if kind == "meta":
+            report = MetricsReport(**vars(row))
+        elif kind == "reservoir":
+            if report.final_reservoirs.setdefault(row.pair, row) is not row:
+                raise ValidationError(f"record {i}: a second reservoir row for pair {row.pair!r}")
+        else:
+            getattr(report, attr).append(row)
+    if report is None:
+        raise ValidationError("records stream has no meta record")
+    return report

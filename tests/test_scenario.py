@@ -25,6 +25,7 @@ from qkdnet.report import (CSV_COLUMNS, BlockRecord, MetricsReport, RelayOutcome
                            SeriesRow, read_records, verify_report)
 from qkdnet.scenario import (EngineKnobs, EventKind, Scenario, ScenarioEvent,
                              default_preset_scenario, load_scenario)
+from qkdnet.switchfab import RealignmentOutcome
 
 
 def _minimal(duration=1.0, events=(), **engine):
@@ -461,10 +462,14 @@ def test_dark_start_and_toggles_sample_each_channel_once_per_instant(monkeypatch
                 if channel == "Alice-Boris" and t > halted_at["Alice-Boris"]]
 
 
-def test_a_cut_after_a_silent_spell_is_watched_from_now():
-    # Behind 80 dB and no dark counts the session realigns, then its rounds
-    # see almost no clicks: the cut at 30 s comes more than 5 s after the
+def test_a_cut_after_a_silent_spell_is_watched_from_now(monkeypatch):
+    # Behind 80 dB and no dark counts a session made active (a real
+    # realignment no longer converges there, so it is stubbed to) sees no
+    # clicks in its rounds: the cut at 30 s comes more than 5 s after the
     # last click, so the watchdog is due at once, not in the past.
+    monkeypatch.setattr(engine_module, "realign_receiver",
+                        lambda params, phase, seed, training_slots:
+                        RealignmentOutcome(True, 1, phase, 0.0))
     report = run_scenario(load_scenario({
         "version": 1, "duration_s": 40.0, "seed": 1,
         "topology": {"version": 1,

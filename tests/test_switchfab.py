@@ -167,6 +167,33 @@ def test_realign_converges_from_random_phase():
     assert converged_fast >= 990
 
 
+def test_realign_needs_32_sifted_bits_per_reading():
+    # About 8 sifted bits a frame at zero phase error: every reading would
+    # be 0, and each once passed on its first frame.
+    outcome = realign_receiver(_fast_link(), pl.PhaseState(), seed=1, training_slots=40)
+    assert not outcome.converged
+    assert outcome.frames_spent == REALIGN_FRAME_BUDGET
+    assert outcome.last_training_qber is None
+
+
+def test_a_session_behind_80_db_does_not_converge_on_a_few_detections():
+    # With no dark counts a frame holds a detection or two. At seed 1 one
+    # agreeing detection once passed the realignment at 7.25 s; the silent
+    # rounds after it were flagged cut at 12.25 s while the link was lit.
+    report = run_scenario(load_scenario({
+        "version": 1, "duration_s": 60.0, "seed": 1,
+        "topology": {"version": 1,
+                     "nodes": [{"id": "A", "role": "tx"}, {"id": "B", "role": "rx"}],
+                     "links": [{"id": "a-b", "a": "A", "b": "B", "length_km": 5.0,
+                                "loss_db_override": 80.0}],
+                     "defaults": {"params": {"dark_count_prob": 0.0}}},
+        "events": [{"t": 0.0, "kind": "start_qkd", "tx": "A", "rx": "B"}]}))
+    assert [(h.time_s, h.new, h.cause) for h in report.health_log] == [
+        (50.0, "degraded", "realignment failed to converge")]
+    assert report.blocks == []
+    assert verify_report(report) == []
+
+
 def test_realign_fails_on_dead_link():
     params = _fast_link(channel_loss_db=math.inf)
     outcome = realign_receiver(params, pl.PhaseState(phase_error_rad=1.0), seed=3,
