@@ -77,6 +77,12 @@ def _cmd_run(args) -> int:
         scenario = replace(scenario, seed=args.seed)
     if args.duration is not None:
         scenario = replace(scenario, duration_s=args.duration)
+    # An output path that cannot be a directory fails before the run, not
+    # after it.
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output directory {args.out}: {exc}") from exc
     report = run_scenario(scenario)
     written = report.write(args.out, fmt=args.format)
     for path in written:

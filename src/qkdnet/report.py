@@ -13,6 +13,8 @@ re-checks the cross-module invariants from the records alone.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -297,12 +299,13 @@ class MetricsReport:
     # -- file emission -----------------------------------------------------------
 
     def emit_csv(self) -> str:
-        lines = [",".join(CSV_COLUMNS)]
-        for r in self.series:
-            qber = "" if r.qber is None else repr(r.qber)
-            lines.append(f"{r.time_s!r},{r.link_id},{r.sifted_bps!r},{qber},"
-                         f"{r.secret_bps!r},{r.reservoir_bits}")
-        return "\n".join(lines) + "\n"
+        # The writer quotes a link id that holds a comma or a quote. It
+        # writes a float as its repr and a None qber empty.
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(map(attrgetter(*CSV_COLUMNS), self.series))
+        return out.getvalue()
 
     def emit_records(self) -> str:
         # One join over small per-row lines: a large string or piece list per

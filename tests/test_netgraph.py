@@ -357,7 +357,8 @@ def test_cli_run_on_untrusted_string_exits_1(tmp_path, capsys):
     path.write_text(json.dumps({"version": 1, "topology": topology, "duration_s": 5.0,
                                 "seed": 1, "events": []}))
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
-    assert "trusted must be true or false" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        "validation error: nodes[0]: trusted must be true or false, got 'no'"]
 
 
 def test_cli_run_on_numeric_node_id_exits_1(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Scenario schema, engine behavior, reports, and the CLI surface."""
 
+import csv
 import json
 import math
 import os
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qkdnet import cli as cli_module
 from qkdnet import engine as engine_module
 from qkdnet import netgraph as ng
 from qkdnet.cli import main
@@ -567,8 +569,41 @@ def test_cli_run_csv_format(tmp_path):
     scenario_path.write_text(json.dumps(_minimal(duration=5.0)))
     assert main(["run", "--scenario", str(scenario_path),
                  "--out", str(tmp_path / "o")]) == 0
-    csv = (tmp_path / "o" / "metrics.csv").read_text()
-    assert csv.splitlines()[0] == ",".join(CSV_COLUMNS)
+    text = (tmp_path / "o" / "metrics.csv").read_text()
+    assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
+
+
+def test_cli_csv_quotes_link_ids_that_hold_a_comma_or_a_quote(tmp_path):
+    # The id was written bare, so a reader split A,1-B"2 into two fields.
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({
+        "version": 1, "duration_s": 3.0, "seed": 1,
+        "topology": {"version": 1,
+                     "nodes": [{"id": "A,1", "role": "tx"}, {"id": 'B"2', "role": "rx"}],
+                     "links": [{"id": "a-b", "a": "A,1", "b": 'B"2', "length_km": 5.0}]},
+        "events": [{"t": 0.0, "kind": "start_qkd", "tx": "A,1", "rx": 'B"2'}]}))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
+    with open(tmp_path / "o" / "metrics.csv", newline="") as f:
+        header, *rows = csv.reader(f)
+    assert header == list(CSV_COLUMNS) and len(rows) == 3
+    assert all(len(row) == 6 and row[1] == 'A,1-B"2' for row in rows)
+
+
+def test_cli_run_into_an_unmakeable_out_dir_exits_1_before_the_run(tmp_path, capsys,
+                                                                   monkeypatch):
+    # --out naming a file once ran the whole simulation, then failed with a
+    # FileExistsError traceback when the report was written.
+    runs = []
+    monkeypatch.setattr(cli_module, "run_scenario", runs.append)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out in (taken, taken / "below"):
+        assert main(["run", "--preset", "cambridge", "--duration", "2",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            f"validation error: cannot create output directory {out}: ")
+    assert runs == []
 
 
 def test_cli_validation_failure_exit_code(tmp_path, capsys):
@@ -577,9 +612,14 @@ def test_cli_validation_failure_exit_code(tmp_path, capsys):
                                "duration_s": 1, "seed": 1}))
     not_json = tmp_path / "not.json"
     not_json.write_text('{"version": 1,')
+    link_list = tmp_path / "link_list.json"
+    link_list.write_text(json.dumps(_BAD_SCENARIOS["link-list"]))
     out = tmp_path / "o"
-    for path in (bad, tmp_path / "missing.json", not_json):
+    for path in (bad, tmp_path / "missing.json", not_json, link_list):
         assert main(["run", "--scenario", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "events[0]: link must be a string, got ['anna-sw']" in err
+    assert "Traceback" not in err
     # Unreadable records: a missing file, a truncated line, and a block
     # record without a field, as every block record written before the
     # usable fraction was recorded is.
