@@ -314,20 +314,21 @@ class MetricsReport:
         return "".join(chain.from_iterable(_ROWS[tag][1].encode(rows) for tag, rows in tables))
 
     def write(self, out_dir: Union[str, Path], fmt: str = "csv") -> List[Path]:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        written = []
+        """Write the report in ``fmt`` under ``out_dir``; a path that cannot
+        be written raises a one-line ValidationError naming it."""
         if fmt == "csv":
-            path = out / "metrics.csv"
-            path.write_text(self.emit_csv())
-            written.append(path)
+            path, emit = Path(out_dir) / "metrics.csv", self.emit_csv
         elif fmt == "records":
-            path = out / "metrics.records.jsonl"
-            path.write_text(self.emit_records())
-            written.append(path)
+            path, emit = Path(out_dir) / "metrics.records.jsonl", self.emit_records
         else:
             raise ValidationError(f"unknown output format {fmt!r}")
-        return written
+        body = emit()
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(body)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        return [path]
 
 
 def read_records(path: Union[str, Path]) -> MetricsReport:

@@ -9,6 +9,7 @@ events. Identical (scenario, seed) always reproduces a bit-identical run.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
@@ -97,51 +98,112 @@ _EVENT_KEYS = {kind: frozenset(("t", "kind", *args)) for kind, args in {
     EventKind.SET_SIFTING: ("channel", "protocol"),
 }.items()}
 _ANY_EVENT_KEY = frozenset().union(*_EVENT_KEYS.values())
+# A kind's JSON string -> (kind, its keys): one lookup by the string, as an
+# Enum member hashes in Python.
+_KIND_KEYS = {kind.value: (kind, keys) for kind, keys in _EVENT_KEYS.items()}
+_EVE_KINDS = {kind.value: kind for kind in EveKind}
+_EVE_KEYS = frozenset(("kind", "fraction"))
+_PROTOCOLS = {protocol.value: protocol for protocol in SiftingProtocol}
 _KNOB_NAMES = tuple(EngineKnobs.__dataclass_fields__)
 
 # A relay request's size travels as a u32 in the hop payload.
 _MAX_RELAY_BITS = 2 ** 32 - 1
+# What schema.number admits as a finite number.
+_NUMBER_TYPES = (int, float)
+_FLOAT_MAX = sys.float_info.max
+
+# Members bound to module names: an attribute read off EventKind costs
+# about 0.1 us, a module global a tenth of that.
+_START_QKD = EventKind.START_QKD
+_RELAY_REQUEST = EventKind.RELAY_REQUEST
+_SWITCH_TOGGLE = EventKind.SWITCH_TOGGLE
+_ENABLE_EVE = EventKind.ENABLE_EVE
+_SET_SIFTING = EventKind.SET_SIFTING
 
 
-def _parse_eve(raw, where: str) -> EveModel:
-    fields(raw, f"{where}.eve", ("kind",), ("fraction",))
-    return EveModel(kind=choice(EveKind, raw["kind"], f"{where}.eve.kind"),
-                    intercept_fraction=number(raw.get("fraction", 1.0), where,
-                                              "eve fraction", 0, 1))
+def _at(i: int) -> str:
+    return f"events[{i}]"
 
 
-def _parse_event(raw, where: str, topology: Topology, channels) -> ScenarioEvent:
-    """One event, its references checked against the topology, whose
-    channel ids ``channels`` maps from their (tx, rx) ends."""
-    kind = choice(EventKind, fields(raw, where, ("t", "kind"), _ANY_EVENT_KEY)["kind"],
-                  f"{where}.kind")
-    if raw.keys() != _EVENT_KEYS[kind]:
-        raise ValidationError(f"{where}: {kind.value} needs exactly "
-                              f"{sorted(_EVENT_KEYS[kind])}, got {sorted(raw)}")
-    if kind is EventKind.RELAY_REQUEST:
-        src, dst = (text(raw[end], where, "node", topology.nodes) for end in ("src", "dst"))
+def _parse_eve(raw, i: int) -> EveModel:
+    """Event ``i``'s attacker model, tested as ``_parse_event`` tests."""
+    kind = raw.get("kind") if type(raw) is dict else None
+    kind = _EVE_KINDS.get(kind) if type(kind) is str else None
+    if kind is None or not raw.keys() <= _EVE_KEYS:
+        fields(raw, f"{_at(i)}.eve", ("kind",), ("fraction",))
+        kind = choice(EveKind, raw["kind"], f"{_at(i)}.eve.kind")
+    fraction = raw.get("fraction", 1.0)
+    if type(fraction) not in _NUMBER_TYPES or not 0 <= fraction <= 1:
+        fraction = number(fraction, _at(i), "eve fraction", 0, 1)
+    return EveModel(kind=kind, intercept_fraction=float(fraction))
+
+
+def _parse_event(raw, i: int, topology: Topology, channels) -> ScenarioEvent:
+    """Event ``i``, its references checked against the topology, whose
+    channel ids ``channels`` maps from their (tx, rx) ends.
+
+    Each field is tested once, inline. A field that fails its test goes to
+    the schema reader that words its one-line error, so a valid event
+    builds no message, and a malformed one is judged field by field in one
+    fixed order: shape and kind, the kind's fields, then ``t``."""
+    kind = raw.get("kind") if type(raw) is dict else None
+    kind, keys = _KIND_KEYS.get(kind, (None, None)) if type(kind) is str else (None, None)
+    if kind is None or raw.keys() != keys:
+        where = _at(i)
+        kind = choice(EventKind, fields(raw, where, ("t", "kind"), _ANY_EVENT_KEY)["kind"],
+                      f"{where}.kind")
+        if raw.keys() != _EVENT_KEYS[kind]:
+            raise ValidationError(f"{where}: {kind.value} needs exactly "
+                                  f"{sorted(_EVENT_KEYS[kind])}, got {sorted(raw)}")
+    if kind is _RELAY_REQUEST:
+        src, dst, bits = raw["src"], raw["dst"], raw["bits"]
+        nodes = topology.nodes
+        if type(src) is not str or src not in nodes:
+            text(src, _at(i), "node", nodes)
+        if type(dst) is not str or dst not in nodes:
+            text(dst, _at(i), "node", nodes)
         if src == dst:
-            raise ValidationError(f"{where}: relay source and destination must differ, "
+            raise ValidationError(f"{_at(i)}: relay source and destination must differ, "
                                   f"both are {src!r}")
-        args = {"src": src, "dst": dst,
-                "bits": integer(raw["bits"], where, "bits", 1, _MAX_RELAY_BITS)}
-    elif kind is EventKind.START_QKD:
-        tx, rx = text(raw["tx"], where, "tx"), text(raw["rx"], where, "rx")
+        if type(bits) is not int or not 1 <= bits <= _MAX_RELAY_BITS:
+            integer(bits, _at(i), "bits", 1, _MAX_RELAY_BITS)
+        args = {"src": src, "dst": dst, "bits": bits}
+    elif kind is _START_QKD:
+        tx, rx = raw["tx"], raw["rx"]
+        if type(tx) is not str:
+            text(tx, _at(i), "tx")
+        if type(rx) is not str:
+            text(rx, _at(i), "rx")
         if (tx, rx) not in channels:
-            raise ValidationError(f"{where}: no QKD channel from {tx!r} to {rx!r} "
+            raise ValidationError(f"{_at(i)}: no QKD channel from {tx!r} to {rx!r} "
                                   f"in the topology")
         args = {"channel": channels[tx, rx]}
-    elif kind is EventKind.SWITCH_TOGGLE:
-        args = {"switch": text(raw["switch"], where, "switch", topology.switches)}
-    elif kind is EventKind.ENABLE_EVE:
-        args = {"channel": text(raw["channel"], where, "channel", channels.values()),
-                "eve": _parse_eve(raw["eve"], where)}
-    elif kind is EventKind.SET_SIFTING:
-        args = {"channel": text(raw["channel"], where, "channel", channels.values()),
-                "protocol": choice(SiftingProtocol, raw["protocol"], f"{where}.protocol")}
+    elif kind is _SWITCH_TOGGLE:
+        switch = raw["switch"]
+        if type(switch) is not str or switch not in topology.switches:
+            text(switch, _at(i), "switch", topology.switches)
+        args = {"switch": switch}
+    elif kind is _ENABLE_EVE or kind is _SET_SIFTING:
+        channel = raw["channel"]
+        if type(channel) is not str or channel not in channels.values():
+            text(channel, _at(i), "channel", channels.values())
+        if kind is _ENABLE_EVE:
+            args = {"channel": channel, "eve": _parse_eve(raw["eve"], i)}
+        else:
+            protocol = raw["protocol"]
+            protocol = _PROTOCOLS.get(protocol) if type(protocol) is str else None
+            if protocol is None:
+                protocol = choice(SiftingProtocol, raw["protocol"], f"{_at(i)}.protocol")
+            args = {"channel": channel, "protocol": protocol}
     else:  # cut_link or restore_link
-        args = {"link": text(raw["link"], where, "link", topology.links)}
-    return ScenarioEvent(number(raw["t"], where, "t"), kind, MappingProxyType(args))
+        link = raw["link"]
+        if type(link) is not str or link not in topology.links:
+            text(link, _at(i), "link", topology.links)
+        args = {"link": link}
+    t = raw["t"]
+    if type(t) not in _NUMBER_TYPES or not -_FLOAT_MAX <= t <= _FLOAT_MAX:
+        number(t, _at(i), "t")
+    return ScenarioEvent(float(t), kind, MappingProxyType(args))
 
 
 def load_scenario(config: Union[str, dict]) -> Scenario:
@@ -161,9 +223,9 @@ def load_scenario(config: Union[str, dict]) -> Scenario:
 
     knobs = EngineKnobs(**fields(config.get("engine", {}), "engine", (), _KNOB_NAMES))
     channels = {(c.tx, c.rx): c.channel_id for c in topology.qkd_channels()}
-    events = tuple(_parse_event(raw, f"events[{i}]", topology, channels)
-                   for i, raw in enumerate(items(config.get("events", []), "scenario",
-                                                 "events")))
+    events = tuple([_parse_event(raw, i, topology, channels)
+                    for i, raw in enumerate(items(config.get("events", []), "scenario",
+                                                  "events"))])
     return Scenario(
         topology=topology,
         duration_s=number(config["duration_s"], "scenario", "duration_s"),

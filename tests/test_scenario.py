@@ -1,5 +1,6 @@
 """Scenario schema, engine behavior, reports, and the CLI surface."""
 
+import copy
 import csv
 import json
 import math
@@ -103,6 +104,174 @@ def test_scenario_validates_references():
             {"t": 0.0, "kind": "start_qkd", "tx": "Anna", "rx": "Boris2"}]))
     with pytest.raises(ValidationError, match="unknown link"):
         load_scenario(_minimal(events=[{"t": 0.0, "kind": "cut_link", "link": "zap"}]))
+
+
+_CUT = {"t": 1.0, "kind": "cut_link", "link": "anna-sw"}
+_RESTORE = {"t": 1.0, "kind": "restore_link", "link": "anna-sw"}
+_START = {"t": 0.0, "kind": "start_qkd", "tx": "Anna", "rx": "Bob"}
+_RELAY = {"t": 1.0, "kind": "relay_request", "src": "Anna", "dst": "Bob", "bits": 64}
+_TOGGLE = {"t": 1.0, "kind": "switch_toggle", "switch": "sw"}
+_EVE = {"t": 1.0, "kind": "enable_eve", "channel": "Anna-Bob",
+        "eve": {"kind": "intercept_resend", "fraction": 0.5}}
+_SIFT = {"t": 1.0, "kind": "set_sifting", "channel": "Anna-Bob", "protocol": "sarg"}
+_DROP = object()
+
+
+def _with(event, **change):
+    """``event`` with keys replaced, added, or dropped (``_DROP``)."""
+    out = {**event, **change}
+    return {key: value for key, value in out.items() if value is not _DROP}
+
+
+def _eve(**eve):
+    return _with(_EVE, eve=eve)
+
+
+_KINDS = ("start_qkd, relay_request, cut_link, restore_link, enable_eve, switch_toggle, "
+          "set_sifting")
+_BITS = "bits must be an integer in [1, 4294967295], got"
+_EVE_KINDS = "events[0].eve.kind: expected one of [none, intercept_resend, photon_number_split]"
+_FRACTION = "events[0]: eve fraction must be a finite number in [0, 1], got"
+
+# Each malformed event list, and the whole one-line error its load raises.
+_EVENT_ERRORS = {
+    "not-an-object": ([5], "events[0]: expected an object, got 5"),
+    "list-event": ([["t", 1.0]], "events[0]: expected an object, got ['t', 1.0]"),
+    "missing-t": ([_with(_CUT, t=_DROP)], "events[0]: missing required key 't'"),
+    "missing-kind": ([_with(_CUT, kind=_DROP)], "events[0]: missing required key 'kind'"),
+    "unknown-key": ([_with(_CUT, colour="red")], "events[0]: unknown key 'colour'"),
+    "unknown-key-and-kind": ([_with(_CUT, kind="explode", colour="red")],
+                             "events[0]: unknown key 'colour'"),
+    "wrong-keys-for-kind": ([_with(_CUT, link=_DROP, switch="sw")],
+                            "events[0]: cut_link needs exactly ['kind', 'link', 't'], "
+                            "got ['kind', 'switch', 't']"),
+    "missing-field": ([_with(_RELAY, bits=_DROP)],
+                      "events[0]: relay_request needs exactly ['bits', 'dst', 'kind', 'src', "
+                      "'t'], got ['dst', 'kind', 'src', 't']"),
+    "kind-list": ([_with(_CUT, kind=["x"])],
+                  f"events[0].kind: expected one of [{_KINDS}], got ['x']"),
+    "kind-unknown": ([_with(_CUT, kind="explode")],
+                     f"events[0].kind: expected one of [{_KINDS}], got 'explode'"),
+    "kind-number": ([_with(_CUT, kind=3)], f"events[0].kind: expected one of [{_KINDS}], got 3"),
+    "t-string": ([_with(_CUT, t="1.0")], "events[0]: t must be a finite number, got '1.0'"),
+    "t-true": ([_with(_CUT, t=True)], "events[0]: t must be a finite number, got True"),
+    "t-null": ([_with(_CUT, t=None)], "events[0]: t must be a finite number, got None"),
+    "t-nan": ([_with(_CUT, t=math.nan)], "events[0]: t must be a finite number, got nan"),
+    "t-inf": ([_with(_CUT, t=math.inf)], "events[0]: t must be a finite number, got inf"),
+    "t-huge-int": ([_with(_CUT, t=10 ** 400)],
+                   "events[0]: t must be a finite number, got 1" + "0" * 400),
+    "t-after-duration": ([_with(_CUT, t=10.5)], "event times must lie within [0, duration]"),
+    "t-negative": ([_with(_CUT, t=-1.0)], "event times must lie within [0, duration]"),
+    "start-tx-list": ([_with(_START, tx=["Anna"])],
+                      "events[0]: tx must be a string, got ['Anna']"),
+    "start-rx-number": ([_with(_START, rx=7)], "events[0]: rx must be a string, got 7"),
+    "start-unknown-tx": ([_with(_START, tx="Zed")],
+                         "events[0]: no QKD channel from 'Zed' to 'Bob' in the topology"),
+    "start-no-channel": ([_with(_START, tx="Bob", rx="Anna")],
+                         "events[0]: no QKD channel from 'Bob' to 'Anna' in the topology"),
+    "start-bad-t": ([_with(_START, t="0")], "events[0]: t must be a finite number, got '0'"),
+    "start-twice": ([_START, _with(_START, t=5.0)],
+                    "events[1]: channel 'Anna-Bob' is already started; a channel starts once"),
+    "relay-src-list": ([_with(_RELAY, src=["Anna"])],
+                       "events[0]: node must be a string, got ['Anna']"),
+    "relay-src-unknown": ([_with(_RELAY, src="Zed")], "events[0]: unknown node 'Zed'"),
+    "relay-dst-object": ([_with(_RELAY, dst={})], "events[0]: node must be a string, got {}"),
+    "relay-dst-unknown": ([_with(_RELAY, dst="Zed")], "events[0]: unknown node 'Zed'"),
+    "relay-src-is-dst": ([_with(_RELAY, dst="Anna")],
+                         "events[0]: relay source and destination must differ, both are 'Anna'"),
+    "relay-bits-zero": ([_with(_RELAY, bits=0)], f"events[0]: {_BITS} 0"),
+    "relay-bits-negative": ([_with(_RELAY, bits=-8)], f"events[0]: {_BITS} -8"),
+    "relay-bits-over-u32": ([_with(_RELAY, bits=2 ** 32)], f"events[0]: {_BITS} 4294967296"),
+    "relay-bits-float": ([_with(_RELAY, bits=1.5)], f"events[0]: {_BITS} 1.5"),
+    "relay-bits-whole-float": ([_with(_RELAY, bits=64.0)], f"events[0]: {_BITS} 64.0"),
+    "relay-bits-true": ([_with(_RELAY, bits=True)], f"events[0]: {_BITS} True"),
+    "relay-bits-string": ([_with(_RELAY, bits="12")], f"events[0]: {_BITS} '12'"),
+    "relay-bad-src-and-bits": ([_with(_RELAY, src="Zed", bits=0)],
+                               "events[0]: unknown node 'Zed'"),
+    "relay-bad-bits-and-t": ([_with(_RELAY, bits=0, t="x")], f"events[0]: {_BITS} 0"),
+    "relay-bad-t": ([_with(_RELAY, t=None)], "events[0]: t must be a finite number, got None"),
+    "cut-link-list": ([_with(_CUT, link=["anna-sw"])],
+                      "events[0]: link must be a string, got ['anna-sw']"),
+    "cut-link-unknown": ([_with(_CUT, link="zap")], "events[0]: unknown link 'zap'"),
+    "restore-link-number": ([_with(_RESTORE, link=1)], "events[0]: link must be a string, got 1"),
+    "restore-link-unknown": ([_with(_RESTORE, link="zap")], "events[0]: unknown link 'zap'"),
+    "restore-bad-t": ([_with(_RESTORE, t=-math.inf)],
+                      "events[0]: t must be a finite number, got -inf"),
+    "toggle-switch-object": ([_with(_TOGGLE, switch={"sw": 1})],
+                             "events[0]: switch must be a string, got {'sw': 1}"),
+    "toggle-switch-unknown": ([_with(_TOGGLE, switch="sw2")], "events[0]: unknown switch 'sw2'"),
+    "toggle-bad-t": ([_with(_TOGGLE, t=False)], "events[0]: t must be a finite number, got False"),
+    "eve-channel-list": ([_with(_EVE, channel=["Anna-Bob"])],
+                         "events[0]: channel must be a string, got ['Anna-Bob']"),
+    "eve-channel-unknown": ([_with(_EVE, channel="Bob-Anna")],
+                            "events[0]: unknown channel 'Bob-Anna'"),
+    "eve-not-object": ([_with(_EVE, eve="intercept_resend")],
+                       "events[0].eve: expected an object, got 'intercept_resend'"),
+    "eve-null": ([_with(_EVE, eve=None)], "events[0].eve: expected an object, got None"),
+    "eve-missing-kind": ([_eve(fraction=0.5)], "events[0].eve: missing required key 'kind'"),
+    "eve-unknown-key": ([_eve(kind="none", rate=1)], "events[0].eve: unknown key 'rate'"),
+    "eve-kind-unknown": ([_eve(kind="tap")], f"{_EVE_KINDS}, got 'tap'"),
+    "eve-kind-list": ([_eve(kind=["none"])], f"{_EVE_KINDS}, got ['none']"),
+    "eve-fraction-string": ([_eve(kind="intercept_resend", fraction="0.5")],
+                            f"{_FRACTION} '0.5'"),
+    "eve-fraction-true": ([_eve(kind="intercept_resend", fraction=True)], f"{_FRACTION} True"),
+    "eve-fraction-over-1": ([_eve(kind="intercept_resend", fraction=2.0)], f"{_FRACTION} 2.0"),
+    "eve-fraction-negative": ([_eve(kind="intercept_resend", fraction=-0.1)],
+                              f"{_FRACTION} -0.1"),
+    "eve-fraction-nan": ([_eve(kind="intercept_resend", fraction=math.nan)], f"{_FRACTION} nan"),
+    "eve-bad-t": ([_with(_EVE, t="1")], "events[0]: t must be a finite number, got '1'"),
+    "sifting-channel-list": ([_with(_SIFT, channel=["Anna-Bob"])],
+                             "events[0]: channel must be a string, got ['Anna-Bob']"),
+    "sifting-channel-unknown": ([_with(_SIFT, channel="Anna-Zed")],
+                                "events[0]: unknown channel 'Anna-Zed'"),
+    "sifting-protocol-unknown": ([_with(_SIFT, protocol="b92")],
+                                 "events[0].protocol: expected one of [bb84, sarg], got 'b92'"),
+    "sifting-protocol-list": ([_with(_SIFT, protocol=["sarg"])],
+                              "events[0].protocol: expected one of [bb84, sarg], got ['sarg']"),
+    "sifting-protocol-null": ([_with(_SIFT, protocol=None)],
+                              "events[0].protocol: expected one of [bb84, sarg], got None"),
+    "sifting-bad-t": ([_with(_SIFT, t=[1.0])], "events[0]: t must be a finite number, got [1.0]"),
+    # The first malformed event in list order is named, and only once
+    # every event has passed are the times and the starts checked.
+    "two-bad-events": ([_START, _with(_RELAY, bits=0), _with(_CUT, link="zap")],
+                       f"events[1]: {_BITS} 0"),
+    "bad-event-after-misordered": ([_with(_CUT, t=5.0), _with(_RESTORE, t=2.0),
+                                    _with(_TOGGLE, switch="zz")],
+                                   "events[2]: unknown switch 'zz'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EVENT_ERRORS))
+def test_malformed_event_raises_its_exact_error_line(case):
+    events, message = _EVENT_ERRORS[case]
+    with pytest.raises(ValidationError) as raised:
+        load_scenario(_minimal(duration=10.0, events=events))
+    assert str(raised.value) == message
+
+
+def test_boundary_event_values_load():
+    # t = 0 and t = duration_s, an integer t, and the ends of each range.
+    scenario = load_scenario(_minimal(duration=10.0, events=[
+        _with(_START, t=0), _with(_RELAY, t=0.0, bits=1),
+        _eve(kind="intercept_resend", fraction=0), _eve(kind="none"),
+        _with(_RELAY, t=5, bits=2 ** 32 - 1), _with(_TOGGLE, t=10), _with(_CUT, t=10.0)]))
+    times = [event.time_s for event in scenario.events]
+    assert times == [0.0, 0.0, 1.0, 1.0, 5.0, 10.0, 10.0]
+    assert all(type(t) is float for t in times)
+    assert [scenario.events[i].args["bits"] for i in (1, 4)] == [1, 2 ** 32 - 1]
+    assert scenario.events[2].args["eve"] == EveModel.intercept_resend(0.0)
+    assert scenario.events[3].args["eve"] == EveModel()
+
+
+def test_load_leaves_its_document_alone():
+    doc = _minimal(duration=10.0, events=[
+        _START, _RELAY, _with(_CUT, t=2.0), _with(_RESTORE, t=3.0), _with(_EVE, t=4.0),
+        _with(_TOGGLE, t=5.0), _with(_SIFT, t=6.0)], block_target_bits=2048)
+    before = copy.deepcopy(doc)
+    first = load_scenario(doc)
+    assert doc == before
+    assert {event.kind for event in first.events} == set(EventKind)
+    assert load_scenario(doc) == first
 
 
 def _one_event(**event):
@@ -604,6 +773,23 @@ def test_cli_run_into_an_unmakeable_out_dir_exits_1_before_the_run(tmp_path, cap
         assert len(err) == 1 and err[0].startswith(
             f"validation error: cannot create output directory {out}: ")
     assert runs == []
+
+
+def test_cli_run_into_an_unwritable_report_file_exits_1(tmp_path, capsys, monkeypatch):
+    # A report file that is a directory once ended the run in an
+    # IsADirectoryError traceback.
+    monkeypatch.setattr(cli_module, "run_scenario",
+                        lambda scenario: MetricsReport(scenario.name, scenario.seed,
+                                                       scenario.duration_s))
+    for fmt, name in (("csv", "metrics.csv"), ("records", "metrics.records.jsonl")):
+        out = tmp_path / fmt
+        (out / name).mkdir(parents=True)
+        assert main(["run", "--preset", "cambridge", "--duration", "2",
+                     "--out", str(out), "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"validation error: cannot write {out / name}: Is a directory"]
 
 
 def test_cli_validation_failure_exit_code(tmp_path, capsys):
