@@ -30,7 +30,8 @@ for pair in (("S", "M"), ("M", "D")):
         "qkd", rng.integers(0, 2, 4096, dtype=np.uint8), KeyOrigin.DIRECT_QKD)
 coord = RelayCoordinator(topo, HealthMonitor(), store, np.random.default_rng(2))
 session = coord.request("S", "D", 64, time_s=0.0)
-coord.drive(session, 0.1)
+while coord.step(session, 0.1) in ("advanced", "rerouted"):
+    pass
 print(f"  path: {' -> '.join(session.path)}")
 print(f"  R at source:      {bits_to_hex(session.secret)}")
 for t in session.hop_transcripts:
@@ -63,7 +64,8 @@ health.force(f"{session.path[1]}-D", LinkHealth.CUT, 0.2, "fiber cut")
 coord.step(session, 0.3)
 print(f"  rerouted to: {' -> '.join(session.path)} "
       f"(R regenerated {session.regenerations} time(s))")
-coord.drive(session, 0.4)
+while coord.step(session, 0.4) in ("advanced", "rerouted"):
+    pass
 print(f"  status: {session.status.value}; endpoints agree: "
       f"{np.array_equal(session.secret, session.delivered_secret)}")
 writeoffs = [a for a in store.audit if a.kind == 'write_off']

@@ -16,15 +16,19 @@ transmitter before key generation resumes.
 A started session (states in ``_State``) has at most one pending event,
 and ``Engine._schedule`` is the only code that pushes one: it bumps the
 session's token, so the new event retires whatever was pending, and it
-pushes nothing for a halted session. A ``realign`` is answered by a
-``realigned`` event when its frames are spent. An ``ACTIVE`` session then
-has its next ``round`` pending; an ``UNLIT`` one, whose round found no
-light, has one ``watchdog`` that flags the cut, then nothing until a
-restore or a toggle realigns it. The one other token bump parks a session
-when a switch moves its pairing away, until the toggle that pairs it again.
-Handlers act only on the event that carries the current token, except that
-a failed realignment reaches the health monitor either way: its frames
-were spent. So every health row is stamped at the event that emits it.
+pushes nothing for a halted session. ``Engine._resume`` takes a paused
+session (just started, restored, re-paired by a toggle, or after a failed
+realignment) back to key: a ``realign`` once its switch's blackout ends,
+the zero-click watch starting there, or, while its pairing is away, a
+token bump that parks it. A ``realign`` or ``round`` without light makes
+the session ``UNLIT``, with one ``watchdog`` that flags the cut 5 s after
+the last click, then nothing until a restore or a toggle resumes it. A
+lit ``realign`` is answered by a ``realigned`` event when its frames are
+spent: the next ``round`` of an ``ACTIVE`` session, or, if it failed, a
+``realign`` at once. Handlers act only on the event that carries the
+current token, except that a failed realignment reaches the health monitor
+either way: its frames were spent. So every health row is stamped at the
+event that emits it.
 
 A relay session moves one hop per event; a blocked one has no timer: the
 relay coordinator holds it and, after each event, hands back the ones a key
@@ -73,9 +77,8 @@ from .qkdproto.qber import DEFAULT_MIN_SAMPLE
 from .qkdproto.sifting import SiftingProtocol
 from .report import BlockRecord, MetricsReport, RelayOutcome, ReservoirRow, SeriesRow
 from .scenario import EventKind, Scenario
-from .switchfab import (FEEDBACK_DEADBAND, REALIGN_FRAME_BUDGET, SWITCHING_TIME_S,
-                        SwitchEvent, SwitchState, realign_receiver, resolve_path,
-                        schedule_tick, toggle)
+from .switchfab import (FEEDBACK_DEADBAND, SwitchEvent, SwitchState, realign_receiver,
+                        resolve_path, schedule_tick, toggle)
 
 # Heap priorities at equal timestamps.
 _P_SCENARIO = 0
@@ -108,7 +111,7 @@ class _State(Enum):
     IDLE = "idle"        # not started; an attacker or a sifting change may come first
     DARK = "dark"        # started, no key yet: realigning, or waiting for a pairing
     ACTIVE = "active"    # realigned: every round samples a data window
-    UNLIT = "unlit"      # a round found no light: waiting for a restore or a toggle
+    UNLIT = "unlit"      # found no light: waiting for a restore or a toggle
     HALTED = "halted"    # out of authentication key, for good
 
 
@@ -230,6 +233,19 @@ class Engine:
         session.token += 1
         self._push(time_s, _SESSION_PRIORITY[kind], kind, (session.cid, session.token, *args))
 
+    def _resume(self, session: _Session, now: float):
+        """End a paused session's block and realign it once its switch has
+        settled, its zero-click watch starting there, or park it unpaired."""
+        session.state = _State.DARK
+        session.flush_pool()
+        via = session.channel.via_switch
+        at = now if via is None else max(now, self.switches[via].busy_until_s)
+        if session.connected(at):
+            self.health.watch(session.cid, at)
+            self._schedule(session, at, "realign")
+        else:
+            session.token += 1  # parked: the toggle that pairs it again realigns it
+
     def _go_unlit(self, session: _Session, now: float):
         """End the block in progress and wait, with one watchdog for the cut:
         due when the zero-click window runs out, or now if it already has."""
@@ -292,12 +308,8 @@ class Engine:
         kind = ev.kind
         if kind is EventKind.START_QKD:
             session = self._session(ev.args["channel"])
-            session.state = _State.DARK
             session.last_t = session.last_phase_t = now
-            # A disconnected switched pairing waits for its toggle; a cut
-            # link still realigns (and fails) so the zero-click watch runs.
-            if session.connected(now):
-                self._schedule(session, now, "realign")
+            self._resume(session, now)
         elif kind is EventKind.RELAY_REQUEST:
             session = self.coordinator.request(
                 ev.args["src"], ev.args["dst"], ev.args["bits"], now)
@@ -312,8 +324,7 @@ class Engine:
             self.cut_links.discard(ev.args["link"])
             for session in self.sessions.values():
                 if session.state is _State.UNLIT and session.lit(now):
-                    session.state = _State.DARK
-                    self._schedule(session, now, "realign")
+                    self._resume(session, now)
         elif kind is EventKind.ENABLE_EVE:
             self._session(ev.args["channel"]).eve = ev.args["eve"]
         elif kind is EventKind.SWITCH_TOGGLE:
@@ -336,37 +347,28 @@ class Engine:
         pause every session behind it and realign the new pairings."""
         self.switches[sw.switch_id] = sw
         self.switch_events.extend(events)
-        at = now + SWITCHING_TIME_S
         for session in self.sessions.values():
-            if (session.channel.via_switch != sw.switch_id
-                    or session.state in (_State.IDLE, _State.HALTED)):
-                continue
-            session.flush_pool()
-            session.state = _State.DARK
-            if session.connected(at):
-                self._schedule(session, at, "realign")
-            else:
-                session.token += 1  # parked: the toggle that pairs it again realigns it
+            if (session.channel.via_switch == sw.switch_id
+                    and session.state not in (_State.IDLE, _State.HALTED)):
+                self._resume(session, now)
 
     def _on_realign(self, now: float, channel_id: str, token: int):
         session = self.sessions[channel_id]
         if token != session.token:
             return
+        if not session.lit(now):
+            self._go_unlit(session, now)
+            return
         session.drift_to(now)
-        params = session.params
-        if session.lit(now):
-            outcome = realign_receiver(
-                params, session.phase,
-                seed=(self.scenario.seed, channel_id, session.realign_count),
-                training_slots=session.training_slots)
-            session.phase = outcome.phase
-            converged, frames = outcome.converged, outcome.frames_spent
-        else:
-            # No light: the realignment burns its whole frame budget.
-            converged, frames = False, REALIGN_FRAME_BUDGET
+        outcome = realign_receiver(
+            session.params, session.phase,
+            seed=(self.scenario.seed, channel_id, session.realign_count),
+            training_slots=session.training_slots)
+        session.phase = outcome.phase
         session.realign_count += 1
-        resume_at = now + frames * session.training_slots / params.pulse_rate_hz
-        self._schedule(session, resume_at, "realigned", converged)
+        resume_at = (now + outcome.frames_spent * session.training_slots
+                     / session.params.pulse_rate_hz)
+        self._schedule(session, resume_at, "realigned", outcome.converged)
 
     def _on_realigned(self, now: float, channel_id: str, token: int, converged: bool):
         session = self.sessions[channel_id]
@@ -375,20 +377,18 @@ class Engine:
                               "realignment failed to converge")
         if token != session.token:
             return
+        if not converged:
+            self._resume(session, now)
+            return
         self.health.watch(channel_id, now)
-        if converged:
-            session.state = _State.ACTIVE
-            session.last_t = session.last_phase_t = now
-            # Fine-tune densely right after realignment: the acceptance
-            # threshold leaves a residual offset worth trimming before it
-            # shows up in many blocks.
-            session.tuning = True
-            session.tuning_rounds = 0
-            self._schedule(session, now + _ROUND_DURATION_S, "round")
-        elif session.lit(now):
-            self._schedule(session, now, "realign")
-        else:
-            self._go_unlit(session, now)
+        session.state = _State.ACTIVE
+        session.last_t = session.last_phase_t = now
+        # Fine-tune densely right after realignment: the acceptance
+        # threshold leaves a residual offset worth trimming before it
+        # shows up in many blocks.
+        session.tuning = True
+        session.tuning_rounds = 0
+        self._schedule(session, now + _ROUND_DURATION_S, "round")
 
     def _on_watchdog(self, now: float, channel_id: str, token: int):
         if token == self.sessions[channel_id].token:

@@ -540,12 +540,3 @@ class RelayCoordinator:
             session.failure_cause = f"no alternate path ({cause})"
             return "failed"
         return "rerouted"
-
-    def drive(self, session: RelaySession, time_s: float, max_steps: int = 1000) -> str:
-        """Step the session until it blocks or finishes (synchronous mode)."""
-        outcome = "pending"
-        for _ in range(max_steps):
-            outcome = self.step(session, time_s)
-            if outcome in ("pending", "starved", "delivered", "failed"):
-                break
-        return outcome

@@ -24,6 +24,7 @@ bits reads nothing. The engine's periodic training frames use the same deadband.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import List, Optional, Tuple
@@ -74,13 +75,15 @@ class SwitchState:
     """Connectivity state of one 2x2 switch, with its reconfiguration plan.
 
     ``toggle_times_s`` overrides the periodic schedule when non-empty.
+    The blackout of the last toggle, at ``toggled_at_s``, holds from that
+    instant up to, not including, ``busy_until_s``.
     """
 
     switch_id: str
     tx_ports: Tuple[str, str]
     rx_ports: Tuple[str, str]
     position: SwitchPosition = SwitchPosition.BAR
-    busy_until_s: float = 0.0
+    toggled_at_s: float = -math.inf
     schedule_period_s: float = DEFAULT_SCHEDULE_PERIOD_S
     insertion_loss_db: float = DEFAULT_INSERTION_LOSS_DB
     toggle_times_s: Tuple[float, ...] = ()
@@ -106,8 +109,12 @@ class SwitchState:
             return self.toggle_times_s[self.toggles_done]
         return (self.toggles_done + 1) * self.schedule_period_s
 
+    @property
+    def busy_until_s(self) -> float:
+        return self.toggled_at_s + SWITCHING_TIME_S
+
     def is_busy(self, now_s: float) -> bool:
-        return now_s < self.busy_until_s and self.busy_until_s - now_s <= SWITCHING_TIME_S
+        return self.toggled_at_s <= now_s < self.busy_until_s
 
 
 def resolve_path(state: SwitchState, tx: str, now_s: float = 0.0) -> Optional[str]:
@@ -128,8 +135,7 @@ def resolve_path(state: SwitchState, tx: str, now_s: float = 0.0) -> Optional[st
 def toggle(state: SwitchState, at_s: float) -> Tuple[SwitchState, SwitchEvent]:
     """Flip the switch at ``at_s``, opening the 8 ms blackout; the schedule
     is left alone."""
-    state = replace(state, position=state.position.toggled(),
-                    busy_until_s=at_s + SWITCHING_TIME_S)
+    state = replace(state, position=state.position.toggled(), toggled_at_s=at_s)
     return state, SwitchEvent(at_s, state.switch_id, state.position.value)
 
 

@@ -14,6 +14,8 @@ engine runs.
   :func:`qkdnet.qkdproto.secret_length`.
 * :func:`movable` is the full-scan oracle of
   :meth:`qkdnet.keyrelay.RelayCoordinator.wake`.
+* :func:`drive` steps a relay session at one instant until it blocks or
+  finishes, where the engine steps one hop per event.
 * :func:`report_from_records` reads a records stream one record at a time;
   it is the oracle of :meth:`qkdnet.report.MetricsReport.from_records`,
   which checks a field column at a time.
@@ -233,6 +235,18 @@ def movable(coord: RelayCoordinator, sessions: Iterable[RelaySession]) -> List[R
     """The coordinator's readiness rule on a relay graph built fresh: the
     sessions among ``sessions`` that a step would move now."""
     return coord._ready(sessions, relay_graph(coord.topology, coord.health, coord.store), {})
+
+
+def drive(coord: RelayCoordinator, session: RelaySession, time_s: float,
+          max_steps: int = 1000) -> str:
+    """Step ``session`` at ``time_s`` until it blocks or finishes; returns
+    the last step's outcome."""
+    outcome = "pending"
+    for _ in range(max_steps):
+        outcome = coord.step(session, time_s)
+        if outcome in ("pending", "starved", "delivered", "failed"):
+            break
+    return outcome
 
 
 def _decode_row(codec, i: int, record: dict):

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import PulseFrame, estimate_secret_length, transmit_frame
+from oracles import PulseFrame, drive, estimate_secret_length, transmit_frame
 from qkdnet import netgraph as ng
 from qkdnet import physlink as pl
 from qkdnet.bits import binary_entropy, xor_bits
@@ -174,7 +174,7 @@ def test_criterion_5_relay_correctness_accounting():
                                  np.random.default_rng(trial))
         src, dst = rng.choice(names, 2, replace=False)
         session = coord.request(str(src), str(dst), r_len, time_s=0.0)
-        outcome = coord.drive(session, 1.0)
+        outcome = drive(coord, session, 1.0)
         if session.status is not RelayStatus.DELIVERED:
             continue
         delivered += 1

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from oracles import decode_record, movable
+from oracles import decode_record, drive, movable
 from qkdnet import keyrelay
 from qkdnet import netgraph as ng
 from qkdnet.bits import xor_bits
@@ -216,7 +216,7 @@ def test_relay_xor_arithmetic_by_hand():
         r.deposit("auth", rng.integers(0, 2, 256, dtype=np.uint8), KeyOrigin.PREPOSITIONED)
     coord = RelayCoordinator(topo, HealthMonitor(), store, _StubRng([[1, 0, 1, 0]]))
     session = coord.request("N0", "N2", 4, time_s=0.0)
-    assert coord.drive(session, 1.0) == "delivered"
+    assert drive(coord, session, 1.0) == "delivered"
     assert [list(t.ciphertext) for t in session.hop_transcripts] == \
         [[0, 1, 1, 0], [1, 0, 0, 1]]
     assert list(session.delivered_secret) == [1, 0, 1, 0]
@@ -229,7 +229,7 @@ def test_single_hop_degenerates_to_one_otp_transfer():
     _seed(store, pairs)
     coord = RelayCoordinator(topo, HealthMonitor(), store, np.random.default_rng(5))
     session = coord.request("N0", "N1", 1024, time_s=0.0)
-    assert coord.drive(session, 0.5) == "delivered"
+    assert drive(coord, session, 0.5) == "delivered"
     assert len(session.hop_transcripts) == 1
     assert np.array_equal(session.secret, session.delivered_secret)
 
@@ -240,7 +240,7 @@ def test_five_hop_relay_accounting_and_algebra():
     _seed(store, pairs, bits=20_000)
     coord = RelayCoordinator(topo, HealthMonitor(), store, np.random.default_rng(6))
     session = coord.request("N0", "N5", 10_000, time_s=0.0)
-    assert coord.drive(session, 1.0) == "delivered"
+    assert drive(coord, session, 1.0) == "delivered"
     assert np.array_equal(session.secret, session.delivered_secret)
     otp = sum(a.offset_end - a.offset_start for a in store.audit
               if a.kind == "consume" and a.purpose == "one_time_pad")
@@ -263,7 +263,7 @@ def test_every_hop_message_carries_its_session_number_as_frame_id():
     sessions = [coord.request(src, dst, 512, time_s=0.0)
                 for src, dst in (("N0", "N3"), ("N1", "N3"), ("N0", "N2"))]
     for session in sessions:
-        assert coord.drive(session, 1.0) == "delivered"
+        assert drive(coord, session, 1.0) == "delivered"
     for session in sessions:
         for t in session.hop_transcripts:
             record, end = decode_record(t.message)
@@ -279,7 +279,7 @@ def test_relay_deposits_delivered_secret_for_endpoints():
     _seed(store, pairs)
     coord = RelayCoordinator(topo, HealthMonitor(), store, np.random.default_rng(7))
     session = coord.request("N0", "N3", 2048, time_s=0.0)
-    coord.drive(session, 1.0)
+    drive(coord, session, 1.0)
     assert store.available("N0", "N3") == 2048
     assert np.array_equal(store.reservoir("N0", "N3").peek(0, 2048), session.secret)
 
@@ -290,7 +290,7 @@ def test_relay_transitivity_between_transmitters():
     _seed(store, [("Alice", "Bob"), ("Anna", "Bob")])
     coord = RelayCoordinator(topo, HealthMonitor(), store, np.random.default_rng(8))
     session = coord.request("Alice", "Anna", 1024, time_s=0.0)
-    assert coord.drive(session, 1.0) == "delivered"
+    assert drive(coord, session, 1.0) == "delivered"
     assert store.available("Alice", "Anna") == 1024
 
 
@@ -305,7 +305,7 @@ def test_relay_starvation_pauses_until_replenished():
     store.reservoir("N1", "N2").deposit(
         "more", np.random.default_rng(1).integers(0, 2, 4000, dtype=np.uint8),
         KeyOrigin.DIRECT_QKD)
-    assert coord.drive(session, 2.0) == "delivered"
+    assert drive(coord, session, 2.0) == "delivered"
 
 
 def test_path_search_skips_hops_that_cannot_pay_for_the_tag():
@@ -322,7 +322,7 @@ def test_path_search_skips_hops_that_cannot_pay_for_the_tag():
                                  np.random.default_rng(15), reserve_bits=reserve)
         session = coord.request("S", "D", 1024, time_s=0.0)
         assert session.path == ["S", "R", "D"]
-        assert coord.drive(session, 1.0) == "delivered"
+        assert drive(coord, session, 1.0) == "delivered"
 
 
 def test_movable_reports_sessions_a_step_would_move():
@@ -362,7 +362,7 @@ def test_relay_auth_failure_fails_session_and_degrades_link(monkeypatch):
     health = HealthMonitor()
     coord = RelayCoordinator(topo, health, store, np.random.default_rng(10))
     session = coord.request("N0", "N2", 512, time_s=0.0)
-    assert coord.drive(session, 1.0) == "failed"
+    assert drive(coord, session, 1.0) == "failed"
     assert session.status is RelayStatus.FAILED
     assert health.status("N1-N2") is LinkHealth.DEGRADED
     # Every pad it consumed is written off, the failed hop's own included.
@@ -395,7 +395,7 @@ def test_reroute_mid_session_writes_off_and_regenerates():
     assert coord.step(session, 0.3) == "rerouted"
     assert session.regenerations == 1
     assert not np.array_equal(session.secret, old_secret)
-    assert coord.drive(session, 0.4) == "delivered"
+    assert drive(coord, session, 0.4) == "delivered"
     assert session.path[1] != first_path[1]
     writeoffs = [a for a in store.audit if a.kind == "write_off"]
     assert len(writeoffs) == 1 and writeoffs[0].offset_end - writeoffs[0].offset_start == 1000
@@ -423,7 +423,7 @@ def test_trusted_node_exposure_limited_to_path():
     _seed(store, [("S", "R1"), ("R1", "D")], bits=4000)
     coord = RelayCoordinator(topo, HealthMonitor(), store, np.random.default_rng(13))
     session = coord.request("S", "D", 500, time_s=0.0)
-    assert coord.drive(session, 0.5) == "delivered"
+    assert drive(coord, session, 0.5) == "delivered"
     assert session.path == ["S", "R1", "D"]
     assert "R2" not in {t.rx_node for t in session.hop_transcripts}
     assert _holders(store, session.secret, session.hop_transcripts, "S") == {"S", "R1", "D"}
@@ -446,7 +446,7 @@ def test_exposure_after_a_reroute_is_the_final_path_and_the_first_hop():
     health.force("R1-D", LinkHealth.CUT, 0.2, "test cut")
     assert coord.step(session, 0.3) == "rerouted"
     assert session.regenerations == 1 and session.hop_transcripts == []
-    assert coord.drive(session, 0.4) == "delivered"
+    assert drive(coord, session, 0.4) == "delivered"
     assert session.path == ["S", "R2", "D"]
     # Each final hop's receiver opens its ciphertext to the regenerated R.
     final = session.hop_transcripts
@@ -483,7 +483,7 @@ def test_randomized_cut_sessions_always_deliver_when_possible():
         coord = RelayCoordinator(topo, health, store, np.random.default_rng(trial))
         session = coord.request(src, dst, 1000, time_s=0.0)
         attempted += 1
-        outcome = coord.drive(session, 1.0)
+        outcome = drive(coord, session, 1.0)
         if session.status is RelayStatus.PATH_PENDING:
             # No qualifying path survives the cut; must not deliver.
             continue

@@ -621,8 +621,11 @@ def test_dark_start_and_toggles_sample_each_channel_once_per_instant(monkeypatch
             {"t": 5.0, "kind": "switch_toggle", "switch": "sw"},
             {"t": 12.0, "kind": "restore_link", "link": "anna-sw"},
             {"t": 20.0, "kind": "switch_toggle", "switch": "sw"}])))
-    assert any(h.channel_id == "Anna-Bob" and h.cause == "realignment failed to converge"
-               for h in report.health_log)
+    # Anna-Bob's realignment at 0 s finds no light and goes unlit; the 5 s
+    # toggle parks it at the instant its cut falls due, so it logs no row
+    # and samples nothing until the 20 s toggle pairs it again.
+    assert not [h for h in report.health_log if h.channel_id == "Anna-Bob"]
+    assert not [t for t, channel, _ in windows if channel == "Anna-Bob" and t < 20.0]
     # A session switched away has nothing pending, so its silence is no cut.
     assert all(h.new != "cut" for h in report.health_log)
     assert list(halted_at) == ["Alice-Boris"]
@@ -656,31 +659,73 @@ def test_a_cut_after_a_silent_spell_is_watched_from_now(monkeypatch):
 
 def _four_channel_dark_start(duration, *extra):
     # Anna's channels start on a cut link, toggles at 5 and 20 s swap the
-    # pairings, and the link is restored at 12 s.
+    # pairings, and the link is restored at 12 s. Extra events at 0 s go
+    # first among the events at their time.
     starts = [{"t": 0.0, "kind": "start_qkd", "tx": tx, "rx": rx}
               for tx, rx in (("Anna", "Bob"), ("Alice", "Boris"), ("Alice", "Bob"),
                              ("Anna", "Boris"))]
-    events = [*extra, *starts,
-              {"t": 0.0, "kind": "cut_link", "link": "anna-sw"},
-              {"t": 5.0, "kind": "switch_toggle", "switch": "sw"},
-              {"t": 12.0, "kind": "restore_link", "link": "anna-sw"},
-              {"t": 20.0, "kind": "switch_toggle", "switch": "sw"}]
+    events = sorted([*extra, *starts,
+                     {"t": 0.0, "kind": "cut_link", "link": "anna-sw"},
+                     {"t": 5.0, "kind": "switch_toggle", "switch": "sw"},
+                     {"t": 12.0, "kind": "restore_link", "link": "anna-sw"},
+                     {"t": 20.0, "kind": "switch_toggle", "switch": "sw"}],
+                    key=lambda e: e["t"])
     return run_scenario(load_scenario(_minimal(
         duration=duration, events=[e for e in events if e["t"] <= duration])))
 
 
+# Cuts Alice-Boris, paired again by the 20 s toggle, for a second health row.
+_ALICE_CUT = {"t": 22.0, "kind": "cut_link", "link": "alice-sw"}
+
+
 def test_health_rows_are_stamped_in_order_within_the_run():
-    # A failed realignment reaches the health monitor when its frames are
-    # spent: Anna-Boris's from 5.008 s at 55.008 s, Anna-Bob's at 19.16 s.
-    # Both were once logged at once with those stamps, so the log ran
-    # 19.16, 55.008, 26.466 s, and the 10 s run had rows past its end.
-    long = _four_channel_dark_start(60.0)
-    times = [h.time_s for h in long.health_log]
-    assert len(times) == 3 and times == sorted(times)
+    # Anna-Boris realigns at 5.008 s on a cut link and is flagged cut at
+    # 10.008 s; Alice-Boris, cut at 22 s, 5 s after its last click. Failed
+    # realignments were once logged when they began, stamped when their
+    # frames would be spent, so the log ran out of order, and the 10 s run,
+    # which ends before Anna-Boris's cut falls due, had rows past its end.
+    long = _four_channel_dark_start(60.0, _ALICE_CUT)
+    rows = [(h.time_s, h.channel_id, h.new) for h in long.health_log]
+    assert [(channel, new) for _, channel, new in rows] == [("Anna-Boris", "cut"),
+                                                            ("Alice-Boris", "cut")]
+    assert [t for t, _, _ in rows] == sorted(t for t, _, _ in rows)
     assert verify_report(long) == []
-    short = _four_channel_dark_start(10.0)
-    assert all(h.time_s <= 10.0 for h in short.health_log)
+    short = _four_channel_dark_start(10.0, _ALICE_CUT)
+    assert short.health_log == []
     assert verify_report(short) == []
+
+
+def test_a_cut_channel_is_flagged_and_realigned_by_the_restore(monkeypatch):
+    # A realignment that finds no light goes unlit like a round: Anna-Boris,
+    # paired by the 5 s toggle, realigns when the blackout ends at 5.008 s,
+    # is flagged cut 5 s later, and realigns again at the 12 s restore.
+    realigns = []
+    on_realign = Engine._on_realign
+
+    def spy_realign(self, t, channel_id, token):
+        if token == self.sessions[channel_id].token:
+            realigns.append((t, channel_id))
+        on_realign(self, t, channel_id, token)
+
+    monkeypatch.setattr(Engine, "_on_realign", spy_realign)
+    report = _four_channel_dark_start(60.0)
+    assert [t for t, channel in realigns if channel == "Anna-Boris"] == [
+        pytest.approx(5.008), 12.0]
+    assert [(h.time_s, h.channel_id, h.new) for h in report.health_log] == [
+        (pytest.approx(10.008), "Anna-Boris", "cut")]
+    assert verify_report(report) == []
+
+
+def test_a_start_inside_a_switch_blackout_realigns_when_it_ends():
+    # The toggle at 5 s pairs Anna with Boris and blacks the switch out for
+    # 8 ms; a start inside that blackout realigns once it ends and keys,
+    # like a start just before or just after it.
+    for start in (5.0, 5.004, 5.009):
+        report = run_scenario(load_scenario(_minimal(duration=30.0, events=[
+            {"t": 5.0, "kind": "switch_toggle", "switch": "sw"},
+            {"t": start, "kind": "start_qkd", "tx": "Anna", "rx": "Boris"}])))
+        blocks = [b for b in report.blocks if b.channel_id == "Anna-Boris"]
+        assert blocks and blocks[0].t_start > max(start, 5.008), start
 
 
 def test_eve_none_disables_attacker():
@@ -970,7 +1015,8 @@ def test_cli_verify_flags_block_and_delivery_times(tmp_path, capsys):
 def test_cli_verify_flags_rows_out_of_time_order_or_outside_the_run(tmp_path, capsys):
     out = tmp_path / "o"
     _four_channel_dark_start(30.0, {"t": 0.0, "kind": "relay_request", "src": "Alice",
-                                    "dst": "Boris", "bits": 256}).write(out, "records")
+                                    "dst": "Boris", "bits": 256},
+                             _ALICE_CUT).write(out, "records")
     assert main(["verify", "--records", str(out / "metrics.records.jsonl")]) == 0
     lines = (out / "metrics.records.jsonl").read_text().splitlines()
     records = [json.loads(line) for line in lines]

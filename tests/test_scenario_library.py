@@ -34,10 +34,26 @@ def _three_switch_records(records):
     assert sum(r["type"] == "switch" for r in records) == 3
 
 
-def _failed_realignment_reported(records):
-    # Anna-Bob's first realignment runs on the cut link.
-    assert any(r["type"] == "health" and r["cause"] == "realignment failed to converge"
-               for r in records)
+def _dark_start_parked_before_its_cut_is_due(records):
+    # Anna-Bob's realignment at 0 s finds its link cut and goes unlit. The
+    # 5 s toggle parks it at the instant its cut falls due, so no row is
+    # logged, and the 20 s toggle realigns it into key.
+    assert not [r for r in records if r["type"] == "health"]
+    assert any(r["type"] == "block" and r["channel_id"] == "Anna-Bob"
+               and 20.0 < r["t_start"] < 22.0 for r in records)
+
+
+def _cut_flagged_before_the_restore_realigns(records):
+    # Anna-Boris's realignment at 5.008 s, as the toggle's blackout ends,
+    # finds its link cut: it goes unlit and is flagged cut 5 s later. The
+    # 12 s restore realigns it, so it sifts until the 20 s toggle parks
+    # it. Anna-Bob is parked by the 5 s toggle before its cut is due.
+    cuts = [(r["channel_id"], r["time_s"]) for r in records
+            if r["type"] == "health" and r["new"] == "cut"]
+    assert cuts == [("Anna-Boris", pytest.approx(5.008 + 5.0))]
+    sifting = [r["time_s"] for r in records if r["type"] == "series"
+               and r["link_id"] == "Anna-Boris" and r["sifted_bps"] > 0]
+    assert sifting and 12.0 < min(sifting) and max(sifting) <= 20.0
 
 
 # Document name -> what its records must show, beyond the checks every
@@ -46,7 +62,8 @@ PROPERTIES = {
     "partial-attack-from-start": _reconciled_block_above_8_percent,
     "sarg-from-10s": _sarg_about_halves_the_sifted_rate,
     "toggle-on-command": _three_switch_records,
-    "dark-start": _failed_realignment_reported,
+    "dark-start": _dark_start_parked_before_its_cut_is_due,
+    "dark-start-four-60": _cut_flagged_before_the_restore_realigns,
 }
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qkdnet import physlink as pl
-from qkdnet.engine import run_scenario
+from qkdnet.engine import Engine, run_scenario
 from qkdnet.errors import ConfigurationError
 from qkdnet.report import verify_report
 from qkdnet.scenario import load_scenario
@@ -47,10 +47,24 @@ def test_connectivity_is_perfect_matching():
 
 
 def test_blocked_during_busy_window():
-    sw = _switch(busy_until_s=10.008)
+    sw = _switch(toggled_at_s=10.0)
     assert resolve_path(sw, "Alice", now_s=10.004) is None
     assert resolve_path(sw, "Alice", now_s=10.009) == "Bob"
     assert resolve_path(sw, "Alice", now_s=9.0) == "Bob"  # before the toggle
+
+
+def test_blackout_holds_from_the_toggle_instant_to_its_end():
+    # The blackout once was read off its end alone, so float rounding let
+    # light through at the toggle instant itself: at 0.3, 5.0, 900.0, 1e6.
+    rng = np.random.default_rng(7)
+    times = [0.0, 0.3, 5.0, 12.345, 900.0, 1e6,
+             *rng.uniform(0.0, 1e6, 2000), *rng.uniform(0.0, 10.0, 2000)]
+    for t in times:
+        sw, _ = toggle(_switch(), float(t))
+        assert sw.busy_until_s == t + SWITCHING_TIME_S
+        assert resolve_path(sw, "Alice", t) is None, t
+        assert resolve_path(sw, "Alice", sw.busy_until_s) == "Boris", t
+        assert resolve_path(sw, "Alice", math.nextafter(t, -math.inf)) == "Boris", t
 
 
 def test_unknown_port_rejected():
@@ -188,6 +202,34 @@ def test_a_session_behind_80_db_does_not_converge_on_a_few_detections():
                                 "loss_db_override": 80.0}],
                      "defaults": {"params": {"dark_count_prob": 0.0}}},
         "events": [{"t": 0.0, "kind": "start_qkd", "tx": "A", "rx": "B"}]}))
+    assert [(h.time_s, h.new, h.cause) for h in report.health_log] == [
+        (50.0, "degraded", "realignment failed to converge")]
+    assert report.blocks == []
+    assert verify_report(report) == []
+
+
+def test_a_lit_link_whose_realignment_never_converges_never_reads_cut(monkeypatch):
+    # Behind 80 dB with no dark counts every realignment spends its 200
+    # frames, 50 s, and fails. The link is lit, so the session realigns
+    # again at once with its zero-click watch reset: one degraded row at
+    # the first failure, no cut, and back-to-back realignments.
+    realigns = []
+    on_realign = Engine._on_realign
+
+    def spy_realign(self, t, channel_id, token):
+        realigns.append(t)
+        on_realign(self, t, channel_id, token)
+
+    monkeypatch.setattr(Engine, "_on_realign", spy_realign)
+    report = run_scenario(load_scenario({
+        "version": 1, "duration_s": 300.0, "seed": 1,
+        "topology": {"version": 1,
+                     "nodes": [{"id": "A", "role": "tx"}, {"id": "B", "role": "rx"}],
+                     "links": [{"id": "a-b", "a": "A", "b": "B", "length_km": 5.0,
+                                "loss_db_override": 80.0}],
+                     "defaults": {"params": {"dark_count_prob": 0.0}}},
+        "events": [{"t": 0.0, "kind": "start_qkd", "tx": "A", "rx": "B"}]}))
+    assert realigns == [pytest.approx(50.0 * n) for n in range(7)]
     assert [(h.time_s, h.new, h.cause) for h in report.health_log] == [
         (50.0, "degraded", "realignment failed to converge")]
     assert report.blocks == []
