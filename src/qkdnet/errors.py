@@ -1,5 +1,13 @@
 """Exception hierarchy shared across the package."""
 
+from dataclasses import FrozenInstanceError
+
+
+def refuse_assignment(row, name, value):
+    """``__setattr__`` of a named-tuple row: like a frozen dataclass, it
+    refuses to set a field or any other attribute. Construction never calls it."""
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
 
 class QkdNetError(Exception):
     """Base class for all package errors."""

@@ -20,12 +20,12 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
 from .bits import bits_to_bytes, random_bits, xor_bits
-from .errors import NoPathError
+from .errors import NoPathError, refuse_assignment
 from .keystore import ConsumePurpose, KeyOrigin, KeyStore, pair_key
 from .netgraph import LinkHealth, Topology
 from .qkdproto.auth import AUTH_KEY_BITS_PER_TAG, auth_tag, verify_tag
@@ -36,8 +36,7 @@ CONSECUTIVE_BLOCKS = 3
 ZERO_CLICK_WINDOW_S = 5.0
 
 
-@dataclass(frozen=True)
-class HealthTransition:
+class HealthTransition(NamedTuple):
     """One change of a channel's health, and its ``health`` record row:
     ``old`` and ``new`` are :class:`~qkdnet.netgraph.LinkHealth` values."""
 
@@ -46,6 +45,8 @@ class HealthTransition:
     old: str
     new: str
     cause: str
+
+    __setattr__ = refuse_assignment
 
 
 class HealthMonitor:

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Set, Tuple
+from operator import attrgetter
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
-from .errors import AuthenticationStarvation, DuplicateSegmentError, InvariantViolation, KeyStarvation
+from .errors import (AuthenticationStarvation, DuplicateSegmentError, InvariantViolation, KeyStarvation,
+                     refuse_assignment)
 
 
 class KeyOrigin(Enum):
@@ -39,8 +41,7 @@ def pair_key(a: str, b: str) -> Tuple[str, str]:
     return (a, b) if a < b else (b, a)
 
 
-@dataclass(frozen=True)
-class AuditRecord:
+class AuditRecord(NamedTuple):
     time_s: float
     pair: Tuple[str, str]
     kind: str                      # deposit | consume | write_off
@@ -50,6 +51,14 @@ class AuditRecord:
     origin: Optional[str] = None
     segment_id: Optional[str] = None
     consumer: str = ""
+
+    __setattr__ = refuse_assignment
+
+    def __getattr__(self, name):
+        # ``__dict__`` reads the fields as a dataclass row's did; a tuple has none.
+        if name == "__dict__":
+            return self._asdict()
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
 
 @dataclass
@@ -188,6 +197,9 @@ class KeyStore:
         return self.reservoirs[key].available
 
 
+_RANGE = attrgetter("offset_start", "offset_end")
+
+
 def scan_one_time_use(audit: List[AuditRecord]) -> List[str]:
     """Audit-scan for double-spend: consume ranges must be disjoint per pair.
 
@@ -201,11 +213,9 @@ def scan_one_time_use(audit: List[AuditRecord]) -> List[str]:
         if rec.kind == "consume":
             by_pair.setdefault(rec.pair, []).append(rec)
     for pair, records in sorted(by_pair.items()):
-        records = sorted(records, key=lambda r: (r.offset_start, r.offset_end))
         prev_end = -1
-        for rec in records:
-            if rec.offset_start < prev_end:
-                problems.append(
-                    f"pair {pair}: consume ranges overlap at offset {rec.offset_start}")
-            prev_end = max(prev_end, rec.offset_end)
+        for start, end in sorted(map(_RANGE, records)):
+            if start < prev_end:
+                problems.append(f"pair {pair}: consume ranges overlap at offset {start}")
+            prev_end = max(prev_end, end)
     return problems

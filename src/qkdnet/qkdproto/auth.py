@@ -14,7 +14,7 @@ import struct
 
 import numpy as np
 
-from ..bits import bits_to_bytes, bytes_to_bits
+from ..bits import bits_to_bytes
 
 TAG_BITS = 64
 AUTH_KEY_BITS_PER_TAG = 2 * TAG_BITS
@@ -37,22 +37,25 @@ def _poly_hash(selector: int, message: bytes) -> int:
     return h
 
 
+def _tag_bytes(auth_key: np.ndarray, message: bytes) -> bytes:
+    """The tag as 8 big-endian bytes: the key packed once, selector then mask."""
+    auth_key = np.asarray(auth_key, dtype=np.uint8)
+    if auth_key.size != AUTH_KEY_BITS_PER_TAG:
+        raise ValueError(f"auth_tag needs exactly {AUTH_KEY_BITS_PER_TAG} key bits")
+    key = np.packbits(auth_key).tobytes()
+    selector, mask = int.from_bytes(key[:8], "big"), int.from_bytes(key[8:], "big")
+    return (_poly_hash(selector, message) ^ mask).to_bytes(8, "big")
+
+
 def auth_tag(auth_key: np.ndarray, message: bytes) -> np.ndarray:
     """Compute the 64-bit tag for ``message`` under 128 bits of one-time key.
 
     The caller is responsible for drawing ``auth_key`` from a reservoir and
     never reusing it; the same key and message always give the same tag.
     """
-    auth_key = np.asarray(auth_key, dtype=np.uint8)
-    if auth_key.size != AUTH_KEY_BITS_PER_TAG:
-        raise ValueError(f"auth_tag needs exactly {AUTH_KEY_BITS_PER_TAG} key bits")
-    selector = int.from_bytes(bits_to_bytes(auth_key[:TAG_BITS]), "big")
-    mask = int.from_bytes(bits_to_bytes(auth_key[TAG_BITS:]), "big")
-    tag_int = _poly_hash(selector, message) ^ mask
-    return bytes_to_bits(tag_int.to_bytes(8, "big"), TAG_BITS)
+    return np.unpackbits(np.frombuffer(_tag_bytes(auth_key, message), dtype=np.uint8))
 
 
 def verify_tag(auth_key: np.ndarray, message: bytes, tag: np.ndarray) -> bool:
-    """Recompute and compare in constant time."""
-    expected = auth_tag(auth_key, message)
-    return hmac.compare_digest(bits_to_bytes(expected), bits_to_bytes(np.asarray(tag, dtype=np.uint8)))
+    """Recompute and compare the packed tags in constant time."""
+    return hmac.compare_digest(_tag_bytes(auth_key, message), bits_to_bytes(tag))

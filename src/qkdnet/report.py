@@ -9,6 +9,11 @@ The structured-record form is JSON Lines; each line has a ``type`` field
 (meta, series, block, relay, health, switch, audit, reservoir). Re-ingesting
 the records reconstructs an equal report, and the ``verify`` entry point
 re-checks the cross-module invariants from the records alone.
+
+Each record type's rows are one named-tuple class whose fields are the
+record's, in order (``_ROWS`` maps each ``type`` to it). Rows are written
+and re-read a field column at a time, and like a frozen dataclass a row
+refuses assignment with ``dataclasses.FrozenInstanceError``.
 """
 
 from __future__ import annotations
@@ -19,30 +24,29 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from operator import attrgetter, eq, itemgetter
+from operator import eq, itemgetter, le
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union, get_args, get_origin, get_type_hints
+from typing import (Dict, Iterator, List, NamedTuple, Optional, Tuple, Union, get_args, get_origin,
+                    get_type_hints)
 
-from .errors import InvariantViolation, ValidationError
+from .errors import InvariantViolation, ValidationError, refuse_assignment
 from .keyrelay import HealthTransition
 from .keystore import AuditRecord, scan_one_time_use
 from .qkdproto.secrecy import secret_length
 from .switchfab import SwitchEvent
 
-CSV_COLUMNS = ("time_s", "link_id", "sifted_bps", "qber", "secret_bps", "reservoir_bits")
 
-
-@dataclass(frozen=True)
-class Meta:
+class Meta(NamedTuple):
     """The run a records stream describes: its one first record."""
 
     scenario_name: str
     seed: int
     duration_s: float
 
+    __setattr__ = refuse_assignment
 
-@dataclass(frozen=True)
-class SeriesRow:
+
+class SeriesRow(NamedTuple):
     time_s: float
     link_id: str
     sifted_bps: float
@@ -50,9 +54,13 @@ class SeriesRow:
     secret_bps: float
     reservoir_bits: int
 
+    __setattr__ = refuse_assignment
 
-@dataclass(frozen=True)
-class BlockRecord:
+
+CSV_COLUMNS = SeriesRow._fields
+
+
+class BlockRecord(NamedTuple):
     """One key block. ``disclosed_bits`` of its ``sifted_bits`` were
     sacrificed to estimate ``qber``; ``usable_fraction`` is its estimator's
     beta. With ``bits_leaked`` they fix ``secret_bits`` through
@@ -71,9 +79,10 @@ class BlockRecord:
     discarded: bool = False
     via_switch: Optional[str] = None
 
+    __setattr__ = refuse_assignment
 
-@dataclass(frozen=True)
-class RelayOutcome:
+
+class RelayOutcome(NamedTuple):
     session_id: str
     src: str
     dst: str
@@ -85,15 +94,18 @@ class RelayOutcome:
     regenerations: int
     failure_cause: str
 
+    __setattr__ = refuse_assignment
 
-@dataclass(frozen=True)
-class ReservoirRow:
+
+class ReservoirRow(NamedTuple):
     """A pair's reservoir totals at the end of the run; ``pair`` is ``"A|B"``."""
 
     pair: str
     deposited: int
     consumed: int
     available: int
+
+    __setattr__ = refuse_assignment
 
 
 def _json_types(hint) -> tuple:
@@ -122,12 +134,13 @@ class _Codec:
 
     def encode(self, rows: list) -> Iterator[str]:
         """The rows' records lines, their values written a field column at a time."""
-        columns = [_json_texts(list(map(attrgetter(name), rows))) for name in self.sorted_names]
-        return map(self.line.__mod__, zip(*columns))
+        texts = map(_json_texts, _columns(rows, self.row_type, self.sorted_names))
+        return map(self.line.__mod__, zip(*texts))
 
     def decode(self, at: List[int], records: List[dict], problems: list) -> Tuple[list, int]:
-        """The field columns of ``records`` (at stream positions ``at``) and how many precede
-        the first bad one; each check's first failure goes into ``problems``."""
+        """The rows of ``records`` (at stream positions ``at``), their fields checked a
+        column at a time, and how many precede the first bad one; each check's first
+        failure goes into ``problems``."""
         good = len(records)
         keys_ok = list(map(eq, map(dict.keys, records), repeat(self.keys)))
         if False in keys_ok:
@@ -148,7 +161,13 @@ class _Codec:
             elif as_tuple:
                 column = [tuple(v) if type(v) is list else v for v in column]
             columns.append(column)
-        return columns, good
+        return list(map(tuple.__new__, repeat(self.row_type), zip(*columns))), good
+
+
+def _columns(rows: list, row_type, names) -> List[list]:
+    """The rows' values of each named field, a column per name. (``zip(*rows)``
+    would hold an iterator per row at once, and the collector runs for them.)"""
+    return [list(map(itemgetter(row_type._fields.index(name)), rows)) for name in names]
 
 
 def _json_texts(values: list) -> List[str]:
@@ -247,7 +266,7 @@ class MetricsReport:
         return {tag: rows[tag] for tag in _ROWS}
 
     def to_records(self) -> List[dict]:
-        return [{"type": tag, **vars(row)} for tag, rows in self._tables().items() for row in rows]
+        return [{"type": tag, **row._asdict()} for tag, rows in self._tables().items() for row in rows]
 
     @classmethod
     def from_records(cls, records: List[dict]) -> "MetricsReport":
@@ -275,26 +294,26 @@ class MetricsReport:
                 continue
             problems.append((i, 0, problem))
             break  # no record after this one can fail first
-        tables = {}  # by report field, once every check has passed
+        tables = {}  # by report field, read only once every check has passed
         for tag, (attr, codec) in _ROWS.items():
-            columns, good = codec.decode(at[tag], grouped[tag], problems)
+            rows, good = codec.decode(at[tag], grouped[tag], problems)
             if tag == "reservoir":  # a pair's second row, among rows that pass every check
-                seen, pairs = {}, columns[codec.names.index("pair")][:good]
+                seen, pairs = {}, [row.pair for row in rows[:good]]
                 k = next((k for k, pair in enumerate(pairs) if seen.setdefault(pair, k) != k), None)
                 if k is not None:
                     problems.append((at[tag][k], math.inf,
                                      f"a second reservoir row for pair {pairs[k]!r}"))
-            tables[attr] = [] if problems else list(map(codec.row_type, *columns))
+            tables[attr] = rows
         if problems:
             i, _, message = min(problems)
             raise ValidationError(f"record {i}: {message}")
         if not at["meta"]:
             raise ValidationError("records stream has no meta record")
         tables["final_reservoirs"] = {row.pair: row for row in tables["final_reservoirs"]}
-        return cls(**vars(tables.pop(None)[0]), **tables)
+        return cls(*tables.pop(None)[0], **tables)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, MetricsReport) and self.to_records() == other.to_records()
+        return isinstance(other, MetricsReport) and self._tables() == other._tables()
 
     # -- file emission -----------------------------------------------------------
 
@@ -304,7 +323,7 @@ class MetricsReport:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        writer.writerows(map(attrgetter(*CSV_COLUMNS), self.series))
+        writer.writerows(self.series)  # a series row's fields are the CSV columns
         return out.getvalue()
 
     def emit_records(self) -> str:
@@ -360,11 +379,15 @@ def verify_report(report: MetricsReport) -> List[str]:
     # Times: event logs run forward, a block ends no earlier than it starts,
     # a relay is delivered no earlier than it was requested, all in the run.
     end = report.duration_s
-    for kind, rows in (("health", report.health_log), ("switch", report.switch_events),
-                       ("audit", report.audit)):
+    audit_times, pairs, kinds, starts, stops = _columns(
+        report.audit, AuditRecord, ("time_s", "pair", "kind", "offset_start", "offset_end"))
+    for kind, times in (("health", [row.time_s for row in report.health_log]),
+                        ("switch", [row.time_s for row in report.switch_events]),
+                        ("audit", audit_times)):
+        if all(map(le, times, times[1:])) and (not times or 0.0 <= times[0] and times[-1] <= end):
+            continue  # in order and within the run, checked a column at a time (no NaN passes)
         before = -float("inf")  # the first row has none before it
-        for i, row in enumerate(rows, 1):
-            t = row.time_s
+        for i, t in enumerate(times, 1):
             if not 0.0 <= t <= end:
                 problems.append(f"{kind} row {i}: t={t} outside [0, {end}]")
             if t < before:
@@ -392,9 +415,8 @@ def verify_report(report: MetricsReport) -> List[str]:
     # Conservation per pair: deposits observed in the audit must equal
     # consumed + available in the final snapshot.
     by_pair: Dict[Tuple[Tuple[str, str], str], int] = {}  # by (pair, audit kind)
-    for rec in report.audit:
-        key = rec.pair, rec.kind
-        by_pair[key] = by_pair.get(key, 0) + rec.offset_end - rec.offset_start
+    for key, start, stop in zip(zip(pairs, kinds), starts, stops):
+        by_pair[key] = by_pair.get(key, 0) + stop - start
     bits = {("|".join(pair), kind): n for (pair, kind), n in by_pair.items()}  # by "A|B"
     for pair, snap in report.final_reservoirs.items():
         dep, con = bits.get((pair, "deposit"), 0), bits.get((pair, "consume"), 0)

@@ -13,9 +13,9 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
-from typing import Mapping, Tuple, Union
+from typing import Mapping, NamedTuple, Tuple, Union
 
-from .errors import ValidationError
+from .errors import ValidationError, refuse_assignment
 from .netgraph import MAX_PREPOSITIONED_BITS, Topology, load_preset, load_topology
 from .physlink import EveKind, EveModel
 from .qkdproto.sifting import SiftingProtocol
@@ -34,11 +34,12 @@ class EventKind(Enum):
     SET_SIFTING = "set_sifting"
 
 
-@dataclass(frozen=True)
-class ScenarioEvent:
+class ScenarioEvent(NamedTuple):
     time_s: float
     kind: EventKind
     args: Mapping[str, object]  # read-only: load_scenario wraps a fresh dict
+
+    __setattr__ = refuse_assignment
 
 
 @dataclass(frozen=True)

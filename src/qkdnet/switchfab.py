@@ -27,12 +27,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .bits import derive_seed
-from .errors import ConfigurationError
+from .errors import ConfigurationError, refuse_assignment
 from .physlink import (
     LinkParams,
     PhaseState,
@@ -61,13 +61,14 @@ class SwitchPosition(Enum):
         return SwitchPosition.CROSS if self is SwitchPosition.BAR else SwitchPosition.BAR
 
 
-@dataclass(frozen=True)
-class SwitchEvent:
+class SwitchEvent(NamedTuple):
     """One reconfiguration: the switch's new position from ``time_s`` on."""
 
     time_s: float
     switch_id: str
     position: str
+
+    __setattr__ = refuse_assignment
 
 
 @dataclass(frozen=True)

@@ -284,7 +284,7 @@ def report_from_records(records: List[dict]) -> MetricsReport:
         attr, codec = _ROWS[kind]
         row = _decode_row(codec, i, r)
         if kind == "meta":
-            report = MetricsReport(**vars(row))
+            report = MetricsReport(**row._asdict())
         elif kind == "reservoir":
             if report.final_reservoirs.setdefault(row.pair, row) is not row:
                 raise ValidationError(f"record {i}: a second reservoir row for pair {row.pair!r}")
