@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
-from .bits import bits_to_bytes, random_bits, xor_bits
+from .bits import bits_to_bytes, bytes_to_bits, random_bits, xor_bits
 from .errors import NoPathError, refuse_assignment
 from .keystore import ConsumePurpose, KeyOrigin, KeyStore, pair_key
 from .netgraph import LinkHealth, Topology
@@ -132,13 +132,19 @@ class HopTranscript:
     tx_node: str
     rx_node: str
     pair: Tuple[str, str]
-    ciphertext: np.ndarray
     otp_offset_start: int
     otp_offset_end: int
     auth_offset_start: int
     auth_offset_end: int
     message: bytes
     time_s: float
+
+    @property
+    def ciphertext(self) -> np.ndarray:
+        """The hop's one-time-pad ciphertext bits, read back from ``message``,
+        whose payload ends with them packed big-endian."""
+        n_bits = self.otp_offset_end - self.otp_offset_start
+        return bytes_to_bits(self.message[len(self.message) - (n_bits + 7) // 8:], n_bits)
 
 
 @dataclass
@@ -510,7 +516,6 @@ class RelayCoordinator:
 
         session.hop_transcripts.append(HopTranscript(
             hop_index=hop, tx_node=tx, rx_node=rx, pair=pair_key(tx, rx),
-            ciphertext=ciphertext,
             otp_offset_start=otp_start, otp_offset_end=otp_start + session.r_length_bits,
             auth_offset_start=auth_start,
             auth_offset_end=auth_start + AUTH_KEY_BITS_PER_TAG,

@@ -8,13 +8,18 @@ segment then offset, which is what lets the two real endpoints stay in
 lockstep without negotiation. Every deposit, draw, and write-off lands in
 an audit log keyed by global bit offsets, so post-run tooling can prove no
 bit was ever used twice.
+
+Key is held packed, eight bits to a byte (``np.packbits``, most significant
+bit first), and handed out as arrays of 0/1 ``uint8`` bits: a draw unpacks
+only the bytes it covers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
+from itertools import compress, repeat
+from operator import eq, itemgetter
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
@@ -64,10 +69,21 @@ class AuditRecord(NamedTuple):
 @dataclass
 class _Segment:
     segment_id: str
-    bits: np.ndarray
+    packed: np.ndarray             # np.packbits of the deposit
+    size: int                      # bits deposited
     origin: KeyOrigin
     consumed_prefix: int = 0
     global_start: int = 0
+
+    @property
+    def bits(self) -> np.ndarray:
+        """The deposited bits, unpacked."""
+        return np.unpackbits(self.packed, count=self.size)
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """Bits ``lo:hi`` of the deposit, from the bytes they cover only."""
+        skip = lo & 7
+        return np.unpackbits(self.packed[lo >> 3:(hi + 7) >> 3])[skip:skip + hi - lo]
 
 
 class KeyReservoir:
@@ -101,7 +117,10 @@ class KeyReservoir:
             raise DuplicateSegmentError(
                 f"segment {segment_id!r} already deposited for pair {self.pair}")
         bits = np.asarray(bits, dtype=np.uint8)
-        seg = _Segment(segment_id, bits, origin, global_start=self._deposited)
+        if bits.size and bits.max() > 1:
+            raise ValueError(f"segment {segment_id!r} holds a value other than 0 or 1")
+        seg = _Segment(segment_id, np.packbits(bits), bits.size, origin,
+                       global_start=self._deposited)
         self.segments.append(seg)
         self._segment_ids.add(segment_id)
         self._deposited += bits.size
@@ -133,22 +152,26 @@ class KeyReservoir:
         remaining = n_bits
         while remaining > 0:
             seg = self.segments[self._head]
-            take = min(remaining, seg.bits.size - seg.consumed_prefix)
-            parts.append(seg.bits[seg.consumed_prefix:seg.consumed_prefix + take])
+            lo = seg.consumed_prefix
+            take = min(remaining, seg.size - lo)
+            parts.append(seg.read(lo, lo + take))
             seg.consumed_prefix += take
             remaining -= take
-            if seg.consumed_prefix == seg.bits.size:
+            if seg.consumed_prefix == seg.size:
                 self._head += 1
         self._consumed += n_bits
         self.audit.append(AuditRecord(
             time_s=time_s, pair=self.pair, kind="consume",
             offset_start=offset_start, offset_end=offset_start + n_bits,
             purpose=purpose.value, consumer=consumer))
-        return np.concatenate(parts)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def write_off(self, offset_start: int, offset_end: int, time_s: float = 0.0,
                   reason: str = "") -> None:
         """Log that already-consumed bits were abandoned, never to be reused."""
+        if offset_start < 0 or offset_end <= offset_start:
+            raise InvariantViolation(
+                f"cannot write off the empty or negative range [{offset_start}, {offset_end})")
         if offset_end > self._consumed:
             raise InvariantViolation("cannot write off bits that were never consumed")
         self.audit.append(AuditRecord(
@@ -167,10 +190,10 @@ class KeyReservoir:
         filled = 0
         for seg in self.segments:
             lo = max(offset_start, seg.global_start)
-            hi = min(offset_start + n_bits, seg.global_start + seg.bits.size)
+            hi = min(offset_start + n_bits, seg.global_start + seg.size)
             if lo < hi:
                 out[lo - offset_start:hi - offset_start] = \
-                    seg.bits[lo - seg.global_start:hi - seg.global_start]
+                    seg.read(lo - seg.global_start, hi - seg.global_start)
                 filled += hi - lo
         if filled != n_bits:
             raise ValueError("peek range not fully covered")
@@ -197,7 +220,8 @@ class KeyStore:
         return self.reservoirs[key].available
 
 
-_RANGE = attrgetter("offset_start", "offset_end")
+_KIND, _PAIR, _START, _END = (itemgetter(AuditRecord._fields.index(name))
+                              for name in ("kind", "pair", "offset_start", "offset_end"))
 
 
 def scan_one_time_use(audit: List[AuditRecord]) -> List[str]:
@@ -207,14 +231,13 @@ def scan_one_time_use(audit: List[AuditRecord]) -> List[str]:
     of every purpose are checked together, so disjoint consume ranges also
     mean that authentication and one-time-pad draws never share a bit.
     """
-    problems = []
     by_pair: Dict[Tuple[str, str], List[AuditRecord]] = {}
-    for rec in audit:
-        if rec.kind == "consume":
-            by_pair.setdefault(rec.pair, []).append(rec)
+    for rec in compress(audit, map(eq, map(_KIND, audit), repeat("consume"))):
+        by_pair.setdefault(_PAIR(rec), []).append(rec)
+    problems = []
     for pair, records in sorted(by_pair.items()):
         prev_end = -1
-        for start, end in sorted(map(_RANGE, records)):
+        for start, end in sorted(zip(map(_START, records), map(_END, records))):
             if start < prev_end:
                 problems.append(f"pair {pair}: consume ranges overlap at offset {start}")
             prev_end = max(prev_end, end)

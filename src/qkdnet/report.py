@@ -124,6 +124,7 @@ class _Codec:
         hints = get_type_hints(row_type)
         self.row_type = row_type
         self.names = tuple(hints)
+        self.getters = tuple(map(itemgetter, self.names))
         self.keys = {"type", *hints}
         self.types = tuple(map(_json_types, hints.values()))
         # A records line, ``json.dumps(record, sort_keys=True)``, with a ``%s`` per value.
@@ -142,14 +143,22 @@ class _Codec:
         column at a time, and how many precede the first bad one; each check's first
         failure goes into ``problems``."""
         good = len(records)
-        keys_ok = list(map(eq, map(dict.keys, records), repeat(self.keys)))
-        if False in keys_ok:
-            good = keys_ok.index(False)
+        fields = None
+        # Each record holds ``type``: with as many keys as its type's fields, and a
+        # value for every field name, a record has exactly its type's fields.
+        if all(map(eq, map(len, records), repeat(len(self.keys)))):
+            try:
+                fields = [list(map(get, records)) for get in self.getters]
+            except KeyError:
+                pass
+        if fields is None:
+            good = next(k for k, r in enumerate(records) if r.keys() != self.keys)
             wrong = sorted(records[good].keys() ^ self.keys)
             problems.append((at[good], 0, f"missing or unknown fields {wrong}"))
+            fields = [list(map(get, records[:good])) for get in self.getters]
         columns = []
-        for j, (name, types) in enumerate(zip(self.names, self.types)):
-            column = list(map(itemgetter(name), records[:good]))
+        for j, (name, types, column) in enumerate(zip(self.names, self.types, fields)):
+            column = column[:good]
             as_tuple = list in types  # a list of strings, read as a tuple
             if not (set(types).issuperset(map(type, column)) and (not as_tuple or {str}.issuperset(
                     map(type, chain.from_iterable(v for v in column if type(v) is list))))):

@@ -1,5 +1,6 @@
 """Key relay: path selection, hop-by-hop OTP algebra, failure handling."""
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -41,10 +42,12 @@ def _relay_mesh(node_specs, link_pairs):
 
 
 def _seed(store, pairs, bits=6000, seed=0):
+    """Deposit random key on each pair; returns each pair's deposit."""
     rng = np.random.default_rng(seed)
-    for a, b in pairs:
-        store.reservoir(a, b).deposit(
-            "seed", rng.integers(0, 2, bits, dtype=np.uint8), KeyOrigin.DIRECT_QKD)
+    deposited = {pair: rng.integers(0, 2, bits, dtype=np.uint8) for pair in pairs}
+    for (a, b), key in deposited.items():
+        store.reservoir(a, b).deposit("seed", key, KeyOrigin.DIRECT_QKD)
+    return deposited
 
 
 def _holders(store, secret, transcripts, src):
@@ -235,24 +238,33 @@ def test_single_hop_degenerates_to_one_otp_transfer():
 
 
 def test_five_hop_relay_accounting_and_algebra():
-    topo, pairs = _chain(6)
-    store = KeyStore()
-    _seed(store, pairs, bits=20_000)
-    coord = RelayCoordinator(topo, HealthMonitor(), store, np.random.default_rng(6))
-    session = coord.request("N0", "N5", 10_000, time_s=0.0)
-    assert drive(coord, session, 1.0) == "delivered"
-    assert np.array_equal(session.secret, session.delivered_secret)
-    otp = sum(a.offset_end - a.offset_start for a in store.audit
-              if a.kind == "consume" and a.purpose == "one_time_pad")
-    auth = sum(a.offset_end - a.offset_start for a in store.audit
-               if a.kind == "consume" and a.purpose == "authentication")
-    assert otp == 5 * 10_000
-    assert auth == 5 * 128
-    # Per-hop transcript algebra: ciphertext XOR consumed key = R.
-    for t in session.hop_transcripts:
-        key = store.reservoirs[t.pair].peek(t.otp_offset_start, 10_000)
-        assert np.array_equal(xor_bits(t.ciphertext, key), session.secret)
-    assert scan_one_time_use(store.audit) == []
+    # Two relays a size: the second 1,001-bit pad starts mid-byte, after the
+    # first pad and tag, so it is read back across packed bytes.
+    for n_bits in (10_000, 1_001):
+        topo, pairs = _chain(6)
+        store = KeyStore()
+        deposited = _seed(store, pairs, bits=25_000)
+        coord = RelayCoordinator(topo, HealthMonitor(), store, np.random.default_rng(6))
+        sessions = [coord.request("N0", "N5", n_bits, time_s=0.0) for _ in range(2)]
+        for session in sessions:
+            assert drive(coord, session, 1.0) == "delivered"
+            assert np.array_equal(session.secret, session.delivered_secret)
+        otp = sum(a.offset_end - a.offset_start for a in store.audit
+                  if a.kind == "consume" and a.purpose == "one_time_pad")
+        auth = sum(a.offset_end - a.offset_start for a in store.audit
+                   if a.kind == "consume" and a.purpose == "authentication")
+        assert otp == 2 * 5 * n_bits
+        assert auth == 2 * 5 * 128
+        # Per-hop transcript algebra: ciphertext XOR consumed key = R.
+        for session in sessions:
+            for t in session.hop_transcripts:
+                assert not any(isinstance(getattr(t, f.name), np.ndarray)
+                               for f in dataclasses.fields(t))
+                key = store.reservoirs[t.pair].peek(t.otp_offset_start, n_bits)
+                assert np.array_equal(key, deposited[t.pair][t.otp_offset_start:t.otp_offset_end])
+                assert np.array_equal(xor_bits(t.ciphertext, key), session.secret)
+        assert scan_one_time_use(store.audit) == []
+    assert sessions[1].hop_transcripts[0].otp_offset_start % 8
 
 
 def test_every_hop_message_carries_its_session_number_as_frame_id():

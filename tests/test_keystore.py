@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from qkdnet.errors import DuplicateSegmentError, KeyStarvation, AuthenticationStarvation
+from qkdnet.errors import (AuthenticationStarvation, DuplicateSegmentError, InvariantViolation,
+                           KeyStarvation)
 from qkdnet.keystore import (
     AuditRecord,
     ConsumePurpose,
@@ -125,3 +126,63 @@ def test_store_shares_single_audit_log():
     store.reservoir("C", "B").deposit("s1", _bits(10), KeyOrigin.DIRECT_QKD)
     assert len(store.audit) == 2
     assert store.available("B", "A") == 10
+
+
+def test_packed_store_hands_out_the_deposited_bits():
+    # Deposits of 1-5,000 bits, mostly not whole bytes, drawn so that draws
+    # cross segment and byte boundaries, and peeked at random offsets: every
+    # result is a slice of the deposits laid end to end.
+    rng = np.random.default_rng(29)
+    r = KeyReservoir("A", "B")
+    deposits = []
+    for i, n in enumerate(rng.integers(1, 5001, 40)):
+        deposits.append(_bits(int(n), seed=100 + i))
+        r.deposit(f"s{i}", deposits[-1], KeyOrigin.DIRECT_QKD)
+    stream = np.concatenate(deposits)
+    assert sum(n % 8 != 0 for n in map(len, deposits)) > 30
+    at = 0
+    while r.available:
+        n = min(int(rng.integers(1, 3000)), r.available)
+        out = r.consume(n, ConsumePurpose.ONE_TIME_PAD)
+        assert out.dtype == np.uint8 and np.array_equal(out, stream[at:at + n])
+        at += n
+        lo = int(rng.integers(0, stream.size))
+        n = int(rng.integers(0, stream.size - lo + 1))
+        assert np.array_equal(r.peek(lo, n), stream[lo:lo + n])
+    assert at == stream.size == r.consumed
+    ends = np.cumsum(list(map(len, deposits))).tolist()
+    assert [(a.offset_start, a.offset_end) for a in r.audit if a.kind == "deposit"] == \
+        list(zip([0] + ends[:-1], ends))
+    assert scan_one_time_use(r.audit) == []
+
+
+def test_segments_hold_key_eight_bits_to_a_byte():
+    r = KeyReservoir("A", "B")
+    deposits = [_bits(n, seed=n) for n in (1, 7, 8, 9, 1000, 4093)]
+    for i, bits in enumerate(deposits):
+        r.deposit(f"s{i}", bits, KeyOrigin.DIRECT_QKD)
+    for seg, bits in zip(r.segments, deposits):
+        assert seg.packed.nbytes == -(-bits.size // 8)
+        assert seg.bits.dtype == np.uint8 and np.array_equal(seg.bits, bits)
+
+
+def test_deposit_refuses_values_other_than_bits():
+    r = KeyReservoir("A", "B")
+    with pytest.raises(ValueError):
+        r.deposit("s1", np.array([0, 1, 2, 1], dtype=np.uint8), KeyOrigin.DIRECT_QKD)
+    assert r.available == 0 and r.segments == [] and r.audit == []
+    r.deposit("s1", np.array([True, False]), KeyOrigin.DIRECT_QKD)  # the id is still free
+    assert r.available == 2
+
+
+@pytest.mark.parametrize("start, end", [(-1, 10), (10, 10), (20, 10)])
+def test_write_off_refuses_an_empty_or_negative_range(start, end):
+    r = KeyReservoir("A", "B")
+    r.deposit("s1", _bits(100), KeyOrigin.DIRECT_QKD)
+    r.consume(64, ConsumePurpose.ONE_TIME_PAD)
+    with pytest.raises(InvariantViolation):
+        r.write_off(start, end)
+    with pytest.raises(InvariantViolation):
+        r.write_off(0, 65)  # past the consumed bits
+    r.write_off(0, 64)
+    assert [a.kind for a in r.audit] == ["deposit", "consume", "write_off"]

@@ -218,3 +218,20 @@ def test_reader_names_the_first_bad_record_in_stream_order():
                             (base[1:], "record 1: the stream must open with meta")):
         with pytest.raises(ValidationError, match=f"^{message}$"):
             MetricsReport.from_records(stream)
+
+
+def test_reader_names_a_record_with_one_field_renamed():
+    # As many keys as its type has fields, but one of them misnamed.
+    base = _cambridge_records()
+    audit = [i for i, r in enumerate(base) if r["type"] == "audit"]
+    records = copy.deepcopy(base)
+    records[audit[3]]["purposes"] = records[audit[3]].pop("purpose")
+    message = rf"^record {audit[3] + 1}: missing or unknown fields \['purpose', 'purposes'\]$"
+    with pytest.raises(ValidationError, match=message):
+        MetricsReport.from_records(records)
+    assert _outcome(MetricsReport.from_records, records) == _outcome(report_from_records, records)
+    # An earlier one, renamed the same way, is named first.
+    records[audit[2]]["time"] = records[audit[2]].pop("time_s")
+    message = rf"^record {audit[2] + 1}: missing or unknown fields \['time', 'time_s'\]$"
+    with pytest.raises(ValidationError, match=message):
+        MetricsReport.from_records(records)
