@@ -31,6 +31,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .bits import random_bits
+from .errors import refuse_assignment
 
 __all__ = [
     "LinkParams",
@@ -137,17 +138,7 @@ class LinkParams:
                         *_event_probabilities(p_sig, d))
 
 
-@dataclass(frozen=True)
-class DetectionRecord:
-    """Receiver-side click record for one window.
-
-    ``is_dark`` and ``eve_tally`` are simulator-internal ground truth and
-    must never be read by protocol layers (sifting sees only slot, basis,
-    value). ``eve_tally`` is set behind the photon-number-splitting
-    attacker only; behind no attacker or intercept-resend it is ``None``.
-    The engine never reads it, and it is not written to the records.
-    """
-
+class _DetectionFields(NamedTuple):
     frame_id: str
     slot_index: np.ndarray
     rx_basis: np.ndarray
@@ -155,18 +146,44 @@ class DetectionRecord:
     is_dark: np.ndarray
     eve_tally: Optional["EveTally"] = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "slot_index", np.asarray(self.slot_index, dtype=np.int64))
-        object.__setattr__(self, "rx_basis", np.asarray(self.rx_basis, dtype=np.uint8))
-        object.__setattr__(self, "rx_value", np.asarray(self.rx_value, dtype=np.uint8))
-        object.__setattr__(self, "is_dark", np.asarray(self.is_dark, dtype=bool))
-        sizes = (self.slot_index.size, self.rx_basis.size, self.rx_value.size, self.is_dark.size)
-        if len(set(sizes)) > 1:
+
+class DetectionRecord(_DetectionFields):
+    """Receiver-side click record for one window.
+
+    ``is_dark`` and ``eve_tally`` are simulator-internal ground truth and
+    must never be read by protocol layers (sifting sees only slot, basis,
+    value). ``eve_tally`` is set behind the photon-number-splitting
+    attacker only; behind no attacker or intercept-resend it is ``None``.
+    The engine never reads it, and it is not written to the records.
+
+    A validated named tuple: construction coerces the arrays to ``int64``,
+    ``uint8``, ``uint8`` and ``bool`` and checks them, ``_replace`` goes
+    through the same checks, and assignment raises
+    ``dataclasses.FrozenInstanceError``.
+    """
+
+    __slots__ = ()
+    __setattr__ = refuse_assignment
+
+    def __new__(cls, frame_id: str, slot_index, rx_basis, rx_value, is_dark,
+                eve_tally: Optional["EveTally"] = None) -> "DetectionRecord":
+        slot_index = np.asarray(slot_index, dtype=np.int64)
+        rx_basis = np.asarray(rx_basis, dtype=np.uint8)
+        rx_value = np.asarray(rx_value, dtype=np.uint8)
+        is_dark = np.asarray(is_dark, dtype=bool)
+        n = slot_index.size
+        if not n == rx_basis.size == rx_value.size == is_dark.size:
+            sizes = (n, rx_basis.size, rx_value.size, is_dark.size)
             raise ValueError("slot_index, rx_basis, rx_value and is_dark must have equal "
                              f"lengths, got {', '.join(map(str, sizes))}")
-        s = self.slot_index
-        if s.size > 1 and not (s[1:] > s[:-1]).all():
+        if n > 1 and not (slot_index[1:] > slot_index[:-1]).all():
             raise ValueError("slot_index must be strictly increasing")
+        return tuple.__new__(cls, (frame_id, slot_index, rx_basis, rx_value, is_dark,
+                                   eve_tally))
+
+    @classmethod
+    def _make(cls, iterable) -> "DetectionRecord":
+        return cls(*iterable)
 
     @property
     def n_events(self) -> int:
@@ -178,9 +195,11 @@ class DetectionRecord:
         return int(np.diff(self.slot_index).min())
 
     @classmethod
-    def empty(cls, frame_id: str) -> "DetectionRecord":
+    def empty(cls, frame_id: str, eve_tally: Optional["EveTally"] = None
+              ) -> "DetectionRecord":
         z = np.zeros(0, dtype=np.int64)
-        return cls(frame_id, z, z.astype(np.uint8), z.astype(np.uint8), z.astype(bool))
+        return cls(frame_id, z, z.astype(np.uint8), z.astype(np.uint8), z.astype(bool),
+                   eve_tally)
 
 
 class EveKind(Enum):
@@ -319,7 +338,25 @@ def _live_clicks(slots: np.ndarray, dead: int) -> np.ndarray:
 def _empty_window(frame_id: str, tally: Optional[EveTally] = None
                   ) -> tuple[np.ndarray, np.ndarray, DetectionRecord]:
     z = np.zeros(0, dtype=np.uint8)
-    return z, z, replace(DetectionRecord.empty(frame_id), eve_tally=tally)
+    return z, z, DetectionRecord.empty(frame_id, tally)
+
+
+def _geometric(rng: np.random.Generator, q: float, size: int) -> np.ndarray:
+    """``rng.geometric(q, size=size)``: the same values and the same
+    generator state after.
+
+    Below ``q = 1/3`` numpy draws each value by inversion of one standard
+    exponential, which one ``standard_exponential`` call does here for the
+    whole batch, without numpy's per-value sampler calls. Its clamp of a
+    value at 2^63 cannot bind: ``q`` is 0 or at least 2^-53 (one minus a
+    double below 1), and an exponential draw is below about 745. From
+    ``q = 1/3`` up numpy samples by search, and this is its call.
+    """
+    if q >= 1.0 / 3.0:
+        return rng.geometric(q, size=size)
+    waits = rng.standard_exponential(size)
+    waits /= -math.log1p(-q)
+    return np.ceil(waits, out=waits).astype(np.int64)
 
 
 def _renewal_slots(rng: np.random.Generator, q: float, dead: int, n_slots: int) -> np.ndarray:
@@ -335,7 +372,7 @@ def _renewal_slots(rng: np.random.Generator, q: float, dead: int, n_slots: int) 
     expect = int(n_slots / (dead + 1.0 / q)) + 1
     while True:
         batch = max(64, expect - count + 16)
-        s = rng.geometric(q, size=batch)
+        s = _geometric(rng, q, batch)
         if dead:
             s += dead
         # The window offset rides on the first gap; the prefix sum carries it.
@@ -423,7 +460,9 @@ def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_
     byte-identical-records contract. Click slots and classes come first:
     without PNS, geometric batches and then click class; with PNS, photon
     numbers, the lit slots' click uniforms, geometric batches of dark
-    clicks (when darks can occur) and their class uniforms. Then, for
+    clicks (when darks can occur) and their class uniforms. A geometric
+    batch is one ``standard_exponential`` call below ``q = 1/3`` and one
+    ``geometric`` call from there up (see :func:`_geometric`). Then, for
     every attacker, with ``m`` clicks:
 
     1. one :func:`~qkdnet.bits.random_bits` draw of ``5 * m`` bits
@@ -464,7 +503,12 @@ def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_
     # The classes are consecutive ranges of u, so a kept click that is not
     # a signal event is a dark one.
     is_signal = u < p_signal_event
-    keep = u < p_signal_event + p_dark_event
+    double_at = p_signal_event + p_dark_event
+    if pns:
+        keep = u < double_at
+        keep = None if keep.all() else keep
+    else:
+        keep = u < double_at if u.max() >= double_at else None
 
     # Every per-click bit comes from one draw, one row per use.
     intercept = kind is EveKind.INTERCEPT_RESEND
@@ -482,27 +526,27 @@ def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_
         pulse_value = np.where(hit, eve_value, pulse_value)
 
     perr = min(max(params.intrinsic_error + phase_error_rate(phase.phase_error_rad), 0.0), 1.0)
-    flips = rng.random(m) < perr
     # Bits are 0 or 1, so selecting by a condition is an xor mask, which
     # is cheaper than np.where on a condition that is a coin toss per click.
-    matched = rx_basis == pulse_basis
-    sig_value = mismatch_value ^ (matched & (pulse_value ^ flips ^ mismatch_value))
-    rx_value = dark_value ^ (is_signal & (sig_value ^ dark_value))
+    # In place on the flip draw's buffer:
+    #   sig_value = mismatch ^ (matched & (pulse_value ^ flip ^ mismatch))
+    #   rx_value = dark_value ^ (is_signal & (sig_value ^ dark_value))
+    rx_value = (rng.random(m) < perr).view(np.uint8)
+    rx_value ^= pulse_value
+    rx_value ^= mismatch_value
+    rx_value &= rx_basis == pulse_basis
+    rx_value ^= mismatch_value
+    rx_value ^= dark_value
+    rx_value &= is_signal
+    rx_value ^= dark_value
 
     is_dark = ~is_signal
-    if not keep.all():
-        kept = np.flatnonzero(keep)
+    if keep is not None:
+        kept = keep.nonzero()[0]
         click_slots, rx_basis, rx_value, is_dark, tx_basis, tx_value = (
             a[kept] for a in (click_slots, rx_basis, rx_value, is_dark, tx_basis, tx_value))
-    record = DetectionRecord(
-        frame_id=frame_id,
-        slot_index=click_slots,
-        rx_basis=rx_basis,
-        rx_value=rx_value,
-        is_dark=is_dark,
-        eve_tally=tally,
-    )
-    return tx_basis, tx_value, record
+    return tx_basis, tx_value, DetectionRecord(frame_id, click_slots, rx_basis, rx_value,
+                                               is_dark, tally)
 
 
 def advance_phase(phase: PhaseState, dt_s: float, rng_seed) -> PhaseState:
@@ -513,7 +557,10 @@ def advance_phase(phase: PhaseState, dt_s: float, rng_seed) -> PhaseState:
         return phase
     rng = np.random.default_rng(rng_seed)
     step = rng.normal(0.0, phase.drift_rate_rad_per_s * math.sqrt(dt_s))
-    return replace(phase, phase_error_rad=wrap_phase(phase.phase_error_rad + step))
+    # The constructor validates the state and wraps the angle.
+    return PhaseState(phase.phase_error_rad + step, phase.drift_rate_rad_per_s,
+                      phase.feedback_gain, phase.probe_correction,
+                      phase.probe_reference_qber, phase.preferred_sign)
 
 
 def apply_training_feedback(phase: PhaseState, training_qber: float,

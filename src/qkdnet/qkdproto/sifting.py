@@ -47,7 +47,7 @@ def sift_bb84_events(tx_basis: np.ndarray, tx_value: np.ndarray,
     record's event slots; other lengths raise ValueError.
     """
     tx_basis, tx_value = _tx_arrays(tx_basis, tx_value, rx_record)
-    kept = np.flatnonzero(rx_record.rx_basis == tx_basis)
+    kept = (rx_record.rx_basis == tx_basis).nonzero()[0]
     return tx_value[kept], rx_record.rx_value[kept], rx_record.slot_index[kept]
 
 
@@ -76,7 +76,7 @@ def sift_sarg_events(tx_basis: np.ndarray, tx_value: np.ndarray,
     # are 0 or 1, so the selects are xor masks.
     pair_xor = tx_value ^ decoy_value
     in_basis_value = decoy_value ^ ((rx_record.rx_basis == tx_basis) & pair_xor)
-    kept = np.flatnonzero(in_basis_value != rx_record.rx_value)
+    kept = (in_basis_value != rx_record.rx_value).nonzero()[0]
     # The inferred state is the announced one not in the receiver's basis.
     return (tx_value[kept], in_basis_value[kept] ^ pair_xor[kept],
             rx_record.slot_index[kept])

@@ -54,6 +54,13 @@ def _cut_flagged_before_the_restore_realigns(records):
     sifting = [r["time_s"] for r in records if r["type"] == "series"
                and r["link_id"] == "Anna-Boris" and r["sifted_bps"] > 0]
     assert sifting and 12.0 < min(sifting) and max(sifting) <= 20.0
+    # A cut channel returns to up only at its third consecutive clean
+    # block, never on clicks alone. Anna-Boris closes no block between the
+    # restore and the toggle, so it reads cut from 10.008 s to the end.
+    assert not [r for r in records if r["type"] == "block" and r["channel_id"] == "Anna-Boris"]
+    assert [(r["time_s"], r["old"], r["new"]) for r in records
+            if r["type"] == "health" and r["channel_id"] == "Anna-Boris"] == [
+        (pytest.approx(10.008), "up", "cut")]
 
 
 # Document name -> what its records must show, beyond the checks every
