@@ -341,24 +341,6 @@ def _empty_window(frame_id: str, tally: Optional[EveTally] = None
     return z, z, DetectionRecord.empty(frame_id, tally)
 
 
-def _geometric(rng: np.random.Generator, q: float, size: int) -> np.ndarray:
-    """``rng.geometric(q, size=size)``: the same values and the same
-    generator state after.
-
-    Below ``q = 1/3`` numpy draws each value by inversion of one standard
-    exponential, which one ``standard_exponential`` call does here for the
-    whole batch, without numpy's per-value sampler calls. Its clamp of a
-    value at 2^63 cannot bind: ``q`` is 0 or at least 2^-53 (one minus a
-    double below 1), and an exponential draw is below about 745. From
-    ``q = 1/3`` up numpy samples by search, and this is its call.
-    """
-    if q >= 1.0 / 3.0:
-        return rng.geometric(q, size=size)
-    waits = rng.standard_exponential(size)
-    waits /= -math.log1p(-q)
-    return np.ceil(waits, out=waits).astype(np.int64)
-
-
 def _renewal_slots(rng: np.random.Generator, q: float, dead: int, n_slots: int) -> np.ndarray:
     """Click slots of a window whose live gates each click with probability q.
 
@@ -372,7 +354,7 @@ def _renewal_slots(rng: np.random.Generator, q: float, dead: int, n_slots: int) 
     expect = int(n_slots / (dead + 1.0 / q)) + 1
     while True:
         batch = max(64, expect - count + 16)
-        s = _geometric(rng, q, batch)
+        s = rng.geometric(q, size=batch)
         if dead:
             s += dead
         # The window offset rides on the first gap; the prefix sum carries it.
@@ -460,9 +442,7 @@ def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_
     byte-identical-records contract. Click slots and classes come first:
     without PNS, geometric batches and then click class; with PNS, photon
     numbers, the lit slots' click uniforms, geometric batches of dark
-    clicks (when darks can occur) and their class uniforms. A geometric
-    batch is one ``standard_exponential`` call below ``q = 1/3`` and one
-    ``geometric`` call from there up (see :func:`_geometric`). Then, for
+    clicks (when darks can occur) and their class uniforms. Then, for
     every attacker, with ``m`` clicks:
 
     1. one :func:`~qkdnet.bits.random_bits` draw of ``5 * m`` bits
@@ -503,12 +483,7 @@ def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_
     # The classes are consecutive ranges of u, so a kept click that is not
     # a signal event is a dark one.
     is_signal = u < p_signal_event
-    double_at = p_signal_event + p_dark_event
-    if pns:
-        keep = u < double_at
-        keep = None if keep.all() else keep
-    else:
-        keep = u < double_at if u.max() >= double_at else None
+    keep = u < p_signal_event + p_dark_event
 
     # Every per-click bit comes from one draw, one row per use.
     intercept = kind is EveKind.INTERCEPT_RESEND
@@ -541,7 +516,7 @@ def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_
     rx_value ^= dark_value
 
     is_dark = ~is_signal
-    if keep is not None:
+    if not keep.all():
         kept = keep.nonzero()[0]
         click_slots, rx_basis, rx_value, is_dark, tx_basis, tx_value = (
             a[kept] for a in (click_slots, rx_basis, rx_value, is_dark, tx_basis, tx_value))
@@ -557,8 +532,9 @@ def advance_phase(phase: PhaseState, dt_s: float, rng_seed) -> PhaseState:
         return phase
     rng = np.random.default_rng(rng_seed)
     step = rng.normal(0.0, phase.drift_rate_rad_per_s * math.sqrt(dt_s))
-    # The constructor validates the state and wraps the angle.
-    return PhaseState(phase.phase_error_rad + step, phase.drift_rate_rad_per_s,
+    # The constructor validates the state and wraps the angle again, which
+    # maps wrap_phase's one out-of-range result (-pi, from just above pi) to pi.
+    return PhaseState(wrap_phase(phase.phase_error_rad + step), phase.drift_rate_rad_per_s,
                       phase.feedback_gain, phase.probe_correction,
                       phase.probe_reference_qber, phase.preferred_sign)
 

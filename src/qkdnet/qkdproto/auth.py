@@ -27,24 +27,13 @@ def _poly_hash(selector: int, message: bytes) -> int:
     The message length is folded in as the leading coefficient so padding
     cannot create collisions between different-length messages. The
     coefficients are the message's 8-byte little-endian blocks, the last
-    one zero-padded. Horner's rule runs on ``s^4``, four blocks per step
-    with one reduction, after the leading ``n_blocks % 4`` blocks one at
-    a time: the same value as one block per step.
+    one zero-padded.
     """
     n_blocks = -(-len(message) // 8)
     padded = message + bytes(8 * n_blocks - len(message))
-    blocks = struct.unpack(f"<{n_blocks}Q", padded)
-    s = selector % _PRIME
-    s2 = s * s % _PRIME
-    s3 = s2 * s % _PRIME
-    s4 = s3 * s % _PRIME
-    head = n_blocks % 4
     h = len(message) % _PRIME
-    for block in blocks[:head]:
-        h = (h * s + block) % _PRIME
-    quads = iter(blocks[head:])
-    for b0, b1, b2, b3 in zip(quads, quads, quads, quads):
-        h = (h * s4 + b0 * s3 + b1 * s2 + b2 * s + b3) % _PRIME
+    for block in struct.unpack(f"<{n_blocks}Q", padded):
+        h = (h * selector + block) % _PRIME
     return h
 
 

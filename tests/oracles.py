@@ -7,9 +7,6 @@ engine runs.
   slot, the attacker's loss budget (:func:`_pns_channel`) pulse by pulse.
   It is the statistical oracle of :func:`qkdnet.physlink.sample_link_window`.
 * :func:`toeplitz_matrix` materializes privacy amplification's hash matrix.
-* :func:`poly_hash` evaluates the authentication polynomial one block per
-  Horner step; it is the oracle of :func:`qkdnet.qkdproto.auth._poly_hash`,
-  which takes four.
 * :func:`decode_record` parses one public-channel record, raising
   :class:`ProtocolError` on a malformed one; :func:`encode_records` /
   :func:`decode_records` frame a stream of them.
@@ -26,7 +23,6 @@ engine runs.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
@@ -39,7 +35,6 @@ from qkdnet.physlink import (DetectionRecord, EveKind, EveModel, EveTally, LinkP
                              PhaseState, _live_clicks, phase_error_rate)
 from qkdnet.qkdproto import (WIRE_VERSION, EstimatorKind, Record, RecordType,
                              SiftingProtocol, encode_record, secret_length, usable_fraction)
-from qkdnet.qkdproto.auth import _PRIME
 from qkdnet.qkdproto.wire import _HEADER
 from qkdnet.report import _ROWS, MetricsReport
 
@@ -195,18 +190,6 @@ def toeplitz_matrix(seed: np.ndarray, n_key: int, n_out: int) -> np.ndarray:
     i = np.arange(n_out)
     j = np.arange(n_key)
     return seed[n_key - 1 + i[:, None] - j[None, :]]
-
-
-def poly_hash(selector: int, message: bytes) -> int:
-    """The message's length, then its 8-byte little-endian blocks (the last
-    zero-padded), as a polynomial evaluated at ``selector`` mod p, one
-    block per step."""
-    n_blocks = -(-len(message) // 8)
-    padded = message + bytes(8 * n_blocks - len(message))
-    h = len(message) % _PRIME
-    for block in struct.unpack(f"<{n_blocks}Q", padded):
-        h = (h * selector + block) % _PRIME
-    return h
 
 
 def decode_record(buf: bytes, offset: int = 0) -> Tuple[Record, int]:

