@@ -69,7 +69,7 @@ print(f"[amplify]     Toeplitz-compressed to {m:,} bits; "
       f"both parties identical: {np.array_equal(secret_a, secret_b)}")
 
 transcript = bits_to_bytes(pa_seed)
-auth_key = random_bits(np.random.default_rng(5), AUTH_KEY_BITS_PER_TAG)
+auth_key = np.packbits(random_bits(np.random.default_rng(5), AUTH_KEY_BITS_PER_TAG))
 tag = auth_tag(auth_key, transcript)
 print(f"[auth]        64-bit tag over the public PA seed verifies: "
       f"{verify_tag(auth_key, transcript, tag)} "

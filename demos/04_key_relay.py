@@ -11,7 +11,6 @@ Run:  python demos/04_key_relay.py
 import numpy as np
 
 from qkdnet import netgraph as ng
-from qkdnet.bits import bits_to_hex, xor_bits
 from qkdnet.keyrelay import HealthMonitor, RelayCoordinator, find_path, hop_need, relay_graph
 from qkdnet.keystore import KeyOrigin, KeyStore, scan_one_time_use
 from qkdnet.netgraph import LinkHealth
@@ -33,12 +32,12 @@ session = coord.request("S", "D", 64, time_s=0.0)
 while coord.step(session, 0.1) in ("advanced", "rerouted"):
     pass
 print(f"  path: {' -> '.join(session.path)}")
-print(f"  R at source:      {bits_to_hex(session.secret)}")
+print(f"  R at source:      {session.secret.tobytes().hex()}")
 for t in session.hop_transcripts:
     key = store.reservoirs[t.pair].peek(t.otp_offset_start, 64)
-    print(f"  hop {t.tx_node}->{t.rx_node}: ciphertext {bits_to_hex(t.ciphertext)} "
-          f"( = R xor K, and C xor K = {bits_to_hex(xor_bits(t.ciphertext, key))} )")
-print(f"  R at destination: {bits_to_hex(session.delivered_secret)}")
+    print(f"  hop {t.tx_node}->{t.rx_node}: ciphertext {t.ciphertext.tobytes().hex()} "
+          f"( = R xor K, and C xor K = {(t.ciphertext ^ key).tobytes().hex()} )")
+print(f"  R at destination: {session.delivered_secret.tobytes().hex()}")
 print(f"  (S,D) reservoir now holds {store.available('S', 'D')} relayed bits")
 
 print("\n=== Diamond network: cut the active path mid-relay ===")

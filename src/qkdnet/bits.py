@@ -9,9 +9,6 @@ import numpy as np
 __all__ = [
     "random_bits",
     "bits_to_bytes",
-    "bytes_to_bits",
-    "bits_to_hex",
-    "xor_bits",
     "binary_entropy",
     "derive_rng",
     "derive_seed",
@@ -34,23 +31,6 @@ def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
 def bits_to_bytes(bits: np.ndarray) -> bytes:
     """Pack bits big-endian into bytes, zero-padding the tail."""
     return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()
-
-
-def bytes_to_bits(data: bytes, n_bits: int) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-    if n_bits > bits.size:
-        raise ValueError("byte string too short for requested bit count")
-    return bits[:n_bits].astype(np.uint8)
-
-
-def bits_to_hex(bits: np.ndarray) -> str:
-    return bits_to_bytes(bits).hex()
-
-
-def xor_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise ValueError("xor operands must have equal length")
-    return np.bitwise_xor(a, b)
 
 
 def binary_entropy(q: float) -> float:

@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
-from .bits import bits_to_bytes, bytes_to_bits, random_bits, xor_bits
+from .bits import random_bits
 from .errors import NoPathError, refuse_assignment
 from .keystore import ConsumePurpose, KeyOrigin, KeyStore, pair_key
 from .netgraph import LinkHealth, Topology
@@ -141,10 +141,9 @@ class HopTranscript:
 
     @property
     def ciphertext(self) -> np.ndarray:
-        """The hop's one-time-pad ciphertext bits, read back from ``message``,
-        whose payload ends with them packed big-endian."""
-        n_bits = self.otp_offset_end - self.otp_offset_start
-        return bytes_to_bits(self.message[len(self.message) - (n_bits + 7) // 8:], n_bits)
+        """The hop's packed one-time-pad ciphertext: the end of ``message``."""
+        n_bytes = (self.otp_offset_end - self.otp_offset_start + 7) // 8
+        return np.frombuffer(self.message, dtype=np.uint8, offset=len(self.message) - n_bytes)
 
 
 @dataclass
@@ -157,8 +156,8 @@ class RelaySession:
     status: RelayStatus = RelayStatus.PATH_PENDING
     path: List[str] = field(default_factory=list)
     next_hop: int = 0
-    secret: Optional[np.ndarray] = None
-    delivered_secret: Optional[np.ndarray] = None
+    secret: Optional[np.ndarray] = None            # R, packed as np.packbits
+    delivered_secret: Optional[np.ndarray] = None  # R as the destination opens it
     delivered_at: Optional[float] = None
     hop_transcripts: List[HopTranscript] = field(default_factory=list)
     regenerations: int = 0
@@ -355,7 +354,7 @@ class RelayCoordinator:
         session.next_hop = 0
         session.status = RelayStatus.IN_FLIGHT
         if session.secret is None:
-            session.secret = random_bits(self.rng, session.r_length_bits)
+            session.secret = np.packbits(random_bits(self.rng, session.r_length_bits))
         return True
 
     # -- blocked sessions ---------------------------------------------------
@@ -491,14 +490,14 @@ class RelayCoordinator:
         if reservoir.available < hop_need(session.r_length_bits, self.reserve_bits):
             return "starved"
         otp_start = reservoir.consumed
-        key = reservoir.consume(session.r_length_bits, ConsumePurpose.ONE_TIME_PAD,
+        pad = reservoir.consume(session.r_length_bits, ConsumePurpose.ONE_TIME_PAD,
                                 time_s, consumer=f"{session.session_id}:hop{hop}")
         auth_start = reservoir.consumed
         auth_key = reservoir.consume(AUTH_KEY_BITS_PER_TAG, ConsumePurpose.AUTHENTICATION,
                                      time_s, consumer=f"{session.session_id}:hop{hop}:auth")
 
-        ciphertext = xor_bits(session.secret, key)
-        payload = struct.pack("<IH", session.r_length_bits, hop) + bits_to_bytes(ciphertext)
+        ciphertext = session.secret ^ pad
+        payload = struct.pack("<IH", session.r_length_bits, hop) + ciphertext.tobytes()
         record = Record(RecordType.RELAY_HOP, frame_id=session.seq, payload=payload)
         message = encode_record(record)
         tag = auth_tag(auth_key, message)
@@ -522,12 +521,13 @@ class RelayCoordinator:
             message=message, time_s=time_s))
         session.next_hop += 1
         if session.next_hop == len(session.path) - 1:
-            session.delivered_secret = xor_bits(ciphertext, key)
+            session.delivered_secret = ciphertext ^ pad
             session.delivered_at = time_s
             session.status = RelayStatus.DELIVERED
             segment_id = f"{session.session_id}:r{session.regenerations}"
             self.store.reservoir(session.src, session.dst).deposit(
-                segment_id, session.secret, KeyOrigin.RELAY, time_s)
+                segment_id, np.unpackbits(session.delivered_secret, count=session.r_length_bits),
+                KeyOrigin.RELAY, time_s)
             return "delivered"
         return "advanced"
 
@@ -539,7 +539,7 @@ class RelayCoordinator:
         fresh secret is drawn.
         """
         if self._write_off(session, time_s, f"reroute: {cause}"):
-            session.secret = random_bits(self.rng, session.r_length_bits)
+            session.secret = np.packbits(random_bits(self.rng, session.r_length_bits))
             session.regenerations += 1
         if not self._select_path(session):
             session.status = RelayStatus.FAILED

@@ -9,17 +9,17 @@ lockstep without negotiation. Every deposit, draw, and write-off lands in
 an audit log keyed by global bit offsets, so post-run tooling can prove no
 bit was ever used twice.
 
-Key is held packed, eight bits to a byte (``np.packbits``, most significant
-bit first), and handed out as arrays of 0/1 ``uint8`` bits: a draw unpacks
-only the bytes it covers.
+Key is deposited as 0/1 bits, then held and handed out packed, eight bits
+to a byte (``np.packbits``: most significant bit first, zero tail).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, repeat
-from operator import eq, itemgetter
+from operator import attrgetter, eq, itemgetter
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
@@ -72,18 +72,12 @@ class _Segment:
     packed: np.ndarray             # np.packbits of the deposit
     size: int                      # bits deposited
     origin: KeyOrigin
-    consumed_prefix: int = 0
     global_start: int = 0
 
     @property
     def bits(self) -> np.ndarray:
         """The deposited bits, unpacked."""
         return np.unpackbits(self.packed, count=self.size)
-
-    def read(self, lo: int, hi: int) -> np.ndarray:
-        """Bits ``lo:hi`` of the deposit, from the bytes they cover only."""
-        skip = lo & 7
-        return np.unpackbits(self.packed[lo >> 3:(hi + 7) >> 3])[skip:skip + hi - lo]
 
 
 class KeyReservoir:
@@ -96,7 +90,6 @@ class KeyReservoir:
         self.audit: List[AuditRecord] = audit if audit is not None else []
         self._deposited = 0
         self._consumed = 0
-        self._head = 0  # index of the first segment with unconsumed bits
 
     @property
     def available(self) -> int:
@@ -131,7 +124,7 @@ class KeyReservoir:
 
     def consume(self, n_bits: int, purpose: ConsumePurpose, time_s: float = 0.0,
                 consumer: str = "") -> np.ndarray:
-        """Return the next ``n_bits`` in FIFO order and mark them used.
+        """Return the next ``n_bits`` in FIFO order, packed, and mark them used.
 
         Both peers issuing the same request sequence receive identical
         streams. Raises a starvation error (flow control, not fatal) when
@@ -148,23 +141,12 @@ class KeyReservoir:
                 f"pair {self.pair}: need {n_bits} bits for {purpose.value}, "
                 f"have {self.available}")
         offset_start = self._consumed
-        parts = []
-        remaining = n_bits
-        while remaining > 0:
-            seg = self.segments[self._head]
-            lo = seg.consumed_prefix
-            take = min(remaining, seg.size - lo)
-            parts.append(seg.read(lo, lo + take))
-            seg.consumed_prefix += take
-            remaining -= take
-            if seg.consumed_prefix == seg.size:
-                self._head += 1
         self._consumed += n_bits
         self.audit.append(AuditRecord(
             time_s=time_s, pair=self.pair, kind="consume",
             offset_start=offset_start, offset_end=offset_start + n_bits,
             purpose=purpose.value, consumer=consumer))
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return self._read(offset_start, n_bits)
 
     def write_off(self, offset_start: int, offset_end: int, time_s: float = 0.0,
                   reason: str = "") -> None:
@@ -179,25 +161,34 @@ class KeyReservoir:
             offset_start=offset_start, offset_end=offset_end, consumer=reason))
 
     def peek(self, offset_start: int, n_bits: int) -> np.ndarray:
-        """Read bits by global offset without consuming (verification only).
+        """Read bits by global offset without consuming (verification only),
+        packed as ``consume`` hands them out.
 
         Simulation-side tooling uses this to check one-time-pad algebra
         against the audit log; real endpoints have no such facility.
         """
-        if offset_start + n_bits > self._deposited:
-            raise ValueError("peek range beyond deposited key")
-        out = np.empty(n_bits, dtype=np.uint8)
-        filled = 0
-        for seg in self.segments:
-            lo = max(offset_start, seg.global_start)
-            hi = min(offset_start + n_bits, seg.global_start + seg.size)
-            if lo < hi:
-                out[lo - offset_start:hi - offset_start] = \
-                    seg.read(lo - seg.global_start, hi - seg.global_start)
-                filled += hi - lo
-        if filled != n_bits:
-            raise ValueError("peek range not fully covered")
-        return out
+        if offset_start < 0 or n_bits < 0 or offset_start + n_bits > self._deposited:
+            raise ValueError("peek range outside the deposited key")
+        return self._read(offset_start, n_bits)
+
+    def _read(self, start: int, n_bits: int) -> np.ndarray:
+        """Bits ``start:start + n_bits`` of the deposits laid end to end,
+        packed, from the bytes they cover only."""
+        value, at, end = 0, start, start + n_bits
+        # The last segment starting at or before ``start``: it holds that bit,
+        # since an empty segment shares its start with the next one.
+        i = bisect_right(self.segments, start, key=attrgetter("global_start")) - 1
+        while at < end:
+            seg = self.segments[i]
+            lo = at - seg.global_start
+            take = min(end - at, seg.size - lo)
+            covered = seg.packed[lo >> 3:(lo + take + 7) >> 3]
+            word = int.from_bytes(covered, "big") >> (8 * covered.size - (lo & 7) - take)
+            value = (value << take) | (word & ((1 << take) - 1))
+            at += take
+            i += 1
+        return np.frombuffer((value << (-n_bits & 7)).to_bytes((n_bits + 7) >> 3, "big"),
+                             dtype=np.uint8)
 
 
 class KeyStore:

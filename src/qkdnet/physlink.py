@@ -252,7 +252,9 @@ def wrap_phase(phi: float) -> float:
     """Wrap an angle to (-pi, pi]; in-range values pass through exactly."""
     if -math.pi < phi <= math.pi:
         return phi
-    return math.pi - ((math.pi - phi) % (2.0 * math.pi))
+    wrapped = math.pi - ((math.pi - phi) % (2.0 * math.pi))
+    # The modulo rounds to 2pi just above pi, which would give -pi.
+    return math.pi if wrapped == -math.pi else wrapped
 
 
 @dataclass(frozen=True)
@@ -532,9 +534,7 @@ def advance_phase(phase: PhaseState, dt_s: float, rng_seed) -> PhaseState:
         return phase
     rng = np.random.default_rng(rng_seed)
     step = rng.normal(0.0, phase.drift_rate_rad_per_s * math.sqrt(dt_s))
-    # The constructor validates the state and wraps the angle again, which
-    # maps wrap_phase's one out-of-range result (-pi, from just above pi) to pi.
-    return PhaseState(wrap_phase(phase.phase_error_rad + step), phase.drift_rate_rad_per_s,
+    return PhaseState(phase.phase_error_rad + step, phase.drift_rate_rad_per_s,
                       phase.feedback_gain, phase.probe_correction,
                       phase.probe_reference_qber, phase.preferred_sign)
 
@@ -562,7 +562,7 @@ def apply_training_feedback(phase: PhaseState, training_qber: float,
         sign = -1 if correction > 0 else 1
         return replace(
             phase,
-            phase_error_rad=wrap_phase(phase.phase_error_rad - 2.0 * correction),
+            phase_error_rad=phase.phase_error_rad - 2.0 * correction,
             probe_correction=None,
             preferred_sign=sign,
         )
@@ -576,7 +576,7 @@ def apply_training_feedback(phase: PhaseState, training_qber: float,
         return phase
     return replace(
         phase,
-        phase_error_rad=wrap_phase(phase.phase_error_rad + correction),
+        phase_error_rad=phase.phase_error_rad + correction,
         probe_correction=correction,
         probe_reference_qber=training_qber,
     )

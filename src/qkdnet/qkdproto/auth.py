@@ -12,10 +12,6 @@ from __future__ import annotations
 import hmac
 import struct
 
-import numpy as np
-
-from ..bits import bits_to_bytes
-
 TAG_BITS = 64
 AUTH_KEY_BITS_PER_TAG = 2 * TAG_BITS
 _PRIME = (1 << 64) - 59  # largest 64-bit prime
@@ -37,25 +33,19 @@ def _poly_hash(selector: int, message: bytes) -> int:
     return h
 
 
-def _tag_bytes(auth_key: np.ndarray, message: bytes) -> bytes:
-    """The tag as 8 big-endian bytes: the key packed once, selector then mask."""
-    auth_key = np.asarray(auth_key, dtype=np.uint8)
-    if auth_key.size != AUTH_KEY_BITS_PER_TAG:
-        raise ValueError(f"auth_tag needs exactly {AUTH_KEY_BITS_PER_TAG} key bits")
-    key = np.packbits(auth_key).tobytes()
-    selector, mask = int.from_bytes(key[:8], "big"), int.from_bytes(key[8:], "big")
-    return (_poly_hash(selector, message) ^ mask).to_bytes(8, "big")
-
-
-def auth_tag(auth_key: np.ndarray, message: bytes) -> np.ndarray:
-    """Compute the 64-bit tag for ``message`` under 128 bits of one-time key.
+def auth_tag(auth_key, message: bytes) -> bytes:
+    """The 8-byte big-endian tag for ``message`` under 16 bytes of one-time
+    key, packed as the keystore hands it out: selector, then mask.
 
     The caller is responsible for drawing ``auth_key`` from a reservoir and
     never reusing it; the same key and message always give the same tag.
     """
-    return np.unpackbits(np.frombuffer(_tag_bytes(auth_key, message), dtype=np.uint8))
+    if len(auth_key) != AUTH_KEY_BITS_PER_TAG // 8:
+        raise ValueError(f"auth_tag needs exactly {AUTH_KEY_BITS_PER_TAG // 8} key bytes")
+    selector, mask = int.from_bytes(auth_key[:8], "big"), int.from_bytes(auth_key[8:], "big")
+    return (_poly_hash(selector, message) ^ mask).to_bytes(8, "big")
 
 
-def verify_tag(auth_key: np.ndarray, message: bytes, tag: np.ndarray) -> bool:
-    """Recompute and compare the packed tags in constant time."""
-    return hmac.compare_digest(_tag_bytes(auth_key, message), bits_to_bytes(tag))
+def verify_tag(auth_key, message: bytes, tag: bytes) -> bool:
+    """Recompute and compare the tags in constant time."""
+    return hmac.compare_digest(auth_tag(auth_key, message), tag)

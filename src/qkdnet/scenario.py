@@ -53,7 +53,8 @@ class EngineKnobs:
 
     def __post_init__(self):
         # A negative delay would schedule the past, a bit count is a whole
-        # number, and prepositioned key is held one byte per bit.
+        # number, and prepositioned key is drawn one byte per bit (then held
+        # packed).
         integer(self.block_target_bits, "engine", "block_target_bits", 1)
         number(self.relay_hop_latency_s, "engine", "relay_hop_latency_s", 0)
         integer(self.prepositioned_auth_bits, "engine", "prepositioned_auth_bits",

@@ -11,7 +11,7 @@ import pytest
 from oracles import PulseFrame, drive, estimate_secret_length, transmit_frame
 from qkdnet import netgraph as ng
 from qkdnet import physlink as pl
-from qkdnet.bits import binary_entropy, xor_bits
+from qkdnet.bits import binary_entropy
 from qkdnet.engine import run_scenario
 from qkdnet.errors import ReconciliationFailure
 from qkdnet.keyrelay import HealthMonitor, RelayCoordinator, RelayStatus
@@ -182,7 +182,7 @@ def test_criterion_5_relay_correctness_accounting():
         assert scan_one_time_use(store.audit) == []
         for t in session.hop_transcripts:
             key = store.reservoirs[t.pair].peek(t.otp_offset_start, r_len)
-            assert np.array_equal(xor_bits(t.ciphertext, key), session.secret)
+            assert np.array_equal(t.ciphertext ^ key, session.secret)
             checked_hops += 1
     ok = delivered >= 900 and checked_hops > 1000
     _report(5, f"{delivered}/1000 randomized sessions delivered with matching "

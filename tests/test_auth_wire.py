@@ -16,26 +16,27 @@ from qkdnet.qkdproto import (
 
 
 def _key(seed):
-    return np.random.default_rng(seed).integers(0, 2, AUTH_KEY_BITS_PER_TAG,
-                                                dtype=np.uint8)
+    """Packed as the keystore hands out an authentication draw."""
+    return np.packbits(np.random.default_rng(seed).integers(0, 2, AUTH_KEY_BITS_PER_TAG,
+                                                            dtype=np.uint8))
 
 
 def test_auth_tag_deterministic_and_verifies():
     key = _key(1)
     tag = auth_tag(key, b"hello world")
-    assert np.array_equal(tag, auth_tag(key, b"hello world"))
+    assert tag == auth_tag(key, b"hello world")
     assert verify_tag(key, b"hello world", tag)
     assert not verify_tag(key, b"hello worle", tag)
 
 
 def test_auth_tag_empty_message_well_defined():
     tag = auth_tag(_key(2), b"")
-    assert tag.size == 64
+    assert len(tag) == 8
 
 
 def test_auth_tag_needs_full_key_budget():
     with pytest.raises(ValueError):
-        auth_tag(np.zeros(64, dtype=np.uint8), b"x")
+        auth_tag(np.zeros(8, dtype=np.uint8), b"x")  # 64 key bits, packed
 
 
 def test_auth_tags_separate_close_messages():
@@ -46,7 +47,7 @@ def test_auth_tags_separate_close_messages():
         key = _key(50 + t)
         m1 = b"messageA" + bytes([t % 256])
         m2 = b"messageB" + bytes([t % 256])
-        if not np.array_equal(auth_tag(key, m1), auth_tag(key, m2)):
+        if auth_tag(key, m1) != auth_tag(key, m2):
             differ += 1
     assert differ / 10_000 >= 0.99
 
@@ -76,7 +77,7 @@ def test_auth_tag_mask_hides_hash():
     key1 = np.zeros(AUTH_KEY_BITS_PER_TAG, dtype=np.uint8)
     key2 = key1.copy()
     key2[64] = 1
-    assert not np.array_equal(auth_tag(key1, b"m"), auth_tag(key2, b"m"))
+    assert auth_tag(np.packbits(key1), b"m") != auth_tag(np.packbits(key2), b"m")
 
 
 # ---------------------------------------------------------------------------

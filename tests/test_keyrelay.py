@@ -9,7 +9,6 @@ import pytest
 from oracles import decode_record, drive, movable
 from qkdnet import keyrelay
 from qkdnet import netgraph as ng
-from qkdnet.bits import xor_bits
 from qkdnet.errors import NoPathError
 from qkdnet.keyrelay import (HealthMonitor, RelayCoordinator, RelayStatus, find_path,
                              hop_need, relay_graph)
@@ -55,8 +54,9 @@ def _holders(store, secret, transcripts, src):
     one-time pad opens that hop's ciphertext to it."""
     holders = {src}
     for t in transcripts:
-        pad = store.reservoir(*t.pair).peek(t.otp_offset_start, secret.size)
-        if np.array_equal(xor_bits(t.ciphertext, pad), secret):
+        pad = store.reservoir(*t.pair).peek(t.otp_offset_start,
+                                            t.otp_offset_end - t.otp_offset_start)
+        if np.array_equal(t.ciphertext ^ pad, secret):
             holders.add(t.rx_node)
     return holders
 
@@ -220,10 +220,10 @@ def test_relay_xor_arithmetic_by_hand():
     coord = RelayCoordinator(topo, HealthMonitor(), store, _StubRng([[1, 0, 1, 0]]))
     session = coord.request("N0", "N2", 4, time_s=0.0)
     assert drive(coord, session, 1.0) == "delivered"
-    assert [list(t.ciphertext) for t in session.hop_transcripts] == \
+    assert [list(np.unpackbits(t.ciphertext, count=4)) for t in session.hop_transcripts] == \
         [[0, 1, 1, 0], [1, 0, 0, 1]]
-    assert list(session.delivered_secret) == [1, 0, 1, 0]
-    assert list(session.secret) == [1, 0, 1, 0]
+    assert list(np.unpackbits(session.delivered_secret, count=4)) == [1, 0, 1, 0]
+    assert list(np.unpackbits(session.secret, count=4)) == [1, 0, 1, 0]
 
 
 def test_single_hop_degenerates_to_one_otp_transfer():
@@ -261,8 +261,9 @@ def test_five_hop_relay_accounting_and_algebra():
                 assert not any(isinstance(getattr(t, f.name), np.ndarray)
                                for f in dataclasses.fields(t))
                 key = store.reservoirs[t.pair].peek(t.otp_offset_start, n_bits)
-                assert np.array_equal(key, deposited[t.pair][t.otp_offset_start:t.otp_offset_end])
-                assert np.array_equal(xor_bits(t.ciphertext, key), session.secret)
+                assert np.array_equal(
+                    key, np.packbits(deposited[t.pair][t.otp_offset_start:t.otp_offset_end]))
+                assert np.array_equal(t.ciphertext ^ key, session.secret)
         assert scan_one_time_use(store.audit) == []
     assert sessions[1].hop_transcripts[0].otp_offset_start % 8
 
@@ -364,7 +365,7 @@ def test_relay_auth_failure_fails_session_and_degrades_link(monkeypatch):
         tag = auth_tag(key, message)
         record, _ = decode_record(message)
         if struct.unpack_from("<IH", record.payload)[1] == 1:
-            tag[0] ^= 1
+            tag = bytes([tag[0] ^ 1]) + tag[1:]
         return tag
 
     monkeypatch.setattr(keyrelay, "auth_tag", tag_corrupted_at_hop_1)

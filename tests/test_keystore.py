@@ -42,7 +42,7 @@ def test_consume_fifo_across_segments():
     r.deposit("s1", first, KeyOrigin.DIRECT_QKD)
     r.deposit("s2", second, KeyOrigin.DIRECT_QKD)
     out = r.consume(150, ConsumePurpose.ONE_TIME_PAD)
-    assert np.array_equal(out, np.concatenate([first, second[:50]]))
+    assert np.array_equal(out, np.packbits(np.concatenate([first, second[:50]])))
 
 
 def test_consume_zero_bits():
@@ -90,7 +90,7 @@ def test_peek_matches_consumed_bits():
     r.deposit("s1", bits, KeyOrigin.DIRECT_QKD)
     out = r.consume(80, ConsumePurpose.ONE_TIME_PAD)
     assert np.array_equal(r.peek(0, 80), out)
-    assert np.array_equal(r.peek(80, 120), bits[80:])
+    assert np.array_equal(r.peek(80, 120), np.packbits(bits[80:]))
 
 
 def test_purpose_separation_in_audit():
@@ -129,31 +129,44 @@ def test_store_shares_single_audit_log():
 
 
 def test_packed_store_hands_out_the_deposited_bits():
-    # Deposits of 1-5,000 bits, mostly not whole bytes, drawn so that draws
-    # cross segment and byte boundaries, and peeked at random offsets: every
-    # result is a slice of the deposits laid end to end.
+    # First, 40 deposits of 1-5,000 bits, mostly not whole bytes, drawn at
+    # random sizes so that draws cross segment and byte boundaries. Then
+    # empty deposits, as a prepositioned pair of 0 bits makes (each shares
+    # its start with the next segment), and draws that end exactly at a
+    # segment boundary. Peeks are at random offsets and at each deposit.
+    # Every result is a slice of the deposits laid end to end, packed.
     rng = np.random.default_rng(29)
-    r = KeyReservoir("A", "B")
-    deposits = []
-    for i, n in enumerate(rng.integers(1, 5001, 40)):
-        deposits.append(_bits(int(n), seed=100 + i))
-        r.deposit(f"s{i}", deposits[-1], KeyOrigin.DIRECT_QKD)
-    stream = np.concatenate(deposits)
-    assert sum(n % 8 != 0 for n in map(len, deposits)) > 30
-    at = 0
-    while r.available:
-        n = min(int(rng.integers(1, 3000)), r.available)
-        out = r.consume(n, ConsumePurpose.ONE_TIME_PAD)
-        assert out.dtype == np.uint8 and np.array_equal(out, stream[at:at + n])
-        at += n
-        lo = int(rng.integers(0, stream.size))
-        n = int(rng.integers(0, stream.size - lo + 1))
-        assert np.array_equal(r.peek(lo, n), stream[lo:lo + n])
-    assert at == stream.size == r.consumed
-    ends = np.cumsum(list(map(len, deposits))).tolist()
-    assert [(a.offset_start, a.offset_end) for a in r.audit if a.kind == "deposit"] == \
-        list(zip([0] + ends[:-1], ends))
-    assert scan_one_time_use(r.audit) == []
+    random_sizes = rng.integers(1, 5001, 40)
+    assert sum(n % 8 != 0 for n in random_sizes) > 30
+    for sizes, draws in ((random_sizes, []),
+                         ([0, 0, 5, 0, 11, 0, 0, 16, 0], [5, 11, 16]),
+                         ([0, 0, 5, 0, 11, 0, 0, 16, 0], [2, 7, 4, 19]),
+                         ([100, 28, 64, 3, 61], [100, 92, 3, 61])):
+        r = KeyReservoir("A", "B")
+        deposits = []
+        for i, n in enumerate(sizes):
+            deposits.append(_bits(int(n), seed=100 + i))
+            r.deposit(f"s{i}", deposits[-1], KeyOrigin.DIRECT_QKD)
+        stream = np.concatenate(deposits)
+        at = 0
+        while r.available:
+            n = draws.pop(0) if draws else min(int(rng.integers(1, 3000)), r.available)
+            out = r.consume(n, ConsumePurpose.ONE_TIME_PAD)
+            assert out.dtype == np.uint8 and np.array_equal(out, np.packbits(stream[at:at + n]))
+            at += n
+            lo = int(rng.integers(0, stream.size))
+            n = int(rng.integers(0, stream.size - lo + 1))
+            assert np.array_equal(r.peek(lo, n), np.packbits(stream[lo:lo + n]))
+        assert at == stream.size == r.consumed and not draws
+        ends = np.cumsum(list(map(len, deposits))).tolist()
+        assert [(a.offset_start, a.offset_end) for a in r.audit if a.kind == "deposit"] == \
+            list(zip([0] + ends[:-1], ends))
+        for start, bits in zip([0] + ends[:-1], deposits):
+            assert np.array_equal(r.peek(start, bits.size), np.packbits(bits))
+        assert scan_one_time_use(r.audit) == []
+        for lo, n in ((-1, 2), (-1, 0), (stream.size, 1)):
+            with pytest.raises(ValueError):
+                r.peek(lo, n)
 
 
 def test_segments_hold_key_eight_bits_to_a_byte():

@@ -649,8 +649,8 @@ def test_advance_phase_keeps_a_pending_probe():
 
 
 def test_advance_phase_lands_just_above_pi_at_pi(monkeypatch):
-    # For the double just above pi, (pi - x) % 2pi rounds to 2pi, so one
-    # wrap_phase gives -pi; the state's own second wrap turns that into pi.
+    # For the double just above pi, (pi - x) % 2pi rounds to 2pi; the
+    # state's one wrap still lands at pi, not -pi.
     above = math.nextafter(math.pi, math.inf)
 
     class _Step:
@@ -712,3 +712,8 @@ def test_phase_wrapping():
     assert pl.wrap_phase(3 * math.pi / 2) == pytest.approx(-math.pi / 2)
     state = pl.PhaseState(phase_error_rad=5.0)
     assert -math.pi < state.phase_error_rad <= math.pi
+    # Just above pi, (pi - x) % 2pi rounds to 2pi: the result is still pi.
+    for phi in (math.nextafter(math.pi, math.inf), 3 * math.pi, -3 * math.pi,
+                math.nextafter(-math.pi, -math.inf)):
+        wrapped = pl.wrap_phase(phi)
+        assert -math.pi < wrapped <= math.pi and pl.wrap_phase(wrapped) == wrapped, phi
