@@ -22,22 +22,28 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "perfbench"))
 
 import workloads  # noqa: E402
-from qkdnet.engine import run_scenario  # noqa: E402
-from qkdnet.scenario import load_scenario  # noqa: E402
 
 WORKLOAD_SEEDS = range(1, 5)
 
 
-def runs():
-    """(name, scenario document) for every run, in output order."""
+def runs(seed=None):
+    """(name, scenario document) for every run, in output order. With
+    ``seed``, every document runs at that seed and each workload once,
+    built at it."""
     for path in sorted(HERE.glob("*.json")):
-        yield path.stem, json.loads(path.read_text())
+        doc = json.loads(path.read_text())
+        if seed is not None:
+            doc["seed"] = seed
+        yield path.stem, doc
     for name in workloads.WORKLOADS:
-        for seed in WORKLOAD_SEEDS:
-            yield name, workloads.build(name, seed)
+        for s in WORKLOAD_SEEDS if seed is None else (seed,):
+            yield name, workloads.build(name, s)
 
 
 def main() -> None:
+    from qkdnet.engine import run_scenario
+    from qkdnet.scenario import load_scenario
+
     for name, doc in runs():
         records = run_scenario(load_scenario(doc)).emit_records()
         print(name, doc["seed"], hashlib.sha256(records.encode()).hexdigest(), flush=True)

@@ -509,6 +509,11 @@ class Engine:
         if qber > MAX_QBER_HINT:
             record_block(estimate.disclosed, 0, True)
             return
+        # Cascade's parities only add to the leak, so a block whose sample
+        # alone prices it at zero is kept unreconciled.
+        if secret_length(estimate.remaining_alice.size, qber, estimate.disclosed, beta) == 0:
+            record_block(estimate.disclosed, 0, False)
+            return
         hint = min(max(qber, _MIN_QBER_HINT), MAX_QBER_HINT)
         try:
             corrected, parities = reconcile_cascade(

@@ -347,15 +347,18 @@ def _renewal_slots(rng: np.random.Generator, q: float, dead: int, n_slots: int) 
     """Click slots of a window whose live gates each click with probability q.
 
     Clicks form a renewal process: geometric wait on live slots, then a
-    dead window. Draw in batches until the window is covered. Slots
-    strictly increase, so the ones inside the window are a prefix.
+    dead window. Draw in batches until the window is covered. The click
+    count's variance is at most its mean, so a first batch four square
+    roots of the mean past it rarely needs a second. Slots strictly
+    increase, so the ones inside the window are a prefix.
     """
     slots = []
     count = 0
     start = 0
     expect = int(n_slots / (dead + 1.0 / q)) + 1
+    margin = 4 * math.isqrt(expect) + 16
     while True:
-        batch = max(64, expect - count + 16)
+        batch = max(64, expect - count + margin)
         s = rng.geometric(q, size=batch)
         if dead:
             s += dead

@@ -9,14 +9,18 @@ disclosed: all top-level block parities plus one bit per search level.
 
 Both strings are visible in simulation, and a range's parities disagree
 exactly when it holds an odd number of errors, so the work follows the
-errors. Each pass keeps, per block, the sorted pass-order indices of the
-bits that still disagree; an odd list is a mismatch. A search halves its
-range with ``bisect`` on that list while it holds more than one error; the
-parities left for the last one depend only on the range's width and the
-error's offset (``_depth``). Mismatched blocks are searched one at a time
-from one FIFO queue. A correction drops the bit from its block's list in
-every pass and queues each block that turns odd; a pass-0 correction has
-no other pass to toggle, so pass 0 is searched at once (``_search_first_pass``).
+errors. A pass shuffles only the k bits that disagree when it begins: a
+uniform permutation restricted to k points is a uniform injection, so
+``Generator.choice(n, k, replace=False)`` gives their pass-order indices
+in the shuffle's law. Each pass keeps, per block, the sorted pass-order
+indices of the bits that still disagree; an odd list is a mismatch. A
+search halves its range with ``bisect`` on that list while it holds more
+than one error; the parities left for the last one depend only on the
+range's width and the error's offset (``_depth``). Mismatched blocks are
+searched one at a time from one FIFO queue. A correction drops the bit
+from its block's list in every pass and queues each block that turns
+odd; a pass-0 correction has no other pass to toggle, so pass 0 is
+searched at once (``_search_first_pass``).
 """
 
 from __future__ import annotations
@@ -113,9 +117,17 @@ def reconcile_cascade(alice: np.ndarray, bob: np.ndarray, qber_hint: float,
             differences[found] = 0
             order = positions = differences.nonzero()[0].tolist()
         else:
-            perm = rng.permutation(n)
-            index = differences[perm].nonzero()[0]
-            order, positions = index.tolist(), perm[index].tolist()
+            wrong = differences.nonzero()[0]
+            index = rng.choice(n, wrong.size, replace=False)
+            # Index order by a scatter and a scan: an argsort here would be
+            # a run's only call into numpy's sort kernels, whose code pages
+            # add about 0.3 MB to the process's peak resident memory.
+            drawn = np.zeros(n, dtype=bool)
+            drawn[index] = True
+            position_at = np.empty(n, dtype=wrong.dtype)
+            position_at[index] = wrong
+            in_order = drawn.nonzero()[0]
+            order, positions = in_order.tolist(), position_at[in_order].tolist()
         # The reference side discloses every top-level parity of the pass.
         leaked += -(-n // size)
         errors: dict[int, list[int]] = {}

@@ -10,9 +10,11 @@ import pytest
 from qkdnet import physlink as pl
 from oracles import FrameTooLargeError, PulseFrame, transmit_frame
 from qkdnet.bits import random_bits
+from qkdnet.engine import run_scenario
 from qkdnet.physlink import (DetectionRecord, EveKind, EveModel, LinkParams, PhaseState,
                              phase_error_rate, signal_click_probability)
 from qkdnet.qkdproto import sift_bb84_events
+from qkdnet.scenario import load_scenario
 
 PHASE0 = pl.PhaseState()
 
@@ -361,12 +363,13 @@ def _window_oracle(params: LinkParams, phase: PhaseState, n_slots: int, rng_seed
 
     dead = params.dead_slots
     # Click slots form a renewal process: geometric wait on live slots,
-    # then a dead window. Draw in batches until the window is covered.
+    # then a dead window. Draw in batches until the window is covered, the
+    # first one four square roots of the mean count past the mean.
     slots = []
     start = 0
     expect = int(n_slots / (dead + 1.0 / q)) + 1
     while True:
-        batch = max(64, expect - sum(len(s) for s in slots) + 16)
+        batch = max(64, expect - sum(len(s) for s in slots) + 4 * math.isqrt(expect) + 16)
         gaps = rng.geometric(q, size=batch)
         offsets = np.cumsum(gaps + dead) - dead - 1
         s = start + offsets
@@ -464,6 +467,16 @@ class _RecordingGenerator(np.random.Generator):
         return super().integers(*args, **kwargs)
 
 
+class _DenseGenerator(_RecordingGenerator):
+    """A recording generator whose geometric gaps are drawn at 1.25 times
+    the asked click probability. A long window then holds a quarter more
+    clicks than the sampler sizes its first batch for, so it draws more
+    than one."""
+
+    def geometric(self, p, size=None):
+        return super().geometric(min(1.0, 1.25 * p), size=size)
+
+
 def test_window_sampler_matches_oracle_bit_for_bit():
     grid = [
         # Metro-like link: dead time, darks, double clicks now and then.
@@ -487,11 +500,14 @@ def test_window_sampler_matches_oracle_bit_for_bit():
         params = _params(**kw)
         for n_slots in (0, 1, 1000, 1_250_000):
             for ei, eve in enumerate(eves):
-                for seed in (1, 2):
+                # A first batch rarely falls short under the true law, so
+                # seed 3's denser gaps make sure later batches are pinned too.
+                for seed, make in ((1, _RecordingGenerator), (2, _RecordingGenerator),
+                                   (3, _DenseGenerator)):
                     case = (gi, n_slots, ei, seed)
                     phase = phases[seed % 2]
-                    rng_new = _RecordingGenerator(np.random.SeedSequence(case))
-                    rng_old = _RecordingGenerator(np.random.SeedSequence(case))
+                    rng_new = make(np.random.SeedSequence(case))
+                    rng_old = make(np.random.SeedSequence(case))
                     got = pl.sample_link_window(params, phase, n_slots, rng_new,
                                                 eve=eve, frame_id=f"w{case}")
                     want = _window_oracle(params, phase, n_slots, rng_old,
@@ -511,6 +527,40 @@ def test_window_sampler_matches_oracle_bit_for_bit():
                         assert g.dtype == w.dtype, case
                         assert np.array_equal(g, w), case
     assert multi_batch > 0
+
+
+class _CountingGenerator:
+    """Forwards ``geometric`` to a generator and counts the calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def geometric(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.geometric(*args, **kwargs)
+
+
+def test_renewal_first_batch_rarely_falls_short(monkeypatch):
+    # Over 150 s of cambridge, Anna-Bob and Alice-Boris, under 1% of the
+    # renewal draws (rounds and training frames) need a second batch.
+    batches = []
+    renewal_slots = pl._renewal_slots
+
+    def counted(rng, *args):
+        proxy = _CountingGenerator(rng)
+        slots = renewal_slots(proxy, *args)
+        batches.append(proxy.calls)
+        return slots
+
+    monkeypatch.setattr(pl, "_renewal_slots", counted)
+    run_scenario(load_scenario({
+        "version": 1, "name": "metro", "topology": {"preset": "cambridge"},
+        "duration_s": 150.0, "seed": 1,
+        "events": [{"t": 0.0, "kind": "start_qkd", "tx": "Anna", "rx": "Bob"},
+                   {"t": 0.0, "kind": "start_qkd", "tx": "Alice", "rx": "Boris"}]}))
+    assert len(batches) > 1000
+    assert sum(b > 1 for b in batches) < 0.01 * len(batches), (
+        sum(b > 1 for b in batches), len(batches))
 
 
 @pytest.mark.parametrize("eve", [None, pl.EveModel.intercept_resend(0.5)])

@@ -749,6 +749,42 @@ def test_default_preset_scenario_shape():
     assert kinds == {"start_qkd"}
 
 
+def test_block_that_cannot_yield_is_kept_unreconciled(monkeypatch, tmp_path):
+    # Alice-Boris's multiphoton-aware estimator credits none of its
+    # detections, so its sample alone prices every block at zero: Cascade
+    # and privacy amplification never see it, and the block leaks only its
+    # sample.
+    cascade_rngs, pa_lengths = [], []
+
+    def reconcile(alice, bob, hint, rng_seed):
+        cascade_rngs.append(rng_seed)
+        return reconcile_cascade(alice, bob, hint, rng_seed=rng_seed)
+
+    def amplify(key, target_len, seed):
+        pa_lengths.append(target_len)
+        return privacy_amplify(key, target_len, seed)
+
+    reconcile_cascade, privacy_amplify = engine_module.reconcile_cascade, \
+        engine_module.privacy_amplify
+    monkeypatch.setattr(engine_module, "reconcile_cascade", reconcile)
+    monkeypatch.setattr(engine_module, "privacy_amplify", amplify)
+    engine = Engine(load_scenario(_minimal(duration=20.0, events=[
+        {"t": 0.0, "kind": "start_qkd", "tx": "Anna", "rx": "Bob"},
+        {"t": 0.0, "kind": "start_qkd", "tx": "Alice", "rx": "Boris"}])))
+    report = engine.run()
+
+    channel_of = {id(s.rng_cascade): cid for cid, s in engine.sessions.items()}
+    assert {channel_of[id(rng)] for rng in cascade_rngs} == {"Anna-Bob"}
+    assert sorted(pa_lengths) == sorted(b.secret_bits for b in report.blocks
+                                        if b.channel_id == "Anna-Bob" and b.secret_bits)
+    zero = [b for b in report.blocks if b.channel_id == "Alice-Boris"]
+    assert zero and all(b.usable_fraction == 0.0 and not b.discarded for b in zero)
+    assert all(b.bits_leaked == b.disclosed_bits and b.secret_bits == 0 for b in zero)
+    records = tmp_path / "run.records.jsonl"
+    records.write_text(report.emit_records())
+    assert main(["verify", "--records", str(records)]) == 0
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
