@@ -26,7 +26,7 @@ store = KeyStore()
 rng = np.random.default_rng(1)
 for pair in (("S", "M"), ("M", "D")):
     store.reservoir(*pair).deposit(
-        "qkd", rng.integers(0, 2, 4096, dtype=np.uint8), KeyOrigin.DIRECT_QKD)
+        "qkd", np.packbits(rng.integers(0, 2, 4096, dtype=np.uint8)), 4096, KeyOrigin.DIRECT_QKD)
 coord = RelayCoordinator(topo, HealthMonitor(), store, np.random.default_rng(2))
 session = coord.request("S", "D", 64, time_s=0.0)
 while coord.step(session, 0.1) in ("advanced", "rerouted"):
@@ -52,7 +52,7 @@ diamond = ng.load_topology({
 store = KeyStore()
 for pair in (("S", "R1"), ("S", "R2"), ("R1", "D"), ("R2", "D")):
     store.reservoir(*pair).deposit(
-        "qkd", rng.integers(0, 2, 8192, dtype=np.uint8), KeyOrigin.DIRECT_QKD)
+        "qkd", np.packbits(rng.integers(0, 2, 8192, dtype=np.uint8)), 8192, KeyOrigin.DIRECT_QKD)
 health = HealthMonitor()
 coord = RelayCoordinator(diamond, health, store, np.random.default_rng(3))
 session = coord.request("S", "D", 1024, time_s=0.0)
@@ -76,7 +76,7 @@ store2 = KeyStore()
 for pair, bits in ((("S", "R1"), 9000), (("R1", "D"), 9000),
                    (("S", "R2"), 3000), (("R2", "D"), 3000)):
     store2.reservoir(*pair).deposit(
-        "qkd", rng.integers(0, 2, bits, dtype=np.uint8), KeyOrigin.DIRECT_QKD)
+        "qkd", np.packbits(rng.integers(0, 2, bits, dtype=np.uint8)), bits, KeyOrigin.DIRECT_QKD)
 path = find_path(diamond, relay_graph(diamond, HealthMonitor(), store2), "S", "D",
                  hop_need(2048))
 print(f"  2048-bit request routes via the richer relay: {' -> '.join(path)}")

@@ -15,9 +15,10 @@ secret bits, mean block QBER, and the ``bits_leaked`` of its blocks with
 so only the leak that is paid for counts); per run: the relays delivered,
 their latency p50 and p95, and the problems ``verify_report`` finds. For
 each, the script prints both trees' means over seeds and their Welch z. It
-exits 1 when a |z| passes the Bonferroni threshold for a family-wise alpha
-of 0.01 over the number of means compared (never below 3), when a metric
-comes from one tree only, or when a run fails.
+exits 1 when a |z| passes its Bonferroni bound, when a metric comes from
+one tree only, or when a run fails. The bound is the two-sided Student t
+quantile, at the mean's Welch-Satterthwaite degrees of freedom, for a
+family-wise alpha of 0.01 over the number of means compared (never below 3).
 """
 
 from __future__ import annotations
@@ -75,37 +76,100 @@ def samples(runs: list) -> dict:
             else [r[key] for r in runs if key in r] for key in keys}
 
 
+def _spreads(a: list, b: list) -> list[tuple]:
+    """(variance of the mean, degrees of freedom) of each sample that has a
+    spread; a sample of one has none."""
+    return [(variance(x) / len(x), len(x) - 1) for x in (a, b) if len(x) > 1]
+
+
 def welch_z(a: list, b: list) -> float:
-    """Welch's z of two samples' means; a sample of one has no spread."""
-    se = math.sqrt(sum(variance(x) / len(x) for x in (a, b) if len(x) > 1))
+    """Welch's z of two samples' means."""
+    se = math.sqrt(sum(v for v, _ in _spreads(a, b)))
     diff = fmean(a) - fmean(b)
     if se == 0.0:
         return 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
     return diff / se
 
 
-def threshold(n_means: int) -> float:
-    """Two-sided Bonferroni |z| bound for ALPHA over ``n_means`` means."""
-    return max(MIN_THRESHOLD, NormalDist().inv_cdf(1.0 - ALPHA / (2 * n_means)))
+def welch_df(a: list, b: list) -> float:
+    """The Welch-Satterthwaite degrees of freedom of :func:`welch_z`
+    (infinite where neither sample has a spread, so z is 0 or infinite)."""
+    spreads = _spreads(a, b)
+    tails = sum(v * v / df for v, df in spreads)
+    return sum(v for v, _ in spreads) ** 2 / tails if tails else math.inf
+
+
+def _t_upper(t: float, df: float) -> float:
+    """P(T > t) for Student's t with ``df`` degrees of freedom and t >= 0:
+    half the regularized incomplete beta I_x(df / 2, 1 / 2) at
+    x = df / (df + t^2), by Lentz's continued fraction (Numerical Recipes
+    ``betacf``), applied to whichever of I_x(a, b) and 1 - I_{1-x}(b, a)
+    converges fast."""
+    a, b, x = df / 2, 0.5, df / (df + t * t)
+    flip = x > (a + 1) / (a + b + 2)
+    if flip:
+        a, b, x = b, a, 1.0 - x
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log1p(-x)) / a
+    tiny = 1e-300
+    c, d = 1.0, 1.0 / (1.0 - (a + b) * x / (a + 1) or tiny)
+    h = d
+    for m in range(1, 500):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 / (1.0 + num * d or tiny)
+            c = 1.0 + num / c or tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            break
+    beta = front * h
+    return (1.0 - beta if flip else beta) / 2
+
+
+def t_quantile(p: float, df: float) -> float:
+    """The t with P(T > t) = ``p`` (< 1/2) at ``df`` degrees of freedom.
+
+    Newton's method from the normal quantile, which lies below: the tail
+    is convex beyond 0, so each step stays below the root and the steps
+    rise to it.
+    """
+    t = NormalDist().inv_cdf(1.0 - p)
+    if math.isinf(df):
+        return t
+    scale = math.exp(math.lgamma((df + 1) / 2) - math.lgamma(df / 2)) / math.sqrt(df * math.pi)
+    for _ in range(200):
+        step = (_t_upper(t, df) - p) / (scale * (1.0 + t * t / df) ** (-(df + 1) / 2))
+        t += step
+        if abs(step) <= 1e-12 * t:
+            break
+    return t
+
+
+def threshold(n_means: int, df: float) -> float:
+    """Two-sided Bonferroni |z| bound for ALPHA over ``n_means`` means, at
+    ``df`` degrees of freedom."""
+    return max(MIN_THRESHOLD, t_quantile(ALPHA / (2 * n_means), df))
 
 
 def compare(a: dict, b: dict) -> tuple[list, bool]:
     """Report lines and a verdict for two trees' samples, keyed alike."""
     keys = sorted(a.keys() | b.keys())
-    limit = threshold(max(len(keys), 1))
-    lines, ok = [], True
+    lines, limits, ok = [], [], True
     for key in keys:
         if not a.get(key) or not b.get(key):
             lines.append(f"FAIL {key}: only in tree {'A' if a.get(key) else 'B'}")
             ok = False
             continue
-        z = welch_z(a[key], b[key])
-        bad = abs(z) > limit
+        z, df = welch_z(a[key], b[key]), welch_df(a[key], b[key])
+        limits.append(threshold(len(keys), df))
+        bad = abs(z) > limits[-1]
         ok &= not bad
         lines.append(f"{'FAIL' if bad else 'ok  '} {key}: A {fmean(a[key]):.6g} (n {len(a[key])})"
-                     f"  B {fmean(b[key]):.6g} (n {len(b[key])})  z {z:+.2f}")
-    lines.append(f"{len(keys)} means compared; |z| threshold {limit:.2f} "
-                 f"(Bonferroni, family-wise alpha {ALPHA})")
+                     f"  B {fmean(b[key]):.6g} (n {len(b[key])})  z {z:+.2f}"
+                     f"  df {df:.1f}  bound {limits[-1]:.2f}")
+    span = f"{min(limits):.2f}-{max(limits):.2f}" if limits else "none"
+    lines.append(f"{len(keys)} means compared; |z| bounds {span} (Bonferroni, family-wise "
+                 f"alpha {ALPHA}, Student t at each mean's Welch-Satterthwaite df)")
     return lines, ok
 
 

@@ -268,7 +268,7 @@ class Engine:
         for pair, n in bits.items():
             rng = derive_rng(self.scenario.seed, "preposition", pair)
             self.store.reservoir(*pair).deposit(
-                f"preposition:{pair[0]}|{pair[1]}", random_bits(rng, n),
+                f"preposition:{pair[0]}|{pair[1]}", np.packbits(random_bits(rng, n)), n,
                 KeyOrigin.PREPOSITIONED, 0.0)
 
     # -- run -----------------------------------------------------------------
@@ -532,7 +532,7 @@ class Engine:
                     f"block {block_id}: keys diverge after reconciliation")
             pa_seed = random_bits(session.rng_pa, corrected.size + m - 1)
             secret = privacy_amplify(estimate.remaining_alice, m, pa_seed)
-            self.store.reservoir(*pair).deposit(block_id, secret,
+            self.store.reservoir(*pair).deposit(block_id, np.packbits(secret), m,
                                                 KeyOrigin.DIRECT_QKD, now)
             session.interval_secret += m
         record_block(leaked, m, False)

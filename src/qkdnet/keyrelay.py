@@ -134,8 +134,6 @@ class HopTranscript:
     pair: Tuple[str, str]
     otp_offset_start: int
     otp_offset_end: int
-    auth_offset_start: int
-    auth_offset_end: int
     message: bytes
     time_s: float
 
@@ -492,7 +490,6 @@ class RelayCoordinator:
         otp_start = reservoir.consumed
         pad = reservoir.consume(session.r_length_bits, ConsumePurpose.ONE_TIME_PAD,
                                 time_s, consumer=f"{session.session_id}:hop{hop}")
-        auth_start = reservoir.consumed
         auth_key = reservoir.consume(AUTH_KEY_BITS_PER_TAG, ConsumePurpose.AUTHENTICATION,
                                      time_s, consumer=f"{session.session_id}:hop{hop}:auth")
 
@@ -516,8 +513,6 @@ class RelayCoordinator:
         session.hop_transcripts.append(HopTranscript(
             hop_index=hop, tx_node=tx, rx_node=rx, pair=pair_key(tx, rx),
             otp_offset_start=otp_start, otp_offset_end=otp_start + session.r_length_bits,
-            auth_offset_start=auth_start,
-            auth_offset_end=auth_start + AUTH_KEY_BITS_PER_TAG,
             message=message, time_s=time_s))
         session.next_hop += 1
         if session.next_hop == len(session.path) - 1:
@@ -526,7 +521,7 @@ class RelayCoordinator:
             session.status = RelayStatus.DELIVERED
             segment_id = f"{session.session_id}:r{session.regenerations}"
             self.store.reservoir(session.src, session.dst).deposit(
-                segment_id, np.unpackbits(session.delivered_secret, count=session.r_length_bits),
+                segment_id, session.delivered_secret, session.r_length_bits,
                 KeyOrigin.RELAY, time_s)
             return "delivered"
         return "advanced"

@@ -9,8 +9,9 @@ lockstep without negotiation. Every deposit, draw, and write-off lands in
 an audit log keyed by global bit offsets, so post-run tooling can prove no
 bit was ever used twice.
 
-Key is deposited as 0/1 bits, then held and handed out packed, eight bits
-to a byte (``np.packbits``: most significant bit first, zero tail).
+Key is deposited, held and handed out in one format: packed eight bits to
+a byte as ``np.packbits`` packs them (most significant bit first, zero
+tail), with the bit count alongside.
 """
 
 from __future__ import annotations
@@ -68,11 +69,9 @@ class AuditRecord(NamedTuple):
 
 @dataclass
 class _Segment:
-    segment_id: str
-    packed: np.ndarray             # np.packbits of the deposit
+    packed: np.ndarray             # the deposit, np.packbits layout
     size: int                      # bits deposited
-    origin: KeyOrigin
-    global_start: int = 0
+    global_start: int
 
     @property
     def bits(self) -> np.ndarray:
@@ -103,23 +102,23 @@ class KeyReservoir:
     def consumed(self) -> int:
         return self._consumed
 
-    def deposit(self, segment_id: str, bits: np.ndarray, origin: KeyOrigin,
+    def deposit(self, segment_id: str, packed: np.ndarray, n_bits: int, origin: KeyOrigin,
                 time_s: float = 0.0) -> None:
-        """Append a fresh segment; duplicate segment ids are replayed deposits."""
+        """Append a copy of ``packed``, ``n_bits`` bits as ``ceil(n_bits / 8)``
+        ``uint8``; duplicate segment ids are replayed deposits."""
         if segment_id in self._segment_ids:
             raise DuplicateSegmentError(
                 f"segment {segment_id!r} already deposited for pair {self.pair}")
-        bits = np.asarray(bits, dtype=np.uint8)
-        if bits.size and bits.max() > 1:
-            raise ValueError(f"segment {segment_id!r} holds a value other than 0 or 1")
-        seg = _Segment(segment_id, np.packbits(bits), bits.size, origin,
-                       global_start=self._deposited)
+        if (n_bits < 0 or not isinstance(packed, np.ndarray) or packed.dtype != np.uint8
+                or packed.shape != ((n_bits + 7) >> 3,)):
+            raise ValueError(f"segment {segment_id!r} is not {n_bits} bits packed as uint8")
+        seg = _Segment(packed.copy(), n_bits, self._deposited)
         self.segments.append(seg)
         self._segment_ids.add(segment_id)
-        self._deposited += bits.size
+        self._deposited += n_bits
         self.audit.append(AuditRecord(
             time_s=time_s, pair=self.pair, kind="deposit",
-            offset_start=seg.global_start, offset_end=seg.global_start + bits.size,
+            offset_start=seg.global_start, offset_end=seg.global_start + n_bits,
             origin=origin.value, segment_id=segment_id))
 
     def consume(self, n_bits: int, purpose: ConsumePurpose, time_s: float = 0.0,

@@ -27,8 +27,8 @@ DEFAULT_FIBER_LOSS_DB_PER_KM = 0.2
 DEFAULT_DRIFT_RATE_RAD_PER_S = 0.02
 DEFAULT_FEEDBACK_GAIN = 0.5
 DEFAULT_PREPOSITIONED_BITS = 1 << 20
-# A pair's prepositioned key is drawn one byte per bit before the keystore
-# packs it, so it costs that many bytes at set-up: at most 256 MiB.
+# A pair's prepositioned key is drawn one byte per bit and then packed, so
+# it costs that many bytes at set-up: at most 256 MiB.
 MAX_PREPOSITIONED_BITS = 1 << 28
 
 _LINK_PARAM_FIELDS = (

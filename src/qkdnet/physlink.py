@@ -68,7 +68,6 @@ class ClickLaw(NamedTuple):
     its class uniform on [0, q).
     """
 
-    p_sig: float           # at least one signal photon is detected
     q: float               # the gate clicks: signal, dark or double
     p_signal_event: float  # kept as a signal event
     p_dark_event: float    # kept as a dark event
@@ -134,8 +133,7 @@ class LinkParams:
         """The per-gate :class:`ClickLaw`, which every window of this link reads."""
         p_sig = signal_click_probability(self)
         d = self.dark_count_prob
-        return ClickLaw(p_sig, 1.0 - (1.0 - p_sig) * (1.0 - d) ** 2,
-                        *_event_probabilities(p_sig, d))
+        return ClickLaw(1.0 - (1.0 - p_sig) * (1.0 - d) ** 2, *_event_probabilities(p_sig, d))
 
 
 class _DetectionFields(NamedTuple):

@@ -168,8 +168,8 @@ def test_criterion_5_relay_correctness_accounting():
         r_len = int(rng.integers(64, 1024))
         for a, b in pairs:
             store.reservoir(a, b).deposit(
-                "seed", rng.integers(0, 2, r_len + 512, dtype=np.uint8),
-                KeyOrigin.DIRECT_QKD)
+                "seed", np.packbits(rng.integers(0, 2, r_len + 512, dtype=np.uint8)),
+                r_len + 512, KeyOrigin.DIRECT_QKD)
         coord = RelayCoordinator(topo, HealthMonitor(), store,
                                  np.random.default_rng(trial))
         src, dst = rng.choice(names, 2, replace=False)

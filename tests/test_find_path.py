@@ -58,8 +58,9 @@ def _prepositioned_mesh(nodes, pairs, levels, seed=0):
     store = KeyStore()
     rng = np.random.default_rng(seed)
     for (a, b), bits in zip(pairs, levels):
-        store.reservoir(a, b).deposit("seed", rng.integers(0, 2, bits, dtype=np.uint8),
-                                      KeyOrigin.PREPOSITIONED)
+        store.reservoir(a, b).deposit(
+            "seed", np.packbits(rng.integers(0, 2, bits, dtype=np.uint8)), bits,
+            KeyOrigin.PREPOSITIONED)
     return topology, store
 
 

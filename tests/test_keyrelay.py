@@ -45,7 +45,7 @@ def _seed(store, pairs, bits=6000, seed=0):
     rng = np.random.default_rng(seed)
     deposited = {pair: rng.integers(0, 2, bits, dtype=np.uint8) for pair in pairs}
     for (a, b), key in deposited.items():
-        store.reservoir(a, b).deposit("seed", key, KeyOrigin.DIRECT_QKD)
+        store.reservoir(a, b).deposit("seed", np.packbits(key), key.size, KeyOrigin.DIRECT_QKD)
     return deposited
 
 
@@ -215,8 +215,9 @@ def test_relay_xor_arithmetic_by_hand():
     rng = np.random.default_rng(0)
     for pair, key_bits in ((("N0", "N1"), [1, 1, 0, 0]), (("N1", "N2"), [0, 0, 1, 1])):
         r = store.reservoir(*pair)
-        r.deposit("otp", np.array(key_bits, dtype=np.uint8), KeyOrigin.DIRECT_QKD)
-        r.deposit("auth", rng.integers(0, 2, 256, dtype=np.uint8), KeyOrigin.PREPOSITIONED)
+        r.deposit("otp", np.packbits(key_bits), 4, KeyOrigin.DIRECT_QKD)
+        r.deposit("auth", np.packbits(rng.integers(0, 2, 256, dtype=np.uint8)), 256,
+                  KeyOrigin.PREPOSITIONED)
     coord = RelayCoordinator(topo, HealthMonitor(), store, _StubRng([[1, 0, 1, 0]]))
     session = coord.request("N0", "N2", 4, time_s=0.0)
     assert drive(coord, session, 1.0) == "delivered"
@@ -316,8 +317,8 @@ def test_relay_starvation_pauses_until_replenished():
     session = coord.request("N0", "N2", 2048, time_s=0.0)
     assert session.status is RelayStatus.PATH_PENDING  # second hop unfunded
     store.reservoir("N1", "N2").deposit(
-        "more", np.random.default_rng(1).integers(0, 2, 4000, dtype=np.uint8),
-        KeyOrigin.DIRECT_QKD)
+        "more", np.packbits(np.random.default_rng(1).integers(0, 2, 4000, dtype=np.uint8)),
+        4000, KeyOrigin.DIRECT_QKD)
     assert drive(coord, session, 2.0) == "delivered"
 
 
@@ -352,8 +353,8 @@ def test_movable_reports_sessions_a_step_would_move():
     assert pending.status is RelayStatus.PATH_PENDING
     assert movable(coord, [starved, pending]) == []
     store.reservoir("N1", "N2").deposit(
-        "more", np.random.default_rng(1).integers(0, 2, 4000, dtype=np.uint8),
-        KeyOrigin.DIRECT_QKD)
+        "more", np.packbits(np.random.default_rng(1).integers(0, 2, 4000, dtype=np.uint8)),
+        4000, KeyOrigin.DIRECT_QKD)
     assert movable(coord, [starved, pending]) == [starved, pending]
     health.force("N1-N2", LinkHealth.CUT, 1.0, "test")
     assert movable(coord, [starved, pending]) == [starved]  # its step reroutes

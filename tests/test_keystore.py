@@ -20,27 +20,31 @@ def _bits(n, seed=0):
     return np.random.default_rng(seed).integers(0, 2, n, dtype=np.uint8)
 
 
+def _packed(n, seed=0):
+    return np.packbits(_bits(n, seed))
+
+
 def test_deposit_and_availability():
     r = KeyReservoir("A", "B")
-    r.deposit("s1", _bits(512), KeyOrigin.DIRECT_QKD)
+    r.deposit("s1", _packed(512), 512, KeyOrigin.DIRECT_QKD)
     assert r.available == 512
-    r.deposit("s2", _bits(1024, 1), KeyOrigin.DIRECT_QKD)
+    r.deposit("s2", _packed(1024, 1), 1024, KeyOrigin.DIRECT_QKD)
     assert r.available == 1536
 
 
 def test_duplicate_segment_rejected():
     r = KeyReservoir("A", "B")
-    r.deposit("s1", _bits(64), KeyOrigin.DIRECT_QKD)
+    r.deposit("s1", _packed(64), 64, KeyOrigin.DIRECT_QKD)
     with pytest.raises(DuplicateSegmentError):
-        r.deposit("s1", _bits(64, 1), KeyOrigin.RELAY)
+        r.deposit("s1", _packed(64, 1), 64, KeyOrigin.RELAY)
     assert r.available == 64
 
 
 def test_consume_fifo_across_segments():
     r = KeyReservoir("A", "B")
     first, second = _bits(100, 2), _bits(100, 3)
-    r.deposit("s1", first, KeyOrigin.DIRECT_QKD)
-    r.deposit("s2", second, KeyOrigin.DIRECT_QKD)
+    r.deposit("s1", np.packbits(first), 100, KeyOrigin.DIRECT_QKD)
+    r.deposit("s2", np.packbits(second), 100, KeyOrigin.DIRECT_QKD)
     out = r.consume(150, ConsumePurpose.ONE_TIME_PAD)
     assert np.array_equal(out, np.packbits(np.concatenate([first, second[:50]])))
 
@@ -53,7 +57,7 @@ def test_consume_zero_bits():
 
 def test_starvation_after_exhaustion():
     r = KeyReservoir("A", "B")
-    r.deposit("s1", _bits(100), KeyOrigin.DIRECT_QKD)
+    r.deposit("s1", _packed(100), 100, KeyOrigin.DIRECT_QKD)
     r.consume(64, ConsumePurpose.ONE_TIME_PAD)
     with pytest.raises(KeyStarvation):
         r.consume(64, ConsumePurpose.ONE_TIME_PAD)
@@ -67,8 +71,8 @@ def test_mirror_reservoirs_return_identical_streams():
     left = KeyReservoir("A", "B")
     right = KeyReservoir("A", "B")
     for r in (left, right):
-        r.deposit("s1", _bits(300, 7), KeyOrigin.DIRECT_QKD)
-        r.deposit("s2", _bits(300, 8), KeyOrigin.RELAY)
+        r.deposit("s1", _packed(300, 7), 300, KeyOrigin.DIRECT_QKD)
+        r.deposit("s2", _packed(300, 8), 300, KeyOrigin.RELAY)
     draws = [(64, ConsumePurpose.AUTHENTICATION), (100, ConsumePurpose.ONE_TIME_PAD),
              (128, ConsumePurpose.DELIVERY), (17, ConsumePurpose.ONE_TIME_PAD)]
     for n, purpose in draws:
@@ -77,9 +81,9 @@ def test_mirror_reservoirs_return_identical_streams():
 
 def test_conservation_identity():
     r = KeyReservoir("A", "B")
-    r.deposit("s1", _bits(256), KeyOrigin.DIRECT_QKD)
+    r.deposit("s1", _packed(256), 256, KeyOrigin.DIRECT_QKD)
     r.consume(100, ConsumePurpose.ONE_TIME_PAD)
-    r.deposit("s2", _bits(50, 1), KeyOrigin.RELAY)
+    r.deposit("s2", _packed(50, 1), 50, KeyOrigin.RELAY)
     r.consume(30, ConsumePurpose.AUTHENTICATION)
     assert r.deposited == r.consumed + r.available == 306
 
@@ -87,7 +91,7 @@ def test_conservation_identity():
 def test_peek_matches_consumed_bits():
     r = KeyReservoir("A", "B")
     bits = _bits(200, 9)
-    r.deposit("s1", bits, KeyOrigin.DIRECT_QKD)
+    r.deposit("s1", np.packbits(bits), 200, KeyOrigin.DIRECT_QKD)
     out = r.consume(80, ConsumePurpose.ONE_TIME_PAD)
     assert np.array_equal(r.peek(0, 80), out)
     assert np.array_equal(r.peek(80, 120), np.packbits(bits[80:]))
@@ -96,7 +100,7 @@ def test_peek_matches_consumed_bits():
 def test_purpose_separation_in_audit():
     store = KeyStore()
     r = store.reservoir("A", "B")
-    r.deposit("s1", _bits(400), KeyOrigin.DIRECT_QKD)
+    r.deposit("s1", _packed(400), 400, KeyOrigin.DIRECT_QKD)
     r.consume(100, ConsumePurpose.ONE_TIME_PAD)
     r.consume(100, ConsumePurpose.AUTHENTICATION)
     ranges = [(a.offset_start, a.offset_end, a.purpose) for a in store.audit
@@ -122,8 +126,8 @@ def test_pair_key_normalizes_order():
 
 def test_store_shares_single_audit_log():
     store = KeyStore()
-    store.reservoir("A", "B").deposit("s1", _bits(10), KeyOrigin.DIRECT_QKD)
-    store.reservoir("C", "B").deposit("s1", _bits(10), KeyOrigin.DIRECT_QKD)
+    store.reservoir("A", "B").deposit("s1", _packed(10), 10, KeyOrigin.DIRECT_QKD)
+    store.reservoir("C", "B").deposit("s1", _packed(10), 10, KeyOrigin.DIRECT_QKD)
     assert len(store.audit) == 2
     assert store.available("B", "A") == 10
 
@@ -146,7 +150,7 @@ def test_packed_store_hands_out_the_deposited_bits():
         deposits = []
         for i, n in enumerate(sizes):
             deposits.append(_bits(int(n), seed=100 + i))
-            r.deposit(f"s{i}", deposits[-1], KeyOrigin.DIRECT_QKD)
+            r.deposit(f"s{i}", np.packbits(deposits[-1]), int(n), KeyOrigin.DIRECT_QKD)
         stream = np.concatenate(deposits)
         at = 0
         while r.available:
@@ -173,25 +177,46 @@ def test_segments_hold_key_eight_bits_to_a_byte():
     r = KeyReservoir("A", "B")
     deposits = [_bits(n, seed=n) for n in (1, 7, 8, 9, 1000, 4093)]
     for i, bits in enumerate(deposits):
-        r.deposit(f"s{i}", bits, KeyOrigin.DIRECT_QKD)
+        r.deposit(f"s{i}", np.packbits(bits), bits.size, KeyOrigin.DIRECT_QKD)
     for seg, bits in zip(r.segments, deposits):
         assert seg.packed.nbytes == -(-bits.size // 8)
         assert seg.bits.dtype == np.uint8 and np.array_equal(seg.bits, bits)
 
 
-def test_deposit_refuses_values_other_than_bits():
+@pytest.mark.parametrize("packed, n_bits", [
+    (np.zeros(2, dtype=np.uint8), 17),                    # a byte short
+    (np.zeros(3, dtype=np.uint8), 16),                    # a byte over
+    (np.zeros(2, dtype=np.uint8), -1),                    # a negative count
+    (np.zeros((2, 1), dtype=np.uint8), 16),               # not one row
+    (np.zeros(2, dtype=np.int64), 16),                    # bytes of another dtype
+    (np.zeros(16, dtype=bool), 16),                       # 0/1 bits, unpacked
+    (np.zeros(2, dtype=np.uint8).tobytes(), 16),          # not an array
+], ids=["short", "long", "negative", "2d", "int64", "bool", "bytes"])
+def test_deposit_refuses_a_wrong_size_or_dtype(packed, n_bits):
     r = KeyReservoir("A", "B")
     with pytest.raises(ValueError):
-        r.deposit("s1", np.array([0, 1, 2, 1], dtype=np.uint8), KeyOrigin.DIRECT_QKD)
+        r.deposit("s1", packed, n_bits, KeyOrigin.DIRECT_QKD)
     assert r.available == 0 and r.segments == [] and r.audit == []
-    r.deposit("s1", np.array([True, False]), KeyOrigin.DIRECT_QKD)  # the id is still free
-    assert r.available == 2
+    # The id is still free.
+    r.deposit("s1", np.array([0b10100000], dtype=np.uint8), 3, KeyOrigin.DIRECT_QKD)
+    assert r.available == 3
+
+
+def test_deposit_keeps_its_own_copy():
+    r = KeyReservoir("A", "B")
+    bits = _bits(100, 4)
+    packed = np.packbits(bits)
+    r.deposit("s1", packed, 100, KeyOrigin.DIRECT_QKD)
+    packed ^= 0xFF  # the caller writes to its array after the deposit
+    assert np.array_equal(r.peek(0, 100), np.packbits(bits))
+    assert np.array_equal(r.consume(100, ConsumePurpose.ONE_TIME_PAD), np.packbits(bits))
+    assert np.array_equal(r.segments[0].bits, bits)
 
 
 @pytest.mark.parametrize("start, end", [(-1, 10), (10, 10), (20, 10)])
 def test_write_off_refuses_an_empty_or_negative_range(start, end):
     r = KeyReservoir("A", "B")
-    r.deposit("s1", _bits(100), KeyOrigin.DIRECT_QKD)
+    r.deposit("s1", _packed(100), 100, KeyOrigin.DIRECT_QKD)
     r.consume(64, ConsumePurpose.ONE_TIME_PAD)
     with pytest.raises(InvariantViolation):
         r.write_off(start, end)

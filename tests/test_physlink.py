@@ -653,13 +653,13 @@ def test_click_law_is_cached_per_instance():
     assert params.click_law is law
     p_sig = signal_click_probability(params)
     d = params.dark_count_prob
-    assert law == (p_sig, 1.0 - (1.0 - p_sig) * (1.0 - d) ** 2, p_sig * (1.0 - d),
+    assert law == (1.0 - (1.0 - p_sig) * (1.0 - d) ** 2, p_sig * (1.0 - d),
                    (1.0 - p_sig) * 2.0 * d * (1.0 - d))
     # A replaced link derives its own law and dead time; the cache is no
     # field, so equality and hashing see the fields only.
     dimmer = dataclasses.replace(params, channel_loss_db=10.0, dead_time_s=2e-5)
-    assert dimmer.click_law.p_sig < law.p_sig
-    assert dimmer.click_law.p_sig == signal_click_probability(dimmer)
+    assert dimmer.click_law.p_signal_event < law.p_signal_event
+    assert dimmer.click_law.p_signal_event == signal_click_probability(dimmer) * (1.0 - d)
     assert (params.dead_slots, dimmer.dead_slots) == (50, 100)
     assert params == dataclasses.replace(dimmer, channel_loss_db=3.0, dead_time_s=1e-5)
     assert hash(params) == hash(_params(channel_loss_db=3.0, detector_efficiency=0.1,

@@ -50,8 +50,9 @@ def _wake_against_the_oracle(draw_size):
                              (8, 8, 4, 4, 8))[0]
             if op == "deposit":
                 a, b = rng.choice(pairs)
+                n = rng.randint(100, 4000)
                 store.reservoir(a, b).deposit(
-                    f"d{step}", bits.integers(0, 2, rng.randint(100, 4000), dtype=np.uint8),
+                    f"d{step}", np.packbits(bits.integers(0, 2, n, dtype=np.uint8)), n,
                     KeyOrigin.DIRECT_QKD, t)
             elif op == "consume":
                 # Half the time, drain the next hop of a session in flight.
@@ -106,8 +107,9 @@ def test_a_rise_to_exactly_a_hop_need_wakes_that_size_only():
     sessions = [coord.request("S", "D", r, 0.0) for r in (1000, 1001)]
     for session in sessions:
         coord.wait(session)
+    need = hop_need(1000, 64)
     store.reservoir("S", "D").deposit(
-        "fund", np.zeros(hop_need(1000, 64), dtype=np.uint8), KeyOrigin.PREPOSITIONED, 1.0)
+        "fund", np.zeros(-(-need // 8), dtype=np.uint8), need, KeyOrigin.PREPOSITIONED, 1.0)
     assert coord.wake() == movable(coord, sessions) == sessions[:1]
 
 
@@ -120,8 +122,8 @@ def test_woken_path_pending_sessions_leave_no_empty_queues():
         assert session.status is RelayStatus.PATH_PENDING
         coord.wait(session)
     store.reservoir("S", "D").deposit(
-        "fund", np.random.default_rng(1).integers(0, 2, 1000, dtype=np.uint8),
-        KeyOrigin.PREPOSITIONED, 50.0)
+        "fund", np.packbits(np.random.default_rng(1).integers(0, 2, 1000, dtype=np.uint8)),
+        1000, KeyOrigin.PREPOSITIONED, 50.0)
     assert len(coord.wake()) == 50
     assert coord.waiting == {} and coord._pending == {}
 

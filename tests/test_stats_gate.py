@@ -2,7 +2,9 @@
 synthetic samples (no runs, no subprocesses)."""
 
 import importlib.util
+import math
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 
@@ -18,9 +20,16 @@ def _law(rng, n_metrics=10, n=20):
 
 def test_equal_laws_pass():
     rng = np.random.default_rng(1)
-    lines, ok = stats.compare(_law(rng), _law(rng))
+    a, b = _law(rng), _law(rng)
+    lines, ok = stats.compare(a, b)
     assert ok
-    assert lines[-1].startswith("10 means compared; |z| threshold 3.29 ")
+    # Twenty runs a side: each mean's bound is near t(38)'s 3.57, not the
+    # normal 3.29.
+    bounds = [stats.threshold(10, stats.welch_df(a[key], b[key])) for key in sorted(a)]
+    assert all(3.5 < bound < 3.8 for bound in bounds)
+    assert all(line.endswith(f" bound {bound:.2f}") for line, bound in zip(lines, bounds))
+    assert lines[-1].startswith(f"10 means compared; |z| bounds {min(bounds):.2f}-"
+                                f"{max(bounds):.2f} ")
 
 
 def test_mean_shifted_by_five_standard_errors_fails():
@@ -51,9 +60,27 @@ def test_constant_columns_pass_when_equal_and_fail_when_not():
 
 
 def test_threshold_is_bonferroni_and_never_below_three():
-    assert stats.threshold(1) == 3.0
-    assert abs(stats.threshold(300) - 4.15) < 0.01
-    assert stats.threshold(3000) > stats.threshold(300)
+    assert stats.threshold(1, 38) == 3.0
+    assert abs(stats.threshold(300, 38) - 4.70) < 0.01
+    assert stats.threshold(3000, 38) > stats.threshold(300, 38)
+    assert stats.threshold(300, 19) > stats.threshold(300, 38)
+
+
+def test_threshold_is_the_student_t_quantile():
+    # Reference quantiles from scipy.stats.t.ppf.
+    for n_means, df, want in ((326, 38, 4.731), (10, 38, 3.566), (326, 19, 5.430)):
+        assert abs(stats.threshold(n_means, df) - want) < 5e-4
+    # Closed forms: Cauchy at one degree of freedom, and the normal at infinity.
+    assert abs(stats.t_quantile(1e-5, 1) - math.tan(math.pi * (0.5 - 1e-5))) < 1e-6
+    assert stats.t_quantile(2.5e-5, math.inf) == NormalDist().inv_cdf(1 - 2.5e-5)
+
+
+def test_welch_df_is_satterthwaite():
+    a, b = [1.0, 2.0, 4.0, 7.0], [0.0, 1.0, 1.0]
+    va, vb = np.var(a, ddof=1) / 4, np.var(b, ddof=1) / 3
+    assert abs(stats.welch_df(a, b) - (va + vb) ** 2 / (va ** 2 / 3 + vb ** 2 / 2)) < 1e-9
+    assert stats.welch_df(a, [5.0] * 3) == 3  # one side without spread: the other's n - 1
+    assert stats.welch_df([1.0] * 5, [1.0]) == math.inf
 
 
 def test_runs_without_a_channel_count_zero_blocks_but_no_mean():
