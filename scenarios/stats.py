@@ -14,9 +14,10 @@ secret bits, mean block QBER, and the ``bits_leaked`` of its blocks with
 ``secret_bits > 0`` (a block that yields nothing may skip reconciliation,
 so only the leak that is paid for counts); per run: the relays delivered,
 their latency p50 and p95, and the problems ``verify_report`` finds. For
-each, the script prints both trees' means over seeds and their Welch z. It
-exits 1 when a |z| passes its Bonferroni bound, when a metric comes from
-one tree only, or when a run fails. The bound is the two-sided Student t
+each, the script prints both trees' means over seeds and their Welch z,
+and last the largest |z| with its metric and bound. It exits 1 when a |z|
+passes its Bonferroni bound, when a metric comes from one tree only, or
+when a run fails. The bound is the two-sided Student t
 quantile, at the mean's Welch-Satterthwaite degrees of freedom, for a
 family-wise alpha of 0.01 over the number of means compared (never below 3).
 """
@@ -154,22 +155,27 @@ def threshold(n_means: int, df: float) -> float:
 def compare(a: dict, b: dict) -> tuple[list, bool]:
     """Report lines and a verdict for two trees' samples, keyed alike."""
     keys = sorted(a.keys() | b.keys())
-    lines, limits, ok = [], [], True
+    lines, compared, ok = [], [], True  # compared: (|z|, key, bound) per mean
     for key in keys:
         if not a.get(key) or not b.get(key):
             lines.append(f"FAIL {key}: only in tree {'A' if a.get(key) else 'B'}")
             ok = False
             continue
         z, df = welch_z(a[key], b[key]), welch_df(a[key], b[key])
-        limits.append(threshold(len(keys), df))
-        bad = abs(z) > limits[-1]
+        bound = threshold(len(keys), df)
+        compared.append((abs(z), key, bound))
+        bad = abs(z) > bound
         ok &= not bad
         lines.append(f"{'FAIL' if bad else 'ok  '} {key}: A {fmean(a[key]):.6g} (n {len(a[key])})"
                      f"  B {fmean(b[key]):.6g} (n {len(b[key])})  z {z:+.2f}"
-                     f"  df {df:.1f}  bound {limits[-1]:.2f}")
+                     f"  df {df:.1f}  bound {bound:.2f}")
+    limits = [bound for _, _, bound in compared]
     span = f"{min(limits):.2f}-{max(limits):.2f}" if limits else "none"
+    # The first of equal |z|s, in key order.
+    top = ("largest |z| {:.2f} at {} (bound {:.2f})".format(*max(compared, key=lambda c: c[0]))
+           if compared else "no |z|")
     lines.append(f"{len(keys)} means compared; |z| bounds {span} (Bonferroni, family-wise "
-                 f"alpha {ALPHA}, Student t at each mean's Welch-Satterthwaite df)")
+                 f"alpha {ALPHA}, Student t at each mean's Welch-Satterthwaite df); {top}")
     return lines, ok
 
 

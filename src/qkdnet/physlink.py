@@ -11,13 +11,13 @@ slots. Without the photon-number-splitting attacker every gate of a link
 has one click law, :attr:`LinkParams.click_law`, which the link computes
 once and caches. Behind that attacker it draws a photon number per slot
 (her loss budget needs every pulse), detector draws only where photons
-arrive, and reports what she learned (``eve_tally``). All the bits
-a window's clicks need (bases, values, the intercept-resend attacker's
-basis and guess) come from one bit draw, after the click slots and classes
-and before the attacker's ``hit`` and the flip uniforms. Its generator
-calls and their order are part of the byte-identical-records contract (see
-its docstring). A per-slot frame simulation of the same law is kept in the
-test suite as its declared statistical oracle.
+arrive, and reports what she learned (``eve_tally``). A click's one
+uniform picks its class and a signal event's flip, and all the bits the
+clicks need (bases, values, the intercept-resend attacker's basis and
+guess) come from one bit draw. Its generator calls and their order are
+part of the byte-identical-records contract (see its docstring). A
+per-slot frame simulation of the same law is kept in the test suite as its
+declared statistical oracle.
 """
 
 from __future__ import annotations
@@ -344,22 +344,25 @@ def _empty_window(frame_id: str, tally: Optional[EveTally] = None
 def _renewal_slots(rng: np.random.Generator, q: float, dead: int, n_slots: int) -> np.ndarray:
     """Click slots of a window whose live gates each click with probability q.
 
-    Clicks form a renewal process: geometric wait on live slots, then a
-    dead window. Draw in batches until the window is covered. The click
-    count's variance is at most its mean, so a first batch four square
-    roots of the mean past it rarely needs a second. Slots strictly
-    increase, so the ones inside the window are a prefix.
+    Clicks form a renewal process: a geometric wait on live slots, which
+    is ``floor(E / -log1p(-q)) + 1`` for a standard exponential E (1 at
+    q = 1), then a dead window. Draw in batches until the window is
+    covered. The click count's variance is at most its mean, so a first
+    batch four square roots of the mean past it rarely needs a second.
+    Slots strictly increase, so the ones inside the window are a prefix.
     """
     slots = []
     count = 0
     start = 0
     expect = int(n_slots / (dead + 1.0 / q)) + 1
     margin = 4 * math.isqrt(expect) + 16
+    rate = -math.log1p(-q) if q < 1.0 else math.inf
     while True:
         batch = max(64, expect - count + margin)
-        s = rng.geometric(q, size=batch)
-        if dead:
-            s += dead
+        e = rng.standard_exponential(batch)
+        e /= rate
+        s = e.astype(np.int64)  # truncation, which is floor on e >= 0
+        s += dead + 1
         # The window offset rides on the first gap; the prefix sum carries it.
         s[0] += start - dead - 1
         s.cumsum(out=s)
@@ -439,22 +442,22 @@ def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_
 
     Without PNS every gate has the link's cached :class:`ClickLaw`: the
     click slots are a renewal process of live gates that each click with
-    probability ``q``, and a click's uniform on [0, q) picks its class.
+    probability ``q``, and a click's uniform on [0, q) picks its class
+    and, below ``p_signal_event * perr``, a signal event's flip.
 
     The generator calls, their sizes and their order are part of the
     byte-identical-records contract. Click slots and classes come first:
-    without PNS, geometric batches and then click class; with PNS, photon
-    numbers, the lit slots' click uniforms, geometric batches of dark
-    clicks (when darks can occur) and their class uniforms. Then, for
+    without PNS, exponential batches and then click class; with PNS,
+    photon numbers, the lit slots' click uniforms, exponential batches of
+    dark clicks (when darks can occur) and their class uniforms. Then, for
     every attacker, with ``m`` clicks:
 
-    1. one :func:`~qkdnet.bits.random_bits` draw of ``5 * m`` bits
-       (``7 * m`` behind intercept-resend), read as rows of ``m``: tx
-       basis, tx value, rx basis, mismatch value, dark value, and then
-       the attacker's basis and guess;
+    1. one :func:`~qkdnet.bits.random_bits` draw of ``4 * m`` bits
+       (``6 * m`` behind intercept-resend), read as rows of ``m``: tx
+       basis, tx value, rx basis, the value a wrong-basis signal event or
+       a dark event reads, and then the attacker's basis and guess;
     2. the intercept-resend ``hit`` uniforms, when that attacker is
-       present;
-    3. the flip uniforms.
+       present.
 
     Reordering them changes every record. An empty window draws nothing.
     """
@@ -473,8 +476,6 @@ def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_
         if law.q <= 0.0:
             return _empty_window(frame_id)
         click_slots = _renewal_slots(rng, law.q, params.dead_slots, n_slots)
-        if click_slots.size == 0:
-            return _empty_window(frame_id)
         u = rng.random(click_slots.size)
         u *= law.q
         p_signal_event, p_dark_event = law.p_signal_event, law.p_dark_event
@@ -488,35 +489,32 @@ def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_
     is_signal = u < p_signal_event
     keep = u < p_signal_event + p_dark_event
 
-    # Every per-click bit comes from one draw, one row per use.
+    # One draw, one row per use; a click is never both wrong-basis and dark.
     intercept = kind is EveKind.INTERCEPT_RESEND
-    bits = random_bits(rng, (7 if intercept else 5) * m).reshape(-1, m)
-    tx_basis, tx_value, rx_basis, mismatch_value, dark_value = bits[:5]
-    pulse_basis = tx_basis
-    pulse_value = tx_value
+    bits = random_bits(rng, (6 if intercept else 4) * m).reshape(-1, m)
+    tx_basis, tx_value, rx_basis, other_value = bits[:4]
+    pulse_basis, pulse_value = tx_basis, tx_value
     if intercept:
         # Interception leaves the click law unchanged in this model, so it
         # conditions independently on each signal event.
         hit = rng.random(m) < eve.intercept_fraction
-        eve_basis, eve_guess = bits[5:]
+        eve_basis, eve_guess = bits[4:]
         eve_value = np.where(eve_basis == pulse_basis, pulse_value, eve_guess)
         pulse_basis = np.where(hit, eve_basis, pulse_basis)
         pulse_value = np.where(hit, eve_value, pulse_value)
 
     perr = min(max(params.intrinsic_error + phase_error_rate(phase.phase_error_rad), 0.0), 1.0)
-    # Bits are 0 or 1, so selecting by a condition is an xor mask, which
-    # is cheaper than np.where on a condition that is a coin toss per click.
-    # In place on the flip draw's buffer:
-    #   sig_value = mismatch ^ (matched & (pulse_value ^ flip ^ mismatch))
-    #   rx_value = dark_value ^ (is_signal & (sig_value ^ dark_value))
-    rx_value = (rng.random(m) < perr).view(np.uint8)
+    # A signal event's u is uniform on [0, p_signal_event), so u below
+    # p_signal_event * perr flips it: probability perr, independent of the
+    # bits and the hit. Selecting bits by a coin-toss condition is cheaper
+    # as an xor mask than np.where; in place on the flip mask:
+    #   rx_value = other ^ (is_signal & matched & (pulse_value ^ flip ^ other))
+    rx_value = (u < p_signal_event * perr).view(np.uint8)
     rx_value ^= pulse_value
-    rx_value ^= mismatch_value
+    rx_value ^= other_value
     rx_value &= rx_basis == pulse_basis
-    rx_value ^= mismatch_value
-    rx_value ^= dark_value
     rx_value &= is_signal
-    rx_value ^= dark_value
+    rx_value ^= other_value
 
     is_dark = ~is_signal
     if not keep.all():

@@ -23,13 +23,16 @@ def _poly_hash(selector: int, message: bytes) -> int:
     The message length is folded in as the leading coefficient so padding
     cannot create collisions between different-length messages. The
     coefficients are the message's 8-byte little-endian blocks, the last
-    one zero-padded.
+    one zero-padded. Horner's rule takes four coefficients a step.
     """
     n_blocks = -(-len(message) // 8)
-    padded = message + bytes(8 * n_blocks - len(message))
-    h = len(message) % _PRIME
-    for block in struct.unpack(f"<{n_blocks}Q", padded):
-        h = (h * selector + block) % _PRIME
+    blocks = struct.unpack(f"<{n_blocks}Q", message + bytes(8 * n_blocks - len(message)))
+    s2, s3, s4 = (pow(selector, k, _PRIME) for k in (2, 3, 4))
+    # Leading zero coefficients leave the polynomial's value as it is.
+    coeffs = iter((0,) * (-(n_blocks + 1) % 4) + (len(message),) + blocks)
+    h = 0
+    for c0, c1, c2, c3 in zip(coeffs, coeffs, coeffs, coeffs):
+        h = (h * s4 + c0 * s3 + c1 * s2 + c2 * selector + c3) % _PRIME
     return h
 
 

@@ -330,10 +330,12 @@ def _integer_bits(rng: np.random.Generator, n: int) -> np.ndarray:
 
 # Declared oracles of the window sampler. With ``fused`` it is the
 # sampler's declared draw order, which the sampler must keep call for call
-# and value for value: geometric batches, class uniform, one raw-word draw
-# of every per-click bit, [hit uniform], flip uniform. Without it, it is
-# the sampler as it was before its per-click bits were fused (one integer
-# draw per use), kept as the statistical reference of the fused stream.
+# and value for value: exponential batches, class uniform (which also
+# holds a signal event's flip), one raw-word draw of every per-click bit
+# with one row shared by wrong-basis and dark values, [hit uniform].
+# Without it, it is the sampler as it was before its per-click bits were
+# fused (geometric batches, one integer draw per use, a flip uniform per
+# click), kept as the statistical reference of the fused stream.
 def _window_oracle(params: LinkParams, phase: PhaseState, n_slots: int, rng_seed,
                    eve: Optional[EveModel] = None, frame_id: str = "window",
                    fused: bool = False) -> tuple[np.ndarray, np.ndarray, DetectionRecord]:
@@ -370,7 +372,12 @@ def _window_oracle(params: LinkParams, phase: PhaseState, n_slots: int, rng_seed
     expect = int(n_slots / (dead + 1.0 / q)) + 1
     while True:
         batch = max(64, expect - sum(len(s) for s in slots) + 4 * math.isqrt(expect) + 16)
-        gaps = rng.geometric(q, size=batch)
+        if fused:
+            # Geometric by inversion of one exponential; every gap is 1 at q = 1.
+            rate = -math.log1p(-q) if q < 1.0 else math.inf
+            gaps = np.floor(rng.standard_exponential(batch) / rate).astype(np.int64) + 1
+        else:
+            gaps = rng.geometric(q, size=batch)
         offsets = np.cumsum(gaps + dead) - dead - 1
         s = start + offsets
         inside = s < n_slots
@@ -380,25 +387,26 @@ def _window_oracle(params: LinkParams, phase: PhaseState, n_slots: int, rng_seed
         start = int(s[-1]) + dead + 1
     click_slots = np.concatenate(slots)
     m = click_slots.size
-    if m == 0:
-        return empty
-
     # Classify each click: signal event, dark event, or double (discarded).
     p_signal_event = p_sig * (1.0 - d)
     p_dark_event = (1.0 - p_sig) * 2.0 * d * (1.0 - d)
     u = rng.random(m) * q
+    if m == 0:
+        return empty
     is_signal = u < p_signal_event
     is_dark_ev = (u >= p_signal_event) & (u < p_signal_event + p_dark_event)
 
     intercept = eve.kind is EveKind.INTERCEPT_RESEND
     perr = min(max(params.intrinsic_error + phase_error_rate(phase.phase_error_rad), 0.0), 1.0)
     if fused:
-        rows = random_bits(rng, (7 if intercept else 5) * m).reshape(-1, m)
-        tx_basis, tx_value, rx_basis, mismatch_value, dark_value = rows[:5]
+        rows = random_bits(rng, (6 if intercept else 4) * m).reshape(-1, m)
+        tx_basis, tx_value, rx_basis, mismatch_value = rows[:4]
+        dark_value = mismatch_value
         if intercept:
             hit = rng.random(m) < eve.intercept_fraction
-            eve_basis, eve_guess = rows[5:]
-        flips = rng.random(m) < perr
+            eve_basis, eve_guess = rows[4:]
+        # Given a signal event, u / p_signal_event is uniform on [0, 1).
+        flips = u < p_signal_event * perr
     else:
         tx_basis = _integer_bits(rng, m)
         tx_value = _integer_bits(rng, m)
@@ -454,9 +462,9 @@ class _RecordingGenerator(np.random.Generator):
         self.calls = []
         super().__init__(_RecordingBitGenerator(seed, self.calls))
 
-    def geometric(self, *args, **kwargs):
-        self.calls.append(("geometric", kwargs.get("size")))
-        return super().geometric(*args, **kwargs)
+    def standard_exponential(self, *args, **kwargs):
+        self.calls.append(("standard_exponential", kwargs.get("size", args[0] if args else None)))
+        return super().standard_exponential(*args, **kwargs)
 
     def random(self, *args, **kwargs):
         self.calls.append(("random", kwargs.get("size", args[0] if args else None)))
@@ -468,13 +476,13 @@ class _RecordingGenerator(np.random.Generator):
 
 
 class _DenseGenerator(_RecordingGenerator):
-    """A recording generator whose geometric gaps are drawn at 1.25 times
-    the asked click probability. A long window then holds a quarter more
+    """A recording generator whose exponentials are drawn at 1.25 times
+    the unit rate, so gaps are shorter. A long window then holds more
     clicks than the sampler sizes its first batch for, so it draws more
     than one."""
 
-    def geometric(self, p, size=None):
-        return super().geometric(min(1.0, 1.25 * p), size=size)
+    def standard_exponential(self, *args, **kwargs):
+        return super().standard_exponential(*args, **kwargs) / 1.25
 
 
 def test_window_sampler_matches_oracle_bit_for_bit():
@@ -515,7 +523,8 @@ def test_window_sampler_matches_oracle_bit_for_bit():
                     assert rng_new.calls == rng_old.calls, case
                     # The next window starts where the oracle's would.
                     assert rng_new.bit_generator.state == rng_old.bit_generator.state, case
-                    multi_batch += [c[0] for c in rng_new.calls].count("geometric") > 1
+                    multi_batch += [c[0] for c in rng_new.calls].count(
+                        "standard_exponential") > 1
                     assert got[2].frame_id == want[2].frame_id
                     # Only the photon-number splitter's windows carry a tally.
                     assert got[2].eve_tally is None
@@ -530,14 +539,14 @@ def test_window_sampler_matches_oracle_bit_for_bit():
 
 
 class _CountingGenerator:
-    """Forwards ``geometric`` to a generator and counts the calls."""
+    """Forwards ``standard_exponential`` to a generator and counts the calls."""
 
     def __init__(self, rng):
         self.rng, self.calls = rng, 0
 
-    def geometric(self, *args, **kwargs):
+    def standard_exponential(self, *args, **kwargs):
         self.calls += 1
-        return self.rng.geometric(*args, **kwargs)
+        return self.rng.standard_exponential(*args, **kwargs)
 
 
 def test_renewal_first_batch_rarely_falls_short(monkeypatch):
@@ -561,6 +570,60 @@ def test_renewal_first_batch_rarely_falls_short(monkeypatch):
     assert len(batches) > 1000
     assert sum(b > 1 for b in batches) < 0.01 * len(batches), (
         sum(b > 1 for b in batches), len(batches))
+
+
+@pytest.mark.parametrize("q", [0.34, 0.5, 0.9, 1.0])
+def test_renewal_gaps_follow_the_geometric_law(q):
+    # Above q = 1/3 numpy's geometric sampler is not an inversion, so the
+    # renewal draw agrees with it in law only. Every gap is at least one
+    # slot, and the gaps' mean and variance are within 3 standard errors
+    # of 1 / q and (1 - q) / q^2.
+    slots = pl._renewal_slots(np.random.default_rng(7), q, 0, 200_000)
+    gaps = np.diff(slots, prepend=-1)
+    assert gaps.min() >= 1
+    if q == 1.0:
+        # Every live slot clicks; with no dead time that is every slot.
+        assert np.array_equal(slots, np.arange(200_000))
+        return
+    n, mean, var = gaps.size, 1.0 / q, (1.0 - q) / q ** 2
+    # A geometric law's fourth central moment is var^2 (9 + q^2 / (1 - q)).
+    assert abs(gaps.mean() - mean) < 3 * math.sqrt(var / n)
+    assert abs(gaps.var(ddof=1) - var) < 3 * var * math.sqrt((8 + q * q / (1 - q)) / n)
+
+
+def test_window_at_certain_click_is_sampled():
+    # dark_count_prob 1 makes every gate click (q = 1), each as a double.
+    params = _params(dark_count_prob=1.0, dead_time_s=1e-6)
+    assert params.click_law.q == 1.0
+    assert pl.sample_link_window(params, PHASE0, 1000, rng_seed=1)[2].n_events == 0
+
+
+@pytest.mark.parametrize("eve", [None, pl.EveModel.photon_number_split()])
+def test_flip_from_the_class_uniform(eve):
+    # A signal event's flip is read off its class uniform. Over 20 windows
+    # at intrinsic error 0.4 and zero phase, using the is_dark ground
+    # truth, each within 3 standard errors: sifted signal events err at
+    # 0.4 whatever value was sent, and sifted dark events at 0.5.
+    params = _params(channel_loss_db=3.0, detector_efficiency=0.1, dark_count_prob=0.01,
+                     intrinsic_error=0.4)
+    errors = {"signal 0": [], "signal 1": [], "dark": []}
+    for seed in range(20):
+        txb, txv, record = pl.sample_link_window(params, PHASE0, 100_000, seed, eve=eve)
+        sifted = record.rx_basis == txb
+        wrong = record.rx_value != txv
+        for key, mask in (("signal 0", ~record.is_dark & (txv == 0)),
+                          ("signal 1", ~record.is_dark & (txv == 1)),
+                          ("dark", record.is_dark)):
+            errors[key].append(wrong[sifted & mask])
+    rates = {key: np.concatenate(v) for key, v in errors.items()}
+
+    def within(x, p):
+        return abs(x.mean() - p) < 3 * math.sqrt(p * (1 - p) / x.size)
+
+    assert within(np.concatenate((rates["signal 0"], rates["signal 1"])), 0.4)
+    assert within(rates["dark"], 0.5)
+    a, b = rates["signal 0"], rates["signal 1"]
+    assert abs(a.mean() - b.mean()) < 3 * math.sqrt(0.24 / a.size + 0.24 / b.size)
 
 
 @pytest.mark.parametrize("eve", [None, pl.EveModel.intercept_resend(0.5)])

@@ -45,6 +45,21 @@ def test_mean_shifted_by_five_standard_errors_fails():
     assert abs(stats.welch_z(a["run m3"], b["run m3"]) + 5.0) < 1e-9
 
 
+def test_report_ends_with_the_largest_z():
+    rng = np.random.default_rng(4)
+    a, b = _law(rng), _law(rng)
+    b["run m7"] = [x + 30.0 for x in b["run m7"]]
+    lines, ok = stats.compare(a, b)
+    assert not ok
+    z = {key: abs(stats.welch_z(a[key], b[key])) for key in a}
+    assert max(z, key=z.get) == "run m7"
+    bound = stats.threshold(10, stats.welch_df(a["run m7"], b["run m7"]))
+    assert lines[-1].endswith(f"; largest |z| {z['run m7']:.2f} at run m7 (bound {bound:.2f})")
+    assert stats.compare({}, {})[0] == ["0 means compared; |z| bounds none (Bonferroni, "
+                                        "family-wise alpha 0.01, Student t at each mean's "
+                                        "Welch-Satterthwaite df); no |z|"]
+
+
 def test_metric_in_one_tree_only_fails():
     rng = np.random.default_rng(3)
     a, b = _law(rng), _law(rng)
