@@ -9,9 +9,15 @@ Per QKD session, each round samples a window of pulse slots (cost scales
 with detections), sifts into a pool, and every time the pool crosses the
 block target runs the full post-processing pipeline: QBER sampling,
 Cascade, entropy estimation, privacy amplification, authentication charge,
-and a reservoir deposit. Switch toggles force block boundaries, pause the
-affected sessions, and trigger receiver realignment against the new
-transmitter before key generation resumes.
+and a reservoir deposit. A session's data windows come from its
+:class:`~qkdnet.physlink.WindowStream`, which draws them
+``_WINDOWS_PER_DRAW`` (8) at a time, so records depend on that constant;
+each round still makes one :func:`sample_link_window` call, at its own
+phase and cut to its own data slots. A change of attacker discards the
+windows drawn and not yet used, and the run drops what is left at its
+end. Switch toggles force block boundaries, pause the affected sessions,
+and trigger receiver realignment against the new transmitter before key
+generation resumes.
 
 A started session (states in ``_State``) has at most one pending event,
 and ``Engine._schedule`` is the only code that pushes one: it bumps the
@@ -57,6 +63,7 @@ from .netgraph import LinkHealth, QkdChannel, Topology
 from .physlink import (
     EveModel,
     LinkParams,
+    WindowStream,
     advance_phase,
     apply_training_feedback,
     sample_link_window,
@@ -97,6 +104,8 @@ _SAMPLE_FRACTION = 0.10  # of a block's sifted bits, sacrificed to estimate QBER
 _TRAINING_INTERVAL_S = 4.0
 _TRAINING_TARGET_BITS = 256
 _TRAINING_MAX_SLOTS = 1 << 21
+# A session's data windows are drawn this many at a time (see WindowStream).
+_WINDOWS_PER_DRAW = 8
 RELAY_RESERVE_BITS = 1024  # a relay hop leaves this much beyond pad and tag
 
 _MIN_QBER_HINT = 0.01
@@ -159,7 +168,8 @@ class _Session:
         self.interval_sifted = 0
         self.interval_secret = 0
         self.interval_qbers: List[float] = []
-        self.rng_window = derive_rng(seed, "win", cid)
+        self.windows = WindowStream(derive_rng(seed, "win", cid), round_slots,
+                                    _WINDOWS_PER_DRAW)
         self.rng_train = derive_rng(seed, "train", cid)
         self.rng_qber = derive_rng(seed, "qber", cid)
         self.rng_pa = derive_rng(seed, "pa", cid)
@@ -300,6 +310,8 @@ class Engine:
                 for session in self.coordinator.wake():
                     self._push(now, _P_RELAY, "relay", (session.session_id,))
 
+        for session in self.sessions.values():
+            session.windows.discard()
         return self._build_report()
 
     # -- event handlers --------------------------------------------------------
@@ -419,7 +431,7 @@ class Engine:
 
         data_slots = max(0, round_slots - training_cost)
         tx_basis, tx_value, record = sample_link_window(
-            params, session.phase, data_slots, session.rng_window, eve=session.eve,
+            params, session.phase, data_slots, session.windows, eve=session.eve,
             frame_id=f"{channel_id}:{session.block_count}")
         self.health.report_clicks(channel_id, training_clicks + record.n_events, now)
         if session.sifting is SiftingProtocol.SARG:

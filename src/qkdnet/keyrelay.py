@@ -18,6 +18,7 @@ move (see :class:`RelayCoordinator`).
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
@@ -273,7 +274,8 @@ class RelayCoordinator:
 
     Owns session state and the blocked sessions. :meth:`wait` files one
     under what can free it: a starved session under its next-hop pair, a
-    path-pending one under its request size, source and destination.
+    path-pending one under its hop need (see :func:`hop_need`), source
+    and destination.
     :meth:`wake` reads what changed since its last call from one change
     feed, the store's audit log and the health transitions, each read by
     cursor, and examines only the sessions filed under a change. The same
@@ -295,13 +297,16 @@ class RelayCoordinator:
         self.sessions: Dict[str, RelaySession] = {}
         self._counter = 0
         # Blocked sessions by request number, each filed in one queue: a
-        # starved one under its next-hop pair, a path-pending one under
-        # (size, source, destination). _filed_in names a session's queue
-        # by the dict that holds it and its key there.
+        # starved one under its next-hop pair, a path-pending one under its
+        # hop need and then (source, destination). _filed_in names a
+        # session's queue by the dict that holds it, its key there and, for
+        # a path-pending one, its hop need; _needs holds the hop needs
+        # filed, sorted.
         self.waiting: Dict[int, RelaySession] = {}
-        self._filed_in: Dict[int, Tuple[dict, object]] = {}
+        self._filed_in: Dict[int, Tuple[dict, object, Optional[int]]] = {}
         self._starved: Dict[Tuple[str, str], Dict[int, RelaySession]] = {}
-        self._pending: Dict[Tuple[int, str, str], Dict[int, RelaySession]] = {}
+        self._pending: Dict[int, Dict[Tuple[str, str], Dict[int, RelaySession]]] = {}
+        self._needs: List[int] = []
         # The change feed (the store's audit log and the health
         # transitions) is read by cursor into the kept relay graph. What it
         # showed since the last wake-up: pairs with a deposit or a health
@@ -390,22 +395,30 @@ class RelayCoordinator:
 
     def wait(self, session: RelaySession):
         """File a session whose step just starved or found no path."""
+        need = None
         if session.status is RelayStatus.PATH_PENDING:
-            holder = self._pending
-            key = session.r_length_bits, session.src, session.dst
+            need = hop_need(session.r_length_bits, self.reserve_bits)
+            holder = self._pending.get(need)
+            if holder is None:
+                holder = self._pending[need] = {}
+                insort(self._needs, need)
+            key = session.src, session.dst
         else:
             holder = self._starved
             key = pair_key(session.path[session.next_hop], session.path[session.next_hop + 1])
         holder.setdefault(key, {})[session.seq] = session
-        self._filed_in[session.seq] = holder, key
+        self._filed_in[session.seq] = holder, key, need
         self.waiting[session.seq] = session
 
     def _unfile(self, session: RelaySession):
-        holder, key = self._filed_in.pop(session.seq)
+        holder, key, need = self._filed_in.pop(session.seq)
         queue = holder[key]
         del queue[session.seq]
         if not queue:
             del holder[key]
+            if need is not None and not holder:
+                del self._pending[need]
+                del self._needs[bisect_left(self._needs, need)]
         del self.waiting[session.seq]
 
     def wake(self) -> List[RelaySession]:
@@ -415,29 +428,28 @@ class RelayCoordinator:
         Only a deposit or a health transition can free a session (a
         consume only lowers a level). So only two kinds of session are
         examined: those starved on a pair with one since the last call, and
-        the path-pending ones of a size whose :func:`hop_need` lies in a
-        level rise since then, after one walk per need and source, and only
-        where the walk reaches their destination.
+        the path-pending ones whose hop need lies in a level rise since
+        then, after one walk per need and source, and only where the walk
+        reaches their destination. Each rise ``(old, new]`` finds the needs
+        it crosses by bisecting the sorted ones filed, so the needs no rise
+        crosses are never looked at.
         """
         self._drain()
         if not self._touched and not self._rises:
             return []
         candidates = [s for pair in self._touched
                       for s in self._starved.get(pair, {}).values()]
-        grown = {}  # the hop need of each pending size that a rise crossed
-        for r in {key[0] for key in self._pending}:
-            need = hop_need(r, self.reserve_bits)
-            if any(old < need <= new for old, new in self._rises):
-                grown[r] = need
+        needs = self._needs
+        grown = set()  # the filed hop needs that a rise crossed
+        for old, new in self._rises:
+            grown.update(needs[bisect_right(needs, old):bisect_right(needs, new)])
         reach: Dict[Tuple[int, str], Dict[str, int]] = {}
-        for (r, src, dst), queue in self._pending.items():
-            need = grown.get(r)
-            if need is None:
-                continue
-            if (need, src) not in reach:
-                reach[need, src] = _layers(self.topology, self._graph, src, need)
-            if dst in reach[need, src]:
-                candidates.extend(queue.values())
+        for need in grown:
+            for (src, dst), queue in self._pending[need].items():
+                if (need, src) not in reach:
+                    reach[need, src] = _layers(self.topology, self._graph, src, need)
+                if dst in reach[need, src]:
+                    candidates.extend(queue.values())
         self._touched, self._rises = set(), []
         ready = sorted(self._ready(candidates, self._graph, reach), key=lambda s: s.seq)
         for session in ready:

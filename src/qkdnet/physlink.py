@@ -14,9 +14,15 @@ once and caches. Behind that attacker it draws a photon number per slot
 arrive, and reports what she learned (``eve_tally``). A click's one
 uniform picks its class and a signal event's flip, and all the bits the
 clicks need (bases, values, the intercept-resend attacker's basis and
-guess) come from one bit draw. Its generator calls and their order are
-part of the byte-identical-records contract (see its docstring). A
-per-slot frame simulation of the same law is kept in the test suite as its
+guess) come from one bit draw. Without the photon-number splitter only
+the flips depend on the interferometer phase, so a :class:`WindowStream`
+draws several windows at once and works out all but their flips, and
+each call finishes one window at its own phase; a plain seed or
+generator is a stream of one window.
+The generator calls and their order, and so a stream's window count, are
+part of the byte-identical-records contract (see its docstring), and a
+change of attacker discards the windows a stream has drawn. A per-slot
+frame simulation of the same law is kept in the test suite as its
 declared statistical oracle.
 """
 
@@ -26,6 +32,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -45,6 +52,7 @@ __all__ = [
     "sifted_error_floor",
     "phase_error_rate",
     "wrap_phase",
+    "WindowStream",
     "sample_link_window",
     "advance_phase",
     "apply_training_feedback",
@@ -341,38 +349,53 @@ def _empty_window(frame_id: str, tally: Optional[EveTally] = None
     return z, z, DetectionRecord.empty(frame_id, tally)
 
 
-def _renewal_slots(rng: np.random.Generator, q: float, dead: int, n_slots: int) -> np.ndarray:
-    """Click slots of a window whose live gates each click with probability q.
+def _renewal_slots(rng: np.random.Generator, q: float, dead: int, n_slots: int,
+                   windows: int = 1) -> list[np.ndarray]:
+    """Click slots of ``windows`` windows whose live gates each click with
+    probability q, one array per window.
 
     Clicks form a renewal process: a geometric wait on live slots, which
     is ``floor(E / -log1p(-q)) + 1`` for a standard exponential E (1 at
-    q = 1), then a dead window. Draw in batches until the window is
-    covered. The click count's variance is at most its mean, so a first
-    batch four square roots of the mean past it rarely needs a second.
-    Slots strictly increase, so the ones inside the window are a prefix.
+    q = 1), then a dead window. One draw of ``windows`` first batches is
+    read as one row per window; a row that does not cover its window
+    draws further batches, row by row, until it does. The click count's
+    variance is at most its mean, so a first batch four square roots of
+    the mean past it rarely needs a second. Slots strictly increase, so
+    the ones inside the window are a prefix.
     """
-    slots = []
-    count = 0
-    start = 0
     expect = int(n_slots / (dead + 1.0 / q)) + 1
     margin = 4 * math.isqrt(expect) + 16
     rate = -math.log1p(-q) if q < 1.0 else math.inf
-    while True:
-        batch = max(64, expect - count + margin)
-        e = rng.standard_exponential(batch)
+
+    def gaps(size: int) -> np.ndarray:
+        """``size`` click gaps, dead window included."""
+        e = rng.standard_exponential(size)
         e /= rate
-        s = e.astype(np.int64)  # truncation, which is floor on e >= 0
-        s += dead + 1
-        # The window offset rides on the first gap; the prefix sum carries it.
-        s[0] += start - dead - 1
-        s.cumsum(out=s)
-        inside = int(np.searchsorted(s, n_slots))
-        slots.append(s[:inside])
-        count += inside
-        if inside < batch:
-            break
-        start = int(s[-1]) + dead + 1
-    return slots[0] if len(slots) == 1 else np.concatenate(slots)
+        g = e.astype(np.int64)  # truncation, which is floor on e >= 0
+        g += dead + 1
+        return g
+
+    batch = max(64, expect + margin)
+    s = gaps(windows * batch).reshape(windows, batch)
+    s.cumsum(axis=1, out=s)
+    # A window starts at slot 0, so its first click waits no dead window.
+    s -= dead + 1
+    rows = []
+    for row in s:
+        inside = int(np.searchsorted(row, n_slots))
+        parts = [row[:inside]]
+        count = inside
+        while inside == row.size:
+            # The row's offset rides on the next batch's first gap.
+            start = int(row[-1])
+            row = gaps(max(64, expect - count + margin))
+            row[0] += start
+            row.cumsum(out=row)
+            inside = int(np.searchsorted(row, n_slots))
+            parts.append(row[:inside])
+            count += inside
+        rows.append(parts[0] if len(parts) == 1 else np.concatenate(parts))
+    return rows
 
 
 def _pns_clicks(params: LinkParams, n_slots: int, rng: np.random.Generator):
@@ -411,7 +434,7 @@ def _pns_clicks(params: LinkParams, n_slots: int, rng: np.random.Generator):
     p_dark = 1.0 - (1.0 - d) ** 2
     if p_dark > 0.0:
         # Dark clicks on unlit slots only: a lit slot's uniform holds its darks.
-        dark = _renewal_slots(rng, p_dark, 0, n_slots)
+        dark, = _renewal_slots(rng, p_dark, 0, n_slots)
         dark = dark[np.append(lit_slots, n_slots)[np.searchsorted(lit_slots, dark)] != dark]
         slots = np.concatenate((slots, dark))
         order = np.argsort(slots, kind="stable")
@@ -423,6 +446,131 @@ def _pns_clicks(params: LinkParams, n_slots: int, rng: np.random.Generator):
     return slots[live], u[live], p_sig[live], tally
 
 
+class _Clicks(NamedTuple):
+    """Kept clicks of one or more windows, worked out but for their flips.
+
+    A signal event flips when its class uniform ``u`` (on [0, q)) is below
+    ``p_signal_event * perr``. A click's rx value is ``unflipped``, and
+    ``unflipped ^ measured`` where it flips.
+    """
+
+    slots: np.ndarray
+    u: np.ndarray
+    tx_basis: np.ndarray
+    tx_value: np.ndarray
+    rx_basis: np.ndarray
+    is_dark: np.ndarray
+    measured: np.ndarray   # a signal event measured in its pulse's basis
+    unflipped: np.ndarray  # the rx value, were no signal event to flip
+
+    def cut(self, start: int, end: int) -> "_Clicks":
+        return _Clicks(*(a[start:end] for a in self))
+
+
+def _work_out(slots, u, bits, hit, p_signal_event, p_dark_event):
+    """The kept clicks among drawn ones, and the indices kept (``None``
+    when all are). ``hit`` is the intercept-resend hit mask, or ``None``."""
+    # The classes are consecutive ranges of u, so a kept click that is not
+    # a signal event is a dark one; the rest are doubles, dropped.
+    is_signal = u < p_signal_event
+    keep = u < p_signal_event + p_dark_event
+    # One row per use; a click is never both wrong-basis and dark.
+    tx_basis, tx_value, rx_basis, other_value = bits[:4]
+    pulse_basis, pulse_value = tx_basis, tx_value
+    if hit is not None:
+        # Interception leaves the click law unchanged in this model, so it
+        # conditions independently on each signal event.
+        eve_basis, eve_guess = bits[4:]
+        eve_value = np.where(eve_basis == pulse_basis, pulse_value, eve_guess)
+        pulse_basis = np.where(hit, eve_basis, pulse_basis)
+        pulse_value = np.where(hit, eve_value, pulse_value)
+    # Selecting bits by a coin-toss condition is cheaper as an xor mask
+    # than np.where; in place, on the other value's row:
+    #   unflipped = other ^ (measured & (pulse_value ^ other))
+    measured = rx_basis == pulse_basis
+    measured &= is_signal
+    mask = pulse_value ^ other_value
+    mask &= measured
+    unflipped = other_value
+    unflipped ^= mask
+    clicks = _Clicks(slots, u, tx_basis, tx_value, rx_basis, ~is_signal, measured, unflipped)
+    if keep.all():
+        return clicks, None
+    kept = keep.nonzero()[0]
+    return _Clicks(*(a[kept] for a in clicks)), kept
+
+
+class WindowStream:
+    """A session's source of link windows: a generator that draws
+    ``windows`` windows of up to ``n_slots`` slots at a time.
+
+    Without the photon-number-splitting attacker, what a window draws does
+    not depend on its phase: click slots, class uniforms, per-click bits
+    and the intercept-resend hits. So :func:`sample_link_window` draws the
+    next ``windows`` windows in one set of generator calls (see its draw
+    contract) and works them out together, doubles dropped, but for their
+    flips; each call then finishes the next window at its own phase, cut
+    to its own ``n_slots``. A cut window is a prefix of the drawn one,
+    which is exact: a renewal process started at slot 0 does not depend
+    on its horizon.
+
+    Windows drawn for one link and attacker are discarded when a call comes
+    for another; behind the photon-number splitter every window is drawn
+    alone, straight from :attr:`rng`. A plain seed or generator passed to
+    :func:`sample_link_window` is a stream of one window.
+    """
+
+    def __init__(self, rng_seed, n_slots: int, windows: int = 1):
+        if windows < 1:
+            raise ValueError("a window stream draws at least one window at a time")
+        self.rng = np.random.default_rng(rng_seed)
+        self.n_slots = n_slots
+        self.windows = windows
+        self.discard()
+
+    def discard(self):
+        """Drop the windows drawn and not yet finished."""
+        self._drawn: list = []  # each drawn window's kept clicks, the next one last
+        self._drawn_for = None  # the (params, attacker) they were drawn for
+
+    def _next(self, params: LinkParams, eve: Optional[EveModel], n_slots: int) -> _Clicks:
+        """The next drawn window's kept clicks inside ``n_slots``."""
+        if n_slots > self.n_slots:
+            raise ValueError(f"a window of {n_slots} slots is longer than the "
+                             f"stream's {self.n_slots}")
+        if self._drawn_for != (params, eve):
+            self.discard()
+        if not self._drawn:
+            self._draw(params, eve)
+        clicks = self._drawn.pop()
+        if n_slots < self.n_slots:
+            clicks = clicks.cut(0, int(np.searchsorted(clicks.slots, n_slots)))
+        return clicks
+
+    def _draw(self, params: LinkParams, eve: Optional[EveModel]):
+        rng, law = self.rng, params.click_law
+        rows = _renewal_slots(rng, law.q, params.dead_slots, self.n_slots, self.windows)
+        ends = list(accumulate(row.size for row in rows))
+        total = ends[-1]
+        u = rng.random(total)
+        u *= law.q
+        hit = None
+        if total:
+            intercept = eve is not None
+            bits = random_bits(rng, (6 if intercept else 4) * total).reshape(-1, total)
+            if intercept:
+                hit = rng.random(total) < eve.intercept_fraction
+        else:
+            bits = np.zeros((4, 0), dtype=np.uint8)
+        slots = rows[0] if len(rows) == 1 else np.concatenate(rows)
+        clicks, kept = _work_out(slots, u, bits, hit, law.p_signal_event, law.p_dark_event)
+        if kept is not None:
+            ends = np.searchsorted(kept, ends).tolist()
+        self._drawn = [clicks.cut(start, end) for start, end in zip([0, *ends[:-1]], ends)]
+        self._drawn.reverse()
+        self._drawn_for = params, eve
+
+
 def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_seed,
                        eve: Optional[EveModel] = None,
                        frame_id: str = "window") -> tuple[np.ndarray, np.ndarray, DetectionRecord]:
@@ -431,6 +579,8 @@ def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_
     Returns ``(tx_basis, tx_value, record)`` where the tx arrays give the
     transmitter's random choices at the event slots only (non-click slots
     never reach any protocol layer, so their bits are irrelevant).
+    ``rng_seed`` is a seed, a generator or a :class:`WindowStream`; a seed
+    or a generator is a stream of one window of ``n_slots`` slots.
 
     Statistically identical to a per-slot simulation of a frame of
     uniformly random slots, for every attacker. Without the
@@ -446,82 +596,68 @@ def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_
     and, below ``p_signal_event * perr``, a signal event's flip.
 
     The generator calls, their sizes and their order are part of the
-    byte-identical-records contract. Click slots and classes come first:
-    without PNS, exponential batches and then click class; with PNS,
-    photon numbers, the lit slots' click uniforms, exponential batches of
-    dark clicks (when darks can occur) and their class uniforms. Then, for
-    every attacker, with ``m`` clicks:
+    byte-identical-records contract. Without PNS, a call that finds no
+    window left in its stream for its link and attacker draws the
+    stream's next ``K`` windows of ``n`` slots, with ``M`` clicks among
+    them:
 
-    1. one :func:`~qkdnet.bits.random_bits` draw of ``4 * m`` bits
-       (``6 * m`` behind intercept-resend), read as rows of ``m``: tx
+    1. one exponential draw of ``K`` first batches, read as one row per
+       window, then, row by row, the further batches of each row that
+       does not cover its ``n`` slots;
+    2. one draw of ``M`` click class uniforms, window after window;
+    3. one :func:`~qkdnet.bits.random_bits` draw of ``4 * M`` bits
+       (``6 * M`` behind intercept-resend), read as rows of ``M``: tx
        basis, tx value, rx basis, the value a wrong-basis signal event or
        a dark event reads, and then the attacker's basis and guess;
-    2. the intercept-resend ``hit`` uniforms, when that attacker is
+    4. the ``M`` intercept-resend ``hit`` uniforms, when that attacker is
        present.
 
-    Reordering them changes every record. An empty window draws nothing.
+    Steps 3 and 4 are skipped when ``M`` is 0. Calls take the drawn
+    windows in order, so records depend on ``K`` and on the order of the
+    calls too, and a stream drawn for another link or attacker is
+    discarded first. With PNS a window draws alone, after discarding the
+    stream's drawn windows: photon numbers, the lit slots' click
+    uniforms, exponential batches of dark clicks (when darks can occur)
+    and their class uniforms, then, with ``m`` clicks, the ``4 * m`` bits
+    of step 3. Reordering any of it changes every record. An empty window
+    draws nothing and takes no drawn window.
     """
     kind = eve.kind if eve is not None else EveKind.NONE
     pns = kind is EveKind.PHOTON_NUMBER_SPLIT
     tally = EveTally() if pns else None
     if n_slots <= 0:
         return _empty_window(frame_id, tally)
-    rng = np.random.default_rng(rng_seed)
+    stream = rng_seed if isinstance(rng_seed, WindowStream) else WindowStream(rng_seed, n_slots)
     if pns:
-        click_slots, u, p_sig, tally = _pns_clicks(params, n_slots, rng)
+        stream.discard()
+        rng = stream.rng
+        slots, u, p_sig, tally = _pns_clicks(params, n_slots, rng)
+        if slots.size == 0:
+            return _empty_window(frame_id, tally)
         p_signal_event, p_dark_event = _event_probabilities(p_sig, params.dark_count_prob)
+        bits = random_bits(rng, 4 * slots.size).reshape(4, -1)
+        clicks, kept = _work_out(slots, u, bits, None, p_signal_event, p_dark_event)
+        if kept is not None:
+            p_signal_event = p_signal_event[kept]
     else:
         # Every slot has the link's one click law.
         law = params.click_law
         if law.q <= 0.0:
             return _empty_window(frame_id)
-        click_slots = _renewal_slots(rng, law.q, params.dead_slots, n_slots)
-        u = rng.random(click_slots.size)
-        u *= law.q
-        p_signal_event, p_dark_event = law.p_signal_event, law.p_dark_event
-    m = click_slots.size
-    if m == 0:
+        clicks = stream._next(params, eve if kind is EveKind.INTERCEPT_RESEND else None,
+                              n_slots)
+        p_signal_event = law.p_signal_event
+    slots, u, tx_basis, tx_value, rx_basis, is_dark, measured, unflipped = clicks
+    if slots.size == 0:
         return _empty_window(frame_id, tally)
-
-    # Classify each click: signal event, dark event, or double (discarded).
-    # The classes are consecutive ranges of u, so a kept click that is not
-    # a signal event is a dark one.
-    is_signal = u < p_signal_event
-    keep = u < p_signal_event + p_dark_event
-
-    # One draw, one row per use; a click is never both wrong-basis and dark.
-    intercept = kind is EveKind.INTERCEPT_RESEND
-    bits = random_bits(rng, (6 if intercept else 4) * m).reshape(-1, m)
-    tx_basis, tx_value, rx_basis, other_value = bits[:4]
-    pulse_basis, pulse_value = tx_basis, tx_value
-    if intercept:
-        # Interception leaves the click law unchanged in this model, so it
-        # conditions independently on each signal event.
-        hit = rng.random(m) < eve.intercept_fraction
-        eve_basis, eve_guess = bits[4:]
-        eve_value = np.where(eve_basis == pulse_basis, pulse_value, eve_guess)
-        pulse_basis = np.where(hit, eve_basis, pulse_basis)
-        pulse_value = np.where(hit, eve_value, pulse_value)
 
     perr = min(max(params.intrinsic_error + phase_error_rate(phase.phase_error_rad), 0.0), 1.0)
     # A signal event's u is uniform on [0, p_signal_event), so u below
     # p_signal_event * perr flips it: probability perr, independent of the
-    # bits and the hit. Selecting bits by a coin-toss condition is cheaper
-    # as an xor mask than np.where; in place on the flip mask:
-    #   rx_value = other ^ (is_signal & matched & (pulse_value ^ flip ^ other))
-    rx_value = (u < p_signal_event * perr).view(np.uint8)
-    rx_value ^= pulse_value
-    rx_value ^= other_value
-    rx_value &= rx_basis == pulse_basis
-    rx_value &= is_signal
-    rx_value ^= other_value
-
-    is_dark = ~is_signal
-    if not keep.all():
-        kept = keep.nonzero()[0]
-        click_slots, rx_basis, rx_value, is_dark, tx_basis, tx_value = (
-            a[kept] for a in (click_slots, rx_basis, rx_value, is_dark, tx_basis, tx_value))
-    return tx_basis, tx_value, DetectionRecord(frame_id, click_slots, rx_basis, rx_value,
+    # bits and the hit.
+    flip = u < p_signal_event * perr
+    flip &= measured
+    return tx_basis, tx_value, DetectionRecord(frame_id, slots, rx_basis, unflipped ^ flip,
                                                is_dark, tally)
 
 

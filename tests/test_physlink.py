@@ -419,11 +419,21 @@ def _window_oracle(params: LinkParams, phase: PhaseState, n_slots: int, rng_seed
         mismatch_value = _integer_bits(rng, m)
         dark_value = _integer_bits(rng, m)
 
+    return _oracle_record(frame_id, click_slots, is_signal, is_dark_ev, tx_basis, tx_value,
+                          rx_basis, flips, mismatch_value, dark_value,
+                          (hit, eve_basis, eve_guess) if intercept else None)
+
+
+def _oracle_record(frame_id, click_slots, is_signal, is_dark_ev, tx_basis, tx_value,
+                   rx_basis, flips, mismatch_value, dark_value, eve_draws=None):
+    """The window oracles' record from their draws; ``eve_draws`` holds the
+    intercept-resend hits, basis and guess."""
     pulse_basis = tx_basis.copy()
     pulse_value = tx_value.copy()
-    if intercept:
+    if eve_draws is not None:
         # Interception leaves the click law unchanged in this model, so it
         # conditions independently on each signal event.
+        hit, eve_basis, eve_guess = eve_draws
         eve_value = np.where(eve_basis == pulse_basis, pulse_value, eve_guess)
         pulse_basis = np.where(hit, eve_basis, pulse_basis).astype(np.uint8)
         pulse_value = np.where(hit, eve_value, pulse_value).astype(np.uint8)
@@ -441,6 +451,83 @@ def _window_oracle(params: LinkParams, phase: PhaseState, n_slots: int, rng_seed
         is_dark=is_dark_ev[keep],
     )
     return tx_basis[keep], tx_value[keep], record
+
+
+def _stream_oracle(params: LinkParams, horizon: int, windows: int, calls, rng,
+                   eve: Optional[EveModel] = None):
+    """The windows a :class:`~qkdnet.physlink.WindowStream` of ``windows``
+    windows of ``horizon`` slots gives for ``calls``, a list of
+    ``(n_slots, phase, frame_id)`` under one attacker (not the photon-number
+    splitter), in its declared draw order: for every ``windows`` non-empty
+    calls, one draw of the first exponential batches of all the windows,
+    read as rows, the further batches of each row that falls short, in row
+    order, then the class uniforms, the per-click bits and the hit
+    uniforms of all their clicks, window after window. Each call's window
+    is the drawn one's prefix inside its ``n_slots``; an empty call draws
+    nothing and takes no window."""
+    intercept = eve is not None and eve.kind is EveKind.INTERCEPT_RESEND
+    p_sig = signal_click_probability(params)
+    d = params.dark_count_prob
+    q = 1.0 - (1.0 - p_sig) * (1.0 - d) ** 2
+    p_signal_event = p_sig * (1.0 - d)
+    p_dark_event = (1.0 - p_sig) * 2.0 * d * (1.0 - d)
+    dead = params.dead_slots
+    expect = int(horizon / (dead + 1.0 / q)) + 1 if q > 0 else 0
+    margin = 4 * math.isqrt(expect) + 16
+    rate = -math.log1p(-q) if q < 1.0 else math.inf
+
+    def empty(frame_id):
+        z = np.zeros(0, dtype=np.uint8)
+        return z, z, DetectionRecord.empty(frame_id)
+
+    drawn = []  # (slots, u, bit rows, hits) of the drawn windows not yet taken
+    out = []
+    for n_slots, phase, frame_id in calls:
+        if n_slots <= 0 or q <= 0.0:
+            out.append(empty(frame_id))
+            continue
+        if not drawn:
+            first = rng.standard_exponential(windows * max(64, expect + margin))
+            rows = []
+            for e in first.reshape(windows, -1):
+                parts, start = [], 0
+                while True:
+                    gaps = np.floor(e / rate).astype(np.int64) + 1
+                    s = start + np.cumsum(gaps + dead) - dead - 1
+                    parts.append(s[s < horizon])
+                    if s[-1] >= horizon:
+                        break
+                    start = int(s[-1]) + dead + 1
+                    e = rng.standard_exponential(
+                        max(64, expect - sum(map(len, parts)) + margin))
+                rows.append(np.concatenate(parts))
+            total = sum(map(len, rows))
+            u = rng.random(total) * q
+            bits = hit = None
+            if total:
+                bits = random_bits(rng, (6 if intercept else 4) * total).reshape(-1, total)
+                if intercept:
+                    hit = rng.random(total) < eve.intercept_fraction
+            end = 0
+            for row in rows:
+                cols = slice(end, end + row.size)
+                end += row.size
+                drawn.append((row, u[cols], None if bits is None else bits[:, cols],
+                              None if hit is None else hit[cols]))
+        slots, u, bits, hit = drawn.pop(0)
+        m = int(np.count_nonzero(slots < n_slots))
+        if m == 0:
+            out.append(empty(frame_id))
+            continue
+        slots, u, bits = slots[:m], u[:m], bits[:, :m]
+        perr = min(max(params.intrinsic_error + phase_error_rate(phase.phase_error_rad),
+                       0.0), 1.0)
+        is_signal = u < p_signal_event
+        is_dark_ev = (u >= p_signal_event) & (u < p_signal_event + p_dark_event)
+        out.append(_oracle_record(frame_id, slots, is_signal, is_dark_ev, bits[0], bits[1],
+                                  bits[2], u < p_signal_event * perr, bits[3], bits[3],
+                                  (hit[:m], bits[4], bits[5]) if intercept else None))
+    return out
 
 
 class _RecordingBitGenerator(np.random.PCG64):
@@ -538,6 +625,135 @@ def test_window_sampler_matches_oracle_bit_for_bit():
     assert multi_batch > 0
 
 
+def _assert_windows_equal(got, want, case):
+    assert got[2].frame_id == want[2].frame_id, case
+    assert got[2].eve_tally is None, case
+    for g, w in zip((got[0], got[1], got[2].slot_index, got[2].rx_basis,
+                     got[2].rx_value, got[2].is_dark),
+                    (want[0], want[1], want[2].slot_index, want[2].rx_basis,
+                     want[2].rx_value, want[2].is_dark)):
+        assert g.dtype == w.dtype, case
+        assert np.array_equal(g, w), case
+
+
+def test_window_stream_matches_its_oracle_bit_for_bit():
+    # Streams of K windows against the oracle that draws K windows in the
+    # declared order, call for call and value for value, with calls cut
+    # short, empty calls and several draws per stream.
+    grid = [
+        # Metro-like link: dead time, darks, double clicks now and then.
+        dict(mean_photon_number=0.5, channel_loss_db=3.0, detector_efficiency=0.1,
+             dark_count_prob=1e-5, dead_time_s=1e-5, intrinsic_error=0.02),
+        # q == 0: no photons, no darks.
+        dict(mean_photon_number=0.0, dark_count_prob=0.0),
+        # No dead time.
+        dict(mean_photon_number=0.5, detector_efficiency=0.1, dark_count_prob=1e-3,
+             intrinsic_error=0.03),
+        # q >= 1/3, where numpy's geometric sampler is not an inversion.
+        dict(mean_photon_number=1.0, detector_efficiency=0.6, dead_time_s=2e-6),
+        # Heavy darks: many double clicks dropped.
+        dict(mean_photon_number=0.1, detector_efficiency=0.1, dark_count_prob=0.02),
+    ]
+    eves = [None, pl.EveModel.intercept_resend(0.5)]
+    horizon = 40_000
+    multi_batch = 0
+    for gi, kw in enumerate(grid):
+        params = _params(**kw)
+        for windows in (1, 2, 5):
+            # Eleven non-empty calls: several draws, the last one part-used.
+            cuts = [horizon, horizon // 3, 0, 1, horizon, 0] + [horizon - 7 * i
+                                                                for i in range(7)]
+            for ei, eve in enumerate(eves):
+                for seed, make in ((1, _RecordingGenerator), (2, _DenseGenerator)):
+                    case = (gi, windows, ei, seed)
+                    calls = [(n, pl.PhaseState(phase_error_rad=0.1 * i), f"w{case}:{i}")
+                             for i, n in enumerate(cuts)]
+                    rng_new = make(np.random.SeedSequence(case))
+                    rng_old = make(np.random.SeedSequence(case))
+                    stream = pl.WindowStream(rng_new, horizon, windows)
+                    got = [pl.sample_link_window(params, phase, n, stream, eve=eve,
+                                                 frame_id=frame_id)
+                           for n, phase, frame_id in calls]
+                    want = _stream_oracle(params, horizon, windows, calls, rng_old, eve)
+                    assert rng_new.calls == rng_old.calls, case
+                    assert rng_new.bit_generator.state == rng_old.bit_generator.state, case
+                    draws = -(-sum(n > 0 for n in cuts) // windows)
+                    multi_batch += [name for name, _ in rng_new.calls].count(
+                        "standard_exponential") > draws
+                    for g, w in zip(got, want):
+                        _assert_windows_equal(g, w, case)
+                    if kw.get("mean_photon_number") == 0.0:
+                        assert rng_new.calls == [], case
+    # Some row ran short of its first batch and drew more.
+    assert multi_batch > 0
+
+
+def test_window_stream_discards_its_windows_for_a_new_attacker():
+    # A stream drawn with no attacker, then called under intercept-resend,
+    # gives the oracle's intercept-resend window from the generator state
+    # after the discarded draws; calling it with no attacker again discards
+    # those in turn.
+    params = _params(mean_photon_number=0.5, channel_loss_db=3.0, detector_efficiency=0.1,
+                     dark_count_prob=1e-4, dead_time_s=1e-5, intrinsic_error=0.02)
+    eve = pl.EveModel.intercept_resend(0.7)
+    horizon, windows = 200_000, 5
+    rng_new = _RecordingGenerator(np.random.SeedSequence(11))
+    rng_old = _RecordingGenerator(np.random.SeedSequence(11))
+    stream = pl.WindowStream(rng_new, horizon, windows)
+    calls = [[(horizon, PHASE0, f"w{i}")] for i in range(3)]
+    got = [pl.sample_link_window(params, PHASE0, horizon, stream, eve=e, frame_id=f"w{i}")
+           for i, e in enumerate((None, eve, None))]
+    want = [_stream_oracle(params, horizon, windows, c, rng_old, e)[0]
+            for c, e in zip(calls, (None, eve, None))]
+    assert rng_new.calls == rng_old.calls
+    assert [name for name, _ in rng_new.calls].count("standard_exponential") == 3
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+    for g, w in zip(got, want):
+        _assert_windows_equal(g, w, "attacker switch")
+
+
+def test_window_stream_refuses_a_window_past_its_horizon():
+    stream = pl.WindowStream(1, 1000, 8)
+    with pytest.raises(ValueError, match="longer than"):
+        pl.sample_link_window(_params(), PHASE0, 1001, stream)
+    with pytest.raises(ValueError, match="at least one window"):
+        pl.WindowStream(1, 1000, 0)
+
+
+def test_window_stream_windows_match_the_per_slot_oracle():
+    # Over 20 seeds, windows from a stream of 8, full and cut, against the
+    # per-slot frame oracle on frames of the same sizes: click rate, sifted
+    # QBER and the click count's variance across windows agree within 3
+    # standard errors. Dead time makes the count sub-Poisson, so its
+    # variance would show a window that is not a fresh renewal process.
+    params = _params(channel_loss_db=2.0, detector_efficiency=0.4, dark_count_prob=5e-4,
+                     dead_time_s=2e-6, intrinsic_error=0.03)
+    full, cut = 60_000, 25_000
+    stats = {"stream": {full: [], cut: []}, "frames": {full: [], cut: []}}
+    for seed in range(20):
+        stream = pl.WindowStream(np.random.default_rng([seed, 0]), full, 8)
+        frames = np.random.default_rng([seed, 1])
+        for size in (full, cut):
+            rows = {"stream": [], "frames": []}
+            for i in range(8):
+                txb, txv, record = pl.sample_link_window(params, PHASE0, size, stream)
+                alice, bob, _ = sift_bb84_events(txb, txv, record)
+                rows["stream"].append((record.n_events, alice.size, np.count_nonzero(alice != bob)))
+                frame = PulseFrame.random("f", size, frames)
+                dense = transmit_frame(params, PHASE0, None, frame, frames)
+                alice, bob, _ = sift_bb84_events(*frame.sent(dense), dense)
+                rows["frames"].append((dense.n_events, alice.size, np.count_nonzero(alice != bob)))
+            for key, r in rows.items():
+                clicks, sifted, errors = np.array(r).T
+                stats[key][size].append((clicks.mean() / size, errors.sum() / sifted.sum(),
+                                         clicks.var(ddof=1)))
+    for size in (full, cut):
+        new, old = np.array(stats["stream"][size]), np.array(stats["frames"][size])
+        se = np.sqrt(new.var(axis=0, ddof=1) / len(new) + old.var(axis=0, ddof=1) / len(old))
+        assert (np.abs(new.mean(axis=0) - old.mean(axis=0)) < 3 * se).all(), (
+            size, new.mean(axis=0), old.mean(axis=0), se)
+
+
 class _CountingGenerator:
     """Forwards ``standard_exponential`` to a generator and counts the calls."""
 
@@ -551,15 +767,18 @@ class _CountingGenerator:
 
 def test_renewal_first_batch_rarely_falls_short(monkeypatch):
     # Over 150 s of cambridge, Anna-Bob and Alice-Boris, under 1% of the
-    # renewal draws (rounds and training frames) need a second batch.
-    batches = []
+    # windows (rounds, drawn eight at a time, and training frames) need a
+    # batch beyond their first. A draw of K windows makes one call for
+    # their first batches and one more for each further batch.
+    windows, extra = [], []
     renewal_slots = pl._renewal_slots
 
     def counted(rng, *args):
         proxy = _CountingGenerator(rng)
-        slots = renewal_slots(proxy, *args)
-        batches.append(proxy.calls)
-        return slots
+        rows = renewal_slots(proxy, *args)
+        windows.append(len(rows))
+        extra.append(proxy.calls - 1)
+        return rows
 
     monkeypatch.setattr(pl, "_renewal_slots", counted)
     run_scenario(load_scenario({
@@ -567,9 +786,8 @@ def test_renewal_first_batch_rarely_falls_short(monkeypatch):
         "duration_s": 150.0, "seed": 1,
         "events": [{"t": 0.0, "kind": "start_qkd", "tx": "Anna", "rx": "Bob"},
                    {"t": 0.0, "kind": "start_qkd", "tx": "Alice", "rx": "Boris"}]}))
-    assert len(batches) > 1000
-    assert sum(b > 1 for b in batches) < 0.01 * len(batches), (
-        sum(b > 1 for b in batches), len(batches))
+    assert sum(windows) > 1000 and max(windows) == 8
+    assert sum(extra) < 0.01 * sum(windows), (sum(extra), sum(windows))
 
 
 @pytest.mark.parametrize("q", [0.34, 0.5, 0.9, 1.0])
@@ -578,7 +796,7 @@ def test_renewal_gaps_follow_the_geometric_law(q):
     # renewal draw agrees with it in law only. Every gap is at least one
     # slot, and the gaps' mean and variance are within 3 standard errors
     # of 1 / q and (1 - q) / q^2.
-    slots = pl._renewal_slots(np.random.default_rng(7), q, 0, 200_000)
+    slots, = pl._renewal_slots(np.random.default_rng(7), q, 0, 200_000)
     gaps = np.diff(slots, prepend=-1)
     assert gaps.min() >= 1
     if q == 1.0:

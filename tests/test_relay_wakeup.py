@@ -194,3 +194,46 @@ def test_wakeups_examine_linearly_many_sessions_and_match_a_full_scan(monkeypatc
         # demand (a full scan after each deposit makes dozens per request).
         assert woken > 0
         assert examined - woken <= requests, (scale, examined, woken)
+
+
+def test_wakeups_with_many_sizes_compute_no_hop_need_beyond_the_examined(monkeypatch):
+    # With request sizes drawn from 1,000-4,000 bits, hundreds of distinct
+    # hop needs wait at once. A wake-up finds the needs a level rise
+    # crosses by bisecting the sorted ones, so it calls hop_need once per
+    # session it examines and never for a size no rise crosses, however
+    # many sizes wait.
+    doc = _chain_scenario(600)
+    rng = random.Random(11)
+    for ev in doc["events"]:
+        if ev["kind"] == "relay_request":
+            ev["bits"] = rng.randint(1000, 4000)
+    counts = dict(calls=0, in_wake=0, examined=0, rises=0, wakes=0, needs=0)
+    need_of, ready_rule, wake = hop_need, RelayCoordinator._ready, RelayCoordinator.wake
+
+    def counted_need(*args, **kwargs):
+        counts["calls"] += 1
+        return need_of(*args, **kwargs)
+
+    def counted_ready(self, sessions, graph, reach):
+        sessions = list(sessions)
+        counts["examined"] += len(sessions)
+        return ready_rule(self, sessions, graph, reach)
+
+    def counted_wake(self):
+        self._drain()
+        counts["rises"] += len(self._rises)
+        counts["wakes"] += 1
+        counts["needs"] = max(counts["needs"], len(self._needs))
+        before = counts["calls"]
+        ready = wake(self)
+        counts["in_wake"] += counts["calls"] - before
+        return ready
+
+    monkeypatch.setattr("qkdnet.keyrelay.hop_need", counted_need)
+    monkeypatch.setattr(RelayCoordinator, "_ready", counted_ready)
+    monkeypatch.setattr(RelayCoordinator, "wake", counted_wake)
+    indexed = run_scenario(load_scenario(doc)).emit_records()
+    assert counts["needs"] > 100 and counts["rises"] > 20, counts
+    assert counts["in_wake"] == counts["examined"], counts
+    monkeypatch.setattr(RelayCoordinator, "wake", _full_scan_wake)
+    assert indexed == run_scenario(load_scenario(doc)).emit_records()

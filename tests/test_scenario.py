@@ -23,7 +23,7 @@ from qkdnet.engine import RELAY_RESERVE_BITS, Engine, run_scenario
 from qkdnet.errors import InvariantViolation, ValidationError
 from qkdnet.keyrelay import QBER_THRESHOLD, ZERO_CLICK_WINDOW_S, HealthTransition, hop_need
 from qkdnet.keystore import AuditRecord
-from qkdnet.physlink import EveModel, sifted_error_floor
+from qkdnet.physlink import EveModel, WindowStream, sifted_error_floor
 from qkdnet.report import (CSV_COLUMNS, BlockRecord, MetricsReport, RelayOutcome, ReservoirRow,
                            SeriesRow, read_records, verify_report)
 from qkdnet.scenario import (EngineKnobs, EventKind, Scenario, ScenarioEvent,
@@ -1210,14 +1210,17 @@ def test_cli_seed_and_duration_overrides(tmp_path):
 def test_pns_attack_from_start_samples_empty_data_windows(monkeypatch, tmp_path):
     # Alice-Boris trains for whole rounds at first, so its data windows are
     # empty while the PNS attacker is on: the window sampler returns them
-    # without drawing, and samples her on every non-empty window.
+    # without drawing, and samples her on every non-empty window. Data
+    # windows come from the session's window stream, training frames from
+    # a generator.
     windows = []
     sample = engine_module.sample_link_window
 
     def spy_sample(params, phase, n_slots, rng, eve=None, frame_id="window"):
-        before = rng.bit_generator.state
+        generator = rng.rng if isinstance(rng, WindowStream) else rng
+        before = generator.bit_generator.state
         result = sample(params, phase, n_slots, rng, eve=eve, frame_id=frame_id)
-        windows.append((n_slots, eve, rng.bit_generator.state == before,
+        windows.append((n_slots, eve, generator.bit_generator.state == before,
                         frame_id.endswith(":train")))
         return result
 
@@ -1235,6 +1238,87 @@ def test_pns_attack_from_start_samples_empty_data_windows(monkeypatch, tmp_path)
     path = tmp_path / "records.jsonl"
     path.write_text(report.emit_records())
     assert main(["verify", "--records", str(path)]) == 0
+
+
+def _cambridge_pairs(duration: float, events=()) -> dict:
+    return _minimal(duration=duration, events=[
+        {"t": 0.0, "kind": "start_qkd", "tx": "Anna", "rx": "Bob"},
+        {"t": 0.0, "kind": "start_qkd", "tx": "Alice", "rx": "Boris"}, *events])
+
+
+def test_data_windows_are_sampled_once_per_lit_round(monkeypatch):
+    # Every lit round makes one engine.sample_link_window call for its data
+    # window, from the session's window stream, passing the round's data
+    # slots: fewer after a training frame, none when training fills the
+    # round (Alice-Boris's start-up tuning). The benchmark's traced mode
+    # wraps that name, so it still times and counts every data window.
+    calls = []
+    rounds = []
+    sample, on_round = engine_module.sample_link_window, Engine._on_round
+
+    def spy_sample(params, phase, n_slots, rng, eve=None, frame_id="window"):
+        result = sample(params, phase, n_slots, rng, eve=eve, frame_id=frame_id)
+        calls.append((frame_id, n_slots, rng, result[2].n_events))
+        return result
+
+    def spy_round(self, now, channel_id, token):
+        session = self.sessions[channel_id]
+        lit = token == session.token and session.lit(now)
+        first = len(calls)
+        on_round(self, now, channel_id, token)
+        if lit:
+            rounds.append((session, calls[first:]))
+
+    monkeypatch.setattr(engine_module, "sample_link_window", spy_sample)
+    monkeypatch.setattr(Engine, "_on_round", spy_round)
+    doc = _cambridge_pairs(20.0)
+    run_scenario(load_scenario(doc))
+    trained = short = 0
+    for session, made in rounds:
+        *training, (frame_id, n_slots, rng, _) = made
+        round_slots = int(0.25 * session.params.pulse_rate_hz)
+        assert frame_id.startswith(f"{session.cid}:") and not frame_id.endswith(":train")
+        assert rng is session.windows and rng.n_slots == round_slots
+        if training:
+            (train_id, train_slots, train_rng, _), = training
+            assert train_id == f"{session.cid}:train"
+            assert not isinstance(train_rng, WindowStream)
+            assert n_slots == max(0, round_slots - train_slots)
+            trained += 1
+            short += n_slots == 0
+        else:
+            assert n_slots == round_slots
+    data = [c for c in calls if not c[0].endswith(":train")]
+    assert len(data) == len(rounds) > 100 and trained > 10 and short > 0
+
+    child = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    env = dict(os.environ, PYTHONPATH=str(Path(engine_module.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, str(child), "--trace"],
+                         input=json.dumps(doc), env=env, capture_output=True, text=True,
+                         check=True, timeout=120).stdout.splitlines()[-1]
+    layers = json.loads(out)["layers"]
+    assert layers["physlink.sample_calls"] == len(data) and layers["physlink.sample_s"] > 0
+    assert layers["physlink.detections"] == sum(n for *_, n in data)
+    assert layers["physlink.train_calls"] == trained
+
+
+def test_intercept_resend_switched_on_mid_run_acts_from_the_next_window(tmp_path):
+    # Anna-Bob's stream holds data windows drawn with no attacker when she
+    # arrives at 20 s; they are discarded, so the first Anna-Bob block
+    # that starts after 20 s is attacked throughout and reads about 0.26
+    # (its sample holds about 440 bits). Were the drawn windows kept, its
+    # first rounds would be clean and it would read 0.19.
+    doc = _cambridge_pairs(60.0, [{"t": 20.0, "kind": "enable_eve", "channel": "Anna-Bob",
+                                   "eve": {"kind": "intercept_resend", "fraction": 1.0}}])
+    report = run_scenario(load_scenario(doc))
+    assert report.emit_records() == run_scenario(load_scenario(doc)).emit_records()
+    path = tmp_path / "records.jsonl"
+    path.write_text(report.emit_records())
+    assert main(["verify", "--records", str(path)]) == 0
+    before = [b.qber for b in report.blocks if b.channel_id == "Anna-Bob" and b.t_end < 20.0]
+    after = next(b for b in report.blocks if b.channel_id == "Anna-Bob" and b.t_start >= 20.0)
+    assert before and max(before) < 0.1
+    assert after.qber > 0.2
 
 
 def test_link_rate_and_dead_time_are_bounded_at_load(tmp_path, capsys):
