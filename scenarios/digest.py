@@ -1,14 +1,17 @@
-"""Print one records digest per run, as ``name seed sha256``.
+"""Print one records digest per run, as ``name seed sha256``, under a
+header line that names the numpy version the runs were made with.
 
-    PYTHONPATH=src python3 scenarios/digest.py > digests.txt
+    PYTHONPATH=src python3 scenarios/digest.py > scenarios/digests.txt
 
 The digest is the SHA-256 of the run's records text: the bytes that
 ``qkdnet run --format records`` writes, and the benchmark harness's
 ``records_sha256``. The runs are every document in this directory at its
 own seed, then the benchmark workloads at seeds 1-4, built by
-``perfbench/workloads.py``. To show that a change keeps every record byte,
-run this script against the old and the new ``src`` (through PYTHONPATH)
-and ``diff`` the two outputs.
+``perfbench/workloads.py``. ``scenarios/digests.txt`` holds this output for
+the current code, and a tier-1 test compares every run with its line there
+(``tests/test_scenario_library.py``). To show that a change keeps every
+record byte, run this script against the old and the new ``src`` (through
+PYTHONPATH) and ``diff`` the two outputs.
 """
 
 from __future__ import annotations
@@ -41,9 +44,13 @@ def runs(seed=None):
 
 
 def main() -> None:
+    import numpy as np
+
     from qkdnet.engine import run_scenario
     from qkdnet.scenario import load_scenario
 
+    # NumPy keeps no random stream across its versions (NEP 19).
+    print(f"# numpy {np.__version__}")
     for name, doc in runs():
         records = run_scenario(load_scenario(doc)).emit_records()
         print(name, doc["seed"], hashlib.sha256(records.encode()).hexdigest(), flush=True)

@@ -15,6 +15,7 @@ import struct
 TAG_BITS = 64
 AUTH_KEY_BITS_PER_TAG = 2 * TAG_BITS
 _PRIME = (1 << 64) - 59  # largest 64-bit prime
+_TAG_MASK = (1 << TAG_BITS) - 1
 
 
 def _poly_hash(selector: int, message: bytes) -> int:
@@ -27,7 +28,8 @@ def _poly_hash(selector: int, message: bytes) -> int:
     """
     n_blocks = -(-len(message) // 8)
     blocks = struct.unpack(f"<{n_blocks}Q", message + bytes(8 * n_blocks - len(message)))
-    s2, s3, s4 = (pow(selector, k, _PRIME) for k in (2, 3, 4))
+    s2 = selector * selector % _PRIME
+    s3, s4 = s2 * selector % _PRIME, s2 * s2 % _PRIME
     # Leading zero coefficients leave the polynomial's value as it is.
     coeffs = iter((0,) * (-(n_blocks + 1) % 4) + (len(message),) + blocks)
     h = 0
@@ -45,8 +47,8 @@ def auth_tag(auth_key, message: bytes) -> bytes:
     """
     if len(auth_key) != AUTH_KEY_BITS_PER_TAG // 8:
         raise ValueError(f"auth_tag needs exactly {AUTH_KEY_BITS_PER_TAG // 8} key bytes")
-    selector, mask = int.from_bytes(auth_key[:8], "big"), int.from_bytes(auth_key[8:], "big")
-    return (_poly_hash(selector, message) ^ mask).to_bytes(8, "big")
+    key = int.from_bytes(auth_key, "big")
+    return (_poly_hash(key >> TAG_BITS, message) ^ (key & _TAG_MASK)).to_bytes(8, "big")
 
 
 def verify_tag(auth_key, message: bytes, tag: bytes) -> bool:

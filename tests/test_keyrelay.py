@@ -1,21 +1,26 @@
 """Key relay: path selection, hop-by-hop OTP algebra, failure handling."""
 
 import dataclasses
+import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import decode_record, drive, movable
-from qkdnet import keyrelay
 from qkdnet import netgraph as ng
+from qkdnet.engine import Engine
 from qkdnet.errors import NoPathError
 from qkdnet.keyrelay import (HealthMonitor, RelayCoordinator, RelayStatus, find_path,
                              hop_need, relay_graph)
 from qkdnet.keystore import ConsumePurpose, KeyOrigin, KeyStore, scan_one_time_use
 from qkdnet.netgraph import LinkHealth
-from qkdnet.qkdproto.auth import auth_tag
+from qkdnet.qkdproto.auth import verify_tag
 from qkdnet.qkdproto.wire import RecordType
+from qkdnet.scenario import load_scenario
+
+LIBRARY = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class _StubRng:
@@ -287,6 +292,34 @@ def test_every_hop_message_carries_its_session_number_as_frame_id():
     assert [s.seq for s in sessions] == [1, 2, 3]
 
 
+def test_every_kept_tag_checks_out_under_the_audited_auth_key():
+    engine = Engine(load_scenario(json.loads((LIBRARY / "diamond-relays-cut.json").read_text())))
+    engine.run()
+    store = engine.store
+    auth = {}  # (consumer, pair, time) -> the auth draw's offsets
+    for a in store.audit:
+        if a.kind == "consume" and a.purpose == ConsumePurpose.AUTHENTICATION.value \
+                and a.consumer.startswith("relay-"):
+            assert (a.consumer, a.pair, a.time_s) not in auth
+            auth[a.consumer, a.pair, a.time_s] = a.offset_start, a.offset_end
+    delivered = [s for s in engine.coordinator.sessions.values()
+                 if s.status is RelayStatus.DELIVERED]
+    # The r1-d cut sends relays between R1 and D the long way round.
+    assert any(len(s.path) == 4 for s in delivered)
+    checked = 0
+    for session in delivered:
+        assert len(session.hop_transcripts) == len(session.path) - 1
+        for t in session.hop_transcripts:
+            start, end = auth[f"{session.session_id}:hop{t.hop_index}:auth", t.pair, t.time_s]
+            assert start == t.otp_offset_end
+            key = store.reservoir(*t.pair).peek(start, end - start)
+            assert verify_tag(key, t.message, t.tag)
+            forged = t.message[:-1] + bytes([t.message[-1] ^ 1])
+            assert not verify_tag(key, forged, t.tag)
+            checked += 1
+    assert checked > 100
+
+
 def test_relay_deposits_delivered_secret_for_endpoints():
     topo, pairs = _chain(4)
     store = KeyStore()
@@ -360,39 +393,6 @@ def test_movable_reports_sessions_a_step_would_move():
     assert movable(coord, [starved, pending]) == [starved]  # its step reroutes
 
 
-def test_relay_auth_failure_fails_session_and_degrades_link(monkeypatch):
-    # Hop 1's tag has one bit flipped, so the receiver's check fails there.
-    def tag_corrupted_at_hop_1(key, message):
-        tag = auth_tag(key, message)
-        record, _ = decode_record(message)
-        if struct.unpack_from("<IH", record.payload)[1] == 1:
-            tag = bytes([tag[0] ^ 1]) + tag[1:]
-        return tag
-
-    monkeypatch.setattr(keyrelay, "auth_tag", tag_corrupted_at_hop_1)
-    topo, pairs = _chain(3)
-    store = KeyStore()
-    _seed(store, pairs)
-    health = HealthMonitor()
-    coord = RelayCoordinator(topo, health, store, np.random.default_rng(10))
-    session = coord.request("N0", "N2", 512, time_s=0.0)
-    assert drive(coord, session, 1.0) == "failed"
-    assert session.status is RelayStatus.FAILED
-    assert health.status("N1-N2") is LinkHealth.DEGRADED
-    # Every pad it consumed is written off, the failed hop's own included.
-    pads = {(a.pair, a.offset_start, a.offset_end) for a in store.audit
-            if a.kind == "consume" and a.purpose == ConsumePurpose.ONE_TIME_PAD.value}
-    writeoffs = [(a.pair, a.offset_start, a.offset_end) for a in store.audit
-                 if a.kind == "write_off"]
-    assert len(pads) == 2
-    assert sorted(writeoffs) == sorted(pads)
-    assert scan_one_time_use(store.audit) == []
-    # A failed session never steps again.
-    audited = len(store.audit)
-    assert coord.step(session, 2.0) == "failed"
-    assert len(store.audit) == audited
-
-
 def test_reroute_mid_session_writes_off_and_regenerates():
     specs = [("S", "tx"), ("R1", "relay"), ("R2", "relay"), ("D", "rx")]
     pairs = [("S", "R1"), ("S", "R2"), ("R1", "D"), ("R2", "D")]
@@ -427,6 +427,10 @@ def test_reroute_all_paths_cut_fails():
     health.force("N1-N2", LinkHealth.CUT, 0.2, "test")
     assert coord.step(session, 0.3) == "failed"
     assert "no alternate path" in session.failure_cause
+    # A failed session never steps again and writes no audit row.
+    audited = len(store.audit)
+    assert coord.step(session, 0.4) == "failed"
+    assert len(store.audit) == audited
 
 
 def test_trusted_node_exposure_limited_to_path():

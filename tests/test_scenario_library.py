@@ -1,16 +1,59 @@
 """Every document under scenarios/ runs twice through the CLI to the same
 record bytes, verifies clean, writes each record as sorted-key json.dumps,
-and shows the behaviour it was written to show."""
+and shows the behaviour it was written to show. Every run of
+scenarios/digest.py gives the records digest committed in
+scenarios/digests.txt."""
 
+import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qkdnet.cli import main
+from qkdnet.engine import run_scenario
+from qkdnet.scenario import load_scenario
 
 LIBRARY = Path(__file__).resolve().parent.parent / "scenarios"
 DOCUMENTS = sorted(LIBRARY.glob("*.json"))
+DIGESTS = LIBRARY / "digests.txt"
+
+_spec = importlib.util.spec_from_file_location("scenario_digest", LIBRARY / "digest.py")
+digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(digest)
+RUNS = list(digest.runs())
+
+
+def _committed():
+    """The numpy version digests.txt was made with, and its digests by
+    (name, seed)."""
+    header, *lines = DIGESTS.read_text().splitlines()
+    assert header.startswith("# numpy "), header
+    digests = {}
+    for line in lines:
+        name, seed, sha = line.split()
+        assert (name, int(seed)) not in digests, f"{name} seed {seed} listed twice"
+        digests[name, int(seed)] = sha
+    return header.removeprefix("# numpy "), digests
+
+
+@pytest.fixture(scope="module")
+def first_run(tmp_path_factory):
+    """A document's records from its first CLI run, run once for this
+    module: the digest test reads the bytes the library test wrote."""
+    runs = {}
+
+    def records(document: Path) -> bytes:
+        if document.stem not in runs:
+            out = tmp_path_factory.mktemp(document.stem)
+            assert main(["run", "--scenario", str(document), "--out", str(out),
+                         "--format", "records"]) == 0
+            runs[document.stem] = (out / "metrics.records.jsonl").read_bytes()
+        return runs[document.stem]
+
+    return records
 
 
 def _reconciled_block_above_8_percent(records):
@@ -75,20 +118,44 @@ PROPERTIES = {
 
 
 @pytest.mark.parametrize("document", DOCUMENTS, ids=lambda p: p.stem)
-def test_library_document_runs_twice_alike_and_verifies(document, tmp_path, capsys):
+def test_library_document_runs_twice_alike_and_verifies(document, tmp_path, capsys,
+                                                       first_run):
     assert set(PROPERTIES) <= {p.stem for p in DOCUMENTS}
-    outputs = []
-    for out in (tmp_path / "first", tmp_path / "again"):
-        assert main(["run", "--scenario", str(document), "--out", str(out),
-                     "--format", "records"]) == 0
-        outputs.append(out / "metrics.records.jsonl")
-    assert outputs[0].read_bytes() == outputs[1].read_bytes()
+    records_text = first_run(document)
+    assert main(["run", "--scenario", str(document), "--out", str(tmp_path),
+                 "--format", "records"]) == 0
+    again = tmp_path / "metrics.records.jsonl"
+    assert again.read_bytes() == records_text
     capsys.readouterr()
-    assert main(["verify", "--records", str(outputs[0])]) == 0, capsys.readouterr().out
-    lines = outputs[0].read_text().splitlines()
+    assert main(["verify", "--records", str(again)]) == 0, capsys.readouterr().out
+    lines = records_text.decode().splitlines()
     records = [json.loads(line) for line in lines]
     for n, (line, record) in enumerate(zip(lines, records), 1):
         assert line == json.dumps(record, sort_keys=True), f"line {n}"
     check = PROPERTIES.get(document.stem)
     if check is not None:
         check(records)
+
+
+def test_every_run_has_one_committed_digest():
+    _, digests = _committed()
+    assert sorted(digests) == sorted((name, doc["seed"]) for name, doc in RUNS)
+
+
+@pytest.mark.parametrize("name,doc", [pytest.param(name, doc, id=f"{name}-{doc['seed']}")
+                                      for name, doc in RUNS])
+def test_records_match_the_committed_digest(name, doc, first_run):
+    # A records change regenerates digests.txt and says why in CHANGES.md
+    # (docs/formats.md). Library documents reuse the library test's run.
+    version, digests = _committed()
+    if version != np.__version__:
+        pytest.skip(f"digests made with numpy {version}, installed {np.__version__}: "
+                    "numpy keeps no random stream across versions (NEP 19)")
+    document = LIBRARY / f"{name}.json"
+    if document.exists():
+        records_text = first_run(document)
+    else:
+        records_text = run_scenario(load_scenario(doc)).emit_records().encode()
+    seed, sha = doc["seed"], hashlib.sha256(records_text).hexdigest()
+    committed = digests.get((name, seed))
+    assert sha == committed, f"{name} seed {seed}: records digest {sha}, committed {committed}"
