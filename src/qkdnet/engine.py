@@ -9,15 +9,16 @@ Per QKD session, each round samples a window of pulse slots (cost scales
 with detections), sifts into a pool, and every time the pool crosses the
 block target runs the full post-processing pipeline: QBER sampling,
 Cascade, entropy estimation, privacy amplification, authentication charge,
-and a reservoir deposit. A session's data windows come from its
+and a reservoir deposit. A round takes one window of its session's
 :class:`~qkdnet.physlink.WindowStream`, which draws them
-``_WINDOWS_PER_DRAW`` (8) at a time, so records depend on that constant;
-each round still makes one :func:`sample_link_window` call, at its own
-phase and cut to its own data slots. A change of attacker discards the
-windows drawn and not yet used, and the run drops what is left at its
-end. Switch toggles force block boundaries, pause the affected sessions,
-and trigger receiver realignment against the new transmitter before key
-generation resumes.
+``_WINDOWS_PER_DRAW`` (8) at a time, so records depend on that constant.
+A training round takes its window in two :func:`sample_link_window`
+calls: the training frame is its first slots, at the round's phase, and
+the data window the rest, at the phase the feedback leaves. A change of
+attacker discards the windows drawn and not yet used, and the run drops
+what is left at its end. Switch toggles force block boundaries, pause
+the affected sessions, and trigger receiver realignment against the new
+transmitter before key generation resumes.
 
 A started session (states in ``_State``) has at most one pending event,
 and ``Engine._schedule`` is the only code that pushes one: it bumps the
@@ -104,7 +105,7 @@ _SAMPLE_FRACTION = 0.10  # of a block's sifted bits, sacrificed to estimate QBER
 _TRAINING_INTERVAL_S = 4.0
 _TRAINING_TARGET_BITS = 256
 _TRAINING_MAX_SLOTS = 1 << 21
-# A session's data windows are drawn this many at a time (see WindowStream).
+# A session's round windows are drawn this many at a time (see WindowStream).
 _WINDOWS_PER_DRAW = 8
 RELAY_RESERVE_BITS = 1024  # a relay hop leaves this much beyond pad and tag
 
@@ -170,7 +171,6 @@ class _Session:
         self.interval_qbers: List[float] = []
         self.windows = WindowStream(derive_rng(seed, "win", cid), round_slots,
                                     _WINDOWS_PER_DRAW)
-        self.rng_train = derive_rng(seed, "train", cid)
         self.rng_qber = derive_rng(seed, "qber", cid)
         self.rng_pa = derive_rng(seed, "pa", cid)
         self.rng_phase = derive_rng(seed, "phase", cid)
@@ -454,10 +454,11 @@ class Engine:
         self._schedule(session, now + _ROUND_DURATION_S, "round")
 
     def _run_training(self, session: _Session, now: float) -> int:
-        """One training frame, whose public bits drive a feedback step; returns its clicks."""
+        """One training frame, the first slots of the round's window, whose
+        public bits drive a feedback step; returns its clicks."""
         session.last_training_t = now
         tx_basis, tx_value, record = sample_link_window(
-            session.params, session.phase, session.training_slots, session.rng_train,
+            session.params, session.phase, session.training_slots, session.windows,
             eve=session.eve, frame_id=f"{session.cid}:train")
         alice, bob, _ = sift_bb84_events(tx_basis, tx_value, record)
         if alice.size:

@@ -14,11 +14,12 @@ once and caches. Behind that attacker it draws a photon number per slot
 arrive, and reports what she learned (``eve_tally``). A click's one
 uniform picks its class and a signal event's flip, and all the bits the
 clicks need (bases, values, the intercept-resend attacker's basis and
-guess) come from one bit draw. Without the photon-number splitter only
-the flips depend on the interferometer phase, so a :class:`WindowStream`
-draws several windows at once and works out all but their flips, and
-each call finishes one window at its own phase; a plain seed or
-generator is a stream of one window.
+guess) come from one bit draw. Only the flips depend on the
+interferometer phase, so a :class:`WindowStream` draws windows ahead and
+works out all but their flips, and each call takes the next slots of the
+current window and finishes them at its own phase: a round's training
+frame and data window are two consecutive pieces of one window. A plain
+seed or generator is a stream of one window.
 The generator calls and their order, and so a stream's window count, are
 part of the byte-identical-records contract (see its docstring), and a
 change of attacker discards the windows a stream has drawn. A per-slot
@@ -235,7 +236,8 @@ class EveModel:
 
     ``intercept_fraction`` applies to the intercept-resend attacker only.
     What the photon-number-splitting attacker achieved on a window is the
-    ``eve_tally`` of that window's :func:`sample_link_window` record.
+    ``eve_tally`` of the :func:`sample_link_window` record that takes its
+    last slot.
     """
 
     kind: EveKind = EveKind.NONE
@@ -343,12 +345,6 @@ def _live_clicks(slots: np.ndarray, dead: int) -> np.ndarray:
     return np.asarray(live, dtype=np.intp)
 
 
-def _empty_window(frame_id: str, tally: Optional[EveTally] = None
-                  ) -> tuple[np.ndarray, np.ndarray, DetectionRecord]:
-    z = np.zeros(0, dtype=np.uint8)
-    return z, z, DetectionRecord.empty(frame_id, tally)
-
-
 def _renewal_slots(rng: np.random.Generator, q: float, dead: int, n_slots: int,
                    windows: int = 1) -> list[np.ndarray]:
     """Click slots of ``windows`` windows whose live gates each click with
@@ -450,12 +446,14 @@ class _Clicks(NamedTuple):
     """Kept clicks of one or more windows, worked out but for their flips.
 
     A signal event flips when its class uniform ``u`` (on [0, q)) is below
-    ``p_signal_event * perr``. A click's rx value is ``unflipped``, and
-    ``unflipped ^ measured`` where it flips.
+    its ``p_signal_event * perr``; without the photon-number splitter every
+    click reads the link's one, through a zero-stride view. A click's rx
+    value is ``unflipped``, and ``unflipped ^ measured`` where it flips.
     """
 
     slots: np.ndarray
     u: np.ndarray
+    p_signal_event: np.ndarray
     tx_basis: np.ndarray
     tx_value: np.ndarray
     rx_basis: np.ndarray
@@ -493,7 +491,8 @@ def _work_out(slots, u, bits, hit, p_signal_event, p_dark_event):
     mask &= measured
     unflipped = other_value
     unflipped ^= mask
-    clicks = _Clicks(slots, u, tx_basis, tx_value, rx_basis, ~is_signal, measured, unflipped)
+    clicks = _Clicks(slots, u, np.broadcast_to(p_signal_event, u.shape), tx_basis, tx_value,
+                     rx_basis, ~is_signal, measured, unflipped)
     if keep.all():
         return clicks, None
     kept = keep.nonzero()[0]
@@ -501,23 +500,26 @@ def _work_out(slots, u, bits, hit, p_signal_event, p_dark_event):
 
 
 class WindowStream:
-    """A session's source of link windows: a generator that draws
-    ``windows`` windows of up to ``n_slots`` slots at a time.
+    """A session's source of link windows: a generator that draws windows
+    of ``n_slots`` slots ahead, ``windows`` at a time, or one at a time
+    behind the photon-number splitter, whose sampler holds a photon number
+    per slot.
 
-    Without the photon-number-splitting attacker, what a window draws does
-    not depend on its phase: click slots, class uniforms, per-click bits
-    and the intercept-resend hits. So :func:`sample_link_window` draws the
-    next ``windows`` windows in one set of generator calls (see its draw
-    contract) and works them out together, doubles dropped, but for their
-    flips; each call then finishes the next window at its own phase, cut
-    to its own ``n_slots``. A cut window is a prefix of the drawn one,
-    which is exact: a renewal process started at slot 0 does not depend
-    on its horizon.
+    What a window draws does not depend on its phase: click slots, class
+    uniforms, per-click bits, the intercept-resend hits and the
+    photon-number splitter's tally. So :func:`sample_link_window` draws
+    the windows in one set of generator calls (see its draw contract) and
+    works them out, doubles dropped, but for their flips. Each call takes
+    the next ``n_slots`` of the current window, rebased to start at slot
+    0, and finishes them at its own phase; the window is done when its
+    last slot is taken, and a call that asks past its end raises. Dead
+    time runs across the pieces, as in one pulse train. A split window's
+    ``eve_tally`` rides on the piece that takes its last slot, and the
+    earlier pieces carry an empty one.
 
     Windows drawn for one link and attacker are discarded when a call comes
-    for another; behind the photon-number splitter every window is drawn
-    alone, straight from :attr:`rng`. A plain seed or generator passed to
-    :func:`sample_link_window` is a stream of one window.
+    for another. A plain seed or generator passed to :func:`sample_link_window`
+    is a stream of one window.
     """
 
     def __init__(self, rng_seed, n_slots: int, windows: int = 1):
@@ -530,40 +532,59 @@ class WindowStream:
 
     def discard(self):
         """Drop the windows drawn and not yet finished."""
-        self._drawn: list = []  # each drawn window's kept clicks, the next one last
+        self._drawn: list = []  # each drawn window's kept clicks, the current one last
         self._drawn_for = None  # the (params, attacker) they were drawn for
+        self._taken = 0  # slots of the current window already taken
+        self._tally: Optional[EveTally] = None  # the photon-number splitter's, on her window
 
-    def _next(self, params: LinkParams, eve: Optional[EveModel], n_slots: int) -> _Clicks:
-        """The next drawn window's kept clicks inside ``n_slots``."""
-        if n_slots > self.n_slots:
-            raise ValueError(f"a window of {n_slots} slots is longer than the "
-                             f"stream's {self.n_slots}")
+    def _take(self, params: LinkParams, eve: Optional[EveModel],
+              n_slots: int) -> tuple[_Clicks, Optional[EveTally]]:
+        """The kept clicks of the current window's next ``n_slots``, and
+        the tally their record carries."""
         if self._drawn_for != (params, eve):
             self.discard()
+        start, end = self._taken, self._taken + n_slots
+        if end > self.n_slots:
+            raise ValueError(f"{n_slots} slots from slot {start} are longer than the rest "
+                             f"of the stream's {self.n_slots}-slot window")
         if not self._drawn:
             self._draw(params, eve)
-        clicks = self._drawn.pop()
-        if n_slots < self.n_slots:
-            clicks = clicks.cut(0, int(np.searchsorted(clicks.slots, n_slots)))
-        return clicks
+        clicks, tally = self._drawn.pop(), self._tally
+        if end < self.n_slots:
+            cut = int(np.searchsorted(clicks.slots, end))
+            self._drawn.append(clicks.cut(cut, clicks.slots.size))
+            clicks = clicks.cut(0, cut)
+            if tally is not None:
+                tally = EveTally()
+        self._taken = end if end < self.n_slots else 0
+        if start:
+            clicks = clicks._replace(slots=clicks.slots - start)
+        return clicks, tally
 
     def _draw(self, params: LinkParams, eve: Optional[EveModel]):
-        rng, law = self.rng, params.click_law
-        rows = _renewal_slots(rng, law.q, params.dead_slots, self.n_slots, self.windows)
-        ends = list(accumulate(row.size for row in rows))
+        rng = self.rng
+        if eve is not None and eve.kind is EveKind.PHOTON_NUMBER_SPLIT:
+            slots, u, p_sig, self._tally = _pns_clicks(params, self.n_slots, rng)
+            p_signal_event, p_dark_event = _event_probabilities(p_sig, params.dark_count_prob)
+            ends = [slots.size]
+        else:
+            law = params.click_law
+            rows = _renewal_slots(rng, law.q, params.dead_slots, self.n_slots, self.windows)
+            ends = list(accumulate(row.size for row in rows))
+            slots = rows[0] if len(rows) == 1 else np.concatenate(rows)
+            u = rng.random(ends[-1])
+            u *= law.q
+            p_signal_event, p_dark_event = law.p_signal_event, law.p_dark_event
         total = ends[-1]
-        u = rng.random(total)
-        u *= law.q
         hit = None
         if total:
-            intercept = eve is not None
+            intercept = eve is not None and eve.kind is EveKind.INTERCEPT_RESEND
             bits = random_bits(rng, (6 if intercept else 4) * total).reshape(-1, total)
             if intercept:
                 hit = rng.random(total) < eve.intercept_fraction
         else:
             bits = np.zeros((4, 0), dtype=np.uint8)
-        slots = rows[0] if len(rows) == 1 else np.concatenate(rows)
-        clicks, kept = _work_out(slots, u, bits, hit, law.p_signal_event, law.p_dark_event)
+        clicks, kept = _work_out(slots, u, bits, hit, p_signal_event, p_dark_event)
         if kept is not None:
             ends = np.searchsorted(kept, ends).tolist()
         self._drawn = [clicks.cut(start, end) for start, end in zip([0, *ends[:-1]], ends)]
@@ -587,7 +608,8 @@ def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_
     photon-number-splitting attacker, cost scales with clicks, not slots.
     With her, every slot gets a photon number (her loss budget needs every
     pulse) but only the slots photons reach get detector draws, and the
-    record's ``eve_tally`` counts what she learned over the whole window;
+    ``eve_tally`` of the record that takes a window's last slot counts
+    what she learned over the whole window (an earlier piece's is empty);
     counting draws nothing. Behind any other attacker it is ``None``.
 
     Without PNS every gate has the link's cached :class:`ClickLaw`: the
@@ -596,10 +618,10 @@ def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_
     and, below ``p_signal_event * perr``, a signal event's flip.
 
     The generator calls, their sizes and their order are part of the
-    byte-identical-records contract. Without PNS, a call that finds no
-    window left in its stream for its link and attacker draws the
-    stream's next ``K`` windows of ``n`` slots, with ``M`` clicks among
-    them:
+    byte-identical-records contract. A call that finds no window left in
+    its stream for its link and attacker draws the stream's next windows
+    of its ``n`` slots. Without PNS that is ``K`` windows, with ``M``
+    clicks among them:
 
     1. one exponential draw of ``K`` first batches, read as one row per
        window, then, row by row, the further batches of each row that
@@ -612,45 +634,23 @@ def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_
     4. the ``M`` intercept-resend ``hit`` uniforms, when that attacker is
        present.
 
-    Steps 3 and 4 are skipped when ``M`` is 0. Calls take the drawn
-    windows in order, so records depend on ``K`` and on the order of the
-    calls too, and a stream drawn for another link or attacker is
-    discarded first. With PNS a window draws alone, after discarding the
-    stream's drawn windows: photon numbers, the lit slots' click
-    uniforms, exponential batches of dark clicks (when darks can occur)
-    and their class uniforms, then, with ``m`` clicks, the ``4 * m`` bits
-    of step 3. Reordering any of it changes every record. An empty window
-    draws nothing and takes no drawn window.
+    Steps 3 and 4 are skipped when ``M`` is 0. With PNS it is one window:
+    photon numbers, the lit slots' click uniforms, exponential batches of
+    dark clicks (when darks can occur) and their class uniforms, then,
+    with ``m`` clicks, the ``4 * m`` bits of step 3. Calls take the drawn
+    windows in order, ``n_slots`` at a time, so records depend on ``K``
+    and on the order and sizes of the calls too, and a stream drawn for
+    another link or attacker is discarded first. Reordering any of it
+    changes every record. An empty call draws nothing and takes no slots.
     """
     kind = eve.kind if eve is not None else EveKind.NONE
     pns = kind is EveKind.PHOTON_NUMBER_SPLIT
-    tally = EveTally() if pns else None
-    if n_slots <= 0:
-        return _empty_window(frame_id, tally)
+    if n_slots <= 0 or (not pns and params.click_law.q <= 0.0):
+        z = np.zeros(0, dtype=np.uint8)
+        return z, z, DetectionRecord.empty(frame_id, EveTally() if pns else None)
     stream = rng_seed if isinstance(rng_seed, WindowStream) else WindowStream(rng_seed, n_slots)
-    if pns:
-        stream.discard()
-        rng = stream.rng
-        slots, u, p_sig, tally = _pns_clicks(params, n_slots, rng)
-        if slots.size == 0:
-            return _empty_window(frame_id, tally)
-        p_signal_event, p_dark_event = _event_probabilities(p_sig, params.dark_count_prob)
-        bits = random_bits(rng, 4 * slots.size).reshape(4, -1)
-        clicks, kept = _work_out(slots, u, bits, None, p_signal_event, p_dark_event)
-        if kept is not None:
-            p_signal_event = p_signal_event[kept]
-    else:
-        # Every slot has the link's one click law.
-        law = params.click_law
-        if law.q <= 0.0:
-            return _empty_window(frame_id)
-        clicks = stream._next(params, eve if kind is EveKind.INTERCEPT_RESEND else None,
-                              n_slots)
-        p_signal_event = law.p_signal_event
-    slots, u, tx_basis, tx_value, rx_basis, is_dark, measured, unflipped = clicks
-    if slots.size == 0:
-        return _empty_window(frame_id, tally)
-
+    clicks, tally = stream._take(params, eve if kind is not EveKind.NONE else None, n_slots)
+    slots, u, p_signal_event, tx_basis, tx_value, rx_basis, is_dark, measured, unflipped = clicks
     perr = min(max(params.intrinsic_error + phase_error_rate(phase.phase_error_rad), 0.0), 1.0)
     # A signal event's u is uniform on [0, p_signal_event), so u below
     # p_signal_event * perr flips it: probability perr, independent of the
@@ -669,9 +669,7 @@ def advance_phase(phase: PhaseState, dt_s: float, rng_seed) -> PhaseState:
         return phase
     rng = np.random.default_rng(rng_seed)
     step = rng.normal(0.0, phase.drift_rate_rad_per_s * math.sqrt(dt_s))
-    return PhaseState(phase.phase_error_rad + step, phase.drift_rate_rad_per_s,
-                      phase.feedback_gain, phase.probe_correction,
-                      phase.probe_reference_qber, phase.preferred_sign)
+    return replace(phase, phase_error_rad=phase.phase_error_rad + step)
 
 
 def apply_training_feedback(phase: PhaseState, training_qber: float,

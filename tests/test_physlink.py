@@ -462,9 +462,10 @@ def _stream_oracle(params: LinkParams, horizon: int, windows: int, calls, rng,
     calls, one draw of the first exponential batches of all the windows,
     read as rows, the further batches of each row that falls short, in row
     order, then the class uniforms, the per-click bits and the hit
-    uniforms of all their clicks, window after window. Each call's window
-    is the drawn one's prefix inside its ``n_slots``; an empty call draws
-    nothing and takes no window."""
+    uniforms of all their clicks, window after window. Each call takes the
+    next ``n_slots`` of the current drawn window, rebased to slot 0, and
+    the window is done when its last slot is taken; an empty call draws
+    nothing and takes no slots."""
     intercept = eve is not None and eve.kind is EveKind.INTERCEPT_RESEND
     p_sig = signal_click_probability(params)
     d = params.dark_count_prob
@@ -481,6 +482,7 @@ def _stream_oracle(params: LinkParams, horizon: int, windows: int, calls, rng,
         return z, z, DetectionRecord.empty(frame_id)
 
     drawn = []  # (slots, u, bit rows, hits) of the drawn windows not yet taken
+    taken = 0  # slots of the current window already taken
     out = []
     for n_slots, phase, frame_id in calls:
         if n_slots <= 0 or q <= 0.0:
@@ -514,19 +516,25 @@ def _stream_oracle(params: LinkParams, horizon: int, windows: int, calls, rng,
                 end += row.size
                 drawn.append((row, u[cols], None if bits is None else bits[:, cols],
                               None if hit is None else hit[cols]))
-        slots, u, bits, hit = drawn.pop(0)
-        m = int(np.count_nonzero(slots < n_slots))
-        if m == 0:
+        slots, u, bits, hit = drawn[0]
+        piece = (slots >= taken) & (slots < taken + n_slots)
+        start, taken = taken, taken + n_slots
+        if taken == horizon:
+            drawn.pop(0)
+            taken = 0
+        if not piece.any():
             out.append(empty(frame_id))
             continue
-        slots, u, bits = slots[:m], u[:m], bits[:, :m]
+        slots, u, bits = slots[piece] - start, u[piece], bits[:, piece]
+        if hit is not None:
+            hit = hit[piece]
         perr = min(max(params.intrinsic_error + phase_error_rate(phase.phase_error_rad),
                        0.0), 1.0)
         is_signal = u < p_signal_event
         is_dark_ev = (u >= p_signal_event) & (u < p_signal_event + p_dark_event)
         out.append(_oracle_record(frame_id, slots, is_signal, is_dark_ev, bits[0], bits[1],
                                   bits[2], u < p_signal_event * perr, bits[3], bits[3],
-                                  (hit[:m], bits[4], bits[5]) if intercept else None))
+                                  (hit, bits[4], bits[5]) if intercept else None))
     return out
 
 
@@ -638,8 +646,9 @@ def _assert_windows_equal(got, want, case):
 
 def test_window_stream_matches_its_oracle_bit_for_bit():
     # Streams of K windows against the oracle that draws K windows in the
-    # declared order, call for call and value for value, with calls cut
-    # short, empty calls and several draws per stream.
+    # declared order, call for call and value for value, with windows taken
+    # whole and in two or three pieces, empty calls and several draws per
+    # stream.
     grid = [
         # Metro-like link: dead time, darks, double clicks now and then.
         dict(mean_photon_number=0.5, channel_loss_db=3.0, detector_efficiency=0.1,
@@ -660,9 +669,10 @@ def test_window_stream_matches_its_oracle_bit_for_bit():
     for gi, kw in enumerate(grid):
         params = _params(**kw)
         for windows in (1, 2, 5):
-            # Eleven non-empty calls: several draws, the last one part-used.
-            cuts = [horizon, horizon // 3, 0, 1, horizon, 0] + [horizon - 7 * i
-                                                                for i in range(7)]
+            # Eleven windows: several draws, the last window part-taken.
+            cuts = [horizon, horizon // 3, 0, horizon - horizon // 3, 1, horizon - 1, 0,
+                    horizon] + [n for i in range(1, 7) for n in (7 * i, horizon - 7 * i)]
+            cuts.append(horizon // 2)
             for ei, eve in enumerate(eves):
                 for seed, make in ((1, _RecordingGenerator), (2, _DenseGenerator)):
                     case = (gi, windows, ei, seed)
@@ -677,7 +687,7 @@ def test_window_stream_matches_its_oracle_bit_for_bit():
                     want = _stream_oracle(params, horizon, windows, calls, rng_old, eve)
                     assert rng_new.calls == rng_old.calls, case
                     assert rng_new.bit_generator.state == rng_old.bit_generator.state, case
-                    draws = -(-sum(n > 0 for n in cuts) // windows)
+                    draws = -(-sum(cuts) // horizon // windows)
                     multi_batch += [name for name, _ in rng_new.calls].count(
                         "standard_exponential") > draws
                     for g, w in zip(got, want):
@@ -721,37 +731,125 @@ def test_window_stream_refuses_a_window_past_its_horizon():
 
 
 def test_window_stream_windows_match_the_per_slot_oracle():
-    # Over 20 seeds, windows from a stream of 8, full and cut, against the
-    # per-slot frame oracle on frames of the same sizes: click rate, sifted
-    # QBER and the click count's variance across windows agree within 3
-    # standard errors. Dead time makes the count sub-Poisson, so its
-    # variance would show a window that is not a fresh renewal process.
+    # Over 20 seeds, windows from a stream of 8, taken whole and in two
+    # pieces, against the per-slot frame oracle: whole windows and the two
+    # pieces joined against frames of the full size, first pieces against
+    # frames of theirs. Click rate, sifted QBER and the click count's
+    # variance across windows agree within 3 standard errors. Dead time
+    # makes the count sub-Poisson, so its variance would show a window that
+    # is not a fresh renewal process.
     params = _params(channel_loss_db=2.0, detector_efficiency=0.4, dark_count_prob=5e-4,
                      dead_time_s=2e-6, intrinsic_error=0.03)
     full, cut = 60_000, 25_000
-    stats = {"stream": {full: [], cut: []}, "frames": {full: [], cut: []}}
+
+    def counts(txb, txv, record):
+        alice, bob, _ = sift_bb84_events(txb, txv, record)
+        return np.array([record.n_events, alice.size, np.count_nonzero(alice != bob)])
+
+    sizes = {"whole": full, "joined": full, "frames": full, "first": cut, "cut frames": cut}
+    stats = {key: [] for key in sizes}
     for seed in range(20):
         stream = pl.WindowStream(np.random.default_rng([seed, 0]), full, 8)
         frames = np.random.default_rng([seed, 1])
-        for size in (full, cut):
-            rows = {"stream": [], "frames": []}
-            for i in range(8):
-                txb, txv, record = pl.sample_link_window(params, PHASE0, size, stream)
-                alice, bob, _ = sift_bb84_events(txb, txv, record)
-                rows["stream"].append((record.n_events, alice.size, np.count_nonzero(alice != bob)))
+        rows = {key: [] for key in stats}
+        for _ in range(8):
+            rows["whole"].append(counts(*pl.sample_link_window(params, PHASE0, full, stream)))
+            first = counts(*pl.sample_link_window(params, PHASE0, cut, stream))
+            rows["first"].append(first)
+            rows["joined"].append(first + counts(*pl.sample_link_window(
+                params, PHASE0, full - cut, stream)))
+            for key, size in (("frames", full), ("cut frames", cut)):
                 frame = PulseFrame.random("f", size, frames)
                 dense = transmit_frame(params, PHASE0, None, frame, frames)
-                alice, bob, _ = sift_bb84_events(*frame.sent(dense), dense)
-                rows["frames"].append((dense.n_events, alice.size, np.count_nonzero(alice != bob)))
-            for key, r in rows.items():
-                clicks, sifted, errors = np.array(r).T
-                stats[key][size].append((clicks.mean() / size, errors.sum() / sifted.sum(),
-                                         clicks.var(ddof=1)))
-    for size in (full, cut):
-        new, old = np.array(stats["stream"][size]), np.array(stats["frames"][size])
+                rows[key].append(counts(*frame.sent(dense), dense))
+        for key, r in rows.items():
+            clicks, sifted, errors = np.array(r).T
+            stats[key].append((clicks.mean() / sizes[key], errors.sum() / sifted.sum(),
+                               clicks.var(ddof=1)))
+    for key, frames_key in (("whole", "frames"), ("joined", "frames"), ("first", "cut frames")):
+        new, old = np.array(stats[key]), np.array(stats[frames_key])
         se = np.sqrt(new.var(axis=0, ddof=1) / len(new) + old.var(axis=0, ddof=1) / len(old))
         assert (np.abs(new.mean(axis=0) - old.mean(axis=0)) < 3 * se).all(), (
-            size, new.mean(axis=0), old.mean(axis=0), se)
+            key, new.mean(axis=0), old.mean(axis=0), se)
+
+
+@pytest.mark.parametrize("eve", [None, pl.EveModel.intercept_resend(0.5),
+                                 pl.EveModel.photon_number_split()])
+def test_a_window_taken_in_two_pieces_is_the_window_taken_whole(eve):
+    # Two identically seeded streams, one taking each window whole and one
+    # as a training frame and the rest: the rest's slots, moved back by the
+    # frame's, follow the frame's, and at one phase the two pieces are the
+    # whole window, field for field. Dead time runs across the boundary,
+    # and behind the photon-number splitter the window's tally rides on its
+    # last piece. A piece longer than what is left of the window raises.
+    params = _params(channel_loss_db=3.0, detector_efficiency=0.3, dark_count_prob=1e-3,
+                     dead_time_s=2e-6, intrinsic_error=0.02)
+    horizon, first = 200_000, 65_536
+    phase = pl.PhaseState(phase_error_rad=0.3)
+
+    def columns(window, shift=0):
+        tx_basis, tx_value, record = window
+        return (tx_basis, tx_value, record.slot_index + shift, record.rx_basis,
+                record.rx_value, record.is_dark)
+
+    for seed in range(4):
+        whole = pl.WindowStream(np.random.default_rng(seed), horizon, 8)
+        split = pl.WindowStream(np.random.default_rng(seed), horizon, 8)
+        for i in range(3):
+            case = (seed, i)
+            one = pl.sample_link_window(params, phase, horizon, whole, eve=eve)
+            train = pl.sample_link_window(params, phase, first, split, eve=eve)
+            with pytest.raises(ValueError, match="longer than"):
+                pl.sample_link_window(params, phase, horizon - first + 1, split, eve=eve)
+            data = pl.sample_link_window(params, phase, horizon - first, split, eve=eve)
+            last, following = train[2].slot_index[-1], data[2].slot_index[0] + first
+            assert following - last > params.dead_slots, case
+            for got, want in zip(zip(columns(train), columns(data, first)), columns(one)):
+                assert np.array_equal(np.concatenate(got), want), case
+            tallies = train[2].eve_tally, data[2].eve_tally, one[2].eve_tally
+            if eve is None or eve.kind is not EveKind.PHOTON_NUMBER_SPLIT:
+                assert tallies == (None, None, None), case
+                continue
+            assert tallies[0] == pl.EveTally() and tallies[2].learned_bits > 0, case
+            assert [a + b for a, b in zip(*map(dataclasses.astuple, tallies[:2]))] == list(
+                dataclasses.astuple(tallies[2])), case
+
+
+def test_training_frames_from_a_rounds_prefix_match_the_per_slot_oracle():
+    # Over 20 seeds, training frames taken as the first slots of a stream's
+    # round windows, each round's rest taken as its data window, against
+    # per-slot frames of the frame's size: mean click count and sifted QBER
+    # agree within 3 standard errors, at a phase offset that puts QBER near
+    # 0.05.
+    params = _params(channel_loss_db=2.0, detector_efficiency=0.2, dark_count_prob=1e-4,
+                     dead_time_s=2e-6, intrinsic_error=0.01)
+    phase = pl.PhaseState(phase_error_rad=math.acos(0.92))  # 0.04 from the phase
+    round_slots, training_slots = 100_000, 32_768
+
+    def counts(txb, txv, record):
+        alice, bob, _ = sift_bb84_events(txb, txv, record)
+        return record.n_events, alice.size, np.count_nonzero(alice != bob)
+
+    stats = ([], [])
+    for seed in range(20):
+        stream = pl.WindowStream(np.random.default_rng([seed, 0]), round_slots, 8)
+        frames = np.random.default_rng([seed, 1])
+        rows = ([], [])
+        for _ in range(8):
+            rows[0].append(counts(*pl.sample_link_window(params, phase, training_slots,
+                                                         stream, frame_id="r:train")))
+            pl.sample_link_window(params, PHASE0, round_slots - training_slots, stream)
+            frame = PulseFrame.random("f", training_slots, frames)
+            dense = transmit_frame(params, phase, None, frame, frames)
+            rows[1].append(counts(*frame.sent(dense), dense))
+        for stat, r in zip(stats, rows):
+            clicks, sifted, errors = np.array(r).T
+            stat.append((clicks.mean(), errors.sum() / sifted.sum()))
+    new, old = np.array(stats[0]), np.array(stats[1])
+    assert 0.04 < new[:, 1].mean() < 0.06
+    se = np.sqrt(new.var(axis=0, ddof=1) / len(new) + old.var(axis=0, ddof=1) / len(old))
+    assert (np.abs(new.mean(axis=0) - old.mean(axis=0)) < 3 * se).all(), (
+        new.mean(axis=0), old.mean(axis=0), se)
 
 
 class _CountingGenerator:
@@ -767,8 +865,8 @@ class _CountingGenerator:
 
 def test_renewal_first_batch_rarely_falls_short(monkeypatch):
     # Over 150 s of cambridge, Anna-Bob and Alice-Boris, under 1% of the
-    # windows (rounds, drawn eight at a time, and training frames) need a
-    # batch beyond their first. A draw of K windows makes one call for
+    # windows (rounds, drawn eight at a time, and realignment frames) need
+    # a batch beyond their first. A draw of K windows makes one call for
     # their first batches and one more for each further batch.
     windows, extra = [], []
     renewal_slots = pl._renewal_slots

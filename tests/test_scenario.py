@@ -9,6 +9,7 @@ import pickle
 import re
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -1208,20 +1209,21 @@ def test_cli_seed_and_duration_overrides(tmp_path):
 
 
 def test_pns_attack_from_start_samples_empty_data_windows(monkeypatch, tmp_path):
-    # Alice-Boris trains for whole rounds at first, so its data windows are
-    # empty while the PNS attacker is on: the window sampler returns them
-    # without drawing, and samples her on every non-empty window. Data
-    # windows come from the session's window stream, training frames from
-    # a generator.
+    # Alice-Boris trains for whole rounds at first, so while the PNS
+    # attacker is on, its training frames take whole windows and its data
+    # windows are empty: the window sampler returns those without drawing,
+    # and samples her on every non-empty window, one window of the round's
+    # slots per draw. Training frames and data windows both come from the
+    # session's window stream.
     windows = []
     sample = engine_module.sample_link_window
 
-    def spy_sample(params, phase, n_slots, rng, eve=None, frame_id="window"):
-        generator = rng.rng if isinstance(rng, WindowStream) else rng
-        before = generator.bit_generator.state
-        result = sample(params, phase, n_slots, rng, eve=eve, frame_id=frame_id)
-        windows.append((n_slots, eve, generator.bit_generator.state == before,
+    def spy_sample(params, phase, n_slots, stream, eve=None, frame_id="window"):
+        before = stream.rng.bit_generator.state
+        result = sample(params, phase, n_slots, stream, eve=eve, frame_id=frame_id)
+        windows.append((n_slots, eve, stream.rng.bit_generator.state == before,
                         frame_id.endswith(":train")))
+        assert n_slots in (0, stream.n_slots)
         return result
 
     monkeypatch.setattr(engine_module, "sample_link_window", spy_sample)
@@ -1234,6 +1236,7 @@ def test_pns_attack_from_start_samples_empty_data_windows(monkeypatch, tmp_path)
                for _, eve, _, _ in windows)
     data = [n for n, _, _, train in windows if not train]
     assert 0 in data and max(data) > 0
+    assert any(train for *_, train in windows)
     assert all(undrawn == (n == 0) for n, _, undrawn, _ in windows)
     path = tmp_path / "records.jsonl"
     path.write_text(report.emit_records())
@@ -1250,11 +1253,15 @@ def test_data_windows_are_sampled_once_per_lit_round(monkeypatch):
     # Every lit round makes one engine.sample_link_window call for its data
     # window, from the session's window stream, passing the round's data
     # slots: fewer after a training frame, none when training fills the
-    # round (Alice-Boris's start-up tuning). The benchmark's traced mode
-    # wraps that name, so it still times and counts every data window.
+    # round (Alice-Boris's start-up tuning). A training frame is one more
+    # call on the same stream, first, and the two calls take the round's
+    # slots between them. The benchmark's traced mode wraps that name, so
+    # it still times and counts every data window and training frame. With
+    # no attacker, a session's stream draws once per eight rounds.
     calls = []
     rounds = []
-    sample, on_round = engine_module.sample_link_window, Engine._on_round
+    draws = Counter()
+    sample, on_round, draw = engine_module.sample_link_window, Engine._on_round, WindowStream._draw
 
     def spy_sample(params, phase, n_slots, rng, eve=None, frame_id="window"):
         result = sample(params, phase, n_slots, rng, eve=eve, frame_id=frame_id)
@@ -1269,8 +1276,13 @@ def test_data_windows_are_sampled_once_per_lit_round(monkeypatch):
         if lit:
             rounds.append((session, calls[first:]))
 
+    def spy_draw(self, params, eve):
+        draws[self] += 1
+        draw(self, params, eve)
+
     monkeypatch.setattr(engine_module, "sample_link_window", spy_sample)
     monkeypatch.setattr(Engine, "_on_round", spy_round)
+    monkeypatch.setattr(WindowStream, "_draw", spy_draw)
     doc = _cambridge_pairs(20.0)
     run_scenario(load_scenario(doc))
     trained = short = 0
@@ -1282,14 +1294,17 @@ def test_data_windows_are_sampled_once_per_lit_round(monkeypatch):
         if training:
             (train_id, train_slots, train_rng, _), = training
             assert train_id == f"{session.cid}:train"
-            assert not isinstance(train_rng, WindowStream)
-            assert n_slots == max(0, round_slots - train_slots)
+            assert train_rng is session.windows
+            assert train_slots + n_slots == round_slots
             trained += 1
             short += n_slots == 0
         else:
             assert n_slots == round_slots
     data = [c for c in calls if not c[0].endswith(":train")]
     assert len(data) == len(rounds) > 100 and trained > 10 and short > 0
+    per_stream = Counter(session.windows for session, _ in rounds)
+    assert {stream: draws[stream] for stream in per_stream} == {
+        stream: -(-n // 8) for stream, n in per_stream.items()}
 
     child = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
     env = dict(os.environ, PYTHONPATH=str(Path(engine_module.__file__).resolve().parents[1]))
