@@ -143,7 +143,10 @@ class _Session:
         # Training frames sized so each one yields roughly the target
         # number of matched-basis bits on this particular channel, but
         # never longer than one round's slot budget, nor shorter than one
-        # slot: an empty frame would realign in no time, for ever.
+        # slot: an empty frame would realign in no time, for ever. Below
+        # 4 Hz a round holds no slot but the frame one; no such round comes
+        # to train only because a 1-slot frame never sifts the
+        # REALIGN_MIN_SIFTED_BITS that realignment needs.
         p_click = self.params.click_law.q
         if p_click > 0:
             want = int(math.ceil(2.0 * _TRAINING_TARGET_BITS / p_click))
@@ -414,10 +417,8 @@ class Engine:
             # Cut fiber kills the sync channel too: gates never open.
             self._go_unlit(session, now)
             return
-        params = session.params
         session.drift_to(now)
 
-        round_slots = int(_ROUND_DURATION_S * params.pulse_rate_hz)
         training_cost = training_clicks = 0
         # A pending probe correction is evaluated on the very next round;
         # leaving it to the regular cadence would hold a possibly wrong
@@ -429,9 +430,9 @@ class Engine:
             training_cost = session.training_slots
             training_clicks = self._run_training(session, now)
 
-        data_slots = max(0, round_slots - training_cost)
+        data_slots = max(0, session.windows.n_slots - training_cost)
         tx_basis, tx_value, record = sample_link_window(
-            params, session.phase, data_slots, session.windows, eve=session.eve,
+            session.params, session.phase, data_slots, session.windows, eve=session.eve,
             frame_id=f"{channel_id}:{session.block_count}")
         self.health.report_clicks(channel_id, training_clicks + record.n_events, now)
         if session.sifting is SiftingProtocol.SARG:

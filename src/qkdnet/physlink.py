@@ -7,14 +7,14 @@ and dead time, and interferometer phase drift with training-frame feedback.
 :func:`sample_link_window` is the one link sampler, for every attacker. It
 draws click slots directly, via the renewal structure of the gated-detector
 process, so cost scales with the number of clicks instead of the number of
-slots. Without the photon-number-splitting attacker every gate of a link
-has one click law, :attr:`LinkParams.click_law`, which the link computes
-once and caches. Behind that attacker it draws a photon number per slot
-(her loss budget needs every pulse), detector draws only where photons
-arrive, and reports what she learned (``eve_tally``). A click's one
-uniform picks its class and a signal event's flip, and all the bits the
-clicks need (bases, values, the intercept-resend attacker's basis and
-guess) come from one bit draw. Only the flips depend on the
+slots, for every attacker. Without the photon-number-splitting attacker
+every gate of a link has one click law, :attr:`LinkParams.click_law`,
+which the link computes once and caches. Behind her it walks from click
+to click over the photons her loss budget lets through and the dark
+counts, and draws what she learned (``eve_tally``) at the law's level.
+A click's one uniform picks its class and a signal event's flip, and all
+the bits the clicks need (bases, values, the intercept-resend attacker's
+basis and guess) come from one bit draw. Only the flips depend on the
 interferometer phase, so a :class:`WindowStream` draws windows ahead and
 works out all but their flips, and each call takes the next slots of the
 current window and finishes them at its own phase: a round's training
@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -62,7 +62,7 @@ __all__ = [
 # Slot numbers are int64, which a 1e20 Hz gate rate overflows within a
 # window. 1 GHz covers the fastest gated detectors, and no detector is
 # dead for a second. Weak-coherent sources run below 10 photons a pulse;
-# numpy's Poisson sampler refuses means above about 9.2e18.
+# 100 keeps the photon-number splitter's draws well inside their numerics.
 MAX_PULSE_RATE_HZ = 1e9
 MAX_DEAD_TIME_S = 1.0
 MAX_MEAN_PHOTON_NUMBER = 100.0
@@ -142,7 +142,8 @@ class LinkParams:
         """The per-gate :class:`ClickLaw`, which every window of this link reads."""
         p_sig = signal_click_probability(self)
         d = self.dark_count_prob
-        return ClickLaw(1.0 - (1.0 - p_sig) * (1.0 - d) ** 2, *_event_probabilities(p_sig, d))
+        return ClickLaw(1.0 - (1.0 - p_sig) * (1.0 - d) ** 2, p_sig * (1.0 - d),
+                        (1.0 - p_sig) * 2.0 * d * (1.0 - d))
 
 
 class _DetectionFields(NamedTuple):
@@ -305,13 +306,6 @@ def signal_click_probability(params: LinkParams) -> float:
     return float(-np.expm1(-mu_eff))
 
 
-def _event_probabilities(p_sig, d: float):
-    """Signal-event and dark-event probabilities of a gate whose signal
-    photons are detected with probability ``p_sig`` (a float, or an array
-    with one entry per click) and whose detectors each dark with ``d``."""
-    return p_sig * (1.0 - d), (1.0 - p_sig) * 2.0 * d * (1.0 - d)
-
-
 def sifted_error_floor(params: LinkParams) -> float:
     """Expected sifted error rate at zero phase offset.
 
@@ -326,23 +320,6 @@ def sifted_error_floor(params: LinkParams) -> float:
     if total <= 0.0:
         return params.intrinsic_error
     return (params.intrinsic_error * p_signal_event + 0.5 * p_dark_event) / total
-
-
-def _live_clicks(slots: np.ndarray, dead: int) -> np.ndarray:
-    """Indices of the clicks that non-paralyzable dead time lets through.
-
-    Every click that registers, kept or later discarded as a double,
-    disables both detectors for the next ``dead`` gates.
-    """
-    if dead <= 0 or slots.size < 2:
-        return np.arange(slots.size)
-    live = []
-    next_ok = 0
-    for i, s in enumerate(slots.tolist()):
-        if s >= next_ok:
-            live.append(i)
-            next_ok = s + dead + 1
-    return np.asarray(live, dtype=np.intp)
 
 
 def _renewal_slots(rng: np.random.Generator, q: float, dead: int, n_slots: int,
@@ -394,66 +371,85 @@ def _renewal_slots(rng: np.random.Generator, q: float, dead: int, n_slots: int,
     return rows
 
 
-def _pns_clicks(params: LinkParams, n_slots: int, rng: np.random.Generator):
-    """Click slots behind the photon-number-splitting attacker, with each
-    click's class uniform on [0, q), its slot's signal-click probability,
-    and the window's :class:`EveTally`."""
-    photons = rng.poisson(params.mean_photon_number, size=n_slots)
-    # She replaces the fiber with a lossless one and removes whole photons
-    # from a budget that accrues at the honest channel's absorption rate,
-    # so she never creates anomalous loss. As a prefix sum: she has taken
-    # the floor of (photons sent so far) * (1 - t). The cap of n binds
-    # only by rounding.
-    sent = np.flatnonzero(photons)
-    n = photons[sent]
-    taken = np.diff((np.cumsum(n) * (1.0 - params.total_transmittance)).astype(n.dtype),
-                    prepend=0)
-    arriving = n - np.minimum(taken, n)
-    # From a multi-photon pulse that loses any she keeps one and learns its
-    # bit after basis announcement; a single photon she takes is suppressed.
-    multi = n >= 2
-    robbed = taken > 0
-    tally = EveTally(learned_bits=int(np.count_nonzero(robbed & multi)),
-                     multi_photon_emissions=int(np.count_nonzero(multi)),
-                     suppressed_singles=int(np.count_nonzero(robbed & (n == 1))))
-    lit = arriving > 0
-    lit_slots = sent[lit]
-    k = arriving[lit]
+def _pns_tallies(rng: np.random.Generator, params: LinkParams, n_slots: int,
+                 windows: int) -> list[EveTally]:
+    """The photon-number splitter's :class:`EveTally` on each of
+    ``windows`` windows, at the law's level: a multinomial of a window's
+    pulses by photon number, then a binomial per class of the pulses her
+    budget robs, a pulse of n photons with probability min(1, n (1 - t))."""
+    mu = params.mean_photon_number
+    n = np.arange(int(mu + 12.0 * math.sqrt(mu)) + 40)  # the last class takes the tail
+    pmf = math.exp(-mu) * np.cumprod(np.append(1.0, mu / n[1:]))
+    pmf[-1] = max(0.0, 1.0 - pmf[:-1].sum())
+    counts = rng.multinomial(n_slots, pmf, size=windows)
+    robbed = rng.binomial(counts, np.minimum(1.0, n * (1.0 - params.total_transmittance)))
+    return [EveTally(int(r[2:].sum()), int(c[2:].sum()), int(r[1]))
+            for r, c in zip(robbed, counts)]
 
-    # A lit slot clicks unless every arriving photon is missed and neither
-    # detector darks; its uniform then also picks the click's class.
-    d = params.dark_count_prob
-    p_sig = 1.0 - (1.0 - params.detector_efficiency) ** k
-    u = rng.random(lit_slots.size)
-    clicked = u < 1.0 - (1.0 - p_sig) * (1.0 - d) ** 2
-    slots, u, p_sig = lit_slots[clicked], u[clicked], p_sig[clicked]
-    p_dark = 1.0 - (1.0 - d) ** 2
-    if p_dark > 0.0:
-        # Dark clicks on unlit slots only: a lit slot's uniform holds its darks.
-        dark, = _renewal_slots(rng, p_dark, 0, n_slots)
-        dark = dark[np.append(lit_slots, n_slots)[np.searchsorted(lit_slots, dark)] != dark]
-        slots = np.concatenate((slots, dark))
-        order = np.argsort(slots, kind="stable")
-        slots = slots[order]
-        u = np.concatenate((u, rng.random(dark.size) * p_dark))[order]
-        p_sig = np.concatenate((p_sig, np.zeros(dark.size)))[order]
 
-    live = _live_clicks(slots, params.dead_slots)
-    return slots[live], u[live], p_sig[live], tally
+def _pns_walk(rng: np.random.Generator, params: LinkParams, n_slots: int,
+              windows: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Click slots of ``windows`` windows behind the photon-number
+    splitter, one array per window, and whether each click's slot holds a
+    detected photon (else dark counts only).
+
+    Her prefix-sum budget delivers emitted photon ``floor((j - 1) / t) + 1``
+    as the j-th, and emission is a Poisson process of ``mu`` a slot. So
+    from a live slot the next detected photon is geometric(eta) delivered
+    photons on, a gamma of its emitted-photon step over ``mu`` slots later,
+    and the next dark a geometric wait. The earlier one clicks and ``dead``
+    slots go dead; a Poisson draw counts the photons emitted meanwhile, and
+    a photon past a dark click's dead time stays pending. Each window, her
+    budget too, starts fresh at slot 0."""
+    mu, t, d = params.mean_photon_number, params.total_transmittance, params.dark_count_prob
+    eta, p_dark = params.detector_efficiency, d * (2.0 - d)  # either detector darks
+    photons = mu > 0.0 and t > 0.0 and eta > 0.0
+    # Geometric waits, floor(E / rate) of an exponential E; none at rate 0.
+    rates = np.array([[(-math.log1p(-eta) if eta < 1.0 else math.inf) if photons else 0.0],
+                      [-math.log1p(-p_dark) if p_dark < 1.0 else math.inf]])
+    batch = min(int(windows * n_slots * params.click_law.q) + 64, 1 << 16)
+    gamma, poisson, floor, ceil = rng.standard_gamma, rng.poisson, math.floor, math.ceil
+    rows, signal, hops, i = [], [], (), 0
+    for _ in range(windows):
+        slots, live, emitted, at = [], 0, 0, None if photons else math.inf
+        while True:
+            if i == len(hops):
+                e = rng.standard_exponential((2, batch))
+                e = np.divide(e, rates, out=np.full_like(e, math.inf), where=rates > 0.0)
+                (hops, darks), i = np.floor(e).tolist(), 0
+            if at is None:
+                # Past the next delivered photon, hops[i] more go undetected.
+                before = emitted * t
+                step = floor((ceil(before) - before + hops[i]) / t) + 1
+                at = live + gamma(step) / mu
+                emitted += step
+            dark = live + darks[i]
+            i += 1
+            lit = at < dark + 1.0
+            click = floor(at) if lit else dark
+            if click >= n_slots:
+                break
+            slots.append(click)
+            signal.append(lit)
+            live = int(click) + params.dead_slots + 1
+            if at < live:
+                # The photon clicked, or a dark count's dead time took it.
+                emitted += int(poisson(mu * (live - at)))
+                at = None
+        rows.append(np.array(slots, dtype=np.int64))
+    return rows, np.array(signal, dtype=bool)
 
 
 class _Clicks(NamedTuple):
     """Kept clicks of one or more windows, worked out but for their flips.
 
-    A signal event flips when its class uniform ``u`` (on [0, q)) is below
-    its ``p_signal_event * perr``; without the photon-number splitter every
-    click reads the link's one, through a zero-stride view. A click's rx
-    value is ``unflipped``, and ``unflipped ^ measured`` where it flips.
+    A signal event flips when its class uniform ``u`` is below the link's
+    ``p_signal_event * perr``. A click's rx value is ``unflipped``, and
+    ``unflipped ^ measured`` where it flips.
     """
 
     slots: np.ndarray
     u: np.ndarray
-    p_signal_event: np.ndarray
     tx_basis: np.ndarray
     tx_value: np.ndarray
     rx_basis: np.ndarray
@@ -491,8 +487,7 @@ def _work_out(slots, u, bits, hit, p_signal_event, p_dark_event):
     mask &= measured
     unflipped = other_value
     unflipped ^= mask
-    clicks = _Clicks(slots, u, np.broadcast_to(p_signal_event, u.shape), tx_basis, tx_value,
-                     rx_basis, ~is_signal, measured, unflipped)
+    clicks = _Clicks(slots, u, tx_basis, tx_value, rx_basis, ~is_signal, measured, unflipped)
     if keep.all():
         return clicks, None
     kept = keep.nonzero()[0]
@@ -501,9 +496,7 @@ def _work_out(slots, u, bits, hit, p_signal_event, p_dark_event):
 
 class WindowStream:
     """A session's source of link windows: a generator that draws windows
-    of ``n_slots`` slots ahead, ``windows`` at a time, or one at a time
-    behind the photon-number splitter, whose sampler holds a photon number
-    per slot.
+    of ``n_slots`` slots ahead, ``windows`` at a time, for every attacker.
 
     What a window draws does not depend on its phase: click slots, class
     uniforms, per-click bits, the intercept-resend hits and the
@@ -532,10 +525,9 @@ class WindowStream:
 
     def discard(self):
         """Drop the windows drawn and not yet finished."""
-        self._drawn: list = []  # each drawn window's kept clicks, the current one last
+        self._drawn: list = []  # each drawn window's (kept clicks, tally), the current one last
         self._drawn_for = None  # the (params, attacker) they were drawn for
         self._taken = 0  # slots of the current window already taken
-        self._tally: Optional[EveTally] = None  # the photon-number splitter's, on her window
 
     def _take(self, params: LinkParams, eve: Optional[EveModel],
               n_slots: int) -> tuple[_Clicks, Optional[EveTally]]:
@@ -549,10 +541,10 @@ class WindowStream:
                              f"of the stream's {self.n_slots}-slot window")
         if not self._drawn:
             self._draw(params, eve)
-        clicks, tally = self._drawn.pop(), self._tally
+        clicks, tally = self._drawn.pop()
         if end < self.n_slots:
             cut = int(np.searchsorted(clicks.slots, end))
-            self._drawn.append(clicks.cut(cut, clicks.slots.size))
+            self._drawn.append((clicks.cut(cut, clicks.slots.size), tally))
             clicks = clicks.cut(0, cut)
             if tally is not None:
                 tally = EveTally()
@@ -562,19 +554,26 @@ class WindowStream:
         return clicks, tally
 
     def _draw(self, params: LinkParams, eve: Optional[EveModel]):
-        rng = self.rng
-        if eve is not None and eve.kind is EveKind.PHOTON_NUMBER_SPLIT:
-            slots, u, p_sig, self._tally = _pns_clicks(params, self.n_slots, rng)
-            p_signal_event, p_dark_event = _event_probabilities(p_sig, params.dark_count_prob)
-            ends = [slots.size]
+        rng, law = self.rng, params.click_law
+        pns = eve is not None and eve.kind is EveKind.PHOTON_NUMBER_SPLIT
+        if pns:
+            tallies = _pns_tallies(rng, params, self.n_slots, self.windows)
+            rows, signal = _pns_walk(rng, params, self.n_slots, self.windows)
         else:
-            law = params.click_law
             rows = _renewal_slots(rng, law.q, params.dead_slots, self.n_slots, self.windows)
-            ends = list(accumulate(row.size for row in rows))
-            slots = rows[0] if len(rows) == 1 else np.concatenate(rows)
-            u = rng.random(ends[-1])
+            tallies = [None] * self.windows
+        ends = list(accumulate(row.size for row in rows))
+        slots = rows[0] if len(rows) == 1 else np.concatenate(rows)
+        u = rng.random(ends[-1])
+        if pns:
+            # Her clicks on the link's own scale; a signal slot's double (the
+            # other detector darks) and a dark slot's (both do) pass both.
+            d, p_sig = params.dark_count_prob, signal_click_probability(params)
+            dark = u * (d * (2.0 - d))  # uniform while either detector darks
+            dark = np.where(dark < 2.0 * d * (1.0 - d), dark * (1.0 - p_sig), np.inf)
+            u = np.where(signal, np.where(u < 1 - d, u * p_sig, np.inf), law.p_signal_event + dark)
+        else:
             u *= law.q
-            p_signal_event, p_dark_event = law.p_signal_event, law.p_dark_event
         total = ends[-1]
         hit = None
         if total:
@@ -584,10 +583,10 @@ class WindowStream:
                 hit = rng.random(total) < eve.intercept_fraction
         else:
             bits = np.zeros((4, 0), dtype=np.uint8)
-        clicks, kept = _work_out(slots, u, bits, hit, p_signal_event, p_dark_event)
+        clicks, kept = _work_out(slots, u, bits, hit, law.p_signal_event, law.p_dark_event)
         if kept is not None:
             ends = np.searchsorted(kept, ends).tolist()
-        self._drawn = [clicks.cut(start, end) for start, end in zip([0, *ends[:-1]], ends)]
+        self._drawn = [(clicks.cut(a, b), t) for (a, b), t in zip(pairwise([0, *ends]), tallies)]
         self._drawn.reverse()
         self._drawn_for = params, eve
 
@@ -604,28 +603,30 @@ def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_
     or a generator is a stream of one window of ``n_slots`` slots.
 
     Statistically identical to a per-slot simulation of a frame of
-    uniformly random slots, for every attacker. Without the
-    photon-number-splitting attacker, cost scales with clicks, not slots.
-    With her, every slot gets a photon number (her loss budget needs every
-    pulse) but only the slots photons reach get detector draws, and the
-    ``eve_tally`` of the record that takes a window's last slot counts
-    what she learned over the whole window (an earlier piece's is empty);
-    counting draws nothing. Behind any other attacker it is ``None``.
+    uniformly random slots, for every attacker, at a cost that scales with
+    clicks, not slots. Behind the photon-number splitter the ``eve_tally``
+    of the record that takes a window's last slot counts what she learned
+    over the whole window (an earlier piece's is empty); behind any other
+    attacker it is ``None``.
 
-    Without PNS every gate has the link's cached :class:`ClickLaw`: the
+    Without her every gate has the link's cached :class:`ClickLaw`: the
     click slots are a renewal process of live gates that each click with
     probability ``q``, and a click's uniform on [0, q) picks its class
-    and, below ``p_signal_event * perr``, a signal event's flip.
+    and, below ``p_signal_event * perr``, a signal event's flip. Behind her
+    the clicks come from a walk over her photons and the dark counts, and
+    their uniforms are mapped onto the same thresholds.
 
     The generator calls, their sizes and their order are part of the
     byte-identical-records contract. A call that finds no window left in
-    its stream for its link and attacker draws the stream's next windows
-    of its ``n`` slots. Without PNS that is ``K`` windows, with ``M``
-    clicks among them:
+    its stream for its link and attacker draws the stream's next ``K``
+    windows of its ``n`` slots, with ``M`` clicks among them:
 
-    1. one exponential draw of ``K`` first batches, read as one row per
-       window, then, row by row, the further batches of each row that
-       does not cover its ``n`` slots;
+    1. without the photon-number splitter, one exponential draw of ``K``
+       first batches, read as one row per window, then, row by row, the
+       further batches of each row that does not cover its ``n`` slots;
+       behind her, a multinomial and a binomial draw of the ``K`` tallies,
+       then the walk, window after window: two-row exponential batches,
+       each when the last is used up, and a gamma and a Poisson per photon;
     2. one draw of ``M`` click class uniforms, window after window;
     3. one :func:`~qkdnet.bits.random_bits` draw of ``4 * M`` bits
        (``6 * M`` behind intercept-resend), read as rows of ``M``: tx
@@ -634,10 +635,7 @@ def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_
     4. the ``M`` intercept-resend ``hit`` uniforms, when that attacker is
        present.
 
-    Steps 3 and 4 are skipped when ``M`` is 0. With PNS it is one window:
-    photon numbers, the lit slots' click uniforms, exponential batches of
-    dark clicks (when darks can occur) and their class uniforms, then,
-    with ``m`` clicks, the ``4 * m`` bits of step 3. Calls take the drawn
+    Steps 3 and 4 are skipped when ``M`` is 0. Calls take the drawn
     windows in order, ``n_slots`` at a time, so records depend on ``K``
     and on the order and sizes of the calls too, and a stream drawn for
     another link or attacker is discarded first. Reordering any of it
@@ -650,12 +648,12 @@ def sample_link_window(params: LinkParams, phase: PhaseState, n_slots: int, rng_
         return z, z, DetectionRecord.empty(frame_id, EveTally() if pns else None)
     stream = rng_seed if isinstance(rng_seed, WindowStream) else WindowStream(rng_seed, n_slots)
     clicks, tally = stream._take(params, eve if kind is not EveKind.NONE else None, n_slots)
-    slots, u, p_signal_event, tx_basis, tx_value, rx_basis, is_dark, measured, unflipped = clicks
+    slots, u, tx_basis, tx_value, rx_basis, is_dark, measured, unflipped = clicks
     perr = min(max(params.intrinsic_error + phase_error_rate(phase.phase_error_rad), 0.0), 1.0)
     # A signal event's u is uniform on [0, p_signal_event), so u below
     # p_signal_event * perr flips it: probability perr, independent of the
     # bits and the hit.
-    flip = u < p_signal_event * perr
+    flip = u < params.click_law.p_signal_event * perr
     flip &= measured
     return tx_basis, tx_value, DetectionRecord(frame_id, slots, rx_basis, unflipped ^ flip,
                                                is_dark, tally)

@@ -4,8 +4,9 @@ Tests compare the library against these. None of them is on a path the
 engine runs.
 
 * :func:`transmit_frame` simulates an explicit :class:`PulseFrame` slot by
-  slot, the attacker's loss budget (:func:`_pns_channel`) pulse by pulse.
-  It is the statistical oracle of :func:`qkdnet.physlink.sample_link_window`.
+  slot, the attacker's loss budget (:func:`_pns_channel`) pulse by pulse
+  and dead time (:func:`_live_clicks`) click by click. It is the
+  statistical oracle of :func:`qkdnet.physlink.sample_link_window`.
 * :func:`toeplitz_matrix` materializes privacy amplification's hash matrix.
 * :func:`decode_record` parses one public-channel record, raising
   :class:`ProtocolError` on a malformed one; :func:`encode_records` /
@@ -32,7 +33,7 @@ from qkdnet.bits import random_bits
 from qkdnet.errors import InvalidRequestError, QkdNetError, ValidationError
 from qkdnet.keyrelay import RelayCoordinator, RelaySession, relay_graph
 from qkdnet.physlink import (DetectionRecord, EveKind, EveModel, EveTally, LinkParams,
-                             PhaseState, _live_clicks, phase_error_rate)
+                             PhaseState, phase_error_rate)
 from qkdnet.qkdproto import (WIRE_VERSION, EstimatorKind, Record, RecordType,
                              SiftingProtocol, encode_record, secret_length, usable_fraction)
 from qkdnet.qkdproto.wire import _HEADER
@@ -82,6 +83,23 @@ class PulseFrame:
     @classmethod
     def random(cls, frame_id: str, n_slots: int, rng: np.random.Generator) -> "PulseFrame":
         return cls(frame_id, random_bits(rng, n_slots), random_bits(rng, n_slots))
+
+
+def _live_clicks(slots: np.ndarray, dead: int) -> np.ndarray:
+    """Indices of the clicks that non-paralyzable dead time lets through.
+
+    Every click that registers, kept or later discarded as a double,
+    disables both detectors for the next ``dead`` gates.
+    """
+    if dead <= 0 or slots.size < 2:
+        return np.arange(slots.size)
+    live = []
+    next_ok = 0
+    for i, s in enumerate(slots.tolist()):
+        if s >= next_ok:
+            live.append(i)
+            next_ok = s + dead + 1
+    return np.asarray(live, dtype=np.intp)
 
 
 def _pns_channel(photons: np.ndarray, transmittance: float) -> np.ndarray:

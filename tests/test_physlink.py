@@ -11,6 +11,7 @@ from qkdnet import physlink as pl
 from oracles import FrameTooLargeError, PulseFrame, transmit_frame
 from qkdnet.bits import random_bits
 from qkdnet.engine import run_scenario
+from qkdnet.netgraph import load_preset
 from qkdnet.physlink import (DetectionRecord, EveKind, EveModel, LinkParams, PhaseState,
                              phase_error_rate, signal_click_probability)
 from qkdnet.qkdproto import sift_bb84_events
@@ -179,11 +180,17 @@ def test_pns_creates_no_anomalous_loss(loss_db):
 
 
 def test_pns_cannot_act_without_loss_budget():
+    # At t = 1 neither the oracle nor the library's tally robs a pulse.
     eve = pl.EveModel.photon_number_split()
     frame = PulseFrame.random("f", 50_000, np.random.default_rng(14))
     record = transmit_frame(_params(), PHASE0, eve, frame, rng_seed=15)
     assert record.eve_tally.learned_bits == 0
     assert record.eve_tally.suppressed_singles == 0
+    for mu in (0.5, 5.0, 100.0):
+        tally = pl.sample_link_window(_params(mean_photon_number=mu), PHASE0, 50_000, 15,
+                                      eve=eve)[2].eve_tally
+        assert tally.multi_photon_emissions > 0, mu
+        assert tally.learned_bits == tally.suppressed_singles == 0, mu
 
 
 def _pns_tally_oracle(photons: np.ndarray, transmittance: float) -> pl.EveTally:
@@ -209,7 +216,7 @@ def _pns_tally_oracle(photons: np.ndarray, transmittance: float) -> pl.EveTally:
 def test_oracle_self_check_frame_pns_tally_matches_loop(loss_db):
     """Oracle self-check: the frame oracle's vectorized PNS tally against
     the per-pulse loop. No library code runs here; the library's tally is
-    tested by ``test_window_sampler_pns_tally_matches_loop_oracle``."""
+    tested against the oracle by ``test_window_sampler_pns_matches_dense_path``."""
     params = _params(mean_photon_number=0.8, channel_loss_db=loss_db)
     eve = pl.EveModel.photon_number_split()
     for seed in range(4):
@@ -261,66 +268,92 @@ def test_window_sampler_intercept_resend():
     assert abs(float(np.mean(alice != bob)) - 0.25) < 0.01
 
 
-@pytest.mark.parametrize("loss_db", [3.0, 10.0])
-def test_window_sampler_pns_matches_dense_path(loss_db):
+def _pns_case(t: float, mu: float = 0.8, dead_time_s: float = 2e-6) -> LinkParams:
+    return _params(mean_photon_number=mu, channel_loss_db=-10.0 * math.log10(t),
+                   detector_efficiency=0.1, dark_count_prob=1e-4, dead_time_s=dead_time_s,
+                   intrinsic_error=0.03)
+
+
+_PNS_CASES = {
+    # Every multi-photon pulse is robbed below t = 1/2, some of them above.
+    "t0.04": _pns_case(0.04), "t0.3": _pns_case(0.3), "t0.52": _pns_case(0.52),
+    "t0.83": _pns_case(0.83),
+    # Many photons per pulse, and no dead time.
+    "mu5": _pns_case(0.3, mu=5.0), "dead0": _pns_case(0.3, dead_time_s=0.0),
+}
+
+
+@pytest.mark.parametrize("case", list(_PNS_CASES))
+def test_window_sampler_pns_matches_dense_path(case):
     # Over 20 seeds the window sampler behind the PNS attacker and the
-    # per-slot oracle agree on clicks and on each count of the attacker's
-    # tally (3 standard errors of the summed count) and on sifted QBER,
-    # and dead time holds in every window.
-    params = _params(channel_loss_db=loss_db, detector_efficiency=0.1,
-                     dark_count_prob=1e-4, dead_time_s=2e-6, intrinsic_error=0.03)
+    # per-slot oracle agree within 3 standard errors on clicks, non-dark
+    # clicks, sifted QBER and each count of the attacker's tally, and dead
+    # time holds in every window.
+    params = _PNS_CASES[case]
     eve = pl.EveModel.photon_number_split()
-    n = 200_000
-    dense_clicks = window_clicks = 0
-    dense_tally, window_tally = np.zeros(3), np.zeros(3)
-    dense_q, window_q = [], []
+    n = 100_000
+    stats = ([], [])
     for seed in range(20):
-        frame = PulseFrame.random("f", n, np.random.default_rng(1000 + seed))
-        dense = transmit_frame(params, PHASE0, eve, frame, rng_seed=2000 + seed)
-        a1, b1, _ = sift_bb84_events(*frame.sent(dense), dense)
-        txb, txv, fast = pl.sample_link_window(params, PHASE0, n, 3000 + seed, eve=eve)
-        a2, b2, _ = sift_bb84_events(txb, txv, fast)
-        dense_tally += dataclasses.astuple(dense.eve_tally)
-        window_tally += dataclasses.astuple(fast.eve_tally)
-        assert fast.min_gap() > params.dead_slots
-        dense_clicks += dense.n_events
-        window_clicks += fast.n_events
-        dense_q.append(np.mean(a1 != b1))
-        window_q.append(np.mean(a2 != b2))
-    # Clicks are nearly Poisson, so each sum's variance is about its mean.
-    assert abs(dense_clicks - window_clicks) < 3 * math.sqrt(dense_clicks + window_clicks)
-    assert (window_tally > 0).all()
-    assert (np.abs(dense_tally - window_tally) < 3 * np.sqrt(dense_tally + window_tally)).all()
-    assert abs(float(np.mean(dense_q)) - float(np.mean(window_q))) < 0.01
+        frame = PulseFrame.random("f", n, np.random.default_rng([seed, 1]))
+        dense = transmit_frame(params, PHASE0, eve, frame, rng_seed=[seed, 2])
+        txb, txv, fast = pl.sample_link_window(params, PHASE0, n, [seed, 3], eve=eve)
+        assert fast.min_gap() > params.dead_slots, (case, seed)
+        for stat, (tx_basis, tx_value, record) in zip(stats, ((*frame.sent(dense), dense),
+                                                              (txb, txv, fast))):
+            alice, bob, _ = sift_bb84_events(tx_basis, tx_value, record)
+            stat.append((record.n_events, np.count_nonzero(~record.is_dark),
+                         np.mean(alice != bob), *dataclasses.astuple(record.eve_tally)))
+    old, new = np.array(stats[0], dtype=float), np.array(stats[1], dtype=float)
+    assert (new[:, 3:].sum(axis=0) > 0).all(), case
+    se = np.sqrt(old.var(axis=0, ddof=1) / len(old) + new.var(axis=0, ddof=1) / len(new))
+    assert (np.abs(new.mean(axis=0) - old.mean(axis=0)) <= 3 * se).all(), (
+        case, old.mean(axis=0), new.mean(axis=0), se)
 
 
-@pytest.mark.parametrize("loss_db", [0.0, 0.5, 3.0, 10.0, 30.0])
-def test_window_sampler_pns_tally_matches_loop_oracle(loss_db):
-    # The photon numbers are the sampler's first draw from its seed. The
-    # sampler's prefix-sum budget and the loop's running budget round
-    # differently at some losses, 10 dB here, which moves a few suppressed
-    # singles: 0.21% at most over mu 0.1-1.0 and 0-30 dB. Multi-photon
-    # emissions and learned bits are always exact.
+class _CountingBitGenerator(np.random.PCG64):
+    """PCG64 that adds the raw words drawn through Python to its owner's count."""
+
+    def __init__(self, seed, owner):
+        super().__init__(seed)
+        self.owner = owner
+
+    def random_raw(self, size=None, output=True):
+        self.owner.values += 1 if size is None else int(np.prod(size))
+        return super().random_raw(size, output)
+
+
+class _ValueCountingGenerator(np.random.Generator):
+    """A generator that counts the values its draws return, raw words too."""
+
+    def __init__(self, seed):
+        self.values = 0
+        super().__init__(_CountingBitGenerator(seed, self))
+
+    def __getattribute__(self, name):
+        attr = super().__getattribute__(name)
+        if name.startswith("_") or not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            out = attr(*args, **kwargs)
+            self.values += np.size(out)
+            return out
+        return counted
+
+
+def test_pns_window_draws_follow_clicks():
+    # Behind the PNS attacker a window of 2^24 slots at cambridge
+    # Alice-Boris parameters draws at most 8 values a click (clicks, class
+    # uniforms, raw words of bits and the tally's draws), not one a slot.
+    # An empty call draws nothing and carries an empty tally.
+    params = load_preset("cambridge").channel_by_id("Alice-Boris").params
     eve = pl.EveModel.photon_number_split()
-    n = 200_000
-    for mu in (0.1, 0.5, 1.0):
-        params = _params(mean_photon_number=mu, channel_loss_db=loss_db,
-                         detector_efficiency=0.1, dark_count_prob=1e-4, dead_time_s=2e-6)
-        for seed in range(2):
-            _, _, record = pl.sample_link_window(params, PHASE0, n, seed, eve=eve)
-            photons = np.random.default_rng(seed).poisson(mu, size=n)
-            want = _pns_tally_oracle(photons, params.total_transmittance)
-            got = record.eve_tally
-            assert got.multi_photon_emissions == want.multi_photon_emissions
-            assert got.learned_bits == want.learned_bits
-            if loss_db != 10.0:
-                assert got == want
-            else:
-                assert got.suppressed_singles == pytest.approx(want.suppressed_singles,
-                                                               rel=0.005)
-            _, _, again = pl.sample_link_window(params, PHASE0, n, seed, eve=eve)
-            assert again.eve_tally == got
-    assert pl.sample_link_window(params, PHASE0, 0, 1, eve=eve)[2].eve_tally == pl.EveTally()
+    rng = _ValueCountingGenerator(5)
+    assert pl.sample_link_window(params, PHASE0, 0, rng, eve=eve)[2].eve_tally == pl.EveTally()
+    assert rng.values == 0
+    _, _, record = pl.sample_link_window(params, PHASE0, 1 << 24, rng, eve=eve)
+    assert record.n_events > 3000
+    assert rng.values <= 8 * record.n_events, (rng.values, record.n_events)
 
 
 def _integer_bits(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -347,8 +380,7 @@ def _window_oracle(params: LinkParams, phase: PhaseState, n_slots: int, rng_seed
 
     Statistically identical to :func:`transmit_frame` over a frame of
     uniformly random slots; cost scales with clicks, not slots. The
-    photon-number-splitting attacker needs per-slot bookkeeping and is not
-    supported here.
+    photon-number-splitting attacker is not supported here.
     """
     eve = eve if eve is not None else EveModel()
     if eve.kind is EveKind.PHOTON_NUMBER_SPLIT:
@@ -698,28 +730,41 @@ def test_window_stream_matches_its_oracle_bit_for_bit():
     assert multi_batch > 0
 
 
-def test_window_stream_discards_its_windows_for_a_new_attacker():
+def test_window_stream_discards_its_windows_for_a_new_attacker(monkeypatch):
     # A stream drawn with no attacker, then called under intercept-resend,
     # gives the oracle's intercept-resend window from the generator state
     # after the discarded draws; calling it with no attacker again discards
-    # those in turn.
+    # those in turn. Switching the photon-number splitter on and then off
+    # again discards her drawn windows too: the window after her is the
+    # oracle's, from the state her draw left, and carries no tally.
     params = _params(mean_photon_number=0.5, channel_loss_db=3.0, detector_efficiency=0.1,
                      dark_count_prob=1e-4, dead_time_s=1e-5, intrinsic_error=0.02)
-    eve = pl.EveModel.intercept_resend(0.7)
+    ir, pns = pl.EveModel.intercept_resend(0.7), pl.EveModel.photon_number_split()
     horizon, windows = 200_000, 5
     rng_new = _RecordingGenerator(np.random.SeedSequence(11))
     rng_old = _RecordingGenerator(np.random.SeedSequence(11))
     stream = pl.WindowStream(rng_new, horizon, windows)
-    calls = [[(horizon, PHASE0, f"w{i}")] for i in range(3)]
-    got = [pl.sample_link_window(params, PHASE0, horizon, stream, eve=e, frame_id=f"w{i}")
-           for i, e in enumerate((None, eve, None))]
-    want = [_stream_oracle(params, horizon, windows, c, rng_old, e)[0]
-            for c, e in zip(calls, (None, eve, None))]
+    draws = []
+    draw = pl.WindowStream._draw
+    monkeypatch.setattr(pl.WindowStream, "_draw",
+                        lambda self, *args: draws.append(self is stream) or draw(self, *args))
+    for i, eve in enumerate((None, ir, None, pns, None)):
+        got = pl.sample_link_window(params, PHASE0, horizon, stream, eve=eve, frame_id=f"w{i}")
+        if eve is pns:
+            # Her draw on the oracle's generator, through a stream of its own.
+            want = pl.sample_link_window(params, PHASE0, horizon,
+                                         pl.WindowStream(rng_old, horizon, windows),
+                                         eve=eve, frame_id=f"w{i}")
+            assert got[2].eve_tally == want[2].eve_tally != pl.EveTally()
+            got, want = (w[:2] + (w[2]._replace(eve_tally=None),) for w in (got, want))
+        else:
+            want, = _stream_oracle(params, horizon, windows, [(horizon, PHASE0, f"w{i}")],
+                                   rng_old, eve)
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state, i
+        _assert_windows_equal(got, want, ("attacker switch", i))
     assert rng_new.calls == rng_old.calls
-    assert [name for name, _ in rng_new.calls].count("standard_exponential") == 3
-    assert rng_new.bit_generator.state == rng_old.bit_generator.state
-    for g, w in zip(got, want):
-        _assert_windows_equal(g, w, "attacker switch")
+    # Every switch drew the stream's windows afresh, once.
+    assert draws.count(True) == 5
 
 
 def test_window_stream_refuses_a_window_past_its_horizon():

@@ -19,6 +19,7 @@ import pytest
 from qkdnet import cli as cli_module
 from qkdnet import engine as engine_module
 from qkdnet import netgraph as ng
+from qkdnet import switchfab as sf
 from qkdnet.cli import main
 from qkdnet.engine import RELAY_RESERVE_BITS, Engine, run_scenario
 from qkdnet.errors import InvariantViolation, ValidationError
@@ -1211,24 +1212,26 @@ def test_cli_seed_and_duration_overrides(tmp_path):
 def test_pns_attack_from_start_samples_empty_data_windows(monkeypatch, tmp_path):
     # Alice-Boris trains for whole rounds at first, so while the PNS
     # attacker is on, its training frames take whole windows and its data
-    # windows are empty: the window sampler returns those without drawing,
-    # and samples her on every non-empty window, one window of the round's
-    # slots per draw. Training frames and data windows both come from the
-    # session's window stream.
+    # windows are empty: the window sampler returns those without drawing.
+    # Every non-empty call takes a whole window of the stream's slots, and
+    # the stream draws her windows eight at a time, like any other: on the
+    # first non-empty call and every eighth after it. Training frames and
+    # data windows both come from the session's window stream.
     windows = []
     sample = engine_module.sample_link_window
 
     def spy_sample(params, phase, n_slots, stream, eve=None, frame_id="window"):
         before = stream.rng.bit_generator.state
         result = sample(params, phase, n_slots, stream, eve=eve, frame_id=frame_id)
-        windows.append((n_slots, eve, stream.rng.bit_generator.state == before,
+        windows.append((n_slots, eve, stream.rng.bit_generator.state != before,
                         frame_id.endswith(":train")))
-        assert n_slots in (0, stream.n_slots)
+        assert n_slots in (0, stream.n_slots) and stream.windows == 8
         return result
 
     monkeypatch.setattr(engine_module, "sample_link_window", spy_sample)
-    # 3 s holds the start-up training rounds and full data windows after them.
-    report = run_scenario(load_scenario(_minimal(duration=3.0, events=[
+    # 5 s holds the start-up training rounds, full data windows after them
+    # and more than eight windows in all.
+    report = run_scenario(load_scenario(_minimal(duration=5.0, events=[
         {"t": 0.0, "kind": "start_qkd", "tx": "Alice", "rx": "Boris"},
         {"t": 0.0, "kind": "enable_eve", "channel": "Alice-Boris",
          "eve": {"kind": "photon_number_split"}}])))
@@ -1237,7 +1240,9 @@ def test_pns_attack_from_start_samples_empty_data_windows(monkeypatch, tmp_path)
     data = [n for n, _, _, train in windows if not train]
     assert 0 in data and max(data) > 0
     assert any(train for *_, train in windows)
-    assert all(undrawn == (n == 0) for n, _, undrawn, _ in windows)
+    assert not any(drew for n, _, drew, _ in windows if n == 0)
+    drew = [drew for n, _, drew, _ in windows if n]
+    assert len(drew) > 8 and drew == [i % 8 == 0 for i in range(len(drew))]
     path = tmp_path / "records.jsonl"
     path.write_text(report.emit_records())
     assert main(["verify", "--records", str(path)]) == 0
@@ -1362,8 +1367,10 @@ def test_link_rate_and_dead_time_are_bounded_at_load(tmp_path, capsys):
 
 
 def test_mean_photon_number_is_bounded_at_load(tmp_path, capsys):
-    # A mean of 1e19 once loaded, and then numpy's Poisson sampler refused
-    # it behind the photon-number-splitting attacker with a traceback.
+    # A mean of 1e19 once loaded and then failed deep in the sampler behind
+    # the photon-number-splitting attacker, with a traceback. Weak-coherent
+    # sources run below 10 photons a pulse; the cap of 100 keeps the
+    # attacker's tally and walk well inside their numerics.
     def pns_on(mu):
         return {"version": 1, "duration_s": 2.0, "seed": 1,
                 "topology": {"version": 1,
@@ -1401,3 +1408,35 @@ def test_slow_pulse_rate_does_not_hang_the_event_loop(tmp_path):
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
         timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_slow_pulse_rate_rounds_never_sample(monkeypatch, tmp_path):
+    # At 2 Hz a round holds no slot and a training frame holds one, more
+    # than the round. No round comes to take it: every realignment frame of
+    # one slot falls short of the sifted bits realignment needs, so no
+    # engine.sample_link_window call is made, and the run ends clean.
+    rounds, frames = [], []
+    engine_sample, realign_sample = engine_module.sample_link_window, sf.sample_link_window
+
+    def spy_round(*args, **kwargs):
+        rounds.append(args[2])
+        return engine_sample(*args, **kwargs)
+
+    def spy_realign(*args, **kwargs):
+        frames.append(args[2])
+        return realign_sample(*args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "sample_link_window", spy_round)
+    monkeypatch.setattr(sf, "sample_link_window", spy_realign)
+    topology = ng.cambridge_config()
+    topology["defaults"]["params"]["pulse_rate_hz"] = 2.0
+    engine = Engine(load_scenario({
+        "version": 1, "topology": topology, "duration_s": 10.0, "seed": 1,
+        "events": [{"t": 0.0, "kind": "start_qkd", "tx": "Anna", "rx": "Bob"}]}))
+    report = engine.run()
+    session = engine.sessions["Anna-Bob"]
+    assert (session.windows.n_slots, session.training_slots) == (0, 1)
+    assert rounds == [] and frames and set(frames) == {1}
+    path = tmp_path / "records.jsonl"
+    path.write_text(report.emit_records())
+    assert main(["verify", "--records", str(path)]) == 0
